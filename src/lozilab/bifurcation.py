@@ -14,21 +14,12 @@ import math
 from dataclasses import dataclass
 
 from .core import DomainError, Params, multipliers
-from .geometry import p_value, q_value, r_value, u_value
+from .geometry import C_RL, C_RU, C_UL, C_UU, p_value, q_value, r_value, u_value
 from .renorm import log_coord
 from .solvers import BracketError, hybrid_root
 
 _SQRT2 = math.sqrt(2.0)
 _A_HI = 4.0
-
-# Bracket constants for the trace ladder r_inf - r_m in (C_RL, C_RU)/lam^m
-# and the fold ladder u_inf - u_m in (C_UL, C_UU)*(1 - lam^(1-m))*lam*(b/lam)^(m-1),
-# all valid on a > 3b+1.  C_UU folds in the slope-convergence constant
-# (64/7)ln2 and the bound b/lam^2 < 1/8 via (1 - lam^(1-m))^{-1} b/lam^2 < 5/8.
-C_RL = 0.2
-C_RU = 2.25
-C_UL = 0.25
-C_UU = 2.0 * (1.0 + ((64.0 / 7.0) * math.log(2.0) + 1.5) * (5.0 / 8.0))
 
 # Log-scale offsets for the folds: T(u_n^d) - (n-1) log_lam(1/b) lies in
 # [log_lam C3, log_lam C4] for n in {2, 3} on the box [sqrt(2), 4] x [0, B].
@@ -81,8 +72,6 @@ def solve_l(b: float, m: int, n: int, *, tol: float = 1e-12) -> float:
         scan_n=48,
         xtol=1e-6,
         ftol=tol,
-        h=1e-7,
-        pick="last",
     )
 
 
@@ -140,9 +129,7 @@ def trace_curve(
 
 def _tangency_gap(a: float, b: float) -> float:
     p = Params(a, b)
-    mult = multipliers(p)
-    r_inf = 1.0 - (mult.lam + 2.0) / (p.a * mult.lam + p.b) * p.b
-    return (mult.lam - 1.0) - r_inf
+    return u_value(p, math.inf, "L") - r_value(p, math.inf)
 
 
 def tangency_a(b: float) -> float:
@@ -154,7 +141,6 @@ def tangency_a(b: float) -> float:
         scan_n=32,
         xtol=1e-6,
         ftol=1e-13,
-        h=1e-7,
     )
 
 
@@ -165,6 +151,31 @@ class TangencyCurve:
 
 def tangency_curve(b_grid: list[float]) -> TangencyCurve:
     return TangencyCurve(samples=[(b, tangency_a(b)) for b in b_grid])
+
+
+def crossing_gaps(curve2: BifCurve, curve3: BifCurve) -> tuple[list[float], list[int]]:
+    """The gaps l_{m,2} - l_{m,3} on the shared b-grid, and every k where
+    the sign changes between samples k and k+1."""
+    gaps = [a2 - a3 for (_, a2), (_, a3) in zip(curve2.samples, curve3.samples)]
+    flips = [k for k in range(len(gaps) - 1) if (gaps[k] < 0.0) != (gaps[k + 1] < 0.0)]
+    return gaps, flips
+
+
+def refine_crossing(
+    m: int, lo: float, hi: float, glo: float, width: float, *, tol: float = 1e-12
+) -> tuple[float, float]:
+    """Bisect the sign change of l_{m,2} - l_{m,3} on [lo, hi], whose gap
+    at lo is glo, until the bracket is at most `width` wide.  Returns the
+    midpoint b* and l_{m,2}(b*); every solve stops at |p - q| <= tol."""
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        gm = solve_l(mid, m, 2, tol=tol) - solve_l(mid, m, 3, tol=tol)
+        if (gm < 0.0) == (glo < 0.0):
+            lo, glo = mid, gm
+        else:
+            hi = mid
+    b_star = 0.5 * (lo + hi)
+    return b_star, solve_l(b_star, m, 2, tol=tol)
 
 
 def choose_m(b_bar: float) -> int:
@@ -223,12 +234,11 @@ def find_reversal(
     bs = [b_bar * i / (grid_points - 1) for i in range(grid_points)]
     curve2 = trace_curve(m, 2, bs)
     curve3 = trace_curve(m, 3, bs)
-    gaps = [a2 - a3 for (_, a2), (_, a3) in zip(curve2.samples, curve3.samples)]
+    gaps, flips = crossing_gaps(curve2, curve3)
     if not gaps[0] < 0.0:
         raise ReversalError(f"order not l2 < l3 at b = 0 (gap {gaps[0]:.3e})")
     if not gaps[-1] > 0.0:
         raise ReversalError(f"order not l2 > l3 at b_bar (gap {gaps[-1]:.3e})")
-    flips = [k for k in range(len(gaps) - 1) if (gaps[k] < 0.0) != (gaps[k + 1] < 0.0)]
     if len(flips) != 1:
         raise ReversalError(f"{len(flips)} sign changes of l2 - l3 on the grid")
     for k, (s2, s3) in enumerate(zip(curve2.dadb, curve3.dadb)):
@@ -236,21 +246,7 @@ def find_reversal(
             raise ReversalError(f"slope order fails at b = {bs[k]}")
 
     k = flips[0]
-    lo, hi = bs[k], bs[k + 1]
-    glo = gaps[k]
-
-    def gap(b: float) -> float:
-        return solve_l(b, m, 2) - solve_l(b, m, 3)
-
-    while hi - lo > max(1e-13, 1e-7 * b_bar):
-        mid = 0.5 * (lo + hi)
-        gm = gap(mid)
-        if (gm < 0.0) == (glo < 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    b_star = 0.5 * (lo + hi)
-    a_star = solve_l(b_star, m, 2)
+    b_star, a_star = refine_crossing(m, bs[k], bs[k + 1], gaps[k], max(1e-13, 1e-7 * b_bar))
     h = 0.5 * (bs[1] - bs[0])
     h = min(h, b_star) if b_star > 0 else h
     slope2 = (solve_l(b_star + h, m, 2) - solve_l(b_star - h, m, 2)) / (2.0 * h)

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .bifurcation import solve_l, trace_curve
+from .bifurcation import crossing_gaps, refine_crossing, trace_curve
 from .core import DomainError, Params
 from .renorm import build_partition, partition_rows
 from .solvers import BracketError
@@ -83,35 +84,9 @@ def _write_curve_csv(curve, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _refine_intersection(m: int, curve2, curve3, tol: float):
-    gaps = [a2 - a3 for (_, a2), (_, a3) in zip(curve2.samples, curve3.samples)]
-    flips = [k for k in range(len(gaps) - 1) if (gaps[k] < 0.0) != (gaps[k + 1] < 0.0)]
-    if len(flips) != 1:
-        return None, f"m={m}: {len(flips)} sign changes of the curve gap"
-    k = flips[0]
-    lo, hi = curve2.samples[k][0], curve2.samples[k + 1][0]
-    glo = gaps[k]
-    while hi - lo > 1e-11:
-        mid = 0.5 * (lo + hi)
-        gm = solve_l(mid, m, 2, tol=tol) - solve_l(mid, m, 3, tol=tol)
-        if (gm < 0.0) == (glo < 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    b_star = 0.5 * (lo + hi)
-    entry = {
-        "m": m,
-        "b_star": b_star,
-        "a_star": solve_l(b_star, m, 2, tol=tol),
-        "slope2": curve2.dadb[k],
-        "slope3": curve3.dadb[k],
-    }
-    return entry, None
-
-
 def cmd_figure1(args: argparse.Namespace) -> int:
-    if args.grid < 2 or args.m_min > args.m_max or args.b_max <= 0.0:
-        print("error: need --grid >= 2, --m-min <= --m-max, --b-max > 0",
+    if args.grid < 2 or args.m_min > args.m_max or args.b_max <= 0.0 or args.tol <= 0.0:
+        print("error: need --grid >= 2, --m-min <= --m-max, --b-max > 0, --tol > 0",
               file=sys.stderr)
         return EXIT_USAGE
     out = _out_dir(args.out)
@@ -137,11 +112,23 @@ def cmd_figure1(args: argparse.Namespace) -> int:
         for m in range(args.m_min, args.m_max + 1):
             if (m, 2) not in curves or (m, 3) not in curves:
                 continue
-            entry, note = _refine_intersection(m, curves[(m, 2)], curves[(m, 3)], args.tol)
-            if note:
-                print(f"warning: {note}", file=sys.stderr)
-            else:
-                intersections.append(entry)
+            curve2, curve3 = curves[(m, 2)], curves[(m, 3)]
+            gaps, flips = crossing_gaps(curve2, curve3)
+            if len(flips) != 1:
+                print(f"warning: m={m}: {len(flips)} sign changes of the curve gap",
+                      file=sys.stderr)
+                continue
+            k = flips[0]
+            b_star, a_star = refine_crossing(
+                m, grid[k], grid[k + 1], gaps[k], 1e-11, tol=args.tol
+            )
+            intersections.append({
+                "m": m,
+                "b_star": b_star,
+                "a_star": a_star,
+                "slope2": curve2.dadb[k],
+                "slope3": curve3.dadb[k],
+            })
         _json_dump(intersections, out / "intersections.json")
     print(f"wrote {len(curves)} curve files and {len(intersections)} intersections to {out}")
     return EXIT_OK
@@ -185,6 +172,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if summary["passed"] else EXIT_VERIFY_FAILED
 
 
+def finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lozi-lab",
@@ -194,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     orbit = sub.add_parser("orbit", help="formal periodic point report")
-    orbit.add_argument("-a", type=float, required=True)
-    orbit.add_argument("-b", type=float, required=True)
+    orbit.add_argument("-a", type=finite_float, required=True)
+    orbit.add_argument("-b", type=finite_float, required=True)
     orbit.add_argument("-I", "--itinerary", required=True,
                        help="sign word over - and +, e.g. '+-++-'")
     orbit.set_defaults(func=cmd_orbit)
@@ -205,17 +200,17 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--m-max", type=int, default=14)
     fig.add_argument("--n", type=int, action="append", choices=(2, 3),
                      help="repeatable; default both 2 and 3")
-    fig.add_argument("--b-max", type=float, default=0.07)
+    fig.add_argument("--b-max", type=finite_float, default=0.07)
     fig.add_argument("--grid", type=int, default=71)
-    fig.add_argument("--tol", type=float, default=1e-12,
+    fig.add_argument("--tol", type=finite_float, default=1e-12,
                      help="root residual tolerance for |p - q|")
     fig.add_argument("--workers", type=int, default=1)
     fig.add_argument("--out", default=None, help="output dir (default $LOZI_LAB_OUT or .)")
     fig.set_defaults(func=cmd_figure1)
 
     part = sub.add_parser("partition", help="export strip traces as CSV")
-    part.add_argument("-a", type=float, required=True)
-    part.add_argument("-b", type=float, required=True)
+    part.add_argument("-a", type=finite_float, required=True)
+    part.add_argument("-b", type=finite_float, required=True)
     part.add_argument("--m-max", type=int, default=16)
     part.add_argument("--out", default=None)
     part.set_defaults(func=cmd_partition)

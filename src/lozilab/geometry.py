@@ -23,7 +23,6 @@ from .core import (
     Params,
     Point,
     RegionError,
-    apply_branch,
     fixed_points,
     multipliers,
 )
@@ -63,22 +62,6 @@ class BwdLine:
         return self.x_at(0.0)
 
 
-def slope_fwd(p: Params, sigma: int, slope: float) -> float:
-    """Slope of the sigma-branch image of a line with the given slope."""
-    denom = p.b * slope + sigma * p.a
-    if abs(denom) < _EXCLUDED_TOL:
-        raise SlopeError(f"slope {slope} maps to a vertical line under branch {sigma:+d}")
-    return -1.0 / denom
-
-
-def slope_bwd(p: Params, sigma: int, vslope: float) -> float:
-    """Vertical slope of the sigma-branch preimage of a near-vertical line."""
-    denom = vslope + sigma * p.a
-    if abs(denom) < _EXCLUDED_TOL:
-        raise SlopeError(f"vslope {vslope} is excluded under inverse branch {sigma:+d}")
-    return -p.b / denom
-
-
 def _push(p: Params, sigma: int, slope: float, k: float) -> tuple[float, float]:
     """One forward branch step on (slope, k) where (0, k) is on the line."""
     denom = p.b * slope + sigma * p.a
@@ -95,14 +78,40 @@ def _pull(p: Params, sigma: int, vslope: float, c: float) -> tuple[float, float]
     return -p.b / denom, (p.a - p.b - 1.0 - c) / denom
 
 
-def iterate_line_fwd(p: Params, word: Itinerary, line: FwdLine) -> FwdLine:
-    """Push a line through the branches named by `word`, first symbol first."""
-    slope, anchor = line.slope, line.anchor
+def _fold(p: Params, word: Itinerary, slope: float, k: float) -> float:
+    """Fold abscissa of the full-map image of the (slope, k) line pushed
+    through `word`: both branches send (0, k) to ((a-b-1) - b*k, 0)."""
     for sigma in word:
-        slope_next = slope_fwd(p, sigma, slope)
-        anchor = apply_branch(p, sigma, anchor)
-        slope = slope_next
-    return FwdLine(slope=slope, anchor=anchor)
+        slope, k = _push(p, sigma, slope, k)
+    return (p.a - p.b - 1.0) - p.b * k
+
+
+def _pull_word(p: Params, word: Itinerary, vslope: float, c: float) -> tuple[float, float]:
+    """_pull through the inverse branches of `word`, last symbol first."""
+    for sigma in reversed(word):
+        vslope, c = _pull(p, sigma, vslope, c)
+    return vslope, c
+
+
+def slope_fwd(p: Params, sigma: int, slope: float) -> float:
+    """Slope of the sigma-branch image of a line with the given slope."""
+    return _push(p, sigma, slope, 0.0)[0]
+
+
+def slope_bwd(p: Params, sigma: int, vslope: float) -> float:
+    """Vertical slope of the sigma-branch preimage of a near-vertical line."""
+    return _pull(p, sigma, vslope, 0.0)[0]
+
+
+def iterate_line_fwd(p: Params, word: Itinerary, line: FwdLine) -> FwdLine:
+    """Push a line through the branches named by `word`, first symbol first.
+
+    The returned line is re-anchored at its y-axis crossing (0, k).
+    """
+    slope, k = line.slope, line.y_at(0.0)
+    for sigma in word:
+        slope, k = _push(p, sigma, slope, k)
+    return FwdLine(slope=slope, anchor=(0.0, k))
 
 
 def iterate_line_bwd(p: Params, word: Itinerary, line: BwdLine) -> BwdLine:
@@ -113,20 +122,13 @@ def iterate_line_bwd(p: Params, word: Itinerary, line: BwdLine) -> BwdLine:
     line is re-anchored at its x-axis trace (same line, stable arithmetic,
     and well defined in the noninvertible case b = 0).
     """
-    vslope, c = line.vslope, line.trace
-    for sigma in reversed(word):
-        vslope, c = _pull(p, sigma, vslope, c)
+    vslope, c = _pull_word(p, word, line.vslope, line.trace)
     return BwdLine(vslope=vslope, anchor=(c, 0.0))
 
 
 def turning_point(p: Params, line: FwdLine) -> float:
-    """Fold abscissa of the full-map image of a line crossing x = 0.
-
-    The image of (0, k) is ((a-b-1) - b*k, 0) under either branch, and the
-    two branch images of the line meet there.
-    """
-    k = line.y_at(0.0)
-    return (p.a - p.b - 1.0) - p.b * k
+    """Fold abscissa of the full-map image of a line crossing x = 0."""
+    return _fold(p, (), line.slope, line.y_at(0.0))
 
 
 def stable_line(p: Params, sigma: int) -> BwdLine:
@@ -150,6 +152,32 @@ def _require_mod(p: Params) -> None:
         raise RegionError(f"({p.a}, {p.b}) is outside the partition region a > 3b+1")
 
 
+def _side_sign(p: Params, side: str) -> int:
+    """Sign of the band boundary y = -1 (side "L") or y = +1 (side "R")."""
+    _require_mod(p)
+    if side not in ("L", "R"):
+        raise DomainError(f"side must be 'L' or 'R', got {side!r}")
+    return MINUS if side == "L" else PLUS
+
+
+def _ladder_index(m: int | float, least: int) -> int:
+    """A finite ladder index m as an int; rejects m < least and fractions."""
+    if not m >= least or m % 1:
+        raise DomainError(f"need an integer m >= {least}, got {m}")
+    return int(m)
+
+
+# Bracket constants for the trace ladder r_inf - r_m in (C_RL, C_RU)/lam^m
+# and the fold ladder u_inf - u_m in (C_UL, C_UU)*(1 - lam^(1-m))*lam*(b/lam)^(m-1),
+# all valid on a > 3b+1.  C_UU folds in the slope-convergence constant
+# SLOPE_C = (64/7)ln2 and the bound b/lam^2 < 1/8 via (1 - lam^(1-m))^{-1} b/lam^2 < 5/8.
+SLOPE_C = (64.0 / 7.0) * math.log(2.0)
+C_RL = 0.2
+C_RU = 2.25
+C_UL = 0.25
+C_UU = 2.0 * (1.0 + (SLOPE_C + 1.5) * (5.0 / 8.0))
+
+
 def r_value(p: Params, m: int | float) -> float:
     """x-axis trace of the m-th stable pullback (m = inf gives the limit).
 
@@ -161,9 +189,7 @@ def r_value(p: Params, m: int | float) -> float:
     if m == math.inf:
         mult = multipliers(p)
         return 1.0 - (mult.lam + 2.0) / (p.a * mult.lam + p.b) * p.b
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m}")
-    word = (PLUS,) + (MINUS,) * (int(m) - 1)
+    word = (PLUS,) + (MINUS,) * (_ladder_index(m, 1) - 1)
     return iterate_line_bwd(p, word, stable_line(p, PLUS)).trace
 
 
@@ -174,19 +200,11 @@ def u_value(p: Params, m: int | float, side: str) -> float:
     y = +1 (side "R") of the invariant band; m = inf gives the x-axis
     crossing lam - 1 of the left fixed point's unstable line.
     """
-    _require_mod(p)
-    if side not in ("L", "R"):
-        raise DomainError(f"side must be 'L' or 'R', got {side!r}")
+    sigma0 = _side_sign(p, side)
     if m == math.inf:
         return multipliers(p).lam - 1.0
-    if m < 2:
-        raise DomainError(f"need m >= 2, got {m}")
-    sigma0 = MINUS if side == "L" else PLUS
-    word = (PLUS,) + (MINUS,) * (int(m) - 2)
-    slope, k = 0.0, float(sigma0)
-    for sigma in word:
-        slope, k = _push(p, sigma, slope, k)
-    return (p.a - p.b - 1.0) - p.b * k
+    word = (PLUS,) + (MINUS,) * (_ladder_index(m, 2) - 2)
+    return _fold(p, word, 0.0, float(sigma0))
 
 
 def boundary_turning_points(p: Params) -> tuple[float, float]:
@@ -202,13 +220,9 @@ def u_gap(p: Params, m: int, side: str) -> float:
     full relative accuracy by propagating the slope gap e_j = 1/lam - s_j
     and crossing gap d_j = k_j - k_inf through positive-term recursions.
     """
-    _require_mod(p)
-    if side not in ("L", "R"):
-        raise DomainError(f"side must be 'L' or 'R', got {side!r}")
-    if m < 2:
-        raise DomainError(f"need m >= 2, got {m}")
+    sigma0 = float(_side_sign(p, side))
+    m = _ladder_index(m, 2)
     lam = multipliers(p).lam
-    sigma0 = -1.0 if side == "L" else 1.0
     s = -1.0 / p.a
     e = 1.0 / lam + 1.0 / p.a
     d = (p.a - p.b - 1.0 - p.b * sigma0) / p.a - (1.0 - lam) / lam
@@ -240,13 +254,9 @@ def p_value(p: Params, m: int | float, n: int) -> float:
         slope, k = line.slope, line.y_at(0.0)
         word: Itinerary = (PLUS, PLUS) + (MINUS,) * (n - 2)
     else:
-        if m < 2:
-            raise DomainError(f"need m >= 2, got {m}")
         slope, k = 0.0, 0.0
-        word = _return_word(int(m), n)
-    for sigma in word:
-        slope, k = _push(p, sigma, slope, k)
-    return (p.a - p.b - 1.0) - p.b * k
+        word = _return_word(_ladder_index(m, 2), n)
+    return _fold(p, word, slope, k)
 
 
 def q_value(p: Params, m: int, n: int) -> float:
@@ -259,10 +269,7 @@ def q_value(p: Params, m: int, n: int) -> float:
     _require_mod(p)
     if m < 2 or n < 2:
         raise DomainError(f"need m, n >= 2, got ({m}, {n})")
-    vslope, c = 0.0, 0.0
-    for sigma in reversed(_return_word(m, n)):
-        vslope, c = _pull(p, sigma, vslope, c)
-    return c
+    return _pull_word(p, _return_word(m, n), 0.0, 0.0)[1]
 
 
 @dataclass(frozen=True)
@@ -288,7 +295,7 @@ def critical_data(p: Params, m_max: int) -> CriticalData:
     return CriticalData(
         u_left=u_left,
         u_right=u_right,
-        u_inf=multipliers(p).lam - 1.0,
+        u_inf=u_value(p, math.inf, "L"),
         r_inf=r_value(p, math.inf),
         r={m: r_value(p, m) for m in range(1, m_max + 1)},
         u_l={m: u_value(p, m, "L") for m in range(2, m_max + 1)},

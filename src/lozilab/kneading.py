@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .core import DomainError, Params
@@ -76,22 +77,14 @@ def order_compare(i1: UItinerary, i2: UItinerary) -> Ordering:
     + 1 suffices: beyond it both sequences are jointly periodic, so either
     a difference appeared earlier or they are equal.
     """
-    horizon = (
+    horizon = range(
         len(i1.preperiod) + len(i2.preperiod) + _lcm(len(i1.period), len(i2.period)) + 1
     )
-    sign = 1
-    for i in range(horizon):
-        s1, s2 = i1.symbol(i), i2.symbol(i)
-        if s1 == s2 == 0:
-            return Ordering.EQUIVALENT
-        if s1 != s2:
-            return Ordering.LESS if sign * s1 < sign * s2 else Ordering.GREATER
-        if s1 == +1:
-            sign = -sign
-    return Ordering.EQUIVALENT
+    decision = compare_tails(map(i1.symbol, horizon), map(i2.symbol, horizon))
+    return Ordering.EQUIVALENT if decision is None else decision
 
 
-def compare_tails(symbols1: list[int], symbols2: list[int]) -> Ordering | None:
+def compare_tails(symbols1: Iterable[int], symbols2: Iterable[int]) -> Ordering | None:
     """Compare two finite symbol runs; None if no decision within them."""
     sign = 1
     for s1, s2 in zip(symbols1, symbols2):

@@ -152,6 +152,8 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
         raise RegionError(f"({p.a}, {p.b}) is outside the full-family region")
     if not 1 <= period <= 10:
         raise DomainError(f"need 1 <= period <= 10, got {period}")
+    if grid_n < 2:
+        raise DomainError(f"need grid_n >= 2, got {grid_n}")
     found: list[Point] = []
 
     def add(root: Point) -> bool:

@@ -7,6 +7,10 @@ from typing import Callable
 
 from .core import DomainError
 
+# central-difference step for the Newton slope, and the Newton step budget
+_FD_STEP = 1e-7
+_NEWTON_MAX_ITER = 60
+
 
 class BracketError(DomainError):
     """No sign change found on the scanned interval."""
@@ -76,8 +80,6 @@ def newton_polish(
     hi: float,
     *,
     ftol: float,
-    h: float = 1e-7,
-    max_iter: int = 60,
 ) -> float:
     """Newton with central-difference slope, safeguarded inside [lo, hi].
 
@@ -85,13 +87,13 @@ def newton_polish(
     drops below ftol.
     """
     best_x, best_f = x, abs(f(x))
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if best_f <= ftol:
             return best_x
         fx = f(x)
         if abs(fx) < best_f:
             best_x, best_f = x, abs(fx)
-        slope = (f(x + h) - f(x - h)) / (2.0 * h)
+        slope = (f(x + _FD_STEP) - f(x - _FD_STEP)) / (2.0 * _FD_STEP)
         if slope == 0.0:
             break
         step = fx / slope
@@ -117,13 +119,11 @@ def hybrid_root(
     scan_n: int = 48,
     xtol: float = 1e-6,
     ftol: float = 1e-12,
-    h: float = 1e-7,
-    pick: str = "last",
 ) -> float:
     """Bracket by scanning, bisect to xtol, then Newton-polish to |f| <= ftol.
 
     Warns (MultipleRootWarning) when the scan is non-monotone or shows more
-    than one sign change; `pick` selects the first or last bracket then.
+    than one sign change; the last (rightmost) bracket is refined then.
     """
     brackets, monotone = scan_brackets(f, lo, hi, scan_n)
     if not brackets:
@@ -134,6 +134,5 @@ def hybrid_root(
             MultipleRootWarning,
             stacklevel=2,
         )
-    b0, b1, f0, f1 = brackets[-1 if pick == "last" else 0]
-    b0, b1, f0, f1 = bisect(f, b0, b1, f0, f1, xtol)
-    return newton_polish(f, 0.5 * (b0 + b1), b0, b1, ftol=ftol, h=h)
+    b0, b1, f0, f1 = bisect(f, *brackets[-1], xtol)
+    return newton_polish(f, 0.5 * (b0 + b1), b0, b1, ftol=ftol)

@@ -103,19 +103,19 @@ def formal_orbit(p: Params, itinerary: Itinerary, v: Point) -> list[Point]:
     return orbit
 
 
+def _orbit_admissibility(itinerary: Itinerary, orbit: list[Point]) -> float:
+    """min of I_m * x over the orbit points each symbol acts on (zip drops
+    the orbit's closing point)."""
+    return min((s * q[0] for s, q in zip(itinerary, orbit)), default=math.inf)
+
+
 def admissibility_value(p: Params, itinerary: Itinerary, v: Point) -> float:
     """min over m of I_m * x-coordinate of the (m-1)-step formal orbit.
 
     Nonnegative iff the formal orbit signs agree with the itinerary, i.e.
     iff the first l(I) genuine iterates of v follow the named branches.
     """
-    value = math.inf
-    point = v
-    for i, sigma in enumerate(itinerary):
-        value = min(value, sigma * point[0])
-        if i + 1 < len(itinerary):
-            point = apply_branch(p, sigma, point)
-    return value
+    return _orbit_admissibility(itinerary, formal_orbit(p, itinerary, v))
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def formal_periodic_point(p: Params, itinerary: Itinerary) -> FormalPeriodicPoin
     w1, w2 = m.w
     theta = ((w1 * j22 - w2 * j12) / det, (w2 * j11 - w1 * j21) / det)
     orbit = formal_orbit(p, itinerary, theta)
-    h = min(s * q[0] for s, q in zip(itinerary, orbit[:-1]))
+    h = _orbit_admissibility(itinerary, orbit)
     residual = max(abs(orbit[-1][0] - theta[0]), abs(orbit[-1][1] - theta[1]))
     return FormalPeriodicPoint(
         point=theta,

@@ -14,6 +14,10 @@ from typing import Callable
 
 from .core import MINUS, PLUS, Params, apply_map, multipliers
 from .geometry import (
+    C_RL,
+    C_RU,
+    C_UL,
+    SLOPE_C,
     BwdLine,
     critical_data,
     iterate_line_bwd,
@@ -30,8 +34,6 @@ from .kneading import (
 from .oracle import OrbitKind, brute_periodic, classify_orbit, cone_check, orbit_signs
 from .renorm import Regime, build_partition, classify_regime
 from .symbolic import format_itinerary, formal_periodic_point, iota
-
-_SLOPE_C = (64.0 / 7.0) * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ def suite_convergence(seed: int) -> list[Check]:
             r_inf = r_value(p, math.inf)
             for m in range(2, 13):
                 gap = r_inf - r_value(p, m)
-                if not 0.2 * lam ** -m < gap < 2.25 * lam ** -m:
+                if not C_RL * lam ** -m < gap < C_RU * lam ** -m:
                     raise AssertionError(f"r bound fails at ({p.a}, {p.b}), m={m}")
         return f"{len(grid)} parameters, m = 2..12"
 
@@ -180,11 +182,11 @@ def suite_convergence(seed: int) -> list[Check]:
             for m in range(2, 13):
                 shrink = (1.0 - lam ** (1 - m)) * (p.b / lam) ** (m - 2) * p.b
                 hi = 2.0 * (
-                    1.0 - lam ** (1 - m) + (_SLOPE_C + 1.5) * p.b / lam ** 2
+                    1.0 - lam ** (1 - m) + (SLOPE_C + 1.5) * p.b / lam ** 2
                 ) * (p.b / lam) ** (m - 2) * p.b
                 for side in ("L", "R"):
                     gap = u_gap(p, m, side)
-                    if not 0.25 * shrink * (1 - 1e-9) <= gap <= hi * (1 + 1e-9):
+                    if not C_UL * shrink * (1 - 1e-9) <= gap <= hi * (1 + 1e-9):
                         raise AssertionError(
                             f"u bound fails at ({p.a}, {p.b}), m={m}, side={side}"
                         )

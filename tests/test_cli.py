@@ -1,8 +1,16 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from lozilab import bifurcation, find_reversal
 from lozilab.cli import main
+
+SMALL_FAMILY = ["figure1", "--m-min", "5", "--m-max", "6", "--b-max", "0.02", "--grid", "9"]
+# figure1 files of SMALL_FAMILY as written before the line kernels, the
+# crossing refiner and the solver options were merged; they depend on
+# IEEE-rounded + - * / and sqrt only, so they hold on every platform
+RECORDED_SMALL_FAMILY = Path(__file__).parent / "data" / "figure1_small"
 
 
 def run_cli(args, capsys):
@@ -55,10 +63,28 @@ def test_orbit_out_of_region_exit_code(capsys):
     assert code == 3 and "error" in err
 
 
-def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["orbit", "-a", "2"])
-    assert info.value.code == 2
+def test_usage_error_exit_code(tmp_path, capsys):
+    usage_errors = [
+        ["orbit", "-a", "2"],
+        ["orbit", "-a", "inf", "-b", "0", "-I", "+"],
+        ["orbit", "-a", "1.8", "-b", "nan", "-I", "+"],
+        ["partition", "-a", "-inf", "-b", "0.2"],
+        ["figure1", "--b-max", "nan"],
+        ["figure1", "--tol", "inf"],
+        ["figure1", "--tol", "0"],
+        ["figure1", "--tol", "-1e-12"],
+    ]
+    small = ["--m-min", "5", "--m-max", "5", "--grid", "3", "--out", str(tmp_path)]
+    for args in usage_errors:
+        if args[0] == "figure1":
+            args = args + small
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2, args
+    capsys.readouterr()
+    assert not list(tmp_path.iterdir())
 
 
 def test_partition_csv(tmp_path, capsys):
@@ -107,6 +133,36 @@ def test_figure1_small_family(tmp_path, capsys):
     for entry in inter:
         assert set(entry) == {"m", "b_star", "a_star", "slope2", "slope3"}
         assert entry["slope2"] > entry["slope3"]
+
+
+def test_figure1_and_reversal_match_recorded_bytes(tmp_path, capsys):
+    code, _, _ = run_cli(SMALL_FAMILY + ["--out", str(tmp_path)], capsys)
+    assert code == 0
+    recorded = sorted(RECORDED_SMALL_FAMILY.iterdir())
+    assert sorted(f.name for f in tmp_path.iterdir()) == [f.name for f in recorded]
+    for want in recorded:
+        assert (tmp_path / want.name).read_bytes() == want.read_bytes(), want.name
+    r = find_reversal(1e-5)
+    assert repr((r.m, r.b_star, r.a_star, r.slope2, r.slope3)) == (
+        "(19, 4.768595695495605e-07, 1.999995469857305, 0.4999983298503707, -0.50003707663393)"
+    )
+
+
+def test_figure1_gap_evaluation_count(tmp_path, capsys, monkeypatch):
+    # deterministic solver-work pin for SMALL_FAMILY: curve solves plus
+    # crossing refinement; a change to the solvers updates it on purpose
+    calls = 0
+    p_value = bifurcation.p_value
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return p_value(*args, **kwargs)
+
+    monkeypatch.setattr(bifurcation, "p_value", counted)
+    code, _, _ = run_cli(SMALL_FAMILY + ["--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert calls == 10806
 
 
 def test_figure1_skips_failing_curve_with_warning(tmp_path, capsys):

@@ -238,6 +238,8 @@ def test_r_against_stable_polyline_growth():
 def test_r_rejects_outside_mod_region():
     with pytest.raises(RegionError):
         r_value(Params(1.5, 0.2), 2)
+    with pytest.raises(DomainError):
+        r_value(P18, 5.7)
 
 
 def test_trace_limit_flat_in_a_at_degenerate_family():
@@ -278,6 +280,8 @@ def test_u_sides_ordered_and_match_fold_oracle():
 def test_u_rejects_bad_side():
     with pytest.raises(DomainError):
         u_value(P18, 3, "M")
+    with pytest.raises(DomainError):
+        u_value(P18, 3.5, "L")
 
 
 # ------------------------------------------------------------ p and q

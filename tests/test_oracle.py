@@ -71,6 +71,8 @@ def test_brute_rejects_bad_inputs():
         brute_periodic(Params(1.1, 0.2), 2, grid_n=10)
     with pytest.raises(DomainError):
         brute_periodic(P18, 11, grid_n=10)
+    with pytest.raises(DomainError):
+        brute_periodic(P18, 2, grid_n=1)
 
 
 def test_cone_example_vectors():
