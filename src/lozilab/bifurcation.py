@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .core import DomainError, Params, multipliers
 from .geometry import C_RL, C_RU, C_UL, C_UU, p_value, q_value, r_value, u_value
 from .renorm import log_coord
-from .solvers import BracketError, hybrid_root
+from .solvers import BracketError, bisect, hybrid_root
 
 _SQRT2 = math.sqrt(2.0)
 _A_HI = 4.0
@@ -162,20 +162,27 @@ def crossing_gaps(curve2: BifCurve, curve3: BifCurve) -> tuple[list[float], list
 
 
 def refine_crossing(
-    m: int, lo: float, hi: float, glo: float, width: float, *, tol: float = 1e-12
+    curve2: BifCurve, curve3: BifCurve, k: int, width: float, *, tol: float = 1e-12
 ) -> tuple[float, float]:
-    """Bisect the sign change of l_{m,2} - l_{m,3} on [lo, hi], whose gap
-    at lo is glo, until the bracket is at most `width` wide.  Returns the
-    midpoint b* and l_{m,2}(b*); every solve stops at |p - q| <= tol."""
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        gm = solve_l(mid, m, 2, tol=tol) - solve_l(mid, m, 3, tol=tol)
-        if (gm < 0.0) == (glo < 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
+    """Bisect the sign change of l_{m,2} - l_{m,3} between the curves'
+    samples k and k+1 until the bracket is at most `width` wide.  Returns
+    the midpoint b* and l_{m,2}(b*); every solve stops at |p - q| <= tol."""
+    m = curve2.m
+    (lo, a2lo), (hi, a2hi) = curve2.samples[k], curve2.samples[k + 1]
+    glo, ghi = a2lo - curve3.samples[k][1], a2hi - curve3.samples[k + 1][1]
+    lo, hi, _, _ = bisect(
+        lambda b: solve_l(b, m, 2, tol=tol) - solve_l(b, m, 3, tol=tol),
+        lo, hi, glo, ghi, width,
+    )
     b_star = 0.5 * (lo + hi)
     return b_star, solve_l(b_star, m, 2, tol=tol)
+
+
+def _ladder_coord(p: Params, x: float, name: str) -> float:
+    """log_coord of a ladder value; refuses one rounded onto the limit r_inf."""
+    if x >= r_value(p, math.inf):
+        raise DomainError(f"{name} = {x!r} has reached r_inf at float resolution")
+    return log_coord(p, x)
 
 
 def choose_m(b_bar: float) -> int:
@@ -195,15 +202,16 @@ def choose_m(b_bar: float) -> int:
         raise ConditionError(
             f"b_bar = {b_bar} too large: log-scale separation gap {gap:.3f} <= 0"
         )
-    t_fold = log_coord(p, u_value(p, 2, "R"))
+    t_fold = _ladder_coord(p, u_value(p, 2, "R"), "fold u_2^R")
     j = 1
-    while log_coord(p, r_value(p, j)) <= t_fold:
+    while _ladder_coord(p, r_value(p, j), f"trace r_{j}") <= t_fold:
         j += 1
         if j > 400:
             raise DomainError("fold sandwich not found below index 400")
     m = j + 1
     # the full reversed configuration: the third fold must clear trace m
-    if log_coord(p, u_value(p, 3, "L")) <= log_coord(p, r_value(p, m)):
+    t_third = _ladder_coord(p, u_value(p, 3, "L"), f"fold u_3^L (m = {m})")
+    if t_third <= _ladder_coord(p, r_value(p, m), f"trace r_{m}"):
         raise ConditionError(f"third fold not beyond trace {m} at b_bar = {b_bar}")
     return m
 
@@ -246,7 +254,7 @@ def find_reversal(
             raise ReversalError(f"slope order fails at b = {bs[k]}")
 
     k = flips[0]
-    b_star, a_star = refine_crossing(m, bs[k], bs[k + 1], gaps[k], max(1e-13, 1e-7 * b_bar))
+    b_star, a_star = refine_crossing(curve2, curve3, k, max(1e-13, 1e-7 * b_bar))
     h = 0.5 * (bs[1] - bs[0])
     h = min(h, b_star) if b_star > 0 else h
     slope2 = (solve_l(b_star + h, m, 2) - solve_l(b_star - h, m, 2)) / (2.0 * h)

@@ -13,7 +13,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .bifurcation import crossing_gaps, refine_crossing, trace_curve
@@ -66,15 +65,15 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _curve_job(task: tuple[int, int, list[float], float]):
-    m, n, grid, tol = task
+def _trace_or_skip(m: int, n: int, grid: list[float], tol: float):
+    """The traced curve (None if it failed) and its warning notes."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             curve = trace_curve(m, n, grid, tol=tol)
         except (BracketError, DomainError) as exc:
-            return m, n, None, [f"skipped: {exc}"]
-    return m, n, curve, [str(w.message) for w in caught]
+            return None, [f"skipped: {exc}"]
+    return curve, [str(w.message) for w in caught]
 
 
 def _write_curve_csv(curve, path: Path) -> None:
@@ -92,20 +91,15 @@ def cmd_figure1(args: argparse.Namespace) -> int:
     out = _out_dir(args.out)
     grid = [args.b_max * i / (args.grid - 1) for i in range(args.grid)]
     ns = sorted(set(args.n))
-    tasks = [(m, n, grid, args.tol) for m in range(args.m_min, args.m_max + 1) for n in ns]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_curve_job, tasks))
-    else:
-        results = [_curve_job(t) for t in tasks]
-
     curves = {}
-    for m, n, curve, notes in results:
-        for note in notes:
-            print(f"warning: curve ({m},{n}): {note}", file=sys.stderr)
-        if curve is not None:
-            curves[(m, n)] = curve
-            _write_curve_csv(curve, out / f"curve_m{m}_n{n}.csv")
+    for m in range(args.m_min, args.m_max + 1):
+        for n in ns:
+            curve, notes = _trace_or_skip(m, n, grid, args.tol)
+            for note in notes:
+                print(f"warning: curve ({m},{n}): {note}", file=sys.stderr)
+            if curve is not None:
+                curves[(m, n)] = curve
+                _write_curve_csv(curve, out / f"curve_m{m}_n{n}.csv")
 
     intersections = []
     if ns == [2, 3]:
@@ -113,15 +107,13 @@ def cmd_figure1(args: argparse.Namespace) -> int:
             if (m, 2) not in curves or (m, 3) not in curves:
                 continue
             curve2, curve3 = curves[(m, 2)], curves[(m, 3)]
-            gaps, flips = crossing_gaps(curve2, curve3)
+            _, flips = crossing_gaps(curve2, curve3)
             if len(flips) != 1:
                 print(f"warning: m={m}: {len(flips)} sign changes of the curve gap",
                       file=sys.stderr)
                 continue
             k = flips[0]
-            b_star, a_star = refine_crossing(
-                m, grid[k], grid[k + 1], gaps[k], 1e-11, tol=args.tol
-            )
+            b_star, a_star = refine_crossing(curve2, curve3, k, 1e-11, tol=args.tol)
             intersections.append({
                 "m": m,
                 "b_star": b_star,
@@ -204,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--grid", type=int, default=71)
     fig.add_argument("--tol", type=finite_float, default=1e-12,
                      help="root residual tolerance for |p - q|")
-    fig.add_argument("--workers", type=int, default=1)
     fig.add_argument("--out", default=None, help="output dir (default $LOZI_LAB_OUT or .)")
     fig.set_defaults(func=cmd_figure1)
 

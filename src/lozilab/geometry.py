@@ -247,8 +247,9 @@ def p_value(p: Params, m: int | float, n: int) -> float:
     the left fixed point, the limit object of that block.
     """
     _require_mod(p)
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
+    if not n >= 2 or n % 1:
+        raise DomainError(f"need an integer n >= 2, got {n}")
+    n = int(n)
     if m == math.inf:
         line = unstable_line(p, MINUS)
         slope, k = line.slope, line.y_at(0.0)
@@ -267,9 +268,9 @@ def q_value(p: Params, m: int, n: int) -> float:
     unique point whose forward word-orbit lands on the switching line.
     """
     _require_mod(p)
-    if m < 2 or n < 2:
-        raise DomainError(f"need m, n >= 2, got ({m}, {n})")
-    return _pull_word(p, _return_word(m, n), 0.0, 0.0)[1]
+    if not (m >= 2 and n >= 2) or m % 1 or n % 1:
+        raise DomainError(f"need integers m, n >= 2, got ({m}, {n})")
+    return _pull_word(p, _return_word(int(m), int(n)), 0.0, 0.0)[1]
 
 
 @dataclass(frozen=True)

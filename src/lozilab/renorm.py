@@ -80,9 +80,14 @@ def build_partition(p: Params, m_max: int = 16) -> list[Strip]:
     for strip in strips:
         if strip.left_trace > strip.right_trace + _TRACE_TIE_TOL:
             raise DomainError(f"strip {strip.label} has crossed boundaries")
+    # traces[j - 1] is r_j, traces[-1] is r_inf; they increase in exact arithmetic
     traces = [g.trace for g in gammas] + [gamma_inf.trace]
-    if any(t0 >= t1 for t0, t1 in zip(traces, traces[1:])):
-        raise DomainError("stable traces are not strictly increasing")
+    for j, (t0, t1) in enumerate(zip(traces, traces[1:]), start=1):
+        if t0 >= t1:
+            raise DomainError(
+                f"stable traces stop increasing after r_{j} = {t0!r} at ({p.a}, {p.b}): "
+                "the gap to r_inf is below float resolution there"
+            )
     return strips
 
 

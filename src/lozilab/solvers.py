@@ -83,16 +83,14 @@ def newton_polish(
 ) -> float:
     """Newton with central-difference slope, safeguarded inside [lo, hi].
 
-    Returns the iterate with the smallest |f| seen; raises if that never
-    drops below ftol.
+    Evaluates f once per iterate and returns the first iterate with
+    |f| <= ftol (the smallest |f| seen); raises if none is found.
     """
-    best_x, best_f = x, abs(f(x))
+    fx = f(x)
+    best_x, best_f = x, abs(fx)
     for _ in range(_NEWTON_MAX_ITER):
         if best_f <= ftol:
             return best_x
-        fx = f(x)
-        if abs(fx) < best_f:
-            best_x, best_f = x, abs(fx)
         slope = (f(x + _FD_STEP) - f(x - _FD_STEP)) / (2.0 * _FD_STEP)
         if slope == 0.0:
             break
@@ -103,9 +101,9 @@ def newton_polish(
         if x_new == x:
             break
         x = x_new
-    final = abs(f(x))
-    if final < best_f:
-        best_x, best_f = x, final
+        fx = f(x)
+        if abs(fx) < best_f:
+            best_x, best_f = x, abs(fx)
     if best_f > ftol:
         raise ConvergenceError(f"|f| = {best_f:.3e} above tolerance {ftol:.3e}")
     return best_x

@@ -132,6 +132,7 @@ def formal_periodic_point(p: Params, itinerary: Itinerary) -> FormalPeriodicPoin
 
     The system is nonsingular whenever the parameters admit two saddle
     fixed points; a singular system signals parameters outside that region.
+    Raises DomainError when the composition or the orbit overflows.
     """
     m = compose_formal(p, itinerary)
     a11, a12, a21, a22 = m.A
@@ -147,6 +148,10 @@ def formal_periodic_point(p: Params, itinerary: Itinerary) -> FormalPeriodicPoin
     orbit = formal_orbit(p, itinerary, theta)
     h = _orbit_admissibility(itinerary, orbit)
     residual = max(abs(orbit[-1][0] - theta[0]), abs(orbit[-1][1] - theta[1]))
+    if not all(map(math.isfinite, (*m.A, *m.w, *theta, h, residual))):
+        raise DomainError(
+            f"formal orbit of {format_itinerary(itinerary)} overflows at ({p.a}, {p.b})"
+        )
     return FormalPeriodicPoint(
         point=theta,
         itinerary=itinerary,

@@ -19,7 +19,7 @@ from lozilab import (
 )
 from lozilab.bifurcation import ConditionError, ReversalError, choose_m
 from lozilab.core import DomainError
-from lozilab.solvers import BracketError, MultipleRootWarning, hybrid_root
+from lozilab.solvers import BracketError, MultipleRootWarning, hybrid_root, newton_polish
 
 from helpers import genuine_iterate, tent_orbit_crossing
 
@@ -157,6 +157,12 @@ def test_choose_m_condition_gap_reported():
         pytest.fail("expected ConditionError")
 
 
+def test_choose_m_reports_float_resolution():
+    # at this b_bar the third fold rounds onto the trace limit r_inf
+    with pytest.raises(DomainError, match=r"\(m = 28\).*float resolution"):
+        choose_m(1.107491395289921e-08)
+
+
 def test_choose_m_sandwich_and_monotonicity(reversal):
     b_bar, result = reversal
     m = choose_m(b_bar)
@@ -231,3 +237,16 @@ def test_hybrid_root_warning_on_multiple_roots():
                            scan_n=40, xtol=1e-8, ftol=1e-10)
         assert any(issubclass(w.category, MultipleRootWarning) for w in caught)
     assert root == pytest.approx(3.0, abs=1e-8)
+
+
+def test_newton_polish_evaluates_each_point_once():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return math.exp(x) - 2.0
+
+    root = newton_polish(f, 0.9, 0.0, 1.5, ftol=1e-14)
+    assert abs(math.exp(root) - 2.0) <= 1e-14
+    assert len(seen) == len(set(seen))
+    assert seen[-1] == root

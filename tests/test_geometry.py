@@ -277,6 +277,15 @@ def test_u_sides_ordered_and_match_fold_oracle():
             assert got[1] == pytest.approx(u_value(P18, m, side), abs=1e-10)
 
 
+def test_p_q_reject_bad_indices():
+    for m, n in ((5.7, 2), (5, 2.5), (math.inf, 2), (5, math.nan), (5, 1)):
+        with pytest.raises(DomainError):
+            q_value(P18, m, n)
+    for m, n in ((5, 2.5), (math.inf, 2.5), (5, math.nan)):
+        with pytest.raises(DomainError):
+            p_value(P18, m, n)
+
+
 def test_u_rejects_bad_side():
     with pytest.raises(DomainError):
         u_value(P18, 3, "M")

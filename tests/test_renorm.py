@@ -58,6 +58,12 @@ def test_partition_rejects_outside_mod():
         build_partition(Params(1.5, 0.2))
 
 
+def test_partition_reports_float_resolution():
+    # r_inf - r_m ~ lam^-m falls below one ulp of r_inf near m = 30 at a = 3.5
+    with pytest.raises(DomainError, match=r"r_30 .*float resolution"):
+        build_partition(Params(3.5, 0.01), m_max=30)
+
+
 def test_partition_rows_schema():
     rows = partition_rows(build_partition(P18, m_max=4))
     assert [r[0] for r in rows] == ["B", "C2", "C3", "C4", "D"]

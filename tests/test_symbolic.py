@@ -17,6 +17,7 @@ from lozilab import (
     parse_itinerary,
     spectral_lower_bound_check,
 )
+from lozilab.core import DomainError
 from lozilab.symbolic import ItineraryError, SingularSystemError, spectral_radius
 
 from helpers import all_words, close, genuine_iterate
@@ -189,6 +190,12 @@ def test_saddle_eigenvalue_split():
 def test_singular_system_outside_full_region():
     with pytest.raises(SingularSystemError):
         formal_periodic_point(Params(1.0, 0.0), (-1,))
+
+
+def test_overflowing_composition_is_refused():
+    # finite parameters whose branch composition overflows to inf and NaN
+    with pytest.raises(DomainError, match="overflows"):
+        formal_periodic_point(Params(1e200, 0.0), parse_itinerary("+-++-"))
 
 
 def test_formal_point_against_genuine_map_composition():
