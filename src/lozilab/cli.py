@@ -51,6 +51,10 @@ def cmd_orbit(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_DOMAIN
     fp = formal_periodic_point(p, itinerary)
+    if not fp.residual <= 1e-10:
+        print(f"error: closure residual {fp.residual:.3e} exceeds 1e-10; the orbit "
+              "is beyond float precision at these parameters", file=sys.stderr)
+        return EXIT_DOMAIN
     report = {
         "a": p.a,
         "b": p.b,

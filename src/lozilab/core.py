@@ -42,13 +42,13 @@ class Params:
 
     @property
     def in_full(self) -> bool:
-        """a > b+1 and 0 <= b <= 1: two saddle fixed points exist."""
-        return self.a > self.b + 1.0 and 0.0 <= self.b <= 1.0
+        """b+1 < a < inf and 0 <= b <= 1: two saddle fixed points exist."""
+        return self.b + 1.0 < self.a < math.inf and 0.0 <= self.b <= 1.0
 
     @property
     def in_mod(self) -> bool:
-        """a > 3b+1 and 0 <= b <= 1: the renormalization partition exists."""
-        return self.a > 3.0 * self.b + 1.0 and 0.0 <= self.b <= 1.0
+        """3b+1 < a < inf and 0 <= b <= 1: the renormalization partition exists."""
+        return 3.0 * self.b + 1.0 < self.a < math.inf and 0.0 <= self.b <= 1.0
 
     def in_nbd(self, b_bar: float) -> bool:
         """Inside the modulated region with b capped at b_bar."""

@@ -1,10 +1,11 @@
 """Brute-force verification independent of the symbolic machinery.
 
 Everything here iterates the genuine piecewise map only: periodic points
-come from grid- and cell-seeded Newton on the p-step return system,
-hyperbolicity estimates from the universal cones, and long-run behaviour
-from the trapping triangle of the left fixed point's invariant lines.
-Every root handed back has been verified by forward iteration alone.
+come from two independent searches (return-map Newton over a seed grid,
+full-orbit Newton over the sign-pattern cells), hyperbolicity estimates
+from the universal cones, and long-run behaviour from the trapping
+triangle of the left fixed point's invariant lines.  Every root handed
+back has been verified by forward iteration alone.
 """
 
 from __future__ import annotations
@@ -73,13 +74,13 @@ def _solve_dense(a: list[list[float]], rhs: list[float]) -> list[float] | None:
     return x
 
 
-def _orbit_newton(p: Params, xs: list[float], max_iter: int = 40) -> list[float] | None:
+def _orbit_newton(p: Params, xs: list[float]) -> list[float] | None:
     """Full-orbit Newton on the cyclic system x_{k+1} + a|x_k| + b x_{k-1}
     = a - b - 1; one step is exact within a sign pattern, so this hops
     between patterns far more robustly than single shooting."""
     n = len(xs)
     rhs_const = p.a - p.b - 1.0
-    for _ in range(max_iter):
+    for _ in range(20):
         g = [
             xs[(k + 1) % n] + p.a * abs(xs[k]) + p.b * xs[(k - 1) % n] - rhs_const
             for k in range(n)
@@ -100,10 +101,10 @@ def _orbit_newton(p: Params, xs: list[float], max_iter: int = 40) -> list[float]
     return None
 
 
-def _return_map_newton(p: Params, seed: Point, period: int, max_iter: int = 60) -> Point | None:
+def _return_map_newton(p: Params, seed: Point, period: int) -> Point | None:
     """Newton on v -> map^period(v) - v with the orbit's branch Jacobian."""
     x, y = seed
-    for _ in range(max_iter):
+    for _ in range(60):
         j11, j12, j21, j22 = 1.0, 0.0, 0.0, 1.0
         cx, cy = x, y
         for _ in range(period):
@@ -142,11 +143,18 @@ def _verified_root(p: Params, v: Point, period: int) -> Point | None:
 def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
     """All points with map^period(v) = v, Newton-refined and verified.
 
-    Seeds: a sheared grid on [-2, 2]^2, the divisor periods' points, and
-    one orbit-space representative per sign pattern (grid seeds alone
-    strand cells thinner than any affordable spacing).  Results are
-    residual-checked by forward iteration, orbit-closed, deduplicated at
-    1e-7, and sorted; divisor-period points are included by definition.
+    Two independent searches: return-map Newton from every seed of a
+    sheared grid on [-2, 2]^2, and full-orbit Newton from one seed per sign
+    pattern (x_k = +-0.5), keeping every cyclic shift of the orbit found.
+    For a > b + 1 the cyclic Jacobian of x_{k+1} + s_k a x_k + b x_{k-1}
+    is strictly diagonally dominant at every period (period 1: the scalar
+    1 + s a + b; period 2: the off-diagonal entries merge into 1 + b < a),
+    so it is nonsingular and the first step from a pattern's seed lands on
+    the one orbit with that pattern.  The pattern search alone thus reaches
+    every orbit whose period divides `period`: a period-d orbit also solves
+    the repeated pattern.  The grid search stays as the one path that does
+    not rest on this argument.  Roots are checked by forward iteration,
+    deduplicated at 1e-7, and sorted.
     """
     if not p.in_full:
         raise RegionError(f"({p.a}, {p.b}) is outside the full-family region")
@@ -156,66 +164,31 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
         raise DomainError(f"need grid_n >= 2, got {grid_n}")
     found: list[Point] = []
 
-    def add(root: Point) -> bool:
-        if all(max(abs(root[0] - q[0]), abs(root[1] - q[1])) > 1e-7 for q in found):
+    def add(root: Point) -> None:
+        if _verified_root(p, root, period) is not None and all(
+            max(abs(root[0] - q[0]), abs(root[1] - q[1])) > 1e-7 for q in found
+        ):
             found.append(root)
-            return True
-        return False
 
     # sheared lattice: grid_n^2 distinct abscissas, so the seeds stay
     # effective when b = 0 collapses the dynamics onto the x-coordinate
-    seeds = [
-        (
-            -2.0 + 4.0 * (i * grid_n + j + 0.5) / grid_n**2,
-            -2.0 + 4.0 * j / (grid_n - 1),
-        )
-        for i in range(grid_n)
-        for j in range(grid_n)
-    ]
-    # divisor-period points satisfy the same return equation but sit in
-    # cells far narrower than the grid can hit, so seed them directly
-    for d in range(1, period):
-        if period % d == 0:
-            seeds.extend(brute_periodic(p, d, grid_n))
-    for seed in seeds:
-        root = _return_map_newton(p, seed, period)
-        if root is not None and _verified_root(p, root, period) is not None:
-            add(root)
-        # full-orbit Newton from the seed's genuine orbit segment
-        xs = []
-        v = seed
-        for _ in range(period):
-            xs.append(v[0])
-            v = apply_map(p, v)
-        if max(abs(x) for x in xs) < 1e3:
-            orbit = _orbit_newton(p, xs, max_iter=40)
-            if orbit is not None:
-                candidate = (orbit[0], orbit[-1])
-                if _verified_root(p, candidate, period) is not None:
-                    add(candidate)
+    for i in range(grid_n):
+        for j in range(grid_n):
+            seed = (
+                -2.0 + 4.0 * (i * grid_n + j + 0.5) / grid_n**2,
+                -2.0 + 4.0 * j / (grid_n - 1),
+            )
+            root = _return_map_newton(p, seed, period)
+            if root is not None:
+                add(root)
     # one orbit-space seed per sign pattern: the patterns are the
     # linearity cells of the cyclic return system, so this coverage is
-    # exhaustive where the grid and its hops strand thin cells
+    # exhaustive where the grid strands thin cells
     for bits in range(2**period):
-        xs = [0.5 if bits >> k & 1 else -0.5 for k in range(period)]
-        orbit = _orbit_newton(p, xs, max_iter=20)
-        if orbit is None:
-            continue
-        for k in range(period):
-            candidate = (orbit[k], orbit[k - 1])
-            if _verified_root(p, candidate, period) is not None:
-                add(candidate)
-    fresh = list(found)
-    while fresh:
-        batch, fresh = fresh, []
-        for root in batch:
-            v = root
-            for _ in range(period - 1):
-                v = apply_map(p, v)
-                polished = _return_map_newton(p, v, period, max_iter=8)
-                if polished is not None and _verified_root(p, polished, period) is not None:
-                    if add(polished):
-                        fresh.append(polished)
+        orbit = _orbit_newton(p, [0.5 if bits >> k & 1 else -0.5 for k in range(period)])
+        if orbit is not None:
+            for k in range(period):
+                add((orbit[k], orbit[k - 1]))
     return sorted(found)
 
 

@@ -84,6 +84,14 @@ def suite_cones(seed: int) -> list[Check]:
     return checks
 
 
+def _words(length: int) -> list[tuple[int, ...]]:
+    """All 2**length sign words, in the order of their bit patterns."""
+    return [
+        tuple(+1 if bits >> i & 1 else -1 for i in range(length))
+        for bits in range(2**length)
+    ]
+
+
 def suite_orbits(seed: int) -> list[Check]:
     checks: list[Check] = []
     params = [Params(a, b) for a in (1.7, 2.1, 2.6) for b in (0.0, 0.2, 0.45)]
@@ -92,8 +100,7 @@ def suite_orbits(seed: int) -> list[Check]:
         worst = 0.0
         for p in params:
             for length in range(1, 6):
-                for bits in range(2 ** length):
-                    word = tuple(+1 if bits >> i & 1 else -1 for i in range(length))
+                for word in _words(length):
                     worst = max(worst, formal_periodic_point(p, word).residual)
         if worst > 1e-10:
             raise AssertionError(f"residual {worst:.3e} above 1e-10")
@@ -105,8 +112,7 @@ def suite_orbits(seed: int) -> list[Check]:
             for period in range(1, 5):
                 genuine = brute_periodic(p, period, grid_n=15)
                 formal = []
-                for bits in range(2 ** period):
-                    word = tuple(+1 if bits >> i & 1 else -1 for i in range(period))
+                for word in _words(period):
                     fp = formal_periodic_point(p, word)
                     if fp.admissibility >= 0.0:
                         formal.append(fp.point)
@@ -125,8 +131,7 @@ def suite_orbits(seed: int) -> list[Check]:
         count = 0
         for p in params:
             for length in range(1, 6):
-                for bits in range(2 ** length):
-                    word = tuple(+1 if bits >> i & 1 else -1 for i in range(length))
+                for word in _words(length):
                     fp = formal_periodic_point(p, word)
                     if fp.admissibility < 0.0:
                         continue

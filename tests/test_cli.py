@@ -62,10 +62,13 @@ def test_orbit_out_of_region_exit_code(capsys):
     domain_errors = [
         ["orbit", "-a", "1.1", "-b", "0.3", "-I", "+"],
         ["orbit", "-a", "1e200", "-b", "0", "-I", "+-++-"],  # composition overflows
+        ["orbit", "-a", "1e100", "-b", "0.5", "-I", "+-"],  # residual 1e100
+        ["orbit", "-a", "1.8", "-b", "0.2", "-I", "+-" * 15],  # residual 0.26
     ]
-    for args in domain_errors:
+    for i, args in enumerate(domain_errors):
         code, out, err = run_cli(args, capsys)
         assert code == 3 and "error" in err and out == "", args
+        assert i < 2 or "precision" in err, args
 
 
 def test_usage_error_exit_code(tmp_path, capsys):

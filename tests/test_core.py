@@ -117,6 +117,8 @@ def test_region_predicate_boundaries():
     assert Params(2.5, 1.0).in_full  # b = 1 is included
     assert not Params(2.5, 1.0 + 1e-12).in_full
     assert Params(1.8, 0.2).in_nbd(0.2) and not Params(1.8, 0.2).in_nbd(0.1)
+    assert not Params(math.inf, 0.2).in_full  # a must be finite
+    assert not Params(math.inf, 0.2).in_mod
 
 
 def test_inverse_round_trip():

@@ -14,6 +14,7 @@ from lozilab import (
     multipliers,
     orbit_signs,
 )
+from lozilab import oracle
 from lozilab.core import DomainError, RegionError
 from lozilab.oracle import BudgetError, trapping_lines
 
@@ -48,6 +49,23 @@ def test_brute_period_contains_divisors():
     period3 = brute_periodic(P18, 3, grid_n=15)
     for v in fixed:
         assert any(close(v, w, 1e-7) for w in period3)
+    period6 = brute_periodic(P18, 6, grid_n=15)
+    for d in (1, 2, 3):
+        for v in brute_periodic(P18, d, grid_n=15):
+            assert any(close(v, w, 1e-7) for w in period6), (d, v)
+
+
+def test_brute_periodic_does_not_recurse(monkeypatch):
+    calls = []
+    inner = oracle.brute_periodic
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "brute_periodic", counted)
+    oracle.brute_periodic(P18, 6, grid_n=10)
+    assert len(calls) == 1
 
 
 def test_brute_equivalence_with_admissible_formal():
