@@ -52,7 +52,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         return EXIT_DOMAIN
     fp = formal_periodic_point(p, itinerary)
     if not fp.residual <= 1e-10:
-        print(f"error: closure residual {fp.residual:.3e} exceeds 1e-10; the orbit "
+        print(f"error: step residual {fp.residual:.3e} exceeds 1e-10; the orbit "
               "is beyond float precision at these parameters", file=sys.stderr)
         return EXIT_DOMAIN
     report = {

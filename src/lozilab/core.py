@@ -12,6 +12,7 @@ checks in the tests.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 Point = tuple[float, float]
@@ -31,6 +32,10 @@ class RegionError(DomainError):
 
 class SpectrumError(DomainError):
     """Eigenvalues are complex where real ones are required."""
+
+
+class SingularSystemError(DomainError):
+    """The periodic-orbit system of a sign word is numerically singular."""
 
 
 @dataclass(frozen=True)
@@ -115,3 +120,37 @@ def multipliers(p: Params) -> Multipliers:
         raise SpectrumError(f"complex spectrum: a^2 = {p.a * p.a} < 4b = {4 * p.b}")
     lam = 0.5 * (p.a + math.sqrt(disc))
     return Multipliers(lam=lam, mu=p.b / lam)
+
+
+def cyclic_orbit(p: Params, signs: Sequence[int]) -> list[float]:
+    """x_0 .. x_{N-1} of the orbit that follows the sign word: the solution
+    of b x_{k-1} + s_k a x_k + x_{k+1} = a - b - 1, indices mod N, in O(N),
+    by a Thomas sweep bordered by t = x_{N-1} (Numerical Recipes 2.7):
+    forward from x_{-1} = t as x_k = al_k x_{k+1} + be_k t + ga_k, back from
+    (S, T)_{N-1} = (1, 0) as x_k = S_k t + T_k; the last equation fixes t.
+    For a > b + 1 the matrix is strictly row-diagonally dominant (N = 1, 2
+    included), so no pivot vanishes; a pivot below 1e-13 or an empty word
+    raises SingularSystemError.
+    """
+    if not signs:
+        raise SingularSystemError("the empty word has no periodic orbit")
+    a, b = p.a, p.b
+    c = a - b - 1.0
+    al, be, ga = 0.0, 1.0, 0.0
+    sweep = []
+    for s in signs:
+        piv = _pivot(p, s * a + b * al)
+        al, be, ga = -1.0 / piv, -b * be / piv, (c - b * ga) / piv
+        sweep.append((al, be, ga))
+    st = [(1.0, 0.0)]
+    for al, be, ga in reversed(sweep[:-1]):
+        st.append((al * st[-1][0] + be, al * st[-1][1] + ga))
+    (S, T), (al, be, ga) = st[-1], sweep[-1]
+    t = (al * T + ga) / _pivot(p, 1.0 - be - al * S)
+    return [S * t + T for S, T in reversed(st)]
+
+
+def _pivot(p: Params, value: float) -> float:
+    if abs(value) < 1e-13:
+        raise SingularSystemError(f"orbit system pivot {value:.1e} at ({p.a}, {p.b})")
+    return value

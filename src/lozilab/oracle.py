@@ -1,11 +1,11 @@
-"""Brute-force verification independent of the symbolic machinery.
+"""Brute-force verification against the genuine piecewise map.
 
-Everything here iterates the genuine piecewise map only: periodic points
-come from two independent searches (return-map Newton over a seed grid,
-full-orbit Newton over the sign-pattern cells), hyperbolicity estimates
-from the universal cones, and long-run behaviour from the trapping
-triangle of the left fixed point's invariant lines.  Every root handed
-back has been verified by forward iteration alone.
+Periodic points come from two independent searches: return-map Newton over
+a seed grid, and full-orbit Newton over the sign-pattern cells, which shares
+core's cyclic solver with the symbolic formal points; the grid search and
+the forward-iteration check every root passes do not use that solver.
+Hyperbolicity estimates come from the universal cones, and long-run
+behaviour from the trapping triangle of the left fixed point's lines.
 """
 
 from __future__ import annotations
@@ -19,9 +19,13 @@ from .core import (
     Params,
     Point,
     RegionError,
+    SingularSystemError,
     apply_map,
+    cyclic_orbit,
     multipliers,
 )
+
+_TRAP_TOL = 1e-12
 
 
 class BudgetError(DomainError):
@@ -52,52 +56,18 @@ def orbit_signs(p: Params, v: Point, length: int) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def _solve_dense(a: list[list[float]], rhs: list[float]) -> list[float] | None:
-    """Gaussian elimination with partial pivoting for the tiny orbit systems."""
-    n = len(rhs)
-    m = [row[:] + [r] for row, r in zip(a, rhs)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if abs(m[pivot][col]) < 1e-13:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1.0 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor != 0.0:
-                for c in range(col, n + 1):
-                    m[r][c] -= factor * m[col][c]
-    x = [0.0] * n
-    for r in range(n - 1, -1, -1):
-        acc = m[r][n] - sum(m[r][c] * x[c] for c in range(r + 1, n))
-        x[r] = acc / m[r][r]
-    return x
-
-
 def _orbit_newton(p: Params, xs: list[float]) -> list[float] | None:
-    """Full-orbit Newton on the cyclic system x_{k+1} + a|x_k| + b x_{k-1}
-    = a - b - 1; one step is exact within a sign pattern, so this hops
-    between patterns far more robustly than single shooting."""
-    n = len(xs)
-    rhs_const = p.a - p.b - 1.0
+    """Full-orbit Newton on x_{k+1} + a|x_k| + b x_{k-1} = a - b - 1: the
+    system is linear within a sign pattern, so each step solves the current
+    orbit's pattern with core.cyclic_orbit, until the pattern holds."""
     for _ in range(20):
-        g = [
-            xs[(k + 1) % n] + p.a * abs(xs[k]) + p.b * xs[(k - 1) % n] - rhs_const
-            for k in range(n)
-        ]
-        if max(abs(v) for v in g) < 1e-13:
+        signs = [+1 if x >= 0.0 else -1 for x in xs]
+        try:
+            xs = cyclic_orbit(p, signs)
+        except SingularSystemError:
+            return None
+        if all((x >= 0.0) == (s > 0) for x, s in zip(xs, signs)):
             return xs
-        jac = [[0.0] * n for _ in range(n)]
-        for k in range(n):
-            jac[k][(k + 1) % n] += 1.0
-            jac[k][k] += p.a * (1.0 if xs[k] >= 0.0 else -1.0)
-            jac[k][(k - 1) % n] += p.b
-        delta = _solve_dense(jac, g)
-        if delta is None:
-            return None
-        xs = [x - d for x, d in zip(xs, delta)]
-        if max(abs(x) for x in xs) > 1e6:
-            return None
     return None
 
 
@@ -146,15 +116,13 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
     Two independent searches: return-map Newton from every seed of a
     sheared grid on [-2, 2]^2, and full-orbit Newton from one seed per sign
     pattern (x_k = +-0.5), keeping every cyclic shift of the orbit found.
-    For a > b + 1 the cyclic Jacobian of x_{k+1} + s_k a x_k + b x_{k-1}
-    is strictly diagonally dominant at every period (period 1: the scalar
-    1 + s a + b; period 2: the off-diagonal entries merge into 1 + b < a),
-    so it is nonsingular and the first step from a pattern's seed lands on
-    the one orbit with that pattern.  The pattern search alone thus reaches
-    every orbit whose period divides `period`: a period-d orbit also solves
-    the repeated pattern.  The grid search stays as the one path that does
-    not rest on this argument.  Roots are checked by forward iteration,
-    deduplicated at 1e-7, and sorted.
+    For a > b + 1 every pattern's cyclic system is strictly diagonally
+    dominant (see core.cyclic_orbit), so the first step from a pattern's
+    seed lands on the one orbit with that pattern, and the pattern search
+    alone reaches every orbit whose period divides `period`: a period-d
+    orbit also solves the repeated pattern.  The grid search stays as the
+    one path that does not rest on this argument.  Roots are checked by
+    forward iteration, deduplicated at 1e-7, and sorted.
     """
     if not p.in_full:
         raise RegionError(f"({p.a}, {p.b}) is outside the full-family region")
@@ -264,17 +232,17 @@ class TrappingLines:
     def phi2_y(self, x: float) -> float:
         return self.phi2_slope * (x - self.u_inf)
 
-    def in_escape(self, v: Point, tol: float = 1e-12) -> bool:
+    def in_escape(self, v: Point) -> bool:
         # open wedge: demand a strict margin so boundary points within
         # float noise of the stable line are not misread as escaping
-        return v[0] < self.chi_x(v[1]) - tol and v[0] < 0.0
+        return v[0] < self.chi_x(v[1]) - _TRAP_TOL and v[0] < 0.0
 
-    def in_trap(self, v: Point, tol: float = 1e-12) -> bool:
+    def in_trap(self, v: Point) -> bool:
         x, y = v
         return (
-            x >= self.chi_x(y) - tol
-            and y >= self.phi1_y(x) - tol
-            and y <= self.phi2_y(x) + tol
+            x >= self.chi_x(y) - _TRAP_TOL
+            and y >= self.phi1_y(x) - _TRAP_TOL
+            and y <= self.phi2_y(x) + _TRAP_TOL
         )
 
 

@@ -22,6 +22,7 @@ from .geometry import (
 )
 
 _TRACE_TIE_TOL = 1e-12
+_STRIP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,11 +41,11 @@ class Strip:
     def right_trace(self) -> float:
         return self.right.trace
 
-    def contains(self, v: tuple[float, float], tol: float = 1e-9) -> bool:
+    def contains(self, v: tuple[float, float]) -> bool:
         x, y = v
-        if not -1.0 - tol <= y <= 1.0 + tol:
+        if not -1.0 - _STRIP_TOL <= y <= 1.0 + _STRIP_TOL:
             return False
-        return self.left.x_at(y) - tol <= x <= self.right.x_at(y) + tol
+        return self.left.x_at(y) - _STRIP_TOL <= x <= self.right.x_at(y) + _STRIP_TOL
 
 
 class Regime(enum.Enum):

@@ -3,8 +3,10 @@
 A finite itinerary I = (I_1, ..., I_N) over {-1, +1} selects branches; the
 composition is applied first-symbol-first.  The formal I-periodic point is
 the unique fixed point of that affine composition, whether or not the orbit
-signs match I.  Sign consistency is quantified by the admissibility value:
-the orbit is realizable by the genuine map iff the value is >= 0.
+signs match I; core's cyclic solver, which the oracle's pattern search
+shares, gives its whole orbit.  Sign consistency is quantified by the
+admissibility value: the orbit is realizable by the genuine map iff the
+value is >= 0.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from .core import (
     DomainError,
     Params,
     Point,
+    SingularSystemError,  # re-exported: cyclic_orbit raises it
     apply_branch,
     branch_matrix,
+    cyclic_orbit,
     multipliers,
 )
 
@@ -29,10 +33,6 @@ _CHARS = {-1: "-", +1: "+"}
 
 class ItineraryError(DomainError):
     """Malformed itinerary text or symbols."""
-
-
-class SingularSystemError(DomainError):
-    """The fixed-point system (A - Id) theta = w is numerically singular."""
 
 
 def parse_itinerary(text: str) -> Itinerary:
@@ -103,19 +103,14 @@ def formal_orbit(p: Params, itinerary: Itinerary, v: Point) -> list[Point]:
     return orbit
 
 
-def _orbit_admissibility(itinerary: Itinerary, orbit: list[Point]) -> float:
-    """min of I_m * x over the orbit points each symbol acts on (zip drops
-    the orbit's closing point)."""
-    return min((s * q[0] for s, q in zip(itinerary, orbit)), default=math.inf)
-
-
 def admissibility_value(p: Params, itinerary: Itinerary, v: Point) -> float:
     """min over m of I_m * x-coordinate of the (m-1)-step formal orbit.
 
     Nonnegative iff the formal orbit signs agree with the itinerary, i.e.
     iff the first l(I) genuine iterates of v follow the named branches.
     """
-    return _orbit_admissibility(itinerary, formal_orbit(p, itinerary, v))
+    orbit = formal_orbit(p, itinerary, v)  # zip drops its closing point
+    return min((s * q[0] for s, q in zip(itinerary, orbit)), default=math.inf)
 
 
 @dataclass(frozen=True)
@@ -128,32 +123,26 @@ class FormalPeriodicPoint:
 
 
 def formal_periodic_point(p: Params, itinerary: Itinerary) -> FormalPeriodicPoint:
-    """Unique solution of (A - Id) theta = w for the branch composition.
-
-    The system is nonsingular whenever the parameters admit two saddle
-    fixed points; a singular system signals parameters outside that region.
-    Raises DomainError when the composition or the orbit overflows.
+    """Point (x_0, x_{N-1}) of the orbit from core.cyclic_orbit, admissibility
+    min I_k x_k, and residual max_k |x_{k+1} + I_k a x_k - (a - 1) + b (x_{k-1}
+    + 1)|, summed in that order so that the coupling is not lost in the
+    rounding of a (an N-step closure error grows like lam^N even at the exact
+    orbit).  Raises SingularSystemError outside the two-saddle region and
+    DomainError when the orbit or a reported value is not finite.
     """
-    m = compose_formal(p, itinerary)
-    a11, a12, a21, a22 = m.A
-    j11, j12, j21, j22 = a11 - 1.0, a12, a21, a22 - 1.0
-    det = j11 * j22 - j12 * j21
-    norm = max(abs(a11) + abs(a12), abs(a21) + abs(a22))
-    if abs(det) < 1e-10 * max(norm, 1.0):
-        raise SingularSystemError(
-            f"(A - Id) is singular for {format_itinerary(itinerary)} at ({p.a}, {p.b})"
-        )
-    w1, w2 = m.w
-    theta = ((w1 * j22 - w2 * j12) / det, (w2 * j11 - w1 * j21) / det)
-    orbit = formal_orbit(p, itinerary, theta)
-    h = _orbit_admissibility(itinerary, orbit)
-    residual = max(abs(orbit[-1][0] - theta[0]), abs(orbit[-1][1] - theta[1]))
-    if not all(map(math.isfinite, (*m.A, *m.w, *theta, h, residual))):
+    xs = cyclic_orbit(p, itinerary)
+    h = min(s * x for s, x in zip(itinerary, xs))
+    a, b = p.a, p.b
+    residual = max(
+        abs(xs[(k + 1) % len(xs)] + s * a * xs[k] - (a - 1.0) + b * (xs[k - 1] + 1.0))
+        for k, s in enumerate(itinerary)
+    )
+    if not all(map(math.isfinite, (*xs, h, residual))):
         raise DomainError(
             f"formal orbit of {format_itinerary(itinerary)} overflows at ({p.a}, {p.b})"
         )
     return FormalPeriodicPoint(
-        point=theta,
+        point=(xs[0], xs[-1]),
         itinerary=itinerary,
         admissibility=h,
         hyperbolic=h > 0.0,

@@ -35,6 +35,8 @@ from .oracle import OrbitKind, brute_periodic, classify_orbit, cone_check, orbit
 from .renorm import Regime, build_partition, classify_regime
 from .symbolic import format_itinerary, formal_periodic_point, iota
 
+_P_MOD_B_MAX = 0.3
+
 
 @dataclass(frozen=True)
 class Check:
@@ -59,10 +61,10 @@ def _p_full_samples(rng: random.Random, count: int) -> list[Params]:
     return out
 
 
-def _p_mod_grid(n_a: int, n_b: int, b_max: float = 0.3) -> list[Params]:
+def _p_mod_grid(n_a: int, n_b: int) -> list[Params]:
     grid = []
     for j in range(n_b):
-        b = b_max * (j + 1) / n_b
+        b = _P_MOD_B_MAX * (j + 1) / n_b
         for i in range(n_a):
             a = (3.0 * b + 1.0 + 0.08) + (4.0 - 3.0 * b - 1.0 - 0.16) * i / (n_a - 1)
             grid.append(Params(a, b))

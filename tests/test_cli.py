@@ -61,14 +61,23 @@ def test_orbit_parse_failure_exit_code(capsys):
 def test_orbit_out_of_region_exit_code(capsys):
     domain_errors = [
         ["orbit", "-a", "1.1", "-b", "0.3", "-I", "+"],
-        ["orbit", "-a", "1e200", "-b", "0", "-I", "+-++-"],  # composition overflows
-        ["orbit", "-a", "1e100", "-b", "0.5", "-I", "+-"],  # residual 1e100
-        ["orbit", "-a", "1.8", "-b", "0.2", "-I", "+-" * 15],  # residual 0.26
+        ["orbit", "-a", "1e100", "-b", "0.5", "-I", "+-"],  # step residual 1.0
     ]
     for i, args in enumerate(domain_errors):
         code, out, err = run_cli(args, capsys)
         assert code == 3 and "error" in err and out == "", args
-        assert i < 2 or "precision" in err, args
+        assert i < 1 or "precision" in err, args
+    # both were refused while the point came from the composed map: closure
+    # residual 0.26 on the long word, an overflowing composition at 1e200
+    code, out, _ = run_cli(["orbit", "-a", "1.8", "-b", "0.2", "-I", "+-" * 15], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert max(abs(u - v) for u, v in zip(report["point"], (5 / 13, -1 / 13))) <= 1e-14
+    assert report["admissible"] is True
+    code, out, _ = run_cli(["orbit", "-a", "1e200", "-b", "0", "-I", "+-++-"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["point"] == [1.0, -1.0] and report["residual"] == 0.0
 
 
 def test_usage_error_exit_code(tmp_path, capsys):

@@ -68,6 +68,18 @@ def test_brute_periodic_does_not_recurse(monkeypatch):
     assert len(calls) == 1
 
 
+def test_pattern_search_alone_finds_every_orbit(monkeypatch):
+    # the sign-pattern search shares its solver with formal_periodic_point;
+    # with the grid search switched off it must still find every point
+    params = (P18, Params(2.4, 0.4), Params(1.9, 0.0))
+    full = {(p, n): brute_periodic(p, n, grid_n=20) for p in params for n in range(1, 7)}
+    monkeypatch.setattr(oracle, "_return_map_newton", lambda p, seed, period: None)
+    for (p, period), points in full.items():
+        alone = brute_periodic(p, period, grid_n=2)
+        assert len(alone) == len(points), (p, period)
+        assert all(close(u, v, 1e-12) for u, v in zip(alone, points)), (p, period)
+
+
 def test_brute_equivalence_with_admissible_formal():
     for p in (P18, Params(2.4, 0.4), Params(1.9, 0.0)):
         for period in (1, 2, 3, 4):

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lozilab import (
     Params,
@@ -17,7 +19,7 @@ from lozilab import (
     parse_itinerary,
     spectral_lower_bound_check,
 )
-from lozilab.core import DomainError
+from lozilab.core import DomainError, cyclic_orbit
 from lozilab.symbolic import ItineraryError, SingularSystemError, spectral_radius
 
 from helpers import all_words, close, genuine_iterate
@@ -76,11 +78,26 @@ def test_formal_point_two_cycle_frozen():
     assert close(fp.point, (5 / 13, -1 / 13), 1e-13)
     assert fp.admissibility == pytest.approx(1 / 13)
     assert fp.hyperbolic
+    # repeated, it is the same orbit: a composed-map solve loses it to the
+    # lam^N growth of the composition, the cyclic solve does not
+    for k in (20, 30, 50):
+        fp = formal_periodic_point(Params(1.8, 0.2), (1, -1) * k)
+        assert close(fp.point, (5 / 13, -1 / 13), 1e-14), k
+        assert abs(fp.admissibility - 1 / 13) <= 1e-14, k
+        assert fp.residual <= 1e-15, k
+
+
+def _newton_step(m, v):
+    """One Newton step on v -> m(v) - v; it lands on the fixed point of the
+    affine map m from any seed."""
+    a11, a12, a21, a22 = m.A
+    j11, j12, j21, j22 = a11 - 1.0, a12, a21, a22 - 1.0
+    det = j11 * j22 - j12 * j21
+    fx, fy = m.apply(v)[0] - v[0], m.apply(v)[1] - v[1]
+    return (v[0] - (fx * j22 - fy * j12) / det, v[1] - (fy * j11 - fx * j21) / det)
 
 
 def test_formal_point_agrees_with_one_step_newton():
-    # the branch composition is affine, so Newton from any seed lands on
-    # the unique fixed point in one step
     rng = random.Random(5)
     grid = [
         Params(b + 1.05 + (4.0 - b - 1.1) * i / 9, b)
@@ -96,15 +113,25 @@ def test_formal_point_agrees_with_one_step_newton():
             fp = formal_periodic_point(p, word)
             for _ in range(20):
                 v = (rng.uniform(-5, 5), rng.uniform(-5, 5))
-                a11, a12, a21, a22 = m.A
-                j11, j12, j21, j22 = a11 - 1.0, a12, a21, a22 - 1.0
-                det = j11 * j22 - j12 * j21
-                fx, fy = m.apply(v)[0] - v[0], m.apply(v)[1] - v[1]
-                root = (
-                    v[0] - (fx * j22 - fy * j12) / det,
-                    v[1] - (fy * j11 - fx * j21) / det,
-                )
-                assert close(root, fp.point, 1e-9)
+                assert close(_newton_step(m, v), fp.point, 1e-9)
+
+
+_FULL_PARAMS = st.floats(0.0, 1.0).flatmap(
+    lambda b: st.builds(Params, st.floats(b + 1.05, 4.0), st.just(b))
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(p=_FULL_PARAMS, word=st.lists(st.sampled_from((-1, 1)), min_size=1, max_size=200))
+def test_cyclic_orbit_steps_and_short_words(p, word):
+    xs = cyclic_orbit(p, word)
+    n = len(word)
+    for k, s in enumerate(word):
+        lhs = p.b * xs[k - 1] + s * p.a * xs[k] + xs[(k + 1) % n]
+        assert abs(lhs - (p.a - p.b - 1.0)) <= 1e-13, k
+    if n <= 8:
+        root = _newton_step(compose_formal(p, tuple(word)), (0.0, 0.0))
+        assert close((xs[0], xs[-1]), root, 1e-9)
 
 
 def test_formal_residuals_small():
@@ -188,14 +215,15 @@ def test_saddle_eigenvalue_split():
 
 
 def test_singular_system_outside_full_region():
-    with pytest.raises(SingularSystemError):
-        formal_periodic_point(Params(1.0, 0.0), (-1,))
+    for p, word in [(Params(1.0, 0.0), (-1,)), (Params(1.8, 0.2), ())]:
+        with pytest.raises(SingularSystemError):
+            formal_periodic_point(p, word)
 
 
 def test_overflowing_composition_is_refused():
-    # finite parameters whose branch composition overflows to inf and NaN
+    # parameters the region checks let through give a non-finite orbit
     with pytest.raises(DomainError, match="overflows"):
-        formal_periodic_point(Params(1e200, 0.0), parse_itinerary("+-++-"))
+        formal_periodic_point(Params(math.nan, 0.0), parse_itinerary("+-++-"))
 
 
 def test_formal_point_against_genuine_map_composition():
