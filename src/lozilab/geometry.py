@@ -1,11 +1,12 @@
 """Forward and backward iteration of lines, fold abscissas, and the
 critical-value / stable-trace ladders.
 
-Two line shapes are tracked.  A forward line y = s*(x - x0) + y0 carries
-the slope s; one branch step sends s to -1/(b*s + sigma*a) and any point
-through the branch.  A backward (near-vertical) line x = t*(y - y0) + x0
-carries the vertical slope t; one inverse-branch step sends t to
--b/(t + sigma*a) and the x-axis trace c to (a - b - 1 - c)/(sigma*a + t).
+Two line shapes are tracked, each by one word loop.  `_push_word` carries
+a line y = s*x + k; a branch step divides by d = b*s + sigma*a and sends
+(s, k) to (-1/d, (a-b-1 - b*k)/d).  `_pull_word` carries a near-vertical
+line x = t*y + c; an inverse-branch step divides by d = t + sigma*a and
+sends (t, c) to (-b/d, (a-b-1 - c)/d).  Both refuse |d| < 1e-13 (the
+excluded slope).  Every line iteration in the package runs through them.
 The trace recursion is exact for every b >= 0, so the degenerate tent case
 needs no separate code path, and it avoids the 1/b blow-up that mapping an
 anchor point through explicit branch inverses would produce.
@@ -13,6 +14,7 @@ anchor point through explicit branch inverses would produce.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,45 +64,46 @@ class BwdLine:
         return self.x_at(0.0)
 
 
-def _push(p: Params, sigma: int, slope: float, k: float) -> tuple[float, float]:
-    """One forward branch step on (slope, k) where (0, k) is on the line."""
-    denom = p.b * slope + sigma * p.a
-    if abs(denom) < _EXCLUDED_TOL:
-        raise SlopeError(f"slope {slope} maps to a vertical line under branch {sigma:+d}")
-    return -1.0 / denom, (p.a - p.b - 1.0 - p.b * k) / denom
+def _push_word(p: Params, word: Itinerary, slope: float, k: float) -> tuple[float, float]:
+    """Push the line (slope, k), with (0, k) on it, through the branches
+    of `word`, first symbol first."""
+    a, b, tol = p.a, p.b, _EXCLUDED_TOL
+    c0 = a - b - 1.0
+    for sigma in word:
+        denom = b * slope + sigma * a
+        if -tol < denom < tol:
+            raise SlopeError(f"slope {slope} maps to a vertical line under branch {sigma:+d}")
+        slope, k = -1.0 / denom, (c0 - b * k) / denom
+    return slope, k
 
 
-def _pull(p: Params, sigma: int, vslope: float, c: float) -> tuple[float, float]:
-    """One inverse branch step on (vslope, c) where (c, 0) is on the line."""
-    denom = vslope + sigma * p.a
-    if abs(denom) < _EXCLUDED_TOL:
-        raise SlopeError(f"vslope {vslope} is excluded under inverse branch {sigma:+d}")
-    return -p.b / denom, (p.a - p.b - 1.0 - c) / denom
+def _pull_word(p: Params, word: Itinerary, vslope: float, c: float) -> tuple[float, float]:
+    """Pull the near-vertical line (vslope, c), with (c, 0) on it, through
+    the inverse branches of `word`, last symbol first."""
+    a, b, tol = p.a, p.b, _EXCLUDED_TOL
+    c0 = a - b - 1.0
+    for sigma in reversed(word):
+        denom = vslope + sigma * a
+        if -tol < denom < tol:
+            raise SlopeError(f"vslope {vslope} is excluded under inverse branch {sigma:+d}")
+        vslope, c = -b / denom, (c0 - c) / denom
+    return vslope, c
 
 
 def _fold(p: Params, word: Itinerary, slope: float, k: float) -> float:
     """Fold abscissa of the full-map image of the (slope, k) line pushed
     through `word`: both branches send (0, k) to ((a-b-1) - b*k, 0)."""
-    for sigma in word:
-        slope, k = _push(p, sigma, slope, k)
-    return (p.a - p.b - 1.0) - p.b * k
-
-
-def _pull_word(p: Params, word: Itinerary, vslope: float, c: float) -> tuple[float, float]:
-    """_pull through the inverse branches of `word`, last symbol first."""
-    for sigma in reversed(word):
-        vslope, c = _pull(p, sigma, vslope, c)
-    return vslope, c
+    return (p.a - p.b - 1.0) - p.b * _push_word(p, word, slope, k)[1]
 
 
 def slope_fwd(p: Params, sigma: int, slope: float) -> float:
     """Slope of the sigma-branch image of a line with the given slope."""
-    return _push(p, sigma, slope, 0.0)[0]
+    return _push_word(p, (sigma,), slope, 0.0)[0]
 
 
 def slope_bwd(p: Params, sigma: int, vslope: float) -> float:
     """Vertical slope of the sigma-branch preimage of a near-vertical line."""
-    return _pull(p, sigma, vslope, 0.0)[0]
+    return _pull_word(p, (sigma,), vslope, 0.0)[0]
 
 
 def iterate_line_fwd(p: Params, word: Itinerary, line: FwdLine) -> FwdLine:
@@ -108,9 +111,7 @@ def iterate_line_fwd(p: Params, word: Itinerary, line: FwdLine) -> FwdLine:
 
     The returned line is re-anchored at its y-axis crossing (0, k).
     """
-    slope, k = line.slope, line.y_at(0.0)
-    for sigma in word:
-        slope, k = _push(p, sigma, slope, k)
+    slope, k = _push_word(p, word, line.slope, line.y_at(0.0))
     return FwdLine(slope=slope, anchor=(0.0, k))
 
 
@@ -223,18 +224,20 @@ def u_gap(p: Params, m: int, side: str) -> float:
     sigma0 = float(_side_sign(p, side))
     m = _ladder_index(m, 2)
     lam = multipliers(p).lam
-    s = -1.0 / p.a
+    s, k = _push_word(p, (PLUS,), 0.0, sigma0)
     e = 1.0 / lam + 1.0 / p.a
-    d = (p.a - p.b - 1.0 - p.b * sigma0) / p.a - (1.0 - lam) / lam
+    d = k - (1.0 - lam) / lam
     for _ in range(m - 2):
         denom = p.a - p.b * s
         d = p.b * ((lam - 1.0) * e + lam * d) / (denom * lam)
         e = e * p.b / (denom * lam)
-        s = -1.0 / (p.b * s - p.a)
+        s = slope_fwd(p, MINUS, s)
     return p.b * d
 
 
+@functools.lru_cache(maxsize=256)
 def _return_word(m: int, n: int) -> Itinerary:
+    """(+, -^(m-2), +, +, -^(n-2)), built once per validated (m, n)."""
     return (PLUS,) + (MINUS,) * (m - 2) + (PLUS, PLUS) + (MINUS,) * (n - 2)
 
 
@@ -252,12 +255,8 @@ def p_value(p: Params, m: int | float, n: int) -> float:
     n = int(n)
     if m == math.inf:
         line = unstable_line(p, MINUS)
-        slope, k = line.slope, line.y_at(0.0)
-        word: Itinerary = (PLUS, PLUS) + (MINUS,) * (n - 2)
-    else:
-        slope, k = 0.0, 0.0
-        word = _return_word(_ladder_index(m, 2), n)
-    return _fold(p, word, slope, k)
+        return _fold(p, (PLUS, PLUS) + (MINUS,) * (n - 2), line.slope, line.y_at(0.0))
+    return _fold(p, _return_word(_ladder_index(m, 2), n), 0.0, 0.0)
 
 
 def q_value(p: Params, m: int, n: int) -> float:

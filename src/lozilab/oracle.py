@@ -1,7 +1,7 @@
 """Brute-force verification against the genuine piecewise map.
 
 Periodic points come from two independent searches: return-map Newton over
-a seed grid, and full-orbit Newton over the sign-pattern cells, which shares
+a seed grid, and one full-orbit solve per sign-pattern cell, which shares
 core's cyclic solver with the symbolic formal points; the grid search and
 the forward-iteration check every root passes do not use that solver.
 Hyperbolicity estimates come from the universal cones, and long-run
@@ -56,19 +56,16 @@ def orbit_signs(p: Params, v: Point, length: int) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def _orbit_newton(p: Params, xs: list[float]) -> list[float] | None:
-    """Full-orbit Newton on x_{k+1} + a|x_k| + b x_{k-1} = a - b - 1: the
-    system is linear within a sign pattern, so each step solves the current
-    orbit's pattern with core.cyclic_orbit, until the pattern holds."""
-    for _ in range(20):
-        signs = [+1 if x >= 0.0 else -1 for x in xs]
-        try:
-            xs = cyclic_orbit(p, signs)
-        except SingularSystemError:
-            return None
-        if all((x >= 0.0) == (s > 0) for x, s in zip(xs, signs)):
-            return xs
-    return None
+def _pattern_orbit(p: Params, signs: list[int]) -> list[float] | None:
+    """The orbit of x_{k+1} + a|x_k| + b x_{k-1} = a - b - 1 with the sign
+    pattern `signs`, or None: the system is linear within a pattern, so
+    one core.cyclic_orbit solve gives the only candidate, kept if its
+    pattern holds."""
+    try:
+        xs = cyclic_orbit(p, signs)
+    except SingularSystemError:
+        return None
+    return xs if all((x >= 0.0) == (s > 0) for x, s in zip(xs, signs)) else None
 
 
 def _return_map_newton(p: Params, seed: Point, period: int) -> Point | None:
@@ -114,15 +111,15 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
     """All points with map^period(v) = v, Newton-refined and verified.
 
     Two independent searches: return-map Newton from every seed of a
-    sheared grid on [-2, 2]^2, and full-orbit Newton from one seed per sign
-    pattern (x_k = +-0.5), keeping every cyclic shift of the orbit found.
-    For a > b + 1 every pattern's cyclic system is strictly diagonally
-    dominant (see core.cyclic_orbit), so the first step from a pattern's
-    seed lands on the one orbit with that pattern, and the pattern search
-    alone reaches every orbit whose period divides `period`: a period-d
-    orbit also solves the repeated pattern.  The grid search stays as the
-    one path that does not rest on this argument.  Roots are checked by
-    forward iteration, deduplicated at 1e-7, and sorted.
+    sheared grid on [-2, 2]^2, and one cyclic solve per sign pattern,
+    keeping every cyclic shift of each orbit whose pattern holds.  For
+    a > b + 1 every pattern's cyclic system is strictly diagonally
+    dominant (see core.cyclic_orbit), so that solve is the one orbit with
+    that pattern, and the pattern search alone reaches every orbit whose
+    period divides `period`: a period-d orbit also solves the repeated
+    pattern.  The grid search stays as the one path that does not rest on
+    this argument.  Roots are checked by forward iteration, deduplicated
+    at 1e-7, and sorted.
     """
     if not p.in_full:
         raise RegionError(f"({p.a}, {p.b}) is outside the full-family region")
@@ -149,11 +146,11 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
             root = _return_map_newton(p, seed, period)
             if root is not None:
                 add(root)
-    # one orbit-space seed per sign pattern: the patterns are the
-    # linearity cells of the cyclic return system, so this coverage is
-    # exhaustive where the grid strands thin cells
+    # one solve per sign pattern: the patterns are the linearity cells of
+    # the cyclic return system, so this coverage is exhaustive where the
+    # grid strands thin cells
     for bits in range(2**period):
-        orbit = _orbit_newton(p, [0.5 if bits >> k & 1 else -0.5 for k in range(period)])
+        orbit = _pattern_orbit(p, [+1 if bits >> k & 1 else -1 for k in range(period)])
         if orbit is not None:
             for k in range(period):
                 add((orbit[k], orbit[k - 1]))

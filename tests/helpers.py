@@ -106,3 +106,41 @@ def tent_orbit_crossing(p, word, x_lo=0.0, x_hi=1.0, n_scan=4000):
     on the switching line at the final step (any b >= 0)."""
     result = fold_oracle(p, word, 0.0, x_lo, x_hi, n_scan=n_scan)
     return None if result is None else result[0]
+
+
+# Per-symbol line steps, restated from the branch formulas one symbol at a
+# time and reading p.a, p.b at every step; the package's word loops must
+# agree with them to the last bit.
+
+def ref_push(p, sigma, slope, k):
+    """One forward branch step on the line (slope, k), (0, k) on it."""
+    denom = p.b * slope + sigma * p.a
+    return -1.0 / denom, (p.a - p.b - 1.0 - p.b * k) / denom
+
+
+def ref_pull(p, sigma, vslope, c):
+    """One inverse branch step on the near-vertical line (vslope, c), (c, 0) on it."""
+    denom = vslope + sigma * p.a
+    return -p.b / denom, (p.a - p.b - 1.0 - c) / denom
+
+
+def ref_push_word(p, word, slope, k):
+    for sigma in word:
+        slope, k = ref_push(p, sigma, slope, k)
+    return slope, k
+
+
+def ref_pull_word(p, word, vslope, c):
+    for sigma in reversed(word):
+        vslope, c = ref_pull(p, sigma, vslope, c)
+    return vslope, c
+
+
+def ref_fold(p, word, slope, k):
+    """Fold abscissa of the full-map image of the pushed line."""
+    k = ref_push_word(p, word, slope, k)[1]
+    return (p.a - p.b - 1.0) - p.b * k
+
+
+def ref_return_word(m, n):
+    return (+1,) + (-1,) * (m - 2) + (+1, +1) + (-1,) * (n - 2)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -24,15 +25,29 @@ from lozilab import (
     turning_point,
     u_value,
 )
+from lozilab.bifurcation import solve_l
 from lozilab.core import DomainError, RegionError
 from lozilab.geometry import (
     SlopeError,
+    _return_word,
     boundary_turning_points,
     stable_line,
     u_gap,
+    unstable_line,
 )
 
-from helpers import fold_oracle, genuine_iterate, stable_polyline_crossing, tent_orbit_crossing
+from helpers import (
+    fold_oracle,
+    genuine_iterate,
+    ref_fold,
+    ref_pull,
+    ref_pull_word,
+    ref_push,
+    ref_push_word,
+    ref_return_word,
+    stable_polyline_crossing,
+    tent_orbit_crossing,
+)
 
 P18 = Params(1.8, 0.2)
 
@@ -56,10 +71,73 @@ def test_slope_fixed_points():
 
 
 def test_excluded_slopes():
-    with pytest.raises(SlopeError):
-        slope_fwd(P18, PLUS, -P18.a / P18.b)
-    with pytest.raises(SlopeError):
+    s = -P18.a / P18.b
+    with pytest.raises(SlopeError, match=re.escape(f"slope {s} maps to a vertical line under branch +1")):
+        slope_fwd(P18, PLUS, s)
+    with pytest.raises(SlopeError, match=re.escape("vslope 1.8 is excluded under inverse branch -1")):
         slope_bwd(P18, MINUS, P18.a)
+    # inside a word the message names the slope reaching the excluded step
+    start = (P18.a - 1.0 / s) / P18.b
+    mid = slope_fwd(P18, MINUS, start)
+    with pytest.raises(SlopeError, match=re.escape(f"slope {mid} maps to a vertical line under branch +1")):
+        iterate_line_fwd(P18, (MINUS, PLUS), FwdLine(slope=start, anchor=(0.0, 0.0)))
+
+
+# ------------------------------------------- word loops, bit for bit
+
+KERNEL_WORDS = [(4, 2), (8, 2), (14, 3), (26, 2), (26, 3)]
+
+
+def _kernel_params():
+    # seeded draws from [sqrt(2), 4] x [0, 0.07], where a > 3b + 1 always
+    # holds, plus the fixed parameters used elsewhere in this module
+    rng = random.Random(61)
+    drawn = [Params(rng.uniform(math.sqrt(2.0), 4.0), rng.uniform(0.0, 0.07)) for _ in range(40)]
+    return drawn + [Params(1.9, 0.0), P18] + MOD_GRID
+
+
+def test_gap_kernel_matches_per_symbol_reference_exactly():
+    for p in _kernel_params():
+        assert p.in_mod
+        line = unstable_line(p, MINUS)
+        for m, n in KERNEL_WORDS:
+            word = ref_return_word(m, n)
+            assert p_value(p, m, n) == ref_fold(p, word, 0.0, 0.0)
+            assert q_value(p, m, n) == ref_pull_word(p, word, 0.0, 0.0)[1]
+            tail = (PLUS, PLUS) + (MINUS,) * (n - 2)
+            assert p_value(p, math.inf, n) == ref_fold(p, tail, line.slope, line.y_at(0.0))
+
+
+def test_ladders_and_line_iteration_match_per_symbol_reference_exactly():
+    words = [(), (PLUS,), (MINUS,) * 5, (PLUS, MINUS, MINUS, PLUS, PLUS, MINUS), ref_return_word(14, 3)]
+    fwd = FwdLine(slope=0.3, anchor=(0.2, -0.4))
+    bwd = BwdLine(vslope=0.05, anchor=(0.3, 0.1))
+    for p in _kernel_params():
+        stable = stable_line(p, PLUS)
+        for m in (1, 2, 5, 13, 26):
+            want = ref_pull_word(p, (PLUS,) + (MINUS,) * (m - 1), stable.vslope, stable.trace)
+            assert r_value(p, m) == want[1]
+        for m in (2, 3, 8, 26):
+            for side, y0 in (("L", -1.0), ("R", 1.0)):
+                assert u_value(p, m, side) == ref_fold(p, (PLUS,) + (MINUS,) * (m - 2), 0.0, y0)
+        assert turning_point(p, fwd) == ref_fold(p, (), fwd.slope, fwd.y_at(0.0))
+        for sigma in (MINUS, PLUS):
+            assert slope_fwd(p, sigma, fwd.slope) == ref_push(p, sigma, fwd.slope, 0.0)[0]
+            assert slope_bwd(p, sigma, bwd.vslope) == ref_pull(p, sigma, bwd.vslope, 0.0)[0]
+        for word in words:
+            slope, k = ref_push_word(p, word, fwd.slope, fwd.y_at(0.0))
+            assert iterate_line_fwd(p, word, fwd) == FwdLine(slope=slope, anchor=(0.0, k))
+            vslope, c = ref_pull_word(p, word, bwd.vslope, bwd.trace)
+            assert iterate_line_bwd(p, word, bwd) == BwdLine(vslope=vslope, anchor=(c, 0.0))
+
+
+def test_return_word_cache_keyed_on_validated_ints():
+    _return_word.cache_clear()
+    assert p_value(P18, 5.0, 2) == p_value(P18, 5, 2)
+    assert q_value(P18, 5.0, 2.0) == q_value(P18, 5, 2)
+    assert _return_word.cache_info().currsize == 1
+    assert _return_word.cache_info().maxsize is not None
+    assert solve_l(0.01, 5.0, 2) == solve_l(0.01, 5, 2)
 
 
 def test_unstable_cone_invariance_and_contraction():
@@ -278,12 +356,15 @@ def test_u_sides_ordered_and_match_fold_oracle():
 
 
 def test_p_q_reject_bad_indices():
+    _return_word.cache_clear()
     for m, n in ((5.7, 2), (5, 2.5), (math.inf, 2), (5, math.nan), (5, 1)):
         with pytest.raises(DomainError):
             q_value(P18, m, n)
-    for m, n in ((5, 2.5), (math.inf, 2.5), (5, math.nan)):
+    for m, n in ((5, 2.5), (5.5, 2), (math.inf, 2.5), (5, math.nan)):
         with pytest.raises(DomainError):
             p_value(P18, m, n)
+    # the return-word cache only ever sees validated indices
+    assert _return_word.cache_info().currsize == 0
 
 
 def test_u_rejects_bad_side():
