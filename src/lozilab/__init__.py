@@ -8,12 +8,10 @@ creation order near the degenerate (tent-map) limit.
 from .bifurcation import (
     BifCurve,
     ReversalResult,
-    TangencyCurve,
     choose_m,
     find_reversal,
     solve_l,
     tangency_a,
-    tangency_curve,
     trace_curve,
 )
 from .core import (
@@ -75,17 +73,12 @@ from .renorm import (
     partition_rows,
 )
 from .symbolic import (
-    AffineMap2,
     FormalPeriodicPoint,
     Itinerary,
-    admissibility_value,
-    compose_formal,
-    formal_orbit,
     formal_periodic_point,
     format_itinerary,
     iota,
     parse_itinerary,
-    spectral_lower_bound_check,
 )
 
 __version__ = "0.1.0"

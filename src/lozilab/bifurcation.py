@@ -103,12 +103,16 @@ def trace_curve(
 ) -> BifCurve:
     """Solve along a b-grid and attach centered-difference slopes.
 
-    Raises if any sampled a leaves (sqrt(2), 4) or if adjacent samples
-    jump by more than 1.5x the local slope estimate (a continuity guard
-    against bracket hopping).
+    Raises if the grid has fewer than two points or is not strictly
+    increasing, if any sampled a leaves (sqrt(2), 4), or if adjacent
+    samples jump by more than 1.5x the local slope estimate (a continuity
+    guard against bracket hopping).
     """
     if len(b_grid) < 2:
         raise DomainError("need at least two grid points")
+    for lo, hi in zip(b_grid, b_grid[1:]):
+        if not lo < hi:
+            raise DomainError(f"b-grid not strictly increasing: {lo!r} then {hi!r}")
     avals = []
     for b in b_grid:
         try:
@@ -142,15 +146,6 @@ def tangency_a(b: float) -> float:
         xtol=1e-6,
         ftol=1e-13,
     )
-
-
-@dataclass(frozen=True)
-class TangencyCurve:
-    samples: list[tuple[float, float]]
-
-
-def tangency_curve(b_grid: list[float]) -> TangencyCurve:
-    return TangencyCurve(samples=[(b, tangency_a(b)) for b in b_grid])
 
 
 def crossing_gaps(curve2: BifCurve, curve3: BifCurve) -> tuple[list[float], list[int]]:
@@ -237,6 +232,10 @@ def find_reversal(
     difference on the grid, slope ordering d l_{m,2}/db > d l_{m,3}/db at
     every shared sample, then refines the crossing by bisection.
     """
+    if not 0.0 < b_bar < 1.0:
+        raise DomainError(f"need 0 < b_bar < 1, got {b_bar}")
+    if grid_points < 2:
+        raise DomainError(f"need grid_points >= 2, got {grid_points}")
     if m is None:
         m = choose_m(b_bar)
     bs = [b_bar * i / (grid_points - 1) for i in range(grid_points)]

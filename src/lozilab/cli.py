@@ -92,8 +92,12 @@ def cmd_figure1(args: argparse.Namespace) -> int:
         print("error: need --grid >= 2, --m-min <= --m-max, --b-max > 0, --tol > 0",
               file=sys.stderr)
         return EXIT_USAGE
-    out = _out_dir(args.out)
     grid = [args.b_max * i / (args.grid - 1) for i in range(args.grid)]
+    if not all(lo < hi for lo, hi in zip(grid, grid[1:])):
+        print(f"error: --b-max {args.b_max!r} over --grid {args.grid} points gives "
+              "b-grid points that are not strictly increasing", file=sys.stderr)
+        return EXIT_USAGE
+    out = _out_dir(args.out)
     ns = sorted(set(args.n))
     curves = {}
     for m in range(args.m_min, args.m_max + 1):

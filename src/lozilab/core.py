@@ -100,11 +100,6 @@ class NonInvertibleError(DomainError):
     """Point inversion requested for the degenerate (b = 0) map."""
 
 
-def branch_matrix(p: Params, sigma: int) -> tuple[float, float, float, float]:
-    """Row-major linear part of the sigma-branch; determinant is b."""
-    return (-sigma * p.a, -p.b, 1.0, 0.0)
-
-
 def fixed_points(p: Params) -> tuple[Point, Point]:
     """The two saddle fixed points z_- = (-1,-1) and z_+ on the diagonal."""
     if not p.in_full:

@@ -24,6 +24,7 @@ from .core import (
     cyclic_orbit,
     multipliers,
 )
+from .symbolic import sign_words
 
 _TRAP_TOL = 1e-12
 
@@ -56,7 +57,7 @@ def orbit_signs(p: Params, v: Point, length: int) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def _pattern_orbit(p: Params, signs: list[int]) -> list[float] | None:
+def _pattern_orbit(p: Params, signs: tuple[int, ...]) -> list[float] | None:
     """The orbit of x_{k+1} + a|x_k| + b x_{k-1} = a - b - 1 with the sign
     pattern `signs`, or None: the system is linear within a pattern, so
     one core.cyclic_orbit solve gives the only candidate, kept if its
@@ -149,8 +150,8 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
     # one solve per sign pattern: the patterns are the linearity cells of
     # the cyclic return system, so this coverage is exhaustive where the
     # grid strands thin cells
-    for bits in range(2**period):
-        orbit = _pattern_orbit(p, [+1 if bits >> k & 1 else -1 for k in range(period)])
+    for signs in sign_words(period):
+        orbit = _pattern_orbit(p, signs)
         if orbit is not None:
             for k in range(period):
                 add((orbit[k], orbit[k - 1]))

@@ -1,10 +1,10 @@
-"""Itineraries, formal branch compositions, and formal periodic points.
+"""Itineraries and formal periodic points.
 
-A finite itinerary I = (I_1, ..., I_N) over {-1, +1} selects branches; the
-composition is applied first-symbol-first.  The formal I-periodic point is
-the unique fixed point of that affine composition, whether or not the orbit
-signs match I; core's cyclic solver, which the oracle's pattern search
-shares, gives its whole orbit.  Sign consistency is quantified by the
+A finite itinerary I = (I_1, ..., I_N) over {-1, +1} names a branch at
+each step.  The formal I-periodic point starts the orbit that follows
+those branches and closes after N steps, whether or not the orbit signs
+match I; core's cyclic solver, which the oracle's pattern search shares,
+gives its whole orbit.  Sign consistency is quantified by the
 admissibility value: the orbit is realizable by the genuine map iff the
 value is >= 0.
 """
@@ -19,10 +19,7 @@ from .core import (
     Params,
     Point,
     SingularSystemError,  # re-exported: cyclic_orbit raises it
-    apply_branch,
-    branch_matrix,
     cyclic_orbit,
-    multipliers,
 )
 
 Itinerary = tuple[int, ...]
@@ -49,68 +46,13 @@ def format_itinerary(itinerary: Itinerary) -> str:
     return "".join(_CHARS[s] for s in itinerary)
 
 
-@dataclass(frozen=True)
-class AffineMap2:
-    """Planar affine map v |-> A v - w with A stored row-major."""
-
-    A: tuple[float, float, float, float]
-    w: tuple[float, float]
-
-    def apply(self, v: Point) -> Point:
-        a11, a12, a21, a22 = self.A
-        return (a11 * v[0] + a12 * v[1] - self.w[0], a21 * v[0] + a22 * v[1] - self.w[1])
-
-    def det(self) -> float:
-        a11, a12, a21, a22 = self.A
-        return a11 * a22 - a12 * a21
-
-    def trace(self) -> float:
-        return self.A[0] + self.A[3]
-
-
-def spectral_radius(m: AffineMap2) -> float:
-    """Spectral radius of the linear part (closed form for 2x2)."""
-    tr, det = m.trace(), m.det()
-    disc = tr * tr - 4.0 * det
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        return max(abs(0.5 * (tr + root)), abs(0.5 * (tr - root)))
-    return math.sqrt(abs(det))  # complex pair: |eig| = sqrt(det)
-
-
-def compose_formal(p: Params, itinerary: Itinerary) -> AffineMap2:
-    """Exact affine composition of the branches named by the itinerary."""
-    a11, a12, a21, a22 = 1.0, 0.0, 0.0, 1.0
-    t1 = t2 = 0.0
-    c1 = p.a - p.b - 1.0
-    for sigma in itinerary:
-        m11, m12, m21, m22 = branch_matrix(p, sigma)
-        a11, a12, a21, a22 = (
-            m11 * a11 + m12 * a21,
-            m11 * a12 + m12 * a22,
-            m21 * a11 + m22 * a21,
-            m21 * a12 + m22 * a22,
-        )
-        t1, t2 = m11 * t1 + m12 * t2 + c1, m21 * t1 + m22 * t2
-    return AffineMap2(A=(a11, a12, a21, a22), w=(-t1, -t2))
-
-
-def formal_orbit(p: Params, itinerary: Itinerary, v: Point) -> list[Point]:
-    """The branch-forced orbit [v, L_{I1}(v), L_{I2 I1}(v), ...], length N+1."""
-    orbit = [v]
-    for sigma in itinerary:
-        orbit.append(apply_branch(p, sigma, orbit[-1]))
-    return orbit
-
-
-def admissibility_value(p: Params, itinerary: Itinerary, v: Point) -> float:
-    """min over m of I_m * x-coordinate of the (m-1)-step formal orbit.
-
-    Nonnegative iff the formal orbit signs agree with the itinerary, i.e.
-    iff the first l(I) genuine iterates of v follow the named branches.
-    """
-    orbit = formal_orbit(p, itinerary, v)  # zip drops its closing point
-    return min((s * q[0] for s, q in zip(itinerary, orbit)), default=math.inf)
+def sign_words(length: int) -> list[Itinerary]:
+    """All 2**length words over {-1, +1}; symbol k of word j is + iff bit k
+    of j is set."""
+    return [
+        tuple(+1 if bits >> k & 1 else -1 for k in range(length))
+        for bits in range(2**length)
+    ]
 
 
 @dataclass(frozen=True)
@@ -157,10 +99,3 @@ def iota(sigma: int, m: int, n: int) -> Itinerary:
     if sigma not in (-1, +1):
         raise ItineraryError(f"sigma must be -1 or +1, got {sigma}")
     return (+1,) + (-1,) * (m - 2) + (+1, +1) + (-1,) * (n - 2) + (sigma,)
-
-
-def spectral_lower_bound_check(p: Params, itinerary: Itinerary) -> bool:
-    """True iff the composition's spectral radius is >= lam^l(I) - 1e-9."""
-    rho = spectral_radius(compose_formal(p, itinerary))
-    lam = multipliers(p).lam
-    return rho >= lam ** len(itinerary) - 1e-9

@@ -1,8 +1,13 @@
-"""Machine-checkable invariant suites behind the `verify` CLI command.
+"""The paper's checkable invariants, and the suites behind the `verify`
+CLI command.
 
-Each suite returns a list of named checks; a check that raises is a
-failure with the exception text as detail.  All randomness is drawn from
-the given seed, so summaries are reproducible byte for byte.
+Each invariant is written once, as a public function that takes its
+inputs and bounds, returns a one-line detail and raises AssertionError
+on failure; the suites here, the acceptance criteria and the unit tests
+call it on their own grids.  Each suite returns a list of named checks;
+a check that raises is a failure with the exception text as detail.  All
+randomness is drawn from the given seed, so summaries are reproducible
+byte for byte.
 """
 
 from __future__ import annotations
@@ -33,9 +38,7 @@ from .kneading import (
 )
 from .oracle import OrbitKind, brute_periodic, classify_orbit, cone_check, orbit_signs
 from .renorm import Regime, build_partition, classify_regime
-from .symbolic import format_itinerary, formal_periodic_point, iota
-
-_P_MOD_B_MAX = 0.3
+from .symbolic import format_itinerary, formal_periodic_point, iota, sign_words
 
 
 @dataclass(frozen=True)
@@ -45,26 +48,250 @@ class Check:
     detail: str
 
 
-def _run(checks: list[Check], check_id: str, fn: Callable[[], str]) -> None:
+def _run(check_id: str, fn: Callable[..., str], *args) -> Check:
     try:
-        checks.append(Check(check_id, True, fn()))
+        return Check(check_id, True, fn(*args))
     except Exception as exc:  # noqa: BLE001 - a failing check is data
-        checks.append(Check(check_id, False, f"{type(exc).__name__}: {exc}"))
+        return Check(check_id, False, f"{type(exc).__name__}: {exc}")
 
 
-def _p_full_samples(rng: random.Random, count: int) -> list[Params]:
-    out = []
-    while len(out) < count:
-        b = rng.uniform(0.0, 1.0)
-        a = rng.uniform(b + 1.05, 4.0)
-        out.append(Params(a, b))
-    return out
+# ------------------------------------------------------------ invariants
 
+def _close(u: tuple[float, float], v: tuple[float, float], tol: float) -> bool:
+    return max(abs(u[0] - v[0]), abs(u[1] - v[1])) <= tol
+
+
+def orbit_residuals(params: list[Params], lengths: range) -> str:
+    """Each formal periodic point of each word length has step residual < 1e-10."""
+    worst = max(
+        formal_periodic_point(p, word).residual
+        for p in params
+        for length in lengths
+        for word in sign_words(length)
+    )
+    if not worst < 1e-10:
+        raise AssertionError(f"residual {worst:.3e} not below 1e-10")
+    return f"worst residual {worst:.3e}"
+
+
+def genuine_return(params: list[Params], lengths: range) -> str:
+    """The genuine map closes each admissible formal orbit to 1e-9."""
+    count = 0
+    for p in params:
+        for length in lengths:
+            for word in sign_words(length):
+                fp = formal_periodic_point(p, word)
+                if fp.admissibility < 0.0:
+                    continue
+                v = fp.point
+                for _ in range(length):
+                    v = apply_map(p, v)
+                if not _close(v, fp.point, 1e-9):
+                    raise AssertionError(
+                        f"{format_itinerary(word)} not genuinely periodic at ({p.a}, {p.b})"
+                    )
+                count += 1
+    return f"{count} admissible orbits close up"
+
+
+def orbit_equivalence(params: list[Params], periods: range, grid_n: int) -> str:
+    """Admissible formal points are brute_periodic's points, to 1e-7; each
+    brute-force point is the formal point of its coding, shared by none."""
+    matched = 0
+    for p in params:
+        for period in periods:
+            genuine = brute_periodic(p, period, grid_n=grid_n)
+            codings = [orbit_signs(p, g, period) for g in genuine]
+            if len(set(codings)) != len(codings):
+                raise AssertionError(
+                    f"two period-{period} points share a coding at ({p.a}, {p.b})"
+                )
+            for word in sign_words(period):
+                fp = formal_periodic_point(p, word)
+                if fp.admissibility >= 0.0 and not any(
+                    _close(fp.point, g, 1e-7) for g in genuine
+                ):
+                    raise AssertionError(f"formal point {fp.point} missing at ({p.a}, {p.b})")
+            for g, word in zip(genuine, codings):
+                if not _close(formal_periodic_point(p, word).point, g, 1e-7):
+                    raise AssertionError(f"brute point {g} has no formal match")
+                matched += 1
+    return f"{matched} genuine points matched"
+
+
+def trapped_orbits(params: list[Params]) -> str:
+    """Every period-3 point of brute_periodic (grid 15) is trapped."""
+    count = 0
+    for p in params:
+        for g in brute_periodic(p, 3, grid_n=15):
+            if classify_orbit(p, g).kind is not OrbitKind.TRAPPED:
+                raise AssertionError(f"periodic point {g} not trapped")
+            count += 1
+    return f"{count} periodic points trapped"
+
+
+def cone_sweep(cases: list[tuple[Params, int]], samples: int) -> str:
+    """cone_check passes at every (parameter, seed) case."""
+    for p, seed in cases:
+        if not cone_check(p, samples=samples, seed=seed):
+            raise AssertionError(f"cone violation at ({p.a}, {p.b})")
+    return f"{samples * len(cases)} vector samples over {len(cases)} parameters"
+
+
+def r_bounds(params: list[Params], lo: float, hi: float) -> str:
+    """lo / lam^m < r_inf - r_m < hi / lam^m for m = 2..12."""
+    for p in params:
+        lam = multipliers(p).lam
+        r_inf = r_value(p, math.inf)
+        for m in range(2, 13):
+            gap = r_inf - r_value(p, m)
+            if not lo * lam ** -m < gap < hi * lam ** -m:
+                raise AssertionError(f"r bound fails at ({p.a}, {p.b}), m={m}")
+    return f"{len(params)} parameters, m = 2..12"
+
+
+def u_bounds(params: list[Params], lo: float, slope_c: float) -> str:
+    """lo s_m <= u_inf - u_m^{L,R} <= 2 (s_m + (slope_c + 1.5) (b/lam^2)(b/lam)^(m-2) b)
+    for m = 2..12, with 1e-9 relative slack; s_m = (1 - lam^(1-m)) (b/lam)^(m-2) b."""
+    for p in params:
+        lam = multipliers(p).lam
+        for m in range(2, 13):
+            shrink = (1.0 - lam ** (1 - m)) * (p.b / lam) ** (m - 2) * p.b
+            hi = 2.0 * (
+                1.0 - lam ** (1 - m) + (slope_c + 1.5) * p.b / lam ** 2
+            ) * (p.b / lam) ** (m - 2) * p.b
+            for side in ("L", "R"):
+                gap = u_gap(p, m, side)
+                if not lo * shrink * (1 - 1e-9) <= gap <= hi * (1 + 1e-9):
+                    raise AssertionError(
+                        f"u bound fails at ({p.a}, {p.b}), m={m}, side={side}"
+                    )
+    return f"{len(params)} parameters, m = 2..12, both sides"
+
+
+def ladders(params: list[Params], m_max: int) -> str:
+    """Traces r_m rise strictly to r_inf, and u_left <= u_m^L <= u_m^R <=
+    u_{m+1}^L <= u_inf <= u_right to 1e-12, for 2 <= m < m_max."""
+    for p in params:
+        data = critical_data(p, m_max)
+        rs = [data.r[m] for m in sorted(data.r)] + [data.r_inf]
+        if not all(x < y for x, y in zip(rs, rs[1:])):
+            raise AssertionError(f"traces not increasing at ({p.a}, {p.b})")
+        for m in range(2, m_max):
+            folds = (data.u_left, data.u_l[m], data.u_r[m], data.u_l[m + 1],
+                     data.u_inf, data.u_right)
+            if not all(x <= y + 1e-12 for x, y in zip(folds, folds[1:])):
+                raise AssertionError(f"fold ladder fails at ({p.a}, {p.b}), m={m}")
+    return "trace and fold ladders ordered"
+
+
+def dyadic_traces() -> str:
+    """At (2, 0), strip C_m (m <= 10) has right trace 1 - 2/(3 * 2^(m-1)) to 1e-12."""
+    for strip in build_partition(Params(2.0, 0.0), m_max=10):
+        if strip.label.startswith("C"):
+            m = int(strip.label[1:])
+            want = 1.0 - 2.0 / (2.0 ** (m - 1) * 3.0)
+            if abs(strip.right_trace - want) > 1e-12:
+                raise AssertionError(f"{strip.label} trace off by "
+                                     f"{strip.right_trace - want:.2e}")
+    return "dyadic traces at (2, 0)"
+
+
+def strip_membership(b: float, m: int, n: int) -> str:
+    """At the first large-regime a of the scan 1.6, 1.62, ..., both iota(+-1,
+    m, n) points are admissible and in C_m; their iterate m - 1 lies right
+    of the critical line and their iterate m in C_n."""
+    scan = (Params(1.6 + 0.02 * i, b) for i in range(60))
+    p = next((q for q in scan if q.in_mod and classify_regime(q, m, n) is Regime.LARGE), None)
+    if p is None:
+        raise AssertionError(f"no large-regime parameter found for ({m}, {n}) at b = {b}")
+    strips = {s.label: s for s in build_partition(p, m_max=6)}
+    hits = 0
+    for sigma in (MINUS, PLUS):
+        fp = formal_periodic_point(p, iota(sigma, m, n))
+        if fp.admissibility < 0.0:
+            raise AssertionError("expected admissible pair in the large regime")
+        if not strips[f"C{m}"].contains(fp.point):
+            raise AssertionError(f"{fp.point} not in C{m}")
+        orbit = [fp.point]
+        for _ in range(m):
+            orbit.append(apply_map(p, orbit[-1]))
+        if not orbit[m - 1][0] > 0.0:
+            raise AssertionError("left-component certificate failed")
+        if not strips[f"C{n}"].contains(orbit[m]):
+            raise AssertionError(f"{orbit[m]} not in C{n}")
+        hits += 1
+    return f"{hits} admissible points located at ({p.a}, {p.b})"
+
+
+def order_laws(corpus: list[UItinerary]) -> str:
+    """order_compare is reflexive, antisymmetric and strictly transitive
+    (u < v < w implies u < w) on the corpus."""
+    pairs = 0
+    for i, u in enumerate(corpus):
+        if order_compare(u, u) is not Ordering.EQUIVALENT:
+            raise AssertionError("comparison not reflexive")
+        for v in corpus[i + 1 :]:
+            ab = order_compare(u, v)
+            ba = order_compare(v, u)
+            if ab is Ordering.EQUIVALENT:
+                if ba is not Ordering.EQUIVALENT:
+                    raise AssertionError("equivalence not symmetric")
+            elif ab.value != -ba.value:
+                raise AssertionError("comparison not antisymmetric")
+            pairs += 1
+    less = {
+        (i, j)
+        for i, u in enumerate(corpus)
+        for j, v in enumerate(corpus)
+        if order_compare(u, v) is Ordering.LESS
+    }
+    for i, j in less:
+        for k in range(len(corpus)):
+            if (j, k) in less and (i, k) not in less:
+                raise AssertionError("transitivity fails")
+    return f"{pairs} pairs total and transitive"
+
+
+def forcing_sweep(m_max: int, count: int) -> str:
+    """forcing_check_tent holds for 2 <= n2 < n1 < m <= m_max, m >= 4, at
+    `count` equally spaced a in (sqrt(2), 2]."""
+    combos = 0
+    for m in range(4, m_max + 1):
+        for n1 in range(3, m):
+            for n2 in range(2, n1):
+                for i in range(count):
+                    a = math.sqrt(2.0) + (2.0 - math.sqrt(2.0)) * (i + 1) / count
+                    if not forcing_check_tent(a, m, n1, n2):
+                        raise AssertionError(f"forcing fails at a={a}, ({m},{n1},{n2})")
+                    combos += 1
+    return f"{combos} (a, m, n1, n2) combinations"
+
+
+def monotone_coding(a: float, pairs: list[tuple[float, float]]) -> str:
+    """No pair x < y has a 48-symbol tent coding of x above that of y."""
+    for x, y in pairs:
+        if x == y:
+            continue
+        if compare_tails(_tent_code(a, x, 48), _tent_code(a, y, 48)) is Ordering.GREATER:
+            raise AssertionError(f"coding order reversed for {x} < {y}")
+    return f"{len(pairs)} sampled pairs at a = {a}"
+
+
+def _tent_code(a: float, x: float, length: int) -> list[int]:
+    code = []
+    for _ in range(length):
+        code.append(0 if x == 0.0 else (+1 if x > 0.0 else -1))
+        x = -a * abs(x) + (a - 1.0)
+    return code
+
+
+# ---------------------------------------------------------------- suites
 
 def _p_mod_grid(n_a: int, n_b: int) -> list[Params]:
     grid = []
     for j in range(n_b):
-        b = _P_MOD_B_MAX * (j + 1) / n_b
+        b = 0.3 * (j + 1) / n_b
         for i in range(n_a):
             a = (3.0 * b + 1.0 + 0.08) + (4.0 - 3.0 * b - 1.0 - 0.16) * i / (n_a - 1)
             grid.append(Params(a, b))
@@ -72,150 +299,26 @@ def _p_mod_grid(n_a: int, n_b: int) -> list[Params]:
 
 
 def suite_cones(seed: int) -> list[Check]:
-    checks: list[Check] = []
-
-    def sweep() -> str:
-        rng = random.Random(seed)
-        params = _p_full_samples(rng, 200)
-        for i, p in enumerate(params):
-            if not cone_check(p, samples=50, seed=seed + i + 1):
-                raise AssertionError(f"cone violation at ({p.a}, {p.b})")
-        return "10000 vector samples over 200 parameters"
-
-    _run(checks, "cones.invariance", sweep)
-    return checks
-
-
-def _words(length: int) -> list[tuple[int, ...]]:
-    """All 2**length sign words, in the order of their bit patterns."""
-    return [
-        tuple(+1 if bits >> i & 1 else -1 for i in range(length))
-        for bits in range(2**length)
-    ]
+    rng = random.Random(seed)
+    cases = []
+    for i in range(200):
+        b = rng.uniform(0.0, 1.0)
+        cases.append((Params(rng.uniform(b + 1.05, 4.0), b), seed + i + 1))
+    return [_run("cones.invariance", cone_sweep, cases, 50)]
 
 
 def suite_orbits(seed: int) -> list[Check]:
-    checks: list[Check] = []
     params = [Params(a, b) for a in (1.7, 2.1, 2.6) for b in (0.0, 0.2, 0.45)]
-
-    def residuals() -> str:
-        worst = 0.0
-        for p in params:
-            for length in range(1, 6):
-                for word in _words(length):
-                    worst = max(worst, formal_periodic_point(p, word).residual)
-        if worst > 1e-10:
-            raise AssertionError(f"residual {worst:.3e} above 1e-10")
-        return f"worst residual {worst:.3e}"
-
-    def equivalence() -> str:
-        matched = 0
-        for p in params:
-            for period in range(1, 5):
-                genuine = brute_periodic(p, period, grid_n=15)
-                formal = []
-                for word in _words(period):
-                    fp = formal_periodic_point(p, word)
-                    if fp.admissibility >= 0.0:
-                        formal.append(fp.point)
-                for q in formal:
-                    if not any(_close(q, g, 1e-7) for g in genuine):
-                        raise AssertionError(f"formal point {q} missing at ({p.a}, {p.b})")
-                for g in genuine:
-                    word = orbit_signs(p, g, period)
-                    fp = formal_periodic_point(p, word)
-                    if not _close(fp.point, g, 1e-7):
-                        raise AssertionError(f"brute point {g} has no formal match")
-                    matched += 1
-        return f"{matched} genuine points matched"
-
-    def genuine_return() -> str:
-        count = 0
-        for p in params:
-            for length in range(1, 6):
-                for word in _words(length):
-                    fp = formal_periodic_point(p, word)
-                    if fp.admissibility < 0.0:
-                        continue
-                    v = fp.point
-                    for _ in range(length):
-                        v = apply_map(p, v)
-                    if not _close(v, fp.point, 1e-9):
-                        raise AssertionError(
-                            f"{format_itinerary(word)} not genuinely periodic at ({p.a}, {p.b})"
-                        )
-                    count += 1
-        return f"{count} admissible orbits close up"
-
-    def trapped() -> str:
-        count = 0
-        for p in params:
-            for g in brute_periodic(p, 3, grid_n=15):
-                if classify_orbit(p, g).kind is not OrbitKind.TRAPPED:
-                    raise AssertionError(f"periodic point {g} not trapped")
-                count += 1
-        return f"{count} periodic points trapped"
-
-    _run(checks, "orbits.residual", residuals)
-    _run(checks, "orbits.equivalence", equivalence)
-    _run(checks, "orbits.genuine-return", genuine_return)
-    _run(checks, "orbits.trapped", trapped)
-    return checks
-
-
-def _close(u: tuple[float, float], v: tuple[float, float], tol: float) -> bool:
-    return max(abs(u[0] - v[0]), abs(u[1] - v[1])) <= tol
+    return [
+        _run("orbits.residual", orbit_residuals, params, range(1, 6)),
+        _run("orbits.equivalence", orbit_equivalence, params, range(1, 5), 15),
+        _run("orbits.genuine-return", genuine_return, params, range(1, 6)),
+        _run("orbits.trapped", trapped_orbits, params),
+    ]
 
 
 def suite_convergence(seed: int) -> list[Check]:
-    checks: list[Check] = []
     grid = _p_mod_grid(10, 6)
-
-    def r_bounds() -> str:
-        for p in grid:
-            lam = multipliers(p).lam
-            r_inf = r_value(p, math.inf)
-            for m in range(2, 13):
-                gap = r_inf - r_value(p, m)
-                if not C_RL * lam ** -m < gap < C_RU * lam ** -m:
-                    raise AssertionError(f"r bound fails at ({p.a}, {p.b}), m={m}")
-        return f"{len(grid)} parameters, m = 2..12"
-
-    def u_bounds() -> str:
-        for p in grid:
-            if p.b == 0.0:
-                continue
-            lam = multipliers(p).lam
-            for m in range(2, 13):
-                shrink = (1.0 - lam ** (1 - m)) * (p.b / lam) ** (m - 2) * p.b
-                hi = 2.0 * (
-                    1.0 - lam ** (1 - m) + (SLOPE_C + 1.5) * p.b / lam ** 2
-                ) * (p.b / lam) ** (m - 2) * p.b
-                for side in ("L", "R"):
-                    gap = u_gap(p, m, side)
-                    if not C_UL * shrink * (1 - 1e-9) <= gap <= hi * (1 + 1e-9):
-                        raise AssertionError(
-                            f"u bound fails at ({p.a}, {p.b}), m={m}, side={side}"
-                        )
-        return f"{len(grid)} parameters, m = 2..12, both sides"
-
-    def ladder() -> str:
-        for p in grid[:: max(1, len(grid) // 12)]:
-            data = critical_data(p, 8)
-            rs = [data.r[m] for m in sorted(data.r)] + [data.r_inf]
-            if any(x >= y for x, y in zip(rs, rs[1:])):
-                raise AssertionError(f"traces not increasing at ({p.a}, {p.b})")
-            for m in range(2, 8):
-                ok = (
-                    data.u_left <= data.u_l[m] + 1e-12
-                    and data.u_l[m] <= data.u_r[m] + 1e-12
-                    and data.u_r[m] <= data.u_l[m + 1] + 1e-12
-                    and data.u_l[m + 1] <= data.u_inf + 1e-12
-                    and data.u_inf <= data.u_right + 1e-12
-                )
-                if not ok:
-                    raise AssertionError(f"fold ladder fails at ({p.a}, {p.b}), m={m}")
-        return "trace and fold ladders ordered"
 
     def regions() -> str:
         rng = random.Random(seed)
@@ -230,55 +333,19 @@ def suite_convergence(seed: int) -> list[Check]:
                     raise AssertionError(f"period-doubling bound fails at ({a}, {b})")
         return "200 sampled parameters"
 
-    _run(checks, "convergence.r-bounds", r_bounds)
-    _run(checks, "convergence.u-bounds", u_bounds)
-    _run(checks, "convergence.ladders", ladder)
-    _run(checks, "convergence.regions", regions)
-    return checks
+    return [
+        _run("convergence.r-bounds", r_bounds, grid, C_RL, C_RU),
+        _run("convergence.u-bounds", u_bounds, grid, C_UL, SLOPE_C),
+        _run("convergence.ladders", ladders, grid[:: max(1, len(grid) // 12)], 8),
+        _run("convergence.regions", regions),
+    ]
 
 
 def suite_partition(seed: int) -> list[Check]:
-    checks: list[Check] = []
-
-    def closed_form() -> str:
-        p = Params(2.0, 0.0)
-        strips = build_partition(p, m_max=10)
-        for strip in strips:
-            if strip.label.startswith("C"):
-                m = int(strip.label[1:])
-                want = 1.0 - 2.0 / (2.0 ** (m - 1) * 3.0)
-                if abs(strip.right_trace - want) > 1e-12:
-                    raise AssertionError(f"{strip.label} trace off by "
-                                         f"{strip.right_trace - want:.2e}")
-        return "dyadic traces at (2, 0)"
-
     def ordering() -> str:
         for p in _p_mod_grid(8, 4):
             build_partition(p, m_max=12)  # raises if traces disorder
         return "32 parameters, m_max = 12"
-
-    def membership() -> str:
-        p = _first_large_regime(b=0.2, m=3, n=2)
-        strips = {s.label: s for s in build_partition(p, m_max=6)}
-        hits = 0
-        for sigma in (MINUS, PLUS):
-            fp = formal_periodic_point(p, iota(sigma, 3, 2))
-            if fp.admissibility < 0.0:
-                raise AssertionError("expected admissible pair in the large regime")
-            if not strips["C3"].contains(fp.point):
-                raise AssertionError(f"{fp.point} not in C3")
-            v = fp.point
-            for _ in range(2):
-                v = apply_map(p, v)
-            if not v[0] > 0.0:
-                raise AssertionError("left-component certificate failed")
-            v3 = fp.point
-            for _ in range(3):
-                v3 = apply_map(p, v3)
-            if not strips["C2"].contains(v3):
-                raise AssertionError(f"{v3} not in C2")
-            hits += 1
-        return f"{hits} admissible points located at ({p.a}, {p.b})"
 
     def pullback() -> str:
         rng = random.Random(seed)
@@ -308,81 +375,27 @@ def suite_partition(seed: int) -> list[Check]:
                         raise AssertionError(f"pullback on wrong side at ({a}, {b})")
         return "100 random vertical segments"
 
-    _run(checks, "partition.closed-form", closed_form)
-    _run(checks, "partition.ordering", ordering)
-    _run(checks, "partition.membership", membership)
-    _run(checks, "partition.pullback", pullback)
-    return checks
-
-
-def _first_large_regime(b: float, m: int, n: int) -> Params:
-    for i in range(60):
-        p = Params(1.6 + 0.02 * i, b)
-        if p.in_mod and classify_regime(p, m, n) is Regime.LARGE:
-            return p
-    raise AssertionError(f"no large-regime parameter found for ({m}, {n}) at b = {b}")
+    return [
+        _run("partition.closed-form", dyadic_traces),
+        _run("partition.ordering", ordering),
+        _run("partition.membership", strip_membership, 0.2, 3, 2),
+        _run("partition.pullback", pullback),
+    ]
 
 
 def suite_kneading(seed: int) -> list[Check]:
-    checks: list[Check] = []
-
-    def totality() -> str:
-        rng = random.Random(seed)
-        corpus = _corpus(rng, 40)
-        pairs = 0
-        for i, u in enumerate(corpus):
-            for v in corpus[i + 1 :]:
-                ab = order_compare(u, v)
-                ba = order_compare(v, u)
-                if ab is Ordering.EQUIVALENT:
-                    if ba is not Ordering.EQUIVALENT:
-                        raise AssertionError("equivalence not symmetric")
-                elif ab.value != -ba.value:
-                    raise AssertionError("comparison not antisymmetric")
-                pairs += 1
-        strict = [
-            (u, v)
-            for u in corpus
-            for v in corpus
-            if order_compare(u, v) is Ordering.LESS
-        ]
-        less = {(id(u), id(v)) for u, v in strict}
-        for u, v in strict:
-            for w in corpus:
-                if (id(v), id(w)) in less and (id(u), id(w)) not in less:
-                    raise AssertionError("transitivity fails")
-        return f"{pairs} pairs total and transitive"
-
-    def forcing() -> str:
-        count = 0
-        for m in range(4, 7):
-            for n1 in range(3, m):
-                for n2 in range(2, n1):
-                    for i in range(60):
-                        a = math.sqrt(2.0) + (2.0 - math.sqrt(2.0)) * (i + 1) / 60
-                        if not forcing_check_tent(a, m, n1, n2):
-                            raise AssertionError(f"forcing fails at a={a}, ({m},{n1},{n2})")
-                        count += 1
-        return f"{count} (a, m, n1, n2) combinations"
-
-    def monotone_coding() -> str:
-        rng = random.Random(seed + 1)
-        a = 1.83
-        for _ in range(300):
-            x, y = sorted((rng.uniform(-0.6, a - 1.0), rng.uniform(-0.6, a - 1.0)))
-            if x == y:
-                continue
-            cx = _tent_code(a, x, 48)
-            cy = _tent_code(a, y, 48)
-            ordering = compare_tails(cx, cy)
-            if ordering is Ordering.GREATER:
-                raise AssertionError(f"coding order reversed for {x} < {y}")
-        return "300 sampled pairs at a = 1.83"
-
-    _run(checks, "kneading.order", totality)
-    _run(checks, "kneading.forcing", forcing)
-    _run(checks, "kneading.monotone-coding", monotone_coding)
-    return checks
+    corpus = _corpus(random.Random(seed), 40)
+    a = 1.83
+    rng = random.Random(seed + 1)
+    pairs = [
+        sorted((rng.uniform(-0.6, a - 1.0), rng.uniform(-0.6, a - 1.0)))
+        for _ in range(300)
+    ]
+    return [
+        _run("kneading.order", order_laws, corpus),
+        _run("kneading.forcing", forcing_sweep, 6, 60),
+        _run("kneading.monotone-coding", monotone_coding, a, pairs),
+    ]
 
 
 def _corpus(rng: random.Random, count: int) -> list[UItinerary]:
@@ -394,14 +407,6 @@ def _corpus(rng: random.Random, count: int) -> list[UItinerary]:
         per = tuple(rng.choice((-1, 0, +1)) for _ in range(per_len))
         corpus.append(UItinerary(pre, per))
     return corpus
-
-
-def _tent_code(a: float, x: float, length: int) -> list[int]:
-    code = []
-    for _ in range(length):
-        code.append(0 if x == 0.0 else (+1 if x > 0.0 else -1))
-        x = -a * abs(x) + (a - 1.0)
-    return code
 
 
 SUITES: dict[str, Callable[[int], list[Check]]] = {

@@ -1,22 +1,22 @@
-"""Genuine-map oracles shared by the test modules.
+"""Genuine-map oracles and independent references shared by the test
+modules.
 
-Everything here iterates the piecewise map (or its single-valued inverse,
-b > 0) directly, with bisection on monotone pieces; nothing touches the
-formal line/affine machinery whose outputs the tests check.
+The oracles iterate the piecewise map (or its single-valued inverse,
+b > 0) directly, with bisection on monotone pieces; the references
+restate the branch formulas (composed maps, per-symbol line steps).
+Nothing here touches the formal line/orbit machinery whose outputs the
+tests check.
 """
 
 from __future__ import annotations
+
+import math
 
 import lozilab as L
 
 
 def close(u, v, tol):
     return max(abs(u[0] - v[0]), abs(u[1] - v[1])) <= tol
-
-
-def all_words(length):
-    for bits in range(2 ** length):
-        yield tuple(+1 if bits >> i & 1 else -1 for i in range(length))
 
 
 def genuine_iterate(p, v, steps):
@@ -144,3 +144,47 @@ def ref_fold(p, word, slope, k):
 
 def ref_return_word(m, n):
     return (+1,) + (-1,) * (m - 2) + (+1, +1) + (-1,) * (n - 2)
+
+
+# Composed branch maps, multiplied out from the branch formulas: the
+# reference for the cyclic orbit solver and the paper's spectral bound.
+
+def compose(p, word):
+    """(A, t) with v |-> A v + t the composition of the sigma-branches,
+    first symbol first; A is row-major, each branch is
+    ((-sigma a, -b), (1, 0)) v + (a - b - 1, 0)."""
+    a11, a12, a21, a22 = 1.0, 0.0, 0.0, 1.0
+    t1 = t2 = 0.0
+    c = p.a - p.b - 1.0
+    for sigma in word:
+        m11, m12 = -sigma * p.a, -p.b
+        a11, a12, a21, a22 = m11 * a11 + m12 * a21, m11 * a12 + m12 * a22, a11, a12
+        t1, t2 = m11 * t1 + m12 * t2 + c, t1
+    return (a11, a12, a21, a22), (t1, t2)
+
+
+def affine_apply(A, t, v):
+    return (A[0] * v[0] + A[1] * v[1] + t[0], A[2] * v[0] + A[3] * v[1] + t[1])
+
+
+def det(A):
+    return A[0] * A[3] - A[1] * A[2]
+
+
+def spectral_radius(A):
+    """Largest eigenvalue modulus of the 2x2 matrix A, in closed form."""
+    tr = A[0] + A[3]
+    disc = tr * tr - 4.0 * det(A)
+    if disc < 0.0:
+        return math.sqrt(det(A))  # complex pair: |eig|^2 = det
+    return 0.5 * max(abs(tr + math.sqrt(disc)), abs(tr - math.sqrt(disc)))
+
+
+def newton_step(A, t, v):
+    """One Newton step on v -> A v + t - v; it lands on the fixed point of
+    the affine map from any seed."""
+    j11, j12, j21, j22 = A[0] - 1.0, A[1], A[2], A[3] - 1.0
+    d = j11 * j22 - j12 * j21
+    w = affine_apply(A, t, v)
+    fx, fy = w[0] - v[0], w[1] - v[1]
+    return (v[0] - (fx * j22 - fy * j12) / d, v[1] - (fy * j11 - fx * j21) / d)

@@ -7,10 +7,11 @@ import time
 import warnings
 
 import lozilab as L
+from lozilab import verify
 from lozilab.bifurcation import choose_m, solve_l, trace_curve
 from lozilab.solvers import hybrid_root
 
-from helpers import all_words, close
+from helpers import close
 
 
 def _report(name, t0, limit, detail=""):
@@ -68,45 +69,24 @@ def test_criterion_3_formal_orbit_oracle_equivalence():
         for b in (0.0, 0.15, 0.3, 0.45, 0.6)
     ]
     assert len(params) == 25 and all(p.in_full for p in params)
-    for p in params:
-        for length in range(1, 7):
-            for word in all_words(length):
-                assert L.formal_periodic_point(p, word).residual < 1e-10
-        for period in range(1, 7):
-            genuine = L.brute_periodic(p, period, grid_n=20)
-            codings = [L.orbit_signs(p, g, period) for g in genuine]
-            assert len(set(codings)) == len(codings)  # uniqueness per word
-            admissible = [
-                fp.point
-                for fp in (
-                    L.formal_periodic_point(p, w) for w in all_words(period)
-                )
-                if fp.admissibility >= 0.0
-            ]
-            for q in admissible:
-                assert any(close(q, g, 1e-7) for g in genuine)
-            for g, word in zip(genuine, codings):
-                assert close(L.formal_periodic_point(p, word).point, g, 1e-7)
+    verify.orbit_residuals(params, range(1, 7))
+    verify.orbit_equivalence(params, range(1, 7), 20)
     _report("3 formal-orbit oracle equivalence", t0, 120.0, f"{len(params)} parameters")
 
 
 def test_criterion_4_cone_suite():
     t0 = time.time()
     rng = random.Random(2024)
-    count = 0
-    while count < 10_000:
+    cases = []
+    for _ in range(10_000 // 20):
         b = rng.uniform(0.0, 1.0)
         a = rng.uniform(b + 1.02, 4.0)
-        assert L.cone_check(L.Params(a, b), samples=20, seed=rng.randrange(10**9))
-        count += 20
-    _report("4 cone suite", t0, 10.0, f"{count} samples")
+        cases.append((L.Params(a, b), rng.randrange(10**9)))
+    _report("4 cone suite", t0, 10.0, verify.cone_sweep(cases, samples=20))
 
 
 def test_criterion_5_convergence_rates():
     t0 = time.time()
-    from lozilab.geometry import u_gap
-
-    slope_c = (64.0 / 7.0) * math.log(2.0)
     grid = []
     for j in range(10):
         b = 0.3 * (j + 1) / 10
@@ -114,22 +94,9 @@ def test_criterion_5_convergence_rates():
             a = (3.0 * b + 1.05) + (4.0 - 3.0 * b - 1.1) * i / 19
             grid.append(L.Params(a, b))
     assert len(grid) == 200
-    for p in grid:
-        lam = L.multipliers(p).lam
-        r_inf = L.r_value(p, math.inf)
-        for m in range(2, 13):
-            gap = r_inf - L.r_value(p, m)
-            assert 0.2 * lam**-m < gap < 2.25 * lam**-m
-            low = 0.25 * (1 - lam ** (1 - m)) * (p.b / lam) ** (m - 2) * p.b
-            high = (
-                2.0
-                * (1 - lam ** (1 - m) + (slope_c + 1.5) * p.b / lam**2)
-                * (p.b / lam) ** (m - 2)
-                * p.b
-            )
-            for side in "LR":
-                fold_gap = u_gap(p, m, side)
-                assert low * (1 - 1e-9) <= fold_gap <= high * (1 + 1e-9)
+    # literal bounds, so loosening the constants in geometry cannot pass here
+    verify.r_bounds(grid, 0.2, 2.25)
+    verify.u_bounds(grid, 0.25, (64.0 / 7.0) * math.log(2.0))
     _report("5 convergence-rate suite", t0, 30.0, "200-point grid, m = 2..12")
 
 
@@ -208,41 +175,14 @@ def test_criterion_7_order_reversal(reversal):
 
 def test_criterion_8_kneading_baseline():
     t0 = time.time()
-    for m in range(4, 9):
-        for n1 in range(3, m):
-            for n2 in range(2, n1):
-                for i in range(200):
-                    a = math.sqrt(2.0) + (2.0 - math.sqrt(2.0)) * (i + 1) / 200
-                    assert L.forcing_check_tent(a, m, n1, n2)
-
+    verify.forcing_sweep(8, 200)
     rng = random.Random(99)
     corpus = []
     for _ in range(34):
         pre = tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randrange(0, 4)))
         per = tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randrange(1, 7)))
         corpus.append(L.UItinerary(pre, per))
-    pairs = 0
-    for x in corpus:
-        for y in corpus:
-            if x is y:
-                continue
-            fwd, bwd = L.order_compare(x, y), L.order_compare(y, x)
-            if fwd is L.Ordering.EQUIVALENT:
-                assert bwd is L.Ordering.EQUIVALENT
-            else:
-                assert fwd.value == -bwd.value
-            pairs += 1
+    pairs = len(corpus) * (len(corpus) - 1)
     assert pairs >= 500
-    less = {
-        (i, j)
-        for i, x in enumerate(corpus)
-        for j, y in enumerate(corpus)
-        if L.order_compare(x, y) is L.Ordering.LESS
-    }
-    for i, j in less:
-        for k in range(len(corpus)):
-            if (j, k) in less:
-                assert (i, k) in less or L.order_compare(
-                    corpus[i], corpus[k]
-                ) is L.Ordering.EQUIVALENT
+    verify.order_laws(corpus)
     _report("8 kneading baseline", t0, 60.0, f"{pairs} ordered pairs")

@@ -14,7 +14,6 @@ from lozilab import (
     r_value,
     solve_l,
     tangency_a,
-    tangency_curve,
     trace_curve,
 )
 from lozilab.bifurcation import ConditionError, ReversalError, choose_m
@@ -51,8 +50,7 @@ def test_tangency_small_b_window():
 
 
 def test_tangency_curve_sampling():
-    curve = tangency_curve([0.0, 0.01, 0.02, 0.03])
-    avals = [a for _, a in curve.samples]
+    avals = [tangency_a(b) for b in (0.0, 0.01, 0.02, 0.03)]
     assert avals[0] == pytest.approx(2.0, abs=1e-12)
     assert all(1.8 < a < 2.2 for a in avals)
 
@@ -110,6 +108,17 @@ def test_trace_curve_slopes_and_bounds():
     # the second-fold family rises, the third-fold family falls
     assert all(s > 0.0 for s in curve2.dadb)
     assert all(s < 0.0 for s in curve3.dadb)
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: trace_curve(8, 2, [0.01, 0.01]), "not strictly increasing"),
+    (lambda: find_reversal(1e-4, grid_points=1), "grid_points >= 2"),
+    (lambda: find_reversal(0.0, m=10), "0 < b_bar < 1"),
+], ids=["repeated-b", "one-grid-point", "zero-cap-with-m"])
+def test_degenerate_b_grid_is_refused(call, refusal):
+    # each used to divide by a zero grid spacing
+    with pytest.raises(DomainError, match=refusal):
+        call()
 
 
 def test_trace_curves_same_n_do_not_cross():

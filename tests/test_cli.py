@@ -11,6 +11,9 @@ SMALL_FAMILY = ["figure1", "--m-min", "5", "--m-max", "6", "--b-max", "0.02", "-
 # crossing refiner and the solver options were merged; they depend on
 # IEEE-rounded + - * / and sqrt only, so they hold on every platform
 RECORDED_SMALL_FAMILY = Path(__file__).parent / "data" / "figure1_small"
+# `verify all --seed 42` as written before the suites were rebuilt on the
+# shared invariant functions of lozilab.verify
+RECORDED_VERIFY_ALL = Path(__file__).parent / "data" / "verify_all_seed42.json"
 
 
 def run_cli(args, capsys):
@@ -91,6 +94,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
         ["figure1", "--tol", "0"],
         ["figure1", "--tol", "-1e-12"],
         ["figure1", "--workers", "2"],
+        # grid points 0, 0, 5e-324 are not strictly increasing
+        ["figure1", "--b-max", "5e-324"],
     ]
     small = ["--m-min", "5", "--m-max", "5", "--grid", "3", "--out", str(tmp_path)]
     for args in usage_errors:
@@ -245,6 +250,12 @@ def test_verify_cones_suite(tmp_path, capsys):
     assert out.startswith("PASS cones.invariance")
     summary = json.loads((tmp_path / "verify_cones.json").read_text())
     assert summary["passed"] is True and summary["seed"] == 42
+
+
+def test_verify_all_matches_recorded_bytes(tmp_path, capsys):
+    code, _, _ = run_cli(["verify", "all", "--seed", "42", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert (tmp_path / "verify_all.json").read_bytes() == RECORDED_VERIFY_ALL.read_bytes()
 
 
 def test_verify_deterministic_summary(tmp_path, capsys):

@@ -12,7 +12,6 @@ from lozilab import (
     Params,
     apply_branch,
     apply_branch_inverse,
-    critical_data,
     fixed_points,
     iterate_line_bwd,
     iterate_line_fwd,
@@ -24,6 +23,7 @@ from lozilab import (
     slope_fwd,
     turning_point,
     u_value,
+    verify,
 )
 from lozilab.bifurcation import solve_l
 from lozilab.core import DomainError, RegionError
@@ -470,16 +470,7 @@ def test_q_strip_membership():
 # --------------------------------------------- ladders and closed forms
 
 def test_critical_data_ladder():
-    for p in MOD_GRID:
-        data = critical_data(p, 7)
-        rs = [data.r[m] for m in sorted(data.r)] + [data.r_inf]
-        assert all(x < y for x, y in zip(rs, rs[1:]))
-        for m in range(2, 7):
-            assert data.u_left <= data.u_l[m] + 1e-12
-            assert data.u_l[m] <= data.u_r[m] + 1e-12
-            assert data.u_r[m] <= data.u_l[m + 1] + 1e-12
-            assert data.u_l[m + 1] <= data.u_inf + 1e-12
-        assert data.u_inf <= data.u_right + 1e-12
+    verify.ladders(MOD_GRID, 7)
 
 
 def test_manifold_segment_endpoints_closed_forms():
@@ -512,12 +503,7 @@ def test_period_doubling_parameters():
 
 
 def test_exponential_r_bounds():
-    for p in MOD_GRID:
-        lam = multipliers(p).lam
-        r_inf = r_value(p, math.inf)
-        for m in range(2, 13):
-            gap = r_inf - r_value(p, m)
-            assert 0.2 * lam**-m < gap < 2.25 * lam**-m
+    verify.r_bounds(MOD_GRID, 0.2, 2.25)
 
 
 def test_u_gap_matches_direct_difference():
@@ -532,20 +518,7 @@ def test_u_gap_matches_direct_difference():
 def test_exponential_u_bounds():
     # the gap itself drops below float resolution of the fold values for
     # small b, hence the cancellation-free evaluation
-    slope_c = (64.0 / 7.0) * math.log(2.0)
-    for p in MOD_GRID:
-        lam = multipliers(p).lam
-        for m in range(2, 13):
-            low = 0.25 * (1 - lam ** (1 - m)) * (p.b / lam) ** (m - 2) * p.b
-            high = (
-                2.0
-                * (1 - lam ** (1 - m) + (slope_c + 1.5) * p.b / lam**2)
-                * (p.b / lam) ** (m - 2)
-                * p.b
-            )
-            for side in "LR":
-                gap = u_gap(p, m, side)
-                assert low * (1 - 1e-9) <= gap <= high * (1 + 1e-9)
+    verify.u_bounds(MOD_GRID, 0.25, (64.0 / 7.0) * math.log(2.0))
 
 
 # ---------------------------------- manifold-intersection transfer identities

@@ -13,9 +13,10 @@ from lozilab import (
     iota,
     is_maximum,
     order_compare,
+    verify,
 )
 from lozilab.core import DomainError
-from lozilab.kneading import UItineraryError, compare_tails
+from lozilab.kneading import UItineraryError
 
 
 def u(pre, per):
@@ -93,23 +94,7 @@ def test_totality_and_transitivity():
         pre = tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randrange(0, 4)))
         per = tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randrange(1, 7)))
         corpus.append(u(pre, per))
-    for x in corpus:
-        for y in corpus:
-            fwd, bwd = order_compare(x, y), order_compare(y, x)
-            if fwd is Ordering.EQUIVALENT:
-                assert bwd is Ordering.EQUIVALENT
-            else:
-                assert fwd.value == -bwd.value
-    less = {
-        (i, j)
-        for i, x in enumerate(corpus)
-        for j, y in enumerate(corpus)
-        if order_compare(x, y) is Ordering.LESS
-    }
-    for i, j in less:
-        for k in range(len(corpus)):
-            if (j, k) in less:
-                assert (i, k) in less or order_compare(corpus[i], corpus[k]) is Ordering.EQUIVALENT
+    verify.order_laws(corpus)
 
 
 def test_shift_monotone_on_cylinders():
@@ -135,20 +120,9 @@ def test_shift_monotone_on_cylinders():
 def test_coding_map_is_monotone_on_tent_orbits():
     rng = random.Random(2)
     a = 1.83
-    p = Params(a, 0.0)
     lo, hi = -((a - 1.0) ** 2) - 1e-9, (a - 1.0) + 1e-9
-    for _ in range(1000):
-        x, y = sorted((rng.uniform(lo, hi), rng.uniform(lo, hi)))
-        if x == y:
-            continue
-        cx, cy = [], []
-        vx, vy = x, y
-        for _ in range(48):
-            cx.append(0 if vx == 0.0 else (1 if vx > 0 else -1))
-            cy.append(0 if vy == 0.0 else (1 if vy > 0 else -1))
-            vx = -a * abs(vx) + (a - 1.0)
-            vy = -a * abs(vy) + (a - 1.0)
-        assert compare_tails(cx, cy) is not Ordering.GREATER
+    pairs = [sorted((rng.uniform(lo, hi), rng.uniform(lo, hi))) for _ in range(1000)]
+    verify.monotone_coding(a, pairs)
 
 
 def test_forcing_check_argument_validation():

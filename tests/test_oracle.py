@@ -14,11 +14,11 @@ from lozilab import (
     multipliers,
     orbit_signs,
 )
-from lozilab import oracle
+from lozilab import oracle, verify
 from lozilab.core import DomainError, RegionError
 from lozilab.oracle import BudgetError, trapping_lines
 
-from helpers import all_words, close
+from helpers import close
 
 P18 = Params(1.8, 0.2)
 
@@ -81,19 +81,7 @@ def test_pattern_search_alone_finds_every_orbit(monkeypatch):
 
 
 def test_brute_equivalence_with_admissible_formal():
-    for p in (P18, Params(2.4, 0.4), Params(1.9, 0.0)):
-        for period in (1, 2, 3, 4):
-            genuine = brute_periodic(p, period, grid_n=20)
-            formal = [
-                formal_periodic_point(p, word)
-                for word in all_words(period)
-            ]
-            admissible = [fp.point for fp in formal if fp.admissibility >= 0.0]
-            for q in admissible:
-                assert any(close(q, g, 1e-7) for g in genuine)
-            for g in genuine:
-                fp = formal_periodic_point(p, orbit_signs(p, g, period))
-                assert close(fp.point, g, 1e-7)
+    verify.orbit_equivalence((P18, Params(2.4, 0.4), Params(1.9, 0.0)), range(1, 5), 20)
 
 
 def test_brute_rejects_bad_inputs():
@@ -122,10 +110,12 @@ def test_cone_example_vectors():
 
 def test_cone_sweep_many_parameters():
     rng = random.Random(10)
+    cases = []
     for _ in range(60):
         b = rng.uniform(0.0, 1.0)
         a = rng.uniform(b + 1.05, 4.0)
-        assert cone_check(Params(a, b), samples=60, seed=rng.randrange(10**6))
+        cases.append((Params(a, b), rng.randrange(10**6)))
+    verify.cone_sweep(cases, samples=60)
 
 
 def test_cone_degenerate_skips_stable_side():
@@ -161,9 +151,7 @@ def test_classify_escape_and_monotone_exit():
 
 
 def test_classify_periodic_points_trapped():
-    for p in (P18, Params(2.2, 0.3)):
-        for v in brute_periodic(p, 3, grid_n=15):
-            assert classify_orbit(p, v).kind is OrbitKind.TRAPPED
+    verify.trapped_orbits((P18, Params(2.2, 0.3)))
 
 
 def test_classify_budget_error_carries_point():

@@ -5,17 +5,15 @@ import pytest
 from lozilab import (
     Params,
     Regime,
-    apply_map,
     build_partition,
     classify_regime,
     exists_Cmn,
-    formal_periodic_point,
-    iota,
     log_coord,
     multipliers,
     partition_rows,
     r_value,
     u_value,
+    verify,
 )
 from lozilab.bifurcation import C3, C4, solve_l
 from lozilab.core import DomainError, RegionError
@@ -24,10 +22,9 @@ P18 = Params(1.8, 0.2)
 
 
 def test_partition_closed_form_traces():
+    verify.dyadic_traces()
     strips = {s.label: s for s in build_partition(Params(2.0, 0.0), m_max=10)}
     for m in range(2, 11):
-        want = 1.0 - 2.0 / (2.0 ** (m - 1) * 3.0)
-        assert strips[f"C{m}"].right_trace == pytest.approx(want, abs=1e-12)
         assert strips[f"C{m}"].left_trace == pytest.approx(
             1.0 - 2.0 / (2.0 ** (m - 2) * 3.0) if m > 2 else 1.0 / 3.0, abs=1e-12
         )
@@ -140,23 +137,4 @@ def test_log_coord_fold_bounds_on_tangency_curve():
 
 def test_admissible_pair_sits_in_its_strips():
     # scan for the large regime, where the orbit pair must exist
-    m, n, b = 3, 2, 0.2
-    p = next(
-        Params(1.6 + 0.02 * i, b)
-        for i in range(60)
-        if Params(1.6 + 0.02 * i, b).in_mod
-        and classify_regime(Params(1.6 + 0.02 * i, b), m, n) is Regime.LARGE
-    )
-    strips = {s.label: s for s in build_partition(p, m_max=6)}
-    for sigma in (-1, +1):
-        fp = formal_periodic_point(p, iota(sigma, m, n))
-        assert fp.admissibility >= 0.0
-        assert strips[f"C{m}"].contains(fp.point)
-        v = fp.point
-        for _ in range(m):
-            v = apply_map(p, v)
-        assert strips[f"C{n}"].contains(v)
-        w = fp.point
-        for _ in range(m - 1):
-            w = apply_map(p, w)
-        assert w[0] > 0.0  # left-component certificate
+    verify.strip_membership(0.2, 3, 2)

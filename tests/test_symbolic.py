@@ -7,22 +7,26 @@ from hypothesis import strategies as st
 
 from lozilab import (
     Params,
-    admissibility_value,
     apply_branch,
-    apply_map,
-    compose_formal,
-    formal_orbit,
     formal_periodic_point,
     format_itinerary,
     iota,
     multipliers,
     parse_itinerary,
-    spectral_lower_bound_check,
+    verify,
 )
 from lozilab.core import DomainError, cyclic_orbit
-from lozilab.symbolic import ItineraryError, SingularSystemError, spectral_radius
+from lozilab.symbolic import ItineraryError, SingularSystemError, sign_words
 
-from helpers import all_words, close, genuine_iterate
+from helpers import (
+    affine_apply,
+    close,
+    compose,
+    det,
+    genuine_iterate,
+    newton_step,
+    spectral_radius,
+)
 
 PARAM_GRID = [Params(a, b) for a in (1.7, 2.1, 2.6, 3.2) for b in (0.0, 0.2, 0.5)]
 
@@ -38,29 +42,29 @@ def test_parse_format_round_trip():
 
 
 def test_compose_single_minus_branch():
-    m = compose_formal(Params(1.8, 0.2), (-1,))
-    assert m.A == pytest.approx((1.8, -0.2, 1.0, 0.0))
-    assert m.w == pytest.approx((-0.6, 0.0))
+    A, t = compose(Params(1.8, 0.2), (-1,))
+    assert A == pytest.approx((1.8, -0.2, 1.0, 0.0))
+    assert t == pytest.approx((0.6, 0.0))
 
 
 def test_compose_matches_sequential_branches():
     rng = random.Random(11)
     p = Params(1.9, 0.3)
     for word in [(1, -1), (1, 1, -1), (-1, 1, 1, -1, -1)]:
-        m = compose_formal(p, word)
+        A, t = compose(p, word)
         for _ in range(3):
             v = (rng.uniform(-2, 2), rng.uniform(-2, 2))
             w = v
             for sigma in word:
                 w = apply_branch(p, sigma, w)
-            assert close(m.apply(v), w, 1e-12)
+            assert close(affine_apply(A, t, v), w, 1e-12)
 
 
 def test_composition_determinant():
     p = Params(2.2, 0.35)
     for length in (1, 2, 4, 7):
         word = tuple(-1 if i % 2 else 1 for i in range(length))
-        assert compose_formal(p, word).det() == pytest.approx(p.b**length, rel=1e-12)
+        assert det(compose(p, word)[0]) == pytest.approx(p.b**length, rel=1e-12)
 
 
 def test_formal_point_fixed_words():
@@ -87,16 +91,6 @@ def test_formal_point_two_cycle_frozen():
         assert fp.residual <= 1e-15, k
 
 
-def _newton_step(m, v):
-    """One Newton step on v -> m(v) - v; it lands on the fixed point of the
-    affine map m from any seed."""
-    a11, a12, a21, a22 = m.A
-    j11, j12, j21, j22 = a11 - 1.0, a12, a21, a22 - 1.0
-    det = j11 * j22 - j12 * j21
-    fx, fy = m.apply(v)[0] - v[0], m.apply(v)[1] - v[1]
-    return (v[0] - (fx * j22 - fy * j12) / det, v[1] - (fy * j11 - fx * j21) / det)
-
-
 def test_formal_point_agrees_with_one_step_newton():
     rng = random.Random(5)
     grid = [
@@ -109,11 +103,11 @@ def test_formal_point_agrees_with_one_step_newton():
         for _ in range(3):
             length = rng.randrange(1, 9)
             word = tuple(rng.choice((-1, 1)) for _ in range(length))
-            m = compose_formal(p, word)
+            A, t = compose(p, word)
             fp = formal_periodic_point(p, word)
             for _ in range(20):
                 v = (rng.uniform(-5, 5), rng.uniform(-5, 5))
-                assert close(_newton_step(m, v), fp.point, 1e-9)
+                assert close(newton_step(A, t, v), fp.point, 1e-9)
 
 
 _FULL_PARAMS = st.floats(0.0, 1.0).flatmap(
@@ -130,45 +124,16 @@ def test_cyclic_orbit_steps_and_short_words(p, word):
         lhs = p.b * xs[k - 1] + s * p.a * xs[k] + xs[(k + 1) % n]
         assert abs(lhs - (p.a - p.b - 1.0)) <= 1e-13, k
     if n <= 8:
-        root = _newton_step(compose_formal(p, tuple(word)), (0.0, 0.0))
+        root = newton_step(*compose(p, word), (0.0, 0.0))
         assert close((xs[0], xs[-1]), root, 1e-9)
 
 
 def test_formal_residuals_small():
-    for p in PARAM_GRID:
-        for length in range(1, 7):
-            for word in all_words(length):
-                assert formal_periodic_point(p, word).residual < 1e-10
+    verify.orbit_residuals(PARAM_GRID, range(1, 7))
 
 
 def test_admissible_formal_points_are_genuine():
-    for p in PARAM_GRID:
-        for length in range(1, 7):
-            for word in all_words(length):
-                fp = formal_periodic_point(p, word)
-                if fp.admissibility >= 0.0:
-                    back = genuine_iterate(p, fp.point, length)
-                    assert close(back, fp.point, 1e-9)
-
-
-def test_admissibility_examples():
-    assert admissibility_value(Params(1.8, 0.2), (-1,), (-1.0, -1.0)) == 1.0
-    assert admissibility_value(Params(2.0, 0.0), (1,), (1 / 3, 1 / 3)) == pytest.approx(1 / 3)
-    p = Params(1.8, 0.2)
-    # first symbol on the critical locus contributes 0
-    assert admissibility_value(p, (1, 1), (0.0, 0.5)) == pytest.approx(
-        min(0.0, apply_branch(p, 1, (0.0, 0.5))[0])
-    )
-
-
-def test_admissibility_uses_formal_orbit():
-    p = Params(1.9, 0.25)
-    word = (1, -1, 1)
-    v = (0.4, -0.3)
-    orbit = formal_orbit(p, word, v)
-    assert len(orbit) == 4
-    expected = min(s * q[0] for s, q in zip(word, orbit[:3]))
-    assert admissibility_value(p, word, v) == pytest.approx(expected)
+    verify.genuine_return(PARAM_GRID, range(1, 7))
 
 
 def test_iota_words():
@@ -183,11 +148,15 @@ def test_iota_words():
         iota(-1, 3, 1)
 
 
+def _spectral_bound_holds(p, word):
+    """The composed map's spectral radius is >= lam^len(word) - 1e-9."""
+    return spectral_radius(compose(p, word)[0]) >= multipliers(p).lam ** len(word) - 1e-9
+
+
 def test_spectral_radius_single_branch():
-    m = compose_formal(Params(2.0, 0.0), (-1,))
-    assert spectral_radius(m) == pytest.approx(2.0)
-    assert spectral_lower_bound_check(Params(2.0, 0.0), (-1,))
-    assert spectral_lower_bound_check(Params(1.8, 0.2), (1, -1))
+    assert spectral_radius(compose(Params(2.0, 0.0), (-1,))[0]) == pytest.approx(2.0)
+    assert _spectral_bound_holds(Params(2.0, 0.0), (-1,))
+    assert _spectral_bound_holds(Params(1.8, 0.2), (1, -1))
 
 
 def test_spectral_lower_bound_sweep():
@@ -196,7 +165,7 @@ def test_spectral_lower_bound_sweep():
         for _ in range(12):
             length = rng.randrange(1, 9)
             word = tuple(rng.choice((-1, 1)) for _ in range(length))
-            assert spectral_lower_bound_check(p, word)
+            assert _spectral_bound_holds(p, word)
 
 
 def test_saddle_eigenvalue_split():
@@ -205,10 +174,10 @@ def test_saddle_eigenvalue_split():
             continue
         mult = multipliers(p)
         for length in range(1, 6):
-            for word in all_words(length):
-                m = compose_formal(p, word)
-                rho = spectral_radius(m)
-                small = abs(m.det()) / rho
+            for word in sign_words(length):
+                A, _ = compose(p, word)
+                rho = spectral_radius(A)
+                small = abs(det(A)) / rho
                 # equality holds for the constant words, so allow roundoff
                 assert rho >= mult.lam**length * (1 - 1e-9)
                 assert small <= mult.mu**length * (1 + 1e-9)
@@ -246,7 +215,6 @@ def test_formal_point_maps_are_rational_in_parameters():
 
 
 def test_spectral_radius_complex_pair():
-    m = compose_formal(Params(1.05, 0.9), (1, -1))
-    tr, det = m.trace(), m.det()
-    if tr * tr < 4 * det:
-        assert spectral_radius(m) == pytest.approx(math.sqrt(det))
+    A, _ = compose(Params(1.05, 0.9), (1, -1))
+    if (A[0] + A[3]) ** 2 < 4 * det(A):
+        assert spectral_radius(A) == pytest.approx(math.sqrt(det(A)))
