@@ -11,6 +11,7 @@ cross once, reversing the creation order of the two orbit pairs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import DomainError, Params, multipliers
@@ -20,6 +21,8 @@ from .solvers import BracketError, bisect, hybrid_root
 
 _SQRT2 = math.sqrt(2.0)
 _A_HI = 4.0
+# the a-step of the secant that corrects the second and third samples' guesses
+_SECANT_STEP = 1e-6
 
 # Log-scale offsets for the folds: T(u_n^d) - (n-1) log_lam(1/b) lies in
 # [log_lam C3, log_lam C4] for n in {2, 3} on the box [sqrt(2), 4] x [0, B].
@@ -54,14 +57,19 @@ def _pq_gap(a: float, b: float, m: int, n: int) -> float:
     return p_value(p, m, n) - q_value(p, m, n)
 
 
-def solve_l(b: float, m: int, n: int, *, tol: float = 1e-12) -> float:
+def solve_l(
+    b: float, m: int, n: int, *, tol: float = 1e-12, guess: float | None = None
+) -> float:
     """The root a in (sqrt(2), 4) of the fold/pullback gap at fixed b.
 
     Scans for a sign change, bisects the bracket to 1e-6, then polishes
     with central-difference Newton until |p - q| <= tol.  A non-monotone
     scan or several sign changes emit MultipleRootWarning and the
     rightmost root (the admissibility boundary reached from large a) is
-    returned.
+    returned.  A call without `guess` always runs the full scan; with a
+    predicted root the scan runs only when hybrid_root's warm start
+    fails, and the root is then the one the scan would find where the gap
+    increases on the scan cell holding it and has one sign change.
     """
     if not m > n >= 2:
         raise DomainError(f"need m > n >= 2, got ({m}, {n})")
@@ -72,7 +80,25 @@ def solve_l(b: float, m: int, n: int, *, tol: float = 1e-12) -> float:
         scan_n=48,
         xtol=1e-6,
         ftol=tol,
+        guess=guess,
     )
+
+
+def _predict(bs: list[float], avals: list[float], b: float) -> float:
+    """The polynomial through the points (bs[i], avals[i]), evaluated at b."""
+    total = 0.0
+    for i, (bi, ai) in enumerate(zip(bs, avals)):
+        for j, bj in enumerate(bs):
+            if j != i:
+                ai *= (b - bj) / (bi - bj)
+        total += ai
+    return total
+
+
+def _secant_guess(a: float, b: float, m: int, n: int) -> float:
+    """One secant step in a toward the root at b, starting from a."""
+    g0, g1 = _pq_gap(a, b, m, n), _pq_gap(a + _SECANT_STEP, b, m, n)
+    return a if g1 == g0 else a - g0 * _SECANT_STEP / (g1 - g0)
 
 
 @dataclass(frozen=True)
@@ -103,6 +129,11 @@ def trace_curve(
 ) -> BifCurve:
     """Solve along a b-grid and attach centered-difference slopes.
 
+    The first and last samples are solved with the full scan.  Each other
+    sample is warm-started (see solve_l) from the constant, line or
+    parabola through the one to three samples before it, corrected by one
+    secant step in a for the second and third samples.
+
     Raises if the grid has fewer than two points or is not strictly
     increasing, if any sampled a leaves (sqrt(2), 4), or if adjacent
     samples jump by more than 1.5x the local slope estimate (a continuity
@@ -113,10 +144,15 @@ def trace_curve(
     for lo, hi in zip(b_grid, b_grid[1:]):
         if not lo < hi:
             raise DomainError(f"b-grid not strictly increasing: {lo!r} then {hi!r}")
-    avals = []
-    for b in b_grid:
+    avals: list[float] = []
+    for k, b in enumerate(b_grid):
+        guess = None
+        if 0 < k < len(b_grid) - 1:
+            guess = _predict(b_grid[max(k - 3, 0):k], avals[-3:], b)
+            if k < 3:
+                guess = _secant_guess(guess, b, m, n)
         try:
-            avals.append(solve_l(b, m, n, tol=tol))
+            avals.append(solve_l(b, m, n, tol=tol, guess=guess))
         except (BracketError, DomainError) as exc:
             raise BracketError(f"curve ({m},{n}) failed at b = {b}: {exc}") from exc
     for a in avals:
@@ -156,21 +192,43 @@ def crossing_gaps(curve2: BifCurve, curve3: BifCurve) -> tuple[list[float], list
     return gaps, flips
 
 
+class _Solved:
+    """The solved points of one curve, sorted in b.  Each new solve is
+    warm-started from the line through the nearest solved points on each
+    side (the nearest two on one side, outside the solved range)."""
+
+    def __init__(self, curve: BifCurve, tol: float):
+        self.m, self.n, self.tol = curve.m, curve.n, tol
+        self.bs = [b for b, _ in curve.samples]
+        self.avals = [a for _, a in curve.samples]
+
+    def solve(self, b: float) -> float:
+        j = bisect_left(self.bs, b)
+        i = min(max(j, 1), len(self.bs) - 1)
+        guess = _predict(self.bs[i - 1:i + 1], self.avals[i - 1:i + 1], b)
+        a = solve_l(b, self.m, self.n, tol=self.tol, guess=guess)
+        if j == len(self.bs) or self.bs[j] != b:
+            self.bs.insert(j, b)
+            self.avals.insert(j, a)
+        return a
+
+
 def refine_crossing(
     curve2: BifCurve, curve3: BifCurve, k: int, width: float, *, tol: float = 1e-12
 ) -> tuple[float, float]:
     """Bisect the sign change of l_{m,2} - l_{m,3} between the curves'
     samples k and k+1 until the bracket is at most `width` wide.  Returns
-    the midpoint b* and l_{m,2}(b*); every solve stops at |p - q| <= tol."""
-    m = curve2.m
+    the midpoint b* and l_{m,2}(b*); every solve stops at |p - q| <= tol.
+    No solve here runs the full scan unless its warm start fails: each is
+    predicted by the line through the nearest solved b on each side."""
+    solved2, solved3 = _Solved(curve2, tol), _Solved(curve3, tol)
     (lo, a2lo), (hi, a2hi) = curve2.samples[k], curve2.samples[k + 1]
     glo, ghi = a2lo - curve3.samples[k][1], a2hi - curve3.samples[k + 1][1]
     lo, hi, _, _ = bisect(
-        lambda b: solve_l(b, m, 2, tol=tol) - solve_l(b, m, 3, tol=tol),
-        lo, hi, glo, ghi, width,
+        lambda b: solved2.solve(b) - solved3.solve(b), lo, hi, glo, ghi, width
     )
     b_star = 0.5 * (lo + hi)
-    return b_star, solve_l(b_star, m, 2, tol=tol)
+    return b_star, solved2.solve(b_star)
 
 
 def _ladder_coord(p: Params, x: float, name: str) -> float:
@@ -230,7 +288,12 @@ def find_reversal(
     Checks the reversed endpoint orders l_{m,2}(0) < l_{m,3}(0) and
     l_{m,2}(b_bar) > l_{m,3}(b_bar), exactly one sign change of the
     difference on the grid, slope ordering d l_{m,2}/db > d l_{m,3}/db at
-    every shared sample, then refines the crossing by bisection.
+    every shared sample, then refines the crossing by bisection.  Only
+    the curves' end samples at b = 0 and b_bar run the full root scan
+    (see trace_curve).  The crossing's solves and a* (see refine_crossing)
+    and the four slope solves at b* +- h are warm-started from the line
+    through the nearest solved b on each side, and scan only if that warm
+    start fails.
     """
     if not 0.0 < b_bar < 1.0:
         raise DomainError(f"need 0 < b_bar < 1, got {b_bar}")
@@ -254,10 +317,11 @@ def find_reversal(
 
     k = flips[0]
     b_star, a_star = refine_crossing(curve2, curve3, k, max(1e-13, 1e-7 * b_bar))
+    solved2, solved3 = _Solved(curve2, 1e-12), _Solved(curve3, 1e-12)
     h = 0.5 * (bs[1] - bs[0])
     h = min(h, b_star) if b_star > 0 else h
-    slope2 = (solve_l(b_star + h, m, 2) - solve_l(b_star - h, m, 2)) / (2.0 * h)
-    slope3 = (solve_l(b_star + h, m, 3) - solve_l(b_star - h, m, 3)) / (2.0 * h)
+    slope2 = (solved2.solve(b_star + h) - solved2.solve(b_star - h)) / (2.0 * h)
+    slope3 = (solved3.solve(b_star + h) - solved3.solve(b_star - h)) / (2.0 * h)
     if not slope2 > slope3:
         raise ReversalError(f"crossing not transverse: {slope2} <= {slope3}")
     return ReversalResult(

@@ -92,6 +92,10 @@ def cmd_figure1(args: argparse.Namespace) -> int:
         print("error: need --grid >= 2, --m-min <= --m-max, --b-max > 0, --tol > 0",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.m_max <= min(args.n):
+        print(f"error: need --m-max > {min(args.n)}, the smallest --n, got "
+              f"{args.m_max}: no curve to trace", file=sys.stderr)
+        return EXIT_USAGE
     grid = [args.b_max * i / (args.grid - 1) for i in range(args.grid)]
     if not all(lo < hi for lo, hi in zip(grid, grid[1:])):
         print(f"error: --b-max {args.b_max!r} over --grid {args.grid} points gives "

@@ -10,6 +10,8 @@ from .core import DomainError
 # central-difference step for the Newton slope, and the Newton step budget
 _FD_STEP = 1e-7
 _NEWTON_MAX_ITER = 60
+# final bisection cells a warm solve tries before it falls back to the scan
+_HUNT_CELLS = 4
 
 
 class BracketError(DomainError):
@@ -109,6 +111,37 @@ def newton_polish(
     return best_x
 
 
+def _tree_cell(
+    lo: float, hi: float, n: int, xtol: float, x: float
+) -> tuple[float, float]:
+    """The final cell that bisection to xtol reaches inside the scan cell
+    holding x, walking the bisection tree toward x without evaluating f."""
+    i = min(max(int((x - lo) / (hi - lo) * n), 0), n - 1)
+    x0, x1 = lo + (hi - lo) * i / n, lo + (hi - lo) * (i + 1) / n
+    c0, c1, _, _ = bisect(lambda t: -1.0 if t < x else 1.0, x0, x1, -1.0, 1.0, xtol)
+    return c0, c1
+
+
+def _warm_bracket(
+    f: Callable[[float], float], lo: float, hi: float, n: int, xtol: float, guess: float
+) -> tuple[float, float] | None:
+    """The final bisection cell with f < 0 < f at its ends, hunted from the
+    cell holding guess through at most _HUNT_CELLS neighbouring cells; None
+    when the hunt leaves (lo, hi) or runs out."""
+    x = guess
+    for _ in range(_HUNT_CELLS):
+        if not lo < x < hi:
+            return None
+        c0, c1 = _tree_cell(lo, hi, n, xtol, x)
+        if not f(c0) < 0.0:
+            x = c0 - 0.5 * (c1 - c0)
+        elif not f(c1) > 0.0:
+            x = c1 + 0.5 * (c1 - c0)
+        else:
+            return c0, c1
+    return None
+
+
 def hybrid_root(
     f: Callable[[float], float],
     lo: float,
@@ -117,12 +150,25 @@ def hybrid_root(
     scan_n: int = 48,
     xtol: float = 1e-6,
     ftol: float = 1e-12,
+    guess: float | None = None,
 ) -> float:
     """Bracket by scanning, bisect to xtol, then Newton-polish to |f| <= ftol.
 
     Warns (MultipleRootWarning) when the scan is non-monotone or shows more
     than one sign change; the last (rightmost) bracket is refined then.
+
+    Only a call without `guess` is sure to run the full scan.  With a
+    predicted root the scan is skipped: the final bisection cell holding
+    guess, or one of the next _HUNT_CELLS - 1 cells toward the root, is
+    taken when f < 0 < f at its two ends.  If f increases on that scan
+    cell and the scan would find one bracket, this is the cell that the
+    cold bisection reaches, so the Newton start and the root are
+    bit-for-bit the cold ones.  Such a solve never warns.  When no cell
+    passes, the full scan runs as without a guess.
     """
+    cell = None if guess is None else _warm_bracket(f, lo, hi, scan_n, xtol, guess)
+    if cell is not None:
+        return newton_polish(f, 0.5 * (cell[0] + cell[1]), *cell, ftol=ftol)
     brackets, monotone = scan_brackets(f, lo, hi, scan_n)
     if not brackets:
         raise BracketError(f"no sign change of f on [{lo}, {hi}]")

@@ -18,7 +18,14 @@ from lozilab import (
 )
 from lozilab.bifurcation import ConditionError, ReversalError, choose_m
 from lozilab.core import DomainError
-from lozilab.solvers import BracketError, MultipleRootWarning, hybrid_root, newton_polish
+from lozilab.solvers import (
+    _HUNT_CELLS,
+    BracketError,
+    MultipleRootWarning,
+    _tree_cell,
+    hybrid_root,
+    newton_polish,
+)
 
 from helpers import genuine_iterate, tent_orbit_crossing
 
@@ -246,6 +253,54 @@ def test_hybrid_root_warning_on_multiple_roots():
                            scan_n=40, xtol=1e-8, ftol=1e-10)
         assert any(issubclass(w.category, MultipleRootWarning) for w in caught)
     assert root == pytest.approx(3.0, abs=1e-8)
+
+
+def test_warm_start_falls_back_to_the_cold_solve():
+    def root(f, guess=None):
+        seen = []
+
+        def counted(x):
+            seen.append(x)
+            return f(x)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x = hybrid_root(counted, 0.0, 3.5, scan_n=40, xtol=1e-8, ftol=1e-10,
+                            guess=guess)
+        return x, len(seen), [w.category for w in caught]
+
+    line = lambda x: math.exp(x) - 2.0  # noqa: E731
+    cold, cold_evals, _ = root(line)
+    c0, c1 = _tree_cell(0.0, 3.5, 40, 1e-8, cold)
+    # the warm start hunts from the guess's final bisection cell through
+    # _HUNT_CELLS cells toward the root's: within reach it beats the scan
+    for k in range(_HUNT_CELLS):
+        x, evals, _ = root(line, 0.5 * (c0 + c1) + k * (c1 - c0))
+        assert x == cold and evals < cold_evals
+    # one cell further, or outside (lo, hi): the hunt gives up, the scan runs
+    x, evals, _ = root(line, 0.5 * (c0 + c1) + _HUNT_CELLS * (c1 - c0))
+    assert (x, evals) == (cold, cold_evals + _HUNT_CELLS)
+    for guess in (-1.0, 0.0, 3.5, 7.0):
+        assert root(line, guess) == (cold, cold_evals, [])
+    # the cubic decreases through 2.0: every hunted cell fails its sign
+    # check, and the scan still warns and returns the rightmost root
+    cubic = lambda x: (x - 1.0) * (x - 2.0) * (x - 3.0)  # noqa: E731
+    x, evals, categories = root(cubic, 2.0)
+    cold, cold_evals, cold_categories = root(cubic)
+    assert (x, evals, categories) == (cold, cold_evals + _HUNT_CELLS, cold_categories)
+    assert x == pytest.approx(3.0, abs=1e-8)
+    assert MultipleRootWarning in categories
+
+
+@pytest.mark.parametrize("m", [4, 9, 14])
+@pytest.mark.parametrize("n", [2, 3])
+def test_warm_trace_equals_cold_solves(m, n):
+    # figure1's default grid; a cold solve that warned would raise here
+    grid = [0.07 * i / 70 for i in range(71)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MultipleRootWarning)
+        cold = [(b, solve_l(b, m, n)) for b in grid]
+    assert trace_curve(m, n, grid).samples == cold
 
 
 def test_newton_polish_evaluates_each_point_once():

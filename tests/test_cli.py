@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from lozilab import bifurcation, find_reversal
+from lozilab import bifurcation, find_reversal, solvers
 from lozilab.cli import main
 
 SMALL_FAMILY = ["figure1", "--m-min", "5", "--m-max", "6", "--b-max", "0.02", "--grid", "9"]
@@ -96,11 +96,15 @@ def test_usage_error_exit_code(tmp_path, capsys):
         ["figure1", "--workers", "2"],
         # grid points 0, 0, 5e-324 are not strictly increasing
         ["figure1", "--b-max", "5e-324"],
+        # no m in 1..2 has m > n for any n in {2, 3}: no curve to trace
+        ["figure1", "--m-min", "1", "--m-max", "2"],
+        ["figure1", "--m-min", "3", "--m-max", "3", "--n", "3"],
     ]
-    small = ["--m-min", "5", "--m-max", "5", "--grid", "3", "--out", str(tmp_path)]
+    # refused before the output directory is created
+    small = ["--m-min", "5", "--m-max", "5", "--grid", "3", "--out", str(tmp_path / "out")]
     for args in usage_errors:
         if args[0] == "figure1":
-            args = args + small
+            args = args[:1] + small + args[1:]
         try:
             code = main(args)
         except SystemExit as exc:
@@ -175,25 +179,29 @@ def test_figure1_gap_evaluation_count(tmp_path, capsys, monkeypatch):
     # deterministic solver-work pin for SMALL_FAMILY: curve solves plus
     # crossing refinement; a change to the solvers updates it on purpose.
     # 10,806 -> 10,350 when newton_polish stopped re-evaluating its start
-    # point, its last iterate and the slope at a converged iterate.  Each
-    # gap evaluation calls both module bindings once: the traced benchmark
-    # wraps exactly these two names.
-    calls = {"p_value": 0, "q_value": 0}
+    # point, its last iterate and the slope at a converged iterate.
+    # 10,350 -> 1,427 when the interior curve samples and the crossing
+    # solves were warm-started from predicted roots; only the first and
+    # last sample of each of the 4 curves scan (no warm start fell back).
+    # Each gap evaluation calls both module bindings once: the traced
+    # benchmark wraps exactly these two names.
+    calls = {"p_value": 0, "q_value": 0, "scan_brackets": 0}
 
-    def counting(name):
-        f = getattr(bifurcation, name)
+    def counting(module, name):
+        f = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return f(*args, **kwargs)
 
-        return counted
+        monkeypatch.setattr(module, name, counted)
 
-    for name in calls:
-        monkeypatch.setattr(bifurcation, name, counting(name))
+    counting(bifurcation, "p_value")
+    counting(bifurcation, "q_value")
+    counting(solvers, "scan_brackets")
     code, _, _ = run_cli(SMALL_FAMILY + ["--out", str(tmp_path)], capsys)
     assert code == 0
-    assert calls == {"p_value": 10350, "q_value": 10350}
+    assert calls == {"p_value": 1427, "q_value": 1427, "scan_brackets": 8}
 
 
 def test_figure1_skips_failing_curve_with_warning(tmp_path, capsys):
