@@ -33,9 +33,7 @@ from .core import (
 )
 from .geometry import (
     BwdLine,
-    CriticalData,
     FwdLine,
-    critical_data,
     iterate_line_bwd,
     iterate_line_fwd,
     p_value,

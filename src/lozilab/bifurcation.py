@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import DomainError, Params, multipliers
 from .geometry import C_RL, C_RU, C_UL, C_UU, p_value, q_value, r_value, u_value
@@ -21,7 +22,7 @@ from .solvers import BracketError, bisect, hybrid_root
 
 _SQRT2 = math.sqrt(2.0)
 _A_HI = 4.0
-# the a-step of the secant that corrects the second and third samples' guesses
+# the a-step of the secant that corrects a guess from fewer than three samples
 _SECANT_STEP = 1e-6
 
 # Log-scale offsets for the folds: T(u_n^d) - (n-1) log_lam(1/b) lies in
@@ -84,21 +85,23 @@ def solve_l(
     )
 
 
-def _predict(bs: list[float], avals: list[float], b: float) -> float:
-    """The polynomial through the points (bs[i], avals[i]), evaluated at b."""
-    total = 0.0
-    for i, (bi, ai) in enumerate(zip(bs, avals)):
-        for j, bj in enumerate(bs):
-            if j != i:
+def _guess(samples: list[tuple[float, float]], b: float, m: int, n: int) -> float:
+    """The predicted root of l_{m,n} at b: the polynomial through the (at
+    most) three samples (b_i, a_i), sorted in b, that bracket or lead up to
+    b, plus one secant step in a toward the root when fewer than three exist."""
+    i = max(min(bisect_left(samples, b, key=itemgetter(0)) - 2, len(samples) - 3), 0)
+    near = samples[i:i + 3]
+    guess = 0.0
+    for bi, ai in near:
+        for bj, _ in near:
+            if bj != bi:
                 ai *= (b - bj) / (bi - bj)
-        total += ai
-    return total
-
-
-def _secant_guess(a: float, b: float, m: int, n: int) -> float:
-    """One secant step in a toward the root at b, starting from a."""
-    g0, g1 = _pq_gap(a, b, m, n), _pq_gap(a + _SECANT_STEP, b, m, n)
-    return a if g1 == g0 else a - g0 * _SECANT_STEP / (g1 - g0)
+        guess += ai
+    if len(samples) < 3:
+        g0, g1 = _pq_gap(guess, b, m, n), _pq_gap(guess + _SECANT_STEP, b, m, n)
+        if g1 != g0:
+            guess -= g0 * _SECANT_STEP / (g1 - g0)
+    return guess
 
 
 @dataclass(frozen=True)
@@ -129,10 +132,8 @@ def trace_curve(
 ) -> BifCurve:
     """Solve along a b-grid and attach centered-difference slopes.
 
-    The first and last samples are solved with the full scan.  Each other
-    sample is warm-started (see solve_l) from the constant, line or
-    parabola through the one to three samples before it, corrected by one
-    secant step in a for the second and third samples.
+    Each interior sample is solved from the root predicted by the samples
+    before it.
 
     Raises if the grid has fewer than two points or is not strictly
     increasing, if any sampled a leaves (sqrt(2), 4), or if adjacent
@@ -144,17 +145,14 @@ def trace_curve(
     for lo, hi in zip(b_grid, b_grid[1:]):
         if not lo < hi:
             raise DomainError(f"b-grid not strictly increasing: {lo!r} then {hi!r}")
-    avals: list[float] = []
+    samples: list[tuple[float, float]] = []
     for k, b in enumerate(b_grid):
-        guess = None
-        if 0 < k < len(b_grid) - 1:
-            guess = _predict(b_grid[max(k - 3, 0):k], avals[-3:], b)
-            if k < 3:
-                guess = _secant_guess(guess, b, m, n)
+        guess = _guess(samples, b, m, n) if 0 < k < len(b_grid) - 1 else None
         try:
-            avals.append(solve_l(b, m, n, tol=tol, guess=guess))
+            samples.append((b, solve_l(b, m, n, tol=tol, guess=guess)))
         except (BracketError, DomainError) as exc:
             raise BracketError(f"curve ({m},{n}) failed at b = {b}: {exc}") from exc
+    avals = [a for _, a in samples]
     for a in avals:
         if not _SQRT2 < a < _A_HI:
             raise DomainError(f"curve ({m},{n}) left (sqrt(2), 4): a = {a}")
@@ -164,7 +162,7 @@ def trace_curve(
         bound = 1.5 * max(abs(slopes[k]), abs(slopes[k + 1])) * db + 1e-9
         if abs(avals[k + 1] - avals[k]) > bound:
             raise DomainError(f"curve ({m},{n}) jumps at b = {b_grid[k]}")
-    return BifCurve(m=m, n=n, samples=list(zip(b_grid, avals)), dadb=slopes)
+    return BifCurve(m=m, n=n, samples=samples, dadb=slopes)
 
 
 def _tangency_gap(a: float, b: float) -> float:
@@ -192,25 +190,10 @@ def crossing_gaps(curve2: BifCurve, curve3: BifCurve) -> tuple[list[float], list
     return gaps, flips
 
 
-class _Solved:
-    """The solved points of one curve, sorted in b.  Each new solve is
-    warm-started from the line through the nearest solved points on each
-    side (the nearest two on one side, outside the solved range)."""
-
-    def __init__(self, curve: BifCurve, tol: float):
-        self.m, self.n, self.tol = curve.m, curve.n, tol
-        self.bs = [b for b, _ in curve.samples]
-        self.avals = [a for _, a in curve.samples]
-
-    def solve(self, b: float) -> float:
-        j = bisect_left(self.bs, b)
-        i = min(max(j, 1), len(self.bs) - 1)
-        guess = _predict(self.bs[i - 1:i + 1], self.avals[i - 1:i + 1], b)
-        a = solve_l(b, self.m, self.n, tol=self.tol, guess=guess)
-        if j == len(self.bs) or self.bs[j] != b:
-            self.bs.insert(j, b)
-            self.avals.insert(j, a)
-        return a
+def _solve_near(curve: BifCurve, b: float, tol: float) -> float:
+    """l_{m,n}(b) solved from the root predicted by the curve's samples."""
+    m, n = curve.m, curve.n
+    return solve_l(b, m, n, tol=tol, guess=_guess(curve.samples, b, m, n))
 
 
 def refine_crossing(
@@ -218,17 +201,16 @@ def refine_crossing(
 ) -> tuple[float, float]:
     """Bisect the sign change of l_{m,2} - l_{m,3} between the curves'
     samples k and k+1 until the bracket is at most `width` wide.  Returns
-    the midpoint b* and l_{m,2}(b*); every solve stops at |p - q| <= tol.
-    No solve here runs the full scan unless its warm start fails: each is
-    predicted by the line through the nearest solved b on each side."""
-    solved2, solved3 = _Solved(curve2, tol), _Solved(curve3, tol)
+    the midpoint b* and l_{m,2}(b*); every solve stops at |p - q| <= tol
+    and starts from the root predicted by the curve's samples."""
     (lo, a2lo), (hi, a2hi) = curve2.samples[k], curve2.samples[k + 1]
     glo, ghi = a2lo - curve3.samples[k][1], a2hi - curve3.samples[k + 1][1]
     lo, hi, _, _ = bisect(
-        lambda b: solved2.solve(b) - solved3.solve(b), lo, hi, glo, ghi, width
+        lambda b: _solve_near(curve2, b, tol) - _solve_near(curve3, b, tol),
+        lo, hi, glo, ghi, width,
     )
     b_star = 0.5 * (lo + hi)
-    return b_star, solved2.solve(b_star)
+    return b_star, _solve_near(curve2, b_star, tol)
 
 
 def _ladder_coord(p: Params, x: float, name: str) -> float:
@@ -288,12 +270,9 @@ def find_reversal(
     Checks the reversed endpoint orders l_{m,2}(0) < l_{m,3}(0) and
     l_{m,2}(b_bar) > l_{m,3}(b_bar), exactly one sign change of the
     difference on the grid, slope ordering d l_{m,2}/db > d l_{m,3}/db at
-    every shared sample, then refines the crossing by bisection.  Only
-    the curves' end samples at b = 0 and b_bar run the full root scan
-    (see trace_curve).  The crossing's solves and a* (see refine_crossing)
-    and the four slope solves at b* +- h are warm-started from the line
-    through the nearest solved b on each side, and scan only if that warm
-    start fails.
+    every shared sample, then refines the crossing by bisection.  The
+    slopes at b* are central differences of solves predicted by the
+    curves' samples.
     """
     if not 0.0 < b_bar < 1.0:
         raise DomainError(f"need 0 < b_bar < 1, got {b_bar}")
@@ -317,11 +296,12 @@ def find_reversal(
 
     k = flips[0]
     b_star, a_star = refine_crossing(curve2, curve3, k, max(1e-13, 1e-7 * b_bar))
-    solved2, solved3 = _Solved(curve2, 1e-12), _Solved(curve3, 1e-12)
     h = 0.5 * (bs[1] - bs[0])
     h = min(h, b_star) if b_star > 0 else h
-    slope2 = (solved2.solve(b_star + h) - solved2.solve(b_star - h)) / (2.0 * h)
-    slope3 = (solved3.solve(b_star + h) - solved3.solve(b_star - h)) / (2.0 * h)
+    slope2, slope3 = (
+        (_solve_near(c, b_star + h, 1e-12) - _solve_near(c, b_star - h, 1e-12)) / (2.0 * h)
+        for c in (curve2, curve3)
+    )
     if not slope2 > slope3:
         raise ReversalError(f"crossing not transverse: {slope2} <= {slope3}")
     return ReversalResult(

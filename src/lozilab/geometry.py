@@ -270,34 +270,3 @@ def q_value(p: Params, m: int, n: int) -> float:
     if not (m >= 2 and n >= 2) or m % 1 or n % 1:
         raise DomainError(f"need integers m, n >= 2, got ({m}, {n})")
     return _pull_word(p, _return_word(int(m), int(n)), 0.0, 0.0)[1]
-
-
-@dataclass(frozen=True)
-class CriticalData:
-    """Trace and fold ladders for one parameter pair.
-
-    r[m] increases to r_inf; u_l[m] and u_r[m] converge to u_inf; the band
-    boundary folds u_left <= everything <= u_right bracket the ladder.
-    """
-
-    u_left: float
-    u_right: float
-    u_inf: float
-    r_inf: float
-    r: dict[int, float]
-    u_l: dict[int, float]
-    u_r: dict[int, float]
-
-
-def critical_data(p: Params, m_max: int) -> CriticalData:
-    _require_mod(p)
-    u_left, u_right = boundary_turning_points(p)
-    return CriticalData(
-        u_left=u_left,
-        u_right=u_right,
-        u_inf=u_value(p, math.inf, "L"),
-        r_inf=r_value(p, math.inf),
-        r={m: r_value(p, m) for m in range(1, m_max + 1)},
-        u_l={m: u_value(p, m, "L") for m in range(2, m_max + 1)},
-        u_r={m: u_value(p, m, "R") for m in range(2, m_max + 1)},
-    )

@@ -66,10 +66,6 @@ def epsilon(word: Itinerary) -> int:
     return sign
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 def order_compare(i1: UItinerary, i2: UItinerary) -> Ordering:
     """Parity-weighted lexicographic comparison of two U-itineraries.
 
@@ -78,7 +74,8 @@ def order_compare(i1: UItinerary, i2: UItinerary) -> Ordering:
     a difference appeared earlier or they are equal.
     """
     horizon = range(
-        len(i1.preperiod) + len(i2.preperiod) + _lcm(len(i1.period), len(i2.period)) + 1
+        len(i1.preperiod) + len(i2.preperiod)
+        + math.lcm(len(i1.period), len(i2.period)) + 1
     )
     decision = compare_tails(map(i1.symbol, horizon), map(i2.symbol, horizon))
     return Ordering.EQUIVALENT if decision is None else decision

@@ -69,9 +69,13 @@ def formal_periodic_point(p: Params, itinerary: Itinerary) -> FormalPeriodicPoin
     min I_k x_k, and residual max_k |x_{k+1} + I_k a x_k - (a - 1) + b (x_{k-1}
     + 1)|, summed in that order so that the coupling is not lost in the
     rounding of a (an N-step closure error grows like lam^N even at the exact
-    orbit).  Raises SingularSystemError outside the two-saddle region and
-    DomainError when the orbit or a reported value is not finite.
+    orbit).  Raises ItineraryError for a symbol other than -1 or +1,
+    SingularSystemError outside the two-saddle region and DomainError when
+    the orbit or a reported value is not finite.
     """
+    if not {-1, +1}.issuperset(itinerary):
+        bad = next(s for s in itinerary if s not in (-1, +1))
+        raise ItineraryError(f"bad symbol {bad!r} in {itinerary!r}: symbols are -1, +1")
     xs = cyclic_orbit(p, itinerary)
     h = min(s * x for s, x in zip(itinerary, xs))
     a, b = p.a, p.b

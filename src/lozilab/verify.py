@@ -24,10 +24,11 @@ from .geometry import (
     C_UL,
     SLOPE_C,
     BwdLine,
-    critical_data,
+    boundary_turning_points,
     iterate_line_bwd,
     r_value,
     u_gap,
+    u_value,
 )
 from .kneading import (
     Ordering,
@@ -173,13 +174,14 @@ def ladders(params: list[Params], m_max: int) -> str:
     """Traces r_m rise strictly to r_inf, and u_left <= u_m^L <= u_m^R <=
     u_{m+1}^L <= u_inf <= u_right to 1e-12, for 2 <= m < m_max."""
     for p in params:
-        data = critical_data(p, m_max)
-        rs = [data.r[m] for m in sorted(data.r)] + [data.r_inf]
+        rs = [r_value(p, m) for m in range(1, m_max + 1)] + [r_value(p, math.inf)]
         if not all(x < y for x, y in zip(rs, rs[1:])):
             raise AssertionError(f"traces not increasing at ({p.a}, {p.b})")
+        u_left, u_right = boundary_turning_points(p)
+        u_inf = u_value(p, math.inf, "L")
         for m in range(2, m_max):
-            folds = (data.u_left, data.u_l[m], data.u_r[m], data.u_l[m + 1],
-                     data.u_inf, data.u_right)
+            folds = (u_left, u_value(p, m, "L"), u_value(p, m, "R"),
+                     u_value(p, m + 1, "L"), u_inf, u_right)
             if not all(x <= y + 1e-12 for x, y in zip(folds, folds[1:])):
                 raise AssertionError(f"fold ladder fails at ({p.a}, {p.b}), m={m}")
     return "trace and fold ladders ordered"

@@ -16,7 +16,13 @@ from lozilab import (
     tangency_a,
     trace_curve,
 )
-from lozilab.bifurcation import ConditionError, ReversalError, choose_m
+from lozilab.bifurcation import (
+    ConditionError,
+    ReversalError,
+    choose_m,
+    crossing_gaps,
+    refine_crossing,
+)
 from lozilab.core import DomainError
 from lozilab.solvers import (
     _HUNT_CELLS,
@@ -301,6 +307,24 @@ def test_warm_trace_equals_cold_solves(m, n):
         warnings.simplefilter("error", MultipleRootWarning)
         cold = [(b, solve_l(b, m, n)) for b in grid]
     assert trace_curve(m, n, grid).samples == cold
+
+
+def test_warm_crossing_and_slopes_equal_cold_solves():
+    # find_reversal's a* and central-difference slopes, and figure1's m = 5
+    # crossing on its default grid; a cold solve that warned would raise here
+    result = find_reversal(1e-5)
+    m, b_star = result.m, result.b_star
+    h = min(0.5 * result.curve2.samples[1][0], b_star)
+    grid = [0.07 * i / 70 for i in range(71)]
+    curve2, curve3 = trace_curve(5, 2, grid), trace_curve(5, 3, grid)
+    (k,) = crossing_gaps(curve2, curve3)[1]
+    b5, a5 = refine_crossing(curve2, curve3, k, 1e-11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MultipleRootWarning)
+        assert result.a_star == solve_l(b_star, m, 2)
+        for n, slope in ((2, result.slope2), (3, result.slope3)):
+            assert slope == (solve_l(b_star + h, m, n) - solve_l(b_star - h, m, n)) / (2.0 * h)
+        assert a5 == solve_l(b5, 5, 2)
 
 
 def test_newton_polish_evaluates_each_point_once():

@@ -183,6 +183,9 @@ def test_figure1_gap_evaluation_count(tmp_path, capsys, monkeypatch):
     # 10,350 -> 1,427 when the interior curve samples and the crossing
     # solves were warm-started from predicted roots; only the first and
     # last sample of each of the 4 curves scan (no warm start fell back).
+    # 1,427 -> 1,425 when the crossing solves were predicted by the parabola
+    # through the curve's grid samples nearest b instead of the line through
+    # the nearest solved b on each side (same roots, same 8 scans).
     # Each gap evaluation calls both module bindings once: the traced
     # benchmark wraps exactly these two names.
     calls = {"p_value": 0, "q_value": 0, "scan_brackets": 0}
@@ -201,7 +204,7 @@ def test_figure1_gap_evaluation_count(tmp_path, capsys, monkeypatch):
     counting(solvers, "scan_brackets")
     code, _, _ = run_cli(SMALL_FAMILY + ["--out", str(tmp_path)], capsys)
     assert code == 0
-    assert calls == {"p_value": 1427, "q_value": 1427, "scan_brackets": 8}
+    assert calls == {"p_value": 1425, "q_value": 1425, "scan_brackets": 8}
 
 
 def test_figure1_skips_failing_curve_with_warning(tmp_path, capsys):

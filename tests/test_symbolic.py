@@ -189,6 +189,12 @@ def test_singular_system_outside_full_region():
             formal_periodic_point(p, word)
 
 
+@pytest.mark.parametrize("word, bad", [((2,), 2), ((0,), 0), ((1, -1, 0), 0)])
+def test_formal_point_refuses_symbols_outside_plus_minus_one(word, bad):
+    with pytest.raises(ItineraryError, match=f"bad symbol {bad} "):
+        formal_periodic_point(Params(2.3, 0.1), word)
+
+
 def test_overflowing_composition_is_refused():
     # parameters the region checks let through give a non-finite orbit
     with pytest.raises(DomainError, match="overflows"):

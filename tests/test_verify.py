@@ -3,6 +3,7 @@ the acceptance criteria and the unit tests that pass through it cannot
 pass vacuously."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -43,8 +44,9 @@ BROKEN = {
                    lambda: verify.cone_sweep([(P18, 0)], 10)),
     "r_bounds": (None, None, lambda: verify.r_bounds([P18], 1.0, 1.0)),
     "u_bounds": (None, None, lambda: verify.u_bounds([P18], 100.0, SLOPE_C)),
-    "ladders": ("critical_data",
-                lambda f: lambda p, m: dataclasses.replace(f(p, m), u_inf=f(p, m).u_right + 1e-9),
+    # u_inf just above u_right = a - 1
+    "ladders": ("u_value",
+                lambda f: lambda p, m, side: p.a - 1.0 + 1e-9 if m == math.inf else f(p, m, side),
                 lambda: verify.ladders([P18], 4)),
     "dyadic_traces": ("build_partition",
                       lambda f: lambda p, m_max: f(Params(2.0, 1e-3), m_max),
