@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import random
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .core import (
@@ -27,6 +28,9 @@ from .core import (
 from .symbolic import sign_words
 
 _TRAP_TOL = 1e-12
+# _distinct's cell side and search order, own cell first
+_CELL = 1e-6
+_NEIGHBOURS = ((0, 0), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
 class BudgetError(DomainError):
@@ -70,21 +74,32 @@ def _pattern_orbit(p: Params, signs: tuple[int, ...]) -> list[float] | None:
 
 
 def _return_map_newton(p: Params, seed: Point, period: int) -> Point | None:
-    """Newton on v -> map^period(v) - v with the orbit's branch Jacobian."""
+    """Newton on v -> map^period(v) - v with the orbit's branch Jacobian.
+
+    The state is the iterate alone, so an iterate that repeats bit for bit
+    has entered a cycle that never meets the 1e-13 stop: it gives up at
+    once, as the 60-iteration budget would later.
+    """
+    a, b = p.a, p.b
+    c = a - b - 1.0
     x, y = seed
+    seen = set()
     for _ in range(60):
+        if (x, y) in seen:
+            return None
+        seen.add((x, y))
         j11, j12, j21, j22 = 1.0, 0.0, 0.0, 1.0
         cx, cy = x, y
         for _ in range(period):
             s = +1.0 if cx >= 0.0 else -1.0
-            m11, m12 = -s * p.a, -p.b
+            m11, m12 = -s * a, -b
             j11, j12, j21, j22 = (
                 m11 * j11 + m12 * j21,
                 m11 * j12 + m12 * j22,
                 j11,
                 j12,
             )
-            cx, cy = -p.a * abs(cx) - p.b * cy + (p.a - p.b - 1.0), cx
+            cx, cy = -a * abs(cx) - b * cy + c, cx
         fx, fy = cx - x, cy - y
         if abs(fx) < 1e-13 and abs(fy) < 1e-13:
             return (x, y)
@@ -108,6 +123,31 @@ def _verified_root(p: Params, v: Point, period: int) -> Point | None:
     return v
 
 
+def _distinct(roots: Iterable[Point], accept: Callable[[Point], bool]) -> list[Point]:
+    """The roots, in order, each kept if no kept point is within 1e-7 in
+    the max norm and `accept` holds.
+
+    Kept points are indexed by square cells of side 1e-6, ten times the
+    merge distance, so a point within 1e-7 lies in the root's own cell or
+    one of its 8 neighbours whatever the rounding of the cell index; the
+    own cell comes first, where exact repeats are.  Float floor division
+    gives non-finite coordinates a NaN index, which matches no cell.
+    """
+    kept: list[Point] = []
+    cells: dict[tuple[float, float], list[Point]] = {}
+    for root in roots:
+        x, y = root
+        i, j = x // _CELL, y // _CELL
+        if all(
+            max(abs(x - q[0]), abs(y - q[1])) > 1e-7
+            for di, dj in _NEIGHBOURS
+            for q in cells.get((i + di, j + dj), ())
+        ) and accept(root):
+            kept.append(root)
+            cells.setdefault((i, j), []).append(root)
+    return kept
+
+
 def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
     """All points with map^period(v) = v, Newton-refined and verified.
 
@@ -119,8 +159,8 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
     that pattern, and the pattern search alone reaches every orbit whose
     period divides `period`: a period-d orbit also solves the repeated
     pattern.  The grid search stays as the one path that does not rest on
-    this argument.  Roots are checked by forward iteration, deduplicated
-    at 1e-7, and sorted.
+    this argument.  Roots are deduplicated at 1e-7, checked by forward
+    iteration, and sorted.
     """
     if not p.in_full:
         raise RegionError(f"({p.a}, {p.b}) is outside the full-family region")
@@ -128,14 +168,7 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
         raise DomainError(f"need 1 <= period <= 10, got {period}")
     if grid_n < 2:
         raise DomainError(f"need grid_n >= 2, got {grid_n}")
-    found: list[Point] = []
-
-    def add(root: Point) -> None:
-        if _verified_root(p, root, period) is not None and all(
-            max(abs(root[0] - q[0]), abs(root[1] - q[1])) > 1e-7 for q in found
-        ):
-            found.append(root)
-
+    roots: list[Point] = []
     # sheared lattice: grid_n^2 distinct abscissas, so the seeds stay
     # effective when b = 0 collapses the dynamics onto the x-coordinate
     for i in range(grid_n):
@@ -146,7 +179,7 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
             )
             root = _return_map_newton(p, seed, period)
             if root is not None:
-                add(root)
+                roots.append(root)
     # one solve per sign pattern: the patterns are the linearity cells of
     # the cyclic return system, so this coverage is exhaustive where the
     # grid strands thin cells
@@ -154,8 +187,8 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
         orbit = _pattern_orbit(p, signs)
         if orbit is not None:
             for k in range(period):
-                add((orbit[k], orbit[k - 1]))
-    return sorted(found)
+                roots.append((orbit[k], orbit[k - 1]))
+    return sorted(_distinct(roots, lambda v: _verified_root(p, v, period) is not None))
 
 
 def cone_check(p: Params, samples: int, seed: int = 0) -> bool:

@@ -188,3 +188,42 @@ def newton_step(A, t, v):
     w = affine_apply(A, t, v)
     fx, fy = w[0] - v[0], w[1] - v[1]
     return (v[0] - (fx * j22 - fy * j12) / d, v[1] - (fy * j11 - fx * j21) / d)
+
+
+# The oracle's return-map Newton as it ran before the repeated-iterate
+# exit: every seed runs to convergence, a guard or the full 60-iteration
+# budget.  `iterates`, when given, collects each Newton iterate.
+
+def full_budget_newton(p, seed, period, iterates=None):
+    x, y = seed
+    for _ in range(60):
+        if iterates is not None:
+            iterates.append((x, y))
+        j11, j12, j21, j22 = 1.0, 0.0, 0.0, 1.0
+        cx, cy = x, y
+        for _ in range(period):
+            s = +1.0 if cx >= 0.0 else -1.0
+            m11, m12 = -s * p.a, -p.b
+            j11, j12, j21, j22 = m11 * j11 + m12 * j21, m11 * j12 + m12 * j22, j11, j12
+            cx, cy = -p.a * abs(cx) - p.b * cy + (p.a - p.b - 1.0), cx
+        fx, fy = cx - x, cy - y
+        if abs(fx) < 1e-13 and abs(fy) < 1e-13:
+            return (x, y)
+        d11, d12, d21, d22 = j11 - 1.0, j12, j21, j22 - 1.0
+        det = d11 * d22 - d12 * d21
+        if abs(det) < 1e-14:
+            return None
+        x -= (fx * d22 - fy * d12) / det
+        y -= (fy * d11 - fx * d21) / det
+        if abs(x) > 1e6 or abs(y) > 1e6:
+            return None
+    return None
+
+
+def seed_grid(grid_n):
+    """brute_periodic's sheared seed lattice on [-2, 2]^2."""
+    return [
+        (-2.0 + 4.0 * (i * grid_n + j + 0.5) / grid_n**2, -2.0 + 4.0 * j / (grid_n - 1))
+        for i in range(grid_n)
+        for j in range(grid_n)
+    ]

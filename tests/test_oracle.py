@@ -1,4 +1,7 @@
+import json
+import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +21,13 @@ from lozilab import oracle, verify
 from lozilab.core import DomainError, RegionError
 from lozilab.oracle import BudgetError, trapping_lines
 
-from helpers import close
+from helpers import close, full_budget_newton, seed_grid
 
 P18 = Params(1.8, 0.2)
+# repr of every brute_periodic point (periods 1-6, grid 20) at the five
+# edge points of the orbit_oracle benchmark and two interior points, as
+# returned before the repeated-iterate Newton exit and the cell dedup
+RECORDED_BRUTE = Path(__file__).parent / "data" / "brute_periodic_pins.json"
 
 
 def test_brute_fixed_points_degenerate():
@@ -82,6 +89,61 @@ def test_pattern_search_alone_finds_every_orbit(monkeypatch):
 
 def test_brute_equivalence_with_admissible_formal():
     verify.orbit_equivalence((P18, Params(2.4, 0.4), Params(1.9, 0.0)), range(1, 5), 20)
+
+
+def test_brute_periodic_matches_recorded_bytes():
+    recorded = json.loads(RECORDED_BRUTE.read_text())
+    grid_n = recorded["grid_n"]
+    for case in recorded["cases"]:
+        points = brute_periodic(Params(case["a"], case["b"]), case["period"], grid_n=grid_n)
+        assert [repr(v) for v in points] == case["points"], (case["a"], case["b"], case["period"])
+
+
+def test_newton_cycle_exit_equals_full_budget():
+    cycled = 0
+    for a, b in ((1.7, 0.0), (1.7, 0.2), (2.3, 0.0), (2.9, 0.6)):
+        p = Params(a, b)
+        for period in range(1, 7):
+            for seed in seed_grid(20):
+                iterates = []
+                want = full_budget_newton(p, seed, period, iterates)
+                assert oracle._return_map_newton(p, seed, period) == want, (a, b, period, seed)
+                cycled += len(set(iterates)) < len(iterates)
+    # the exit is exercised: some seeds repeat an iterate within the budget
+    assert cycled > 0
+    # and a slow convergence, from a seed that wanders for 28 steps without
+    # repeating, is not cut short
+    p, seed, iterates = Params(1.431, 0.0), (-0.19, 1.0), []
+    want = full_budget_newton(p, seed, 10, iterates)
+    assert want is not None and len(iterates) == len(set(iterates)) == 29
+    assert oracle._return_map_newton(p, seed, 10) == want
+
+
+CELL = oracle._CELL
+
+
+@pytest.mark.parametrize("edge", [0.0, 3 * CELL, -7 * CELL, 1.7 // CELL * CELL])
+@pytest.mark.parametrize("axes", [(1, 0), (0, 1), (1, 1)])
+def test_dedup_across_cell_boundaries(edge, axes):
+    for gap, merged in ((0.99e-7, True), (1.01e-7, False)):
+        first = (edge - 0.5 * gap * axes[0] + 0.3 * (1 - axes[0]),
+                 edge - 0.5 * gap * axes[1] - 0.4 * (1 - axes[1]))
+        second = (first[0] + gap * axes[0], first[1] + gap * axes[1])
+        # the pair straddles the cell edge on each axis it moves along
+        for k in range(2):
+            if axes[k]:
+                assert first[k] // CELL != second[k] // CELL
+        kept = oracle._distinct([first, second], lambda v: True)
+        assert kept == ([first] if merged else [first, second]), (gap, first, second)
+        assert oracle._distinct([second, first], lambda v: True) == ([second] if merged else [second, first])
+        # a rejected root is not indexed, so it hides nothing
+        assert oracle._distinct([first, second], lambda v: v != first) == [second]
+
+
+def test_dedup_non_finite_roots_do_not_raise():
+    roots = [(math.nan, 0.0), (math.inf, 1.0), (0.5, -math.inf), (0.5, 0.5), (0.5, 0.5)]
+    assert oracle._distinct(roots, lambda v: math.isfinite(v[0] + v[1])) == [(0.5, 0.5)]
+    assert len(oracle._distinct(roots, lambda v: True)) == 4
 
 
 def test_brute_rejects_bad_inputs():
