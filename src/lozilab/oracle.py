@@ -11,6 +11,7 @@ behaviour from the trapping triangle of the left fixed point's lines.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -73,9 +74,15 @@ def _pattern_orbit(p: Params, signs: tuple[int, ...]) -> list[float] | None:
     return xs if all((x >= 0.0) == (s > 0) for x, s in zip(xs, signs)) else None
 
 
-def _return_map_newton(p: Params, seed: Point, period: int) -> Point | None:
+def _return_map_newton(
+    p: Params, seed: Point, period: int, jacobians: dict[int, tuple[float, ...]]
+) -> Point | None:
     """Newton on v -> map^period(v) - v with the orbit's branch Jacobian.
 
+    Each iteration maps the iterate `period` times and codes the signs it
+    meets as the bits of `key`, first sign highest; only an iteration that
+    steps looks up D = J - Id and det D, which `jacobians` (one dict per
+    `brute_periodic` call, so a and b are fixed) holds once per sign word.
     The state is the iterate alone, so an iterate that repeats bit for bit
     has entered a cycle that never meets the 1e-13 stop: it gives up at
     once, as the 60-iteration budget would later.
@@ -88,23 +95,17 @@ def _return_map_newton(p: Params, seed: Point, period: int) -> Point | None:
         if (x, y) in seen:
             return None
         seen.add((x, y))
-        j11, j12, j21, j22 = 1.0, 0.0, 0.0, 1.0
-        cx, cy = x, y
+        cx, cy, key = x, y, 0
         for _ in range(period):
-            s = +1.0 if cx >= 0.0 else -1.0
-            m11, m12 = -s * a, -b
-            j11, j12, j21, j22 = (
-                m11 * j11 + m12 * j21,
-                m11 * j12 + m12 * j22,
-                j11,
-                j12,
-            )
+            key = 2 * key + (cx >= 0.0)
             cx, cy = -a * abs(cx) - b * cy + c, cx
         fx, fy = cx - x, cy - y
         if abs(fx) < 1e-13 and abs(fy) < 1e-13:
             return (x, y)
-        d11, d12, d21, d22 = j11 - 1.0, j12, j21, j22 - 1.0
-        det = d11 * d22 - d12 * d21
+        d = jacobians.get(key)
+        if d is None:
+            d = jacobians[key] = _jacobian(a, b, key, period)
+        d11, d12, d21, d22, det = d
         if abs(det) < 1e-14:
             return None
         x -= (fx * d22 - fy * d12) / det
@@ -114,11 +115,25 @@ def _return_map_newton(p: Params, seed: Point, period: int) -> Point | None:
     return None
 
 
+def _jacobian(a: float, b: float, key: int, period: int) -> tuple[float, ...]:
+    """(D, det D) for D = J - Id, J the product of the branch matrices
+    ((-s a, -b), (1, 0)) of the sign word coded by `key`, first sign in
+    the highest of `period` bits (1 for x >= 0)."""
+    j11, j12, j21, j22 = 1.0, 0.0, 0.0, 1.0
+    for k in range(period - 1, -1, -1):
+        s = +1.0 if key >> k & 1 else -1.0
+        m11, m12 = -s * a, -b
+        j11, j12, j21, j22 = m11 * j11 + m12 * j21, m11 * j12 + m12 * j22, j11, j12
+    d11, d12, d21, d22 = j11 - 1.0, j12, j21, j22 - 1.0
+    return d11, d12, d21, d22, d11 * d22 - d12 * d21
+
+
 def _verified_root(p: Params, v: Point, period: int) -> Point | None:
     w = v
     for _ in range(period):
         w = apply_map(p, w)
-    if max(abs(w[0] - v[0]), abs(w[1] - v[1])) > 1e-10:
+    # written so that a NaN difference fails the test
+    if not (abs(w[0] - v[0]) <= 1e-10 and abs(w[1] - v[1]) <= 1e-10):
         return None
     return v
 
@@ -127,25 +142,52 @@ def _distinct(roots: Iterable[Point], accept: Callable[[Point], bool]) -> list[P
     """The roots, in order, each kept if no kept point is within 1e-7 in
     the max norm and `accept` holds.
 
-    Kept points are indexed by square cells of side 1e-6, ten times the
-    merge distance, so a point within 1e-7 lies in the root's own cell or
-    one of its 8 neighbours whatever the rounding of the cell index; the
-    own cell comes first, where exact repeats are.  Float floor division
-    gives non-finite coordinates a NaN index, which matches no cell.
+    A root equal to one already seen is dropped at once: had the first
+    been kept, or merged into a kept point, the repeat merges too, since
+    kept points stay kept; had it been rejected, `accept` rejects the
+    repeat again.  The others are checked against kept points indexed by
+    square cells of side 1e-6, ten times the merge distance, so a point
+    within 1e-7 lies in the root's own cell or one of its 8 neighbours
+    whatever the rounding of the cell index.  Float floor division gives
+    non-finite coordinates a NaN index, which matches no cell.
     """
     kept: list[Point] = []
     cells: dict[tuple[float, float], list[Point]] = {}
+    seen: set[Point] = set()
     for root in roots:
+        if root in seen:
+            continue
+        seen.add(root)
         x, y = root
         i, j = x // _CELL, y // _CELL
-        if all(
-            max(abs(x - q[0]), abs(y - q[1])) > 1e-7
-            for di, dj in _NEIGHBOURS
-            for q in cells.get((i + di, j + dj), ())
-        ) and accept(root):
-            kept.append(root)
-            cells.setdefault((i, j), []).append(root)
+        if _near_kept(cells, i, j, x, y) or not accept(root):
+            continue
+        kept.append(root)
+        cells.setdefault((i, j), []).append(root)
     return kept
+
+
+def _near_kept(
+    cells: dict[tuple[float, float], list[Point]], i: float, j: float, x: float, y: float
+) -> bool:
+    """Whether a point in cell (i, j) or a neighbour is within 1e-7 of (x, y)."""
+    for di, dj in _NEIGHBOURS:
+        for qx, qy in cells.get((i + di, j + dj), ()):
+            if abs(x - qx) <= 1e-7 and abs(y - qy) <= 1e-7:
+                return True
+    return False
+
+
+@functools.lru_cache(maxsize=4)
+def _seed_grid(grid_n: int) -> tuple[Point, ...]:
+    """The sheared seed lattice on [-2, 2]^2: grid_n^2 distinct abscissas,
+    so the seeds stay effective when b = 0 collapses the dynamics onto the
+    x-coordinate."""
+    return tuple(
+        (-2.0 + 4.0 * (i * grid_n + j + 0.5) / grid_n**2, -2.0 + 4.0 * j / (grid_n - 1))
+        for i in range(grid_n)
+        for j in range(grid_n)
+    )
 
 
 def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
@@ -169,17 +211,11 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
     if grid_n < 2:
         raise DomainError(f"need grid_n >= 2, got {grid_n}")
     roots: list[Point] = []
-    # sheared lattice: grid_n^2 distinct abscissas, so the seeds stay
-    # effective when b = 0 collapses the dynamics onto the x-coordinate
-    for i in range(grid_n):
-        for j in range(grid_n):
-            seed = (
-                -2.0 + 4.0 * (i * grid_n + j + 0.5) / grid_n**2,
-                -2.0 + 4.0 * j / (grid_n - 1),
-            )
-            root = _return_map_newton(p, seed, period)
-            if root is not None:
-                roots.append(root)
+    jacobians: dict[int, tuple[float, ...]] = {}
+    for seed in _seed_grid(grid_n):
+        root = _return_map_newton(p, seed, period, jacobians)
+        if root is not None:
+            roots.append(root)
     # one solve per sign pattern: the patterns are the linearity cells of
     # the cyclic return system, so this coverage is exhaustive where the
     # grid strands thin cells

@@ -5,18 +5,48 @@ The oracles iterate the piecewise map (or its single-valued inverse,
 b > 0) directly, with bisection on monotone pieces; the references
 restate the branch formulas (composed maps, per-symbol line steps).
 Nothing here touches the formal line/orbit machinery whose outputs the
-tests check.
+tests check, except reference_brute_periodic's pattern search, which
+restates the oracle's and so shares its core.cyclic_orbit solve.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import lozilab as L
+from lozilab.core import SingularSystemError, cyclic_orbit
+
+
+def full_family_examples(seed, count=100, max_len=200):
+    """(p, word) examples over b in [0, 1], a in [b + 1.05, 4] and sign
+    words of length 1..max_len.
+
+    First the corners, each with a constant and a random word: b = 0 and
+    1, a = b + 1.05 and 4, length 1 and max_len.  Then `count` draws from
+    random.Random(seed): b and a uniform, and a word of uniform signs whose
+    length is uniform on 1..8 in every other draw and on 1..max_len in the
+    rest, so short words stay as common as long ones.
+    """
+    rng = random.Random(seed)
+
+    def word(length):
+        return [rng.choice((-1, 1)) for _ in range(length)]
+
+    for b in (0.0, 1.0):
+        for a in (b + 1.05, 4.0):
+            for length in (1, max_len):
+                yield L.Params(a, b), [1] * length
+                yield L.Params(a, b), word(length)
+    for k in range(count):
+        b = rng.uniform(0.0, 1.0)
+        a = rng.uniform(b + 1.05, 4.0)
+        yield L.Params(a, b), word(rng.randint(1, 8 if k % 2 == 0 else max_len))
 
 
 def close(u, v, tol):
-    return max(abs(u[0] - v[0]), abs(u[1] - v[1])) <= tol
+    """Within tol in the max norm; a NaN difference is not close."""
+    return abs(u[0] - v[0]) <= tol and abs(u[1] - v[1]) <= tol
 
 
 def genuine_iterate(p, v, steps):
@@ -227,3 +257,27 @@ def seed_grid(grid_n):
         for i in range(grid_n)
         for j in range(grid_n)
     ]
+
+
+def reference_brute_periodic(p, period, grid_n):
+    """brute_periodic restated without its shortcuts: full-budget Newton
+    from every seed, then every cyclic shift of each sign pattern's orbit
+    (symbol k of pattern j is + iff bit k of j is set), then a pairwise
+    dedup at 1e-7 in the max norm with the forward check on each new root."""
+    roots = [full_budget_newton(p, seed, period) for seed in seed_grid(grid_n)]
+    roots = [r for r in roots if r is not None]
+    for bits in range(2**period):
+        signs = tuple(+1 if bits >> k & 1 else -1 for k in range(period))
+        try:
+            xs = cyclic_orbit(p, signs)
+        except SingularSystemError:
+            continue
+        if all((x >= 0.0) == (s > 0) for x, s in zip(xs, signs)):
+            roots.extend((xs[k], xs[k - 1]) for k in range(period))
+    kept = []
+    for v in roots:
+        if any(close(v, q, 1e-7) for q in kept):
+            continue
+        if close(genuine_iterate(p, v, period), v, 1e-10):
+            kept.append(v)
+    return sorted(kept)

@@ -21,7 +21,7 @@ from lozilab import oracle, verify
 from lozilab.core import DomainError, RegionError
 from lozilab.oracle import BudgetError, trapping_lines
 
-from helpers import close, full_budget_newton, seed_grid
+from helpers import close, compose, full_budget_newton, reference_brute_periodic, seed_grid
 
 P18 = Params(1.8, 0.2)
 # repr of every brute_periodic point (periods 1-6, grid 20) at the five
@@ -80,7 +80,7 @@ def test_pattern_search_alone_finds_every_orbit(monkeypatch):
     # with the grid search switched off it must still find every point
     params = (P18, Params(2.4, 0.4), Params(1.9, 0.0))
     full = {(p, n): brute_periodic(p, n, grid_n=20) for p in params for n in range(1, 7)}
-    monkeypatch.setattr(oracle, "_return_map_newton", lambda p, seed, period: None)
+    monkeypatch.setattr(oracle, "_return_map_newton", lambda p, seed, period, jacobians: None)
     for (p, period), points in full.items():
         alone = brute_periodic(p, period, grid_n=2)
         assert len(alone) == len(points), (p, period)
@@ -104,10 +104,13 @@ def test_newton_cycle_exit_equals_full_budget():
     for a, b in ((1.7, 0.0), (1.7, 0.2), (2.3, 0.0), (2.9, 0.6)):
         p = Params(a, b)
         for period in range(1, 7):
+            # one Jacobian dict per (p, period), as brute_periodic shares it
+            jacobians = {}
             for seed in seed_grid(20):
                 iterates = []
                 want = full_budget_newton(p, seed, period, iterates)
-                assert oracle._return_map_newton(p, seed, period) == want, (a, b, period, seed)
+                got = oracle._return_map_newton(p, seed, period, jacobians)
+                assert got == want, (a, b, period, seed)
                 cycled += len(set(iterates)) < len(iterates)
     # the exit is exercised: some seeds repeat an iterate within the budget
     assert cycled > 0
@@ -116,7 +119,41 @@ def test_newton_cycle_exit_equals_full_budget():
     p, seed, iterates = Params(1.431, 0.0), (-0.19, 1.0), []
     want = full_budget_newton(p, seed, 10, iterates)
     assert want is not None and len(iterates) == len(set(iterates)) == 29
-    assert oracle._return_map_newton(p, seed, 10) == want
+    assert oracle._return_map_newton(p, seed, 10, {}) == want
+
+
+def test_jacobian_per_sign_word_equals_inline_product():
+    # compose multiplies the branch matrices with the same operations, in
+    # the same order, as full_budget_newton does inline along an orbit
+    for a, b in ((1.7, 0.0), (2.3, 0.3), (2.9, 1.0), (1e3, 0.5)):
+        p = Params(a, b)
+        for period in range(1, 11):
+            for key in range(2**period):
+                # bit period-1-k of key is the sign of step k, 1 for x >= 0
+                signs = [+1.0 if key >> (period - 1 - k) & 1 else -1.0 for k in range(period)]
+                j11, j12, j21, j22 = compose(p, signs)[0]
+                d11, d12, d21, d22 = j11 - 1.0, j12, j21, j22 - 1.0
+                want = (d11, d12, d21, d22, d11 * d22 - d12 * d21)
+                assert oracle._jacobian(a, b, key, period) == want, (a, b, period, key)
+
+
+# criterion 3's 25 points; two more at b = 0, (1.431, 0) with a slowly
+# converging Newton seed; two at large a, where every sign pattern has an
+# orbit
+REFERENCE_POINTS = [(a, b) for a in (1.7, 2.0, 2.3, 2.6, 2.9) for b in (0.0, 0.15, 0.3, 0.45, 0.6)]
+REFERENCE_POINTS += [(1.9, 0.0), (1.431, 0.0), (1e3, 0.5), (1e15, 0.5)]
+REFERENCE_RUNS = [(period, grid_n) for period in range(1, 9) for grid_n in (2, 15, 20)]
+
+
+def test_brute_periodic_equals_reference():
+    # point i runs REFERENCE_RUNS[i % 24], so every point and every
+    # (period, grid_n) is covered once, in about 0.5 s; each point at every
+    # run (696 calls) takes about 10 s
+    for i, (a, b) in enumerate(REFERENCE_POINTS):
+        period, grid_n = REFERENCE_RUNS[i % len(REFERENCE_RUNS)]
+        p = Params(a, b)
+        want = reference_brute_periodic(p, period, grid_n)
+        assert repr(brute_periodic(p, period, grid_n=grid_n)) == repr(want), (a, b, period, grid_n)
 
 
 CELL = oracle._CELL
@@ -138,12 +175,37 @@ def test_dedup_across_cell_boundaries(edge, axes):
         assert oracle._distinct([second, first], lambda v: True) == ([second] if merged else [second, first])
         # a rejected root is not indexed, so it hides nothing
         assert oracle._distinct([first, second], lambda v: v != first) == [second]
+        # exact repeats of a kept, a merged or a rejected root change
+        # nothing, and `accept` sees each distinct value at most once
+        repeated = [first, second, first, second, second, first]
+        for accept, want in ((lambda v: True, kept), (lambda v: v != first, [second])):
+            calls = []
+            assert oracle._distinct(repeated, lambda v: calls.append(v) or accept(v)) == want
+            assert len(calls) == len(set(calls)), calls
 
 
 def test_dedup_non_finite_roots_do_not_raise():
     roots = [(math.nan, 0.0), (math.inf, 1.0), (0.5, -math.inf), (0.5, 0.5), (0.5, 0.5)]
     assert oracle._distinct(roots, lambda v: math.isfinite(v[0] + v[1])) == [(0.5, 0.5)]
     assert len(oracle._distinct(roots, lambda v: True)) == 4
+
+
+def test_dedup_signed_zero_repeat():
+    # -0.0 == 0.0, and both map alike: the first seen is kept, once
+    calls = []
+    roots = [(-0.0, 0.25), (0.0, 0.25), (0.25, -0.0), (0.25, 0.0)]
+    kept = oracle._distinct(roots, lambda v: calls.append(v) or True)
+    assert kept == calls == [(-0.0, 0.25), (0.25, -0.0)]
+    assert math.copysign(1.0, kept[0][0]) == math.copysign(1.0, kept[1][1]) == -1.0
+
+
+def test_verified_root_refuses_nan():
+    p = Params(2.0, 0.3)
+    z = fixed_points(p)[1]
+    for period in (1, 2):
+        assert oracle._verified_root(p, z, period) == z
+        for v in ((math.nan, z[1]), (z[0], math.nan), (math.nan, math.nan)):
+            assert oracle._verified_root(p, v, period) is None, (v, period)
 
 
 def test_brute_rejects_bad_inputs():
