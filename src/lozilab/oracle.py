@@ -80,7 +80,7 @@ def _return_map_newton(
     """Newton on v -> map^period(v) - v with the orbit's branch Jacobian.
 
     Each iteration maps the iterate `period` times and codes the signs it
-    meets as the bits of `key`, first sign highest; only an iteration that
+    meets as the bits of `key` (_coded_return); only an iteration that
     steps looks up D = J - Id and det D, which `jacobians` (one dict per
     `brute_periodic` call, so a and b are fixed) holds once per sign word.
     The state is the iterate alone, so an iterate that repeats bit for bit
@@ -95,10 +95,7 @@ def _return_map_newton(
         if (x, y) in seen:
             return None
         seen.add((x, y))
-        cx, cy, key = x, y, 0
-        for _ in range(period):
-            key = 2 * key + (cx >= 0.0)
-            cx, cy = -a * abs(cx) - b * cy + c, cx
+        cx, cy, key = _coded_return(a, b, c, x, y, period)
         fx, fy = cx - x, cy - y
         if abs(fx) < 1e-13 and abs(fy) < 1e-13:
             return (x, y)
@@ -113,6 +110,18 @@ def _return_map_newton(
         if abs(x) > 1e6 or abs(y) > 1e6:
             return None
     return None
+
+
+def _coded_return(
+    a: float, b: float, c: float, x: float, y: float, period: int
+) -> tuple[float, float, int]:
+    """map^period(x, y), c = a - b - 1, and the key of the signs met on
+    the way: the first sign in the highest of `period` bits, 1 for x >= 0."""
+    key = 0
+    for _ in range(period):
+        key = 2 * key + (x >= 0.0)
+        x, y = -a * abs(x) - b * y + c, x
+    return x, y, key
 
 
 def _jacobian(a: float, b: float, key: int, period: int) -> tuple[float, ...]:
@@ -190,10 +199,17 @@ def _seed_grid(grid_n: int) -> tuple[Point, ...]:
     )
 
 
+def _require_count(name: str, value: int, least: int, most: float = float("inf")) -> None:
+    """Refuse `value` unless it is an int (not a bool) in [least, most]."""
+    if isinstance(value, bool) or not isinstance(value, int) or not least <= value <= most:
+        upper = "" if most == float("inf") else f" <= {most}"
+        raise DomainError(f"need an integer {least} <= {name}{upper}, got {value!r}")
+
+
 def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
     """All points with map^period(v) = v, Newton-refined and verified.
 
-    Two independent searches: return-map Newton from every seed of a
+    Two independent searches: return-map Newton from the seeds of a
     sheared grid on [-2, 2]^2, and one cyclic solve per sign pattern,
     keeping every cyclic shift of each orbit whose pattern holds.  For
     a > b + 1 every pattern's cyclic system is strictly diagonally
@@ -203,19 +219,36 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
     pattern.  The grid search stays as the one path that does not rest on
     this argument.  Roots are deduplicated at 1e-7, checked by forward
     iteration, and sorted.
+
+    The grid search runs Newton once per settled cell.  map^period is
+    affine on each cell of seeds whose first `period` signs agree (the key
+    _coded_return gives, as in _return_map_newton), so one exact Newton
+    step from any seed of a cell lands on the same point.  Once a seed's
+    Newton has returned a root, its cell is settled and the cell's later
+    seeds are skipped: their first step differs only by rounding, so
+    their roots could only be near-duplicates that the dedup drops, and
+    the pattern search reaches every orbit anyway.  A cell whose Newton
+    failed is tried again from its next seed, because failure comes from
+    rounding, not from the cell: a seed can cycle bit for bit short of
+    the 1e-13 stop at a root that a later seed of its cell reaches.
     """
     if not p.in_full:
         raise RegionError(f"({p.a}, {p.b}) is outside the full-family region")
-    if not 1 <= period <= 10:
-        raise DomainError(f"need 1 <= period <= 10, got {period}")
-    if grid_n < 2:
-        raise DomainError(f"need grid_n >= 2, got {grid_n}")
+    _require_count("period", period, 1, 10)
+    _require_count("grid_n", grid_n, 2)
+    a, b = p.a, p.b
+    c = a - b - 1.0
     roots: list[Point] = []
     jacobians: dict[int, tuple[float, ...]] = {}
+    settled: set[int] = set()
     for seed in _seed_grid(grid_n):
+        key = _coded_return(a, b, c, seed[0], seed[1], period)[2]
+        if key in settled:
+            continue
         root = _return_map_newton(p, seed, period, jacobians)
         if root is not None:
             roots.append(root)
+            settled.add(key)
     # one solve per sign pattern: the patterns are the linearity cells of
     # the cyclic return system, so this coverage is exhaustive where the
     # grid strands thin cells
@@ -238,6 +271,8 @@ def cone_check(p: Params, samples: int, seed: int = 0) -> bool:
     """
     if not p.in_full:
         raise RegionError(f"({p.a}, {p.b}) is outside the full-family region")
+    # no samples would certify nothing
+    _require_count("samples", samples, 1)
     mult = multipliers(p)
     lam, mu = mult.lam, mult.mu
     rng = random.Random(seed)

@@ -156,6 +156,51 @@ def test_brute_periodic_equals_reference():
         assert repr(brute_periodic(p, period, grid_n=grid_n)) == repr(want), (a, b, period, grid_n)
 
 
+@pytest.mark.parametrize("a, b, period, grid_n", [
+    # seed 0 cycles bit for bit near (-1, -1) short of the 1e-13 stop,
+    # while later seeds of its sign cell converge: a failed cell is no
+    # settled cell
+    (2.5763645360439176, 0.4730484171556013, 8, 15),
+    # failures that wander through several sign keys are no proof either
+    (1000.0, 0.5, 6, 20),
+])
+def test_brute_periodic_retries_failed_cells(a, b, period, grid_n):
+    p = Params(a, b)
+    want = reference_brute_periodic(p, period, grid_n)
+    assert repr(brute_periodic(p, period, grid_n=grid_n)) == repr(want)
+
+
+def _seed_keys(p, period, grid_n):
+    keys = set()
+    for seed in seed_grid(grid_n):
+        signs = orbit_signs(p, seed, period)
+        keys.add(sum(1 << (period - 1 - k) for k, s in enumerate(signs) if s > 0))
+    return keys
+
+
+def test_grid_newton_runs_once_per_settled_cell(monkeypatch):
+    inner = oracle._return_map_newton
+    runs = []
+
+    def counted(p, seed, period, jacobians):
+        root = inner(p, seed, period, jacobians)
+        runs.append(root is not None)
+        return root
+
+    monkeypatch.setattr(oracle, "_return_map_newton", counted)
+    # every cell converges at its first seed: one run per distinct key
+    p = Params(2.3, 0.3)
+    for period in (1, 2, 3):
+        runs.clear()
+        brute_periodic(p, period, grid_n=20)
+        assert all(runs) and len(runs) == len(_seed_keys(p, period, 20)), period
+    # some seeds fail, and their cells are tried again from later seeds
+    p = Params(1.7, 0.0)
+    runs.clear()
+    brute_periodic(p, 6, grid_n=20)
+    assert not all(runs) and len(runs) > len(_seed_keys(p, 6, 20))
+
+
 CELL = oracle._CELL
 
 
@@ -215,6 +260,10 @@ def test_brute_rejects_bad_inputs():
         brute_periodic(P18, 11, grid_n=10)
     with pytest.raises(DomainError):
         brute_periodic(P18, 2, grid_n=1)
+    # refused as a count, not left to fail inside range()
+    for period, grid_n in ((2.0, 20), (2, 20.0), (2.5, 20), (2, 19.5), (True, 20), ("2", 20)):
+        with pytest.raises(DomainError, match="need an integer"):
+            brute_periodic(Params(2.0, 0.3), period, grid_n)
 
 
 def test_cone_example_vectors():
@@ -244,6 +293,14 @@ def test_cone_sweep_many_parameters():
 
 def test_cone_degenerate_skips_stable_side():
     assert cone_check(Params(2.0, 0.0), samples=50, seed=3)
+
+
+def test_cone_check_refuses_vacuous_or_non_integer_samples():
+    # zero samples would return True having checked nothing
+    for samples in (0, -5, 2.5, 1.0, None):
+        with pytest.raises(DomainError, match="need an integer 1 <= samples"):
+            cone_check(P18, samples)
+    assert cone_check(P18, 1)
 
 
 def test_trapping_lines_structure():
