@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -55,6 +56,7 @@ class OrbitClass:
 
 def orbit_signs(p: Params, v: Point, length: int) -> tuple[int, ...]:
     """Sign coding of the genuine orbit; x = 0 codes as +."""
+    _require_count("length", length, 0)
     signs = []
     for _ in range(length):
         signs.append(+1 if v[0] >= 0.0 else -1)
@@ -75,7 +77,11 @@ def _pattern_orbit(p: Params, signs: tuple[int, ...]) -> list[float] | None:
 
 
 def _return_map_newton(
-    p: Params, seed: Point, period: int, jacobians: dict[int, tuple[float, ...]]
+    p: Params,
+    seed: Point,
+    period: int,
+    jacobians: dict[int, tuple[float, ...]],
+    failed: set[Point],
 ) -> Point | None:
     """Newton on v -> map^period(v) - v with the orbit's branch Jacobian.
 
@@ -83,17 +89,23 @@ def _return_map_newton(
     meets as the bits of `key` (_coded_return); only an iteration that
     steps looks up D = J - Id and det D, which `jacobians` (one dict per
     `brute_periodic` call, so a and b are fixed) holds once per sign word.
-    The state is the iterate alone, so an iterate that repeats bit for bit
-    has entered a cycle that never meets the 1e-13 stop: it gives up at
-    once, as the 60-iteration budget would later.
+    The state is the iterate alone, so the path from an iterate is fixed:
+    an iterate that repeats bit for bit has entered a cycle that never
+    meets the 1e-13 stop, and gives up at once, as the 60-iteration budget
+    would later.  `failed` (one set per call, like `jacobians`) holds the
+    iterates of earlier runs that ended None by a repeat, an iterate above
+    1e6 or |det D| < 1e-14: the path from each never meets the stop, so a
+    run that meets one gives up too, and adds its own iterates.  A run that
+    spends its budget adds nothing, since a later run may reach the same
+    iterate with budget left.
     """
     a, b = p.a, p.b
     c = a - b - 1.0
     x, y = seed
     seen = set()
     for _ in range(60):
-        if (x, y) in seen:
-            return None
+        if (x, y) in seen or (x, y) in failed:
+            break
         seen.add((x, y))
         cx, cy, key = _coded_return(a, b, c, x, y, period)
         fx, fy = cx - x, cy - y
@@ -104,11 +116,15 @@ def _return_map_newton(
             d = jacobians[key] = _jacobian(a, b, key, period)
         d11, d12, d21, d22, det = d
         if abs(det) < 1e-14:
-            return None
+            break
         x -= (fx * d22 - fy * d12) / det
         y -= (fy * d11 - fx * d21) / det
         if abs(x) > 1e6 or abs(y) > 1e6:
-            return None
+            break
+    else:
+        # out of budget: a later run may reach these iterates with budget left
+        return None
+    failed |= seen
     return None
 
 
@@ -199,6 +215,32 @@ def _seed_grid(grid_n: int) -> tuple[Point, ...]:
     )
 
 
+# (a, b, grid_n, depth, xs, ys, keys) of the last parameter and grid seen:
+# each seed's iterate and sign key after `depth` map steps.  Replaced
+# whole, never mutated, so a reader holds a consistent tuple.
+_seed_orbits: tuple | None = None
+
+
+def _seed_keys(a: float, b: float, grid_n: int, period: int) -> list[int]:
+    """_coded_return's key of each seed of _seed_grid(grid_n), in grid
+    order, from one coding of the seed orbits per (a, b, grid_n); see
+    brute_periodic."""
+    global _seed_orbits
+    slot = _seed_orbits
+    if slot is None or slot[:3] != (a, b, grid_n):
+        seeds = _seed_grid(grid_n)
+        slot = (a, b, grid_n, 0, [v[0] for v in seeds], [v[1] for v in seeds], [0] * len(seeds))
+    depth, xs, ys, keys = slot[3:]
+    if period <= depth:
+        return [key >> (depth - period) for key in keys]
+    c = a - b - 1.0
+    for _ in range(period - depth):
+        keys = [2 * key + (x >= 0.0) for key, x in zip(keys, xs)]
+        xs, ys = [-a * abs(x) - b * y + c for x, y in zip(xs, ys)], xs
+    _seed_orbits = (a, b, grid_n, period, xs, ys, keys)
+    return keys
+
+
 def _require_count(name: str, value: int, least: int, most: float = float("inf")) -> None:
     """Refuse `value` unless it is an int (not a bool) in [least, most]."""
     if isinstance(value, bool) or not isinstance(value, int) or not least <= value <= most:
@@ -231,21 +273,30 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
     failed is tried again from its next seed, because failure comes from
     rounding, not from the cell: a seed can cycle bit for bit short of
     the 1e-13 stop at a root that a later seed of its cell reaches.
+
+    Two rules save repeated work and leave every result bit for bit as
+    it was.  The seed keys come from one coding of the seed orbits per
+    (a, b, grid_n) (_seed_keys): the first sign is the highest bit, so a
+    shorter period's keys are the deeper keys shifted right, and a longer
+    period steps the stored iterates on with _coded_return's expression.
+    Newton gives up at an iterate that an earlier run of this call failed
+    from by a repeat, an iterate above 1e6 or |det D| < 1e-14 (`failed`):
+    the Newton state is the iterate alone, so the path from it is fixed
+    and never meets the 1e-13 stop.  A run that spends its budget marks
+    nothing, since a later run may reach its iterates with budget left.
     """
     if not p.in_full:
         raise RegionError(f"({p.a}, {p.b}) is outside the full-family region")
     _require_count("period", period, 1, 10)
     _require_count("grid_n", grid_n, 2)
-    a, b = p.a, p.b
-    c = a - b - 1.0
     roots: list[Point] = []
     jacobians: dict[int, tuple[float, ...]] = {}
+    failed: set[Point] = set()
     settled: set[int] = set()
-    for seed in _seed_grid(grid_n):
-        key = _coded_return(a, b, c, seed[0], seed[1], period)[2]
+    for seed, key in zip(_seed_grid(grid_n), _seed_keys(p.a, p.b, grid_n, period)):
         if key in settled:
             continue
-        root = _return_map_newton(p, seed, period, jacobians)
+        root = _return_map_newton(p, seed, period, jacobians, failed)
         if root is not None:
             roots.append(root)
             settled.add(key)
@@ -378,8 +429,12 @@ def classify_orbit(p: Params, v: Point, max_iter: int = 100_000) -> OrbitClass:
     revisits a streak point to within 1e-9 (a pseudo-cycle inside the
     triangle; saddle orbits drift off the exact cycle long before 100
     steps, so plain streak counting would misread them).  The witness is
-    the first step of the certifying streak.
+    the first step of the certifying streak.  A start point that is not
+    finite is refused with DomainError (a NaN one meets no certificate).
     """
+    if not (math.isfinite(v[0]) and math.isfinite(v[1])):
+        raise DomainError(f"start point {v!r} is not finite")
+    _require_count("max_iter", max_iter, 0)
     lines = trapping_lines(p)
     streak_start = -1
     streak_points: list[Point] = []

@@ -71,8 +71,11 @@ def formal_periodic_point(p: Params, itinerary: Itinerary) -> FormalPeriodicPoin
     rounding of a (an N-step closure error grows like lam^N even at the exact
     orbit).  Raises ItineraryError for a symbol other than -1 or +1,
     SingularSystemError outside the two-saddle region and DomainError when
-    the orbit or a reported value is not finite.
+    the orbit or a reported value is not finite.  The point stores the
+    itinerary as a tuple, so it hashes and compares whatever sequence was
+    given.
     """
+    itinerary = tuple(itinerary)
     if not {-1, +1}.issuperset(itinerary):
         bad = next(s for s in itinerary if s not in (-1, +1))
         raise ItineraryError(f"bad symbol {bad!r} in {itinerary!r}: symbols are -1, +1")

@@ -80,7 +80,7 @@ def test_pattern_search_alone_finds_every_orbit(monkeypatch):
     # with the grid search switched off it must still find every point
     params = (P18, Params(2.4, 0.4), Params(1.9, 0.0))
     full = {(p, n): brute_periodic(p, n, grid_n=20) for p in params for n in range(1, 7)}
-    monkeypatch.setattr(oracle, "_return_map_newton", lambda p, seed, period, jacobians: None)
+    monkeypatch.setattr(oracle, "_return_map_newton", lambda p, seed, period, jacobians, failed: None)
     for (p, period), points in full.items():
         alone = brute_periodic(p, period, grid_n=2)
         assert len(alone) == len(points), (p, period)
@@ -94,32 +94,68 @@ def test_brute_equivalence_with_admissible_formal():
 def test_brute_periodic_matches_recorded_bytes():
     recorded = json.loads(RECORDED_BRUTE.read_text())
     grid_n = recorded["grid_n"]
-    for case in recorded["cases"]:
+    # the pins go by parameter with periods ascending; replayed backwards,
+    # each parameter's seed keys come from one deep coding shifted right
+    for case in recorded["cases"] + recorded["cases"][::-1]:
         points = brute_periodic(Params(case["a"], case["b"]), case["period"], grid_n=grid_n)
         assert [repr(v) for v in points] == case["points"], (case["a"], case["b"], case["period"])
 
 
 def test_newton_cycle_exit_equals_full_budget():
-    cycled = 0
+    cycled = dead = 0
     for a, b in ((1.7, 0.0), (1.7, 0.2), (2.3, 0.0), (2.9, 0.6)):
         p = Params(a, b)
         for period in range(1, 7):
-            # one Jacobian dict per (p, period), as brute_periodic shares it
-            jacobians = {}
+            # one Jacobian dict and one failed set per (p, period), in seed
+            # grid order, as brute_periodic shares them
+            jacobians, failed = {}, set()
             for seed in seed_grid(20):
                 iterates = []
                 want = full_budget_newton(p, seed, period, iterates)
-                got = oracle._return_map_newton(p, seed, period, jacobians)
+                dead += any(v in failed for v in iterates)
+                got = oracle._return_map_newton(p, seed, period, jacobians, failed)
                 assert got == want, (a, b, period, seed)
                 cycled += len(set(iterates)) < len(iterates)
-    # the exit is exercised: some seeds repeat an iterate within the budget
-    assert cycled > 0
-    # and a slow convergence, from a seed that wanders for 28 steps without
-    # repeating, is not cut short
+    # both exits are exercised: some seeds repeat an iterate within the
+    # budget, and some meet an iterate an earlier run failed from
+    assert cycled > 0 and dead > 0
+    # a slow convergence, from a seed that wanders for 28 steps without
+    # repeating, is not cut short, even after the grid's failed runs
     p, seed, iterates = Params(1.431, 0.0), (-0.19, 1.0), []
     want = full_budget_newton(p, seed, 10, iterates)
     assert want is not None and len(iterates) == len(set(iterates)) == 29
-    assert oracle._return_map_newton(p, seed, 10, {}) == want
+    jacobians, failed = {}, set()
+    for grid_seed in seed_grid(20):
+        oracle._return_map_newton(p, grid_seed, 10, jacobians, failed)
+    assert failed
+    assert oracle._return_map_newton(p, seed, 10, jacobians, failed) == want
+
+
+def test_newton_budget_exhaustion_marks_nothing_failed():
+    # from (0, 0) the run wanders 60 distinct iterates: a later run could
+    # reach one of them with budget left, so none of them is dead
+    p, seed, iterates = Params(1.431, 0.0), (0.0, 0.0), []
+    assert full_budget_newton(p, seed, 9, iterates) is None
+    assert len(set(iterates)) == 60
+    failed = set()
+    assert oracle._return_map_newton(p, seed, 9, {}, failed) is None
+    assert not failed
+
+
+def test_seed_keys_equal_per_seed_coding():
+    def coded(a, b, grid_n, period):
+        c = a - b - 1.0
+        return [oracle._coded_return(a, b, c, x, y, period)[2] for x, y in seed_grid(grid_n)]
+
+    ascending = [(2.3, 0.3, 20, n) for n in range(1, 9)]
+    descending = [(1.7, 0.0, 20, n) for n in range(8, 0, -1)]
+    # two parameters taking turns, each restarting the coding
+    interleaved = [(a, b, 15, n) for n in (3, 5, 2, 7) for a, b in ((2.9, 0.6), (1e3, 0.5))]
+    # the same parameter on another grid, then back
+    regrid = [(2.3, 0.3, g, n) for g, n in ((20, 4), (15, 4), (15, 6), (2, 3), (20, 6))]
+    for a, b, grid_n, period in ascending + descending + interleaved + regrid:
+        assert oracle._seed_keys(a, b, grid_n, period) == coded(a, b, grid_n, period), (
+            a, b, grid_n, period)
 
 
 def test_jacobian_per_sign_word_equals_inline_product():
@@ -182,8 +218,8 @@ def test_grid_newton_runs_once_per_settled_cell(monkeypatch):
     inner = oracle._return_map_newton
     runs = []
 
-    def counted(p, seed, period, jacobians):
-        root = inner(p, seed, period, jacobians)
+    def counted(p, seed, period, jacobians, failed):
+        root = inner(p, seed, period, jacobians, failed)
         runs.append(root is not None)
         return root
 
@@ -339,6 +375,26 @@ def test_classify_budget_error_carries_point():
     with pytest.raises(BudgetError) as info:
         classify_orbit(P18, (-0.1, -5.0), max_iter=1)
     assert isinstance(info.value.last_point, tuple)
+
+
+def test_classify_refuses_non_finite_start_and_bad_budget():
+    # a NaN orbit fails every certificate and would spend the whole budget
+    for v in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, -math.inf)):
+        with pytest.raises(DomainError, match="not finite"):
+            classify_orbit(Params(2.0, 0.3), v)
+    for max_iter in (-1, 2.5, 10.0, True, None):
+        with pytest.raises(DomainError, match="need an integer 0 <= max_iter"):
+            classify_orbit(P18, (0.3, 0.3), max_iter=max_iter)
+    # a budget of 0 still looks at the start point
+    assert classify_orbit(P18, (-10.0, -10.0), max_iter=0).witness == 0
+
+
+def test_orbit_signs_refuses_bad_length():
+    for length in (-3, 2.5, 3.0, True, None):
+        with pytest.raises(DomainError, match="need an integer 0 <= length"):
+            orbit_signs(P18, (0.1, 0.2), length)
+    assert orbit_signs(P18, (0.1, 0.2), 0) == ()
+    assert orbit_signs(P18, (0.1, 0.2), 1) == (1,)
 
 
 def test_classify_random_orbits_always_resolve():

@@ -188,6 +188,14 @@ def test_formal_point_refuses_symbols_outside_plus_minus_one(word, bad):
         formal_periodic_point(Params(2.3, 0.1), word)
 
 
+def test_formal_point_stores_itinerary_as_tuple():
+    p = Params(2.3, 0.1)
+    from_list = formal_periodic_point(p, [1, -1, -1])
+    from_tuple = formal_periodic_point(p, (1, -1, -1))
+    assert from_list.itinerary == (1, -1, -1)
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+
+
 def test_overflowing_composition_is_refused():
     # parameters the region checks let through give a non-finite orbit
     with pytest.raises(DomainError, match="overflows"):
