@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import DomainError, Params, multipliers
+from .core import DomainError, Params, _require_count, multipliers
 from .geometry import C_RL, C_RU, C_UL, C_UU, p_value, q_value, r_value, u_value
 from .renorm import log_coord
 from .solvers import BracketError, bisect, hybrid_root
@@ -276,8 +276,7 @@ def find_reversal(
     """
     if not 0.0 < b_bar < 1.0:
         raise DomainError(f"need 0 < b_bar < 1, got {b_bar}")
-    if grid_points < 2:
-        raise DomainError(f"need grid_points >= 2, got {grid_points}")
+    _require_count("grid_points", grid_points, 2)
     if m is None:
         m = choose_m(b_bar)
     bs = [b_bar * i / (grid_points - 1) for i in range(grid_points)]

@@ -100,6 +100,13 @@ class NonInvertibleError(DomainError):
     """Point inversion requested for the degenerate (b = 0) map."""
 
 
+def _require_count(name: str, value: int, least: int, most: float = math.inf) -> None:
+    """Refuse `value` unless it is an int (not a bool) in [least, most]."""
+    if isinstance(value, bool) or not isinstance(value, int) or not least <= value <= most:
+        upper = "" if most == math.inf else f" <= {most}"
+        raise DomainError(f"need an integer {least} <= {name}{upper}, got {value!r}")
+
+
 def fixed_points(p: Params) -> tuple[Point, Point]:
     """The two saddle fixed points z_- = (-1,-1) and z_+ on the diagonal."""
     if not p.in_full:

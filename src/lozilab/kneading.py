@@ -14,7 +14,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .core import DomainError, Params
+from .core import DomainError, Params, _require_count
 from .symbolic import Itinerary, formal_periodic_point, iota
 
 
@@ -109,8 +109,9 @@ def forcing_check_tent(a: float, m: int, n1: int, n2: int) -> bool:
     admissible then both sign-tagged (m, n2) words must be admissible too;
     returns the truth of that implication (vacuously true otherwise).
     """
-    if not 2 <= n2 < n1 < m:
-        raise DomainError(f"need 2 <= n2 < n1 < m, got ({m}, {n1}, {n2})")
+    _require_count("n2", n2, 2)
+    _require_count("n1", n1, n2 + 1)
+    _require_count("m", m, n1 + 1)
     if not 1.0 < a <= 2.0:
         raise DomainError(f"need a in (1, 2], got {a}")
     p = Params(a, 0.0)

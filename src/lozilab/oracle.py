@@ -23,6 +23,7 @@ from .core import (
     Point,
     RegionError,
     SingularSystemError,
+    _require_count,
     apply_map,
     cyclic_orbit,
     multipliers,
@@ -55,10 +56,13 @@ class OrbitClass:
 
 
 def orbit_signs(p: Params, v: Point, length: int) -> tuple[int, ...]:
-    """Sign coding of the genuine orbit; x = 0 codes as +."""
+    """Sign coding of the genuine orbit; x = 0 codes as +, and an x that
+    is NaN has no sign and is refused with DomainError."""
     _require_count("length", length, 0)
     signs = []
     for _ in range(length):
+        if not (v[0] >= 0.0 or v[0] < 0.0):
+            raise DomainError(f"the orbit meets {v!r}, whose x has no sign")
         signs.append(+1 if v[0] >= 0.0 else -1)
         v = apply_map(p, v)
     return tuple(signs)
@@ -76,26 +80,19 @@ def _pattern_orbit(p: Params, signs: tuple[int, ...]) -> list[float] | None:
     return xs if all((x >= 0.0) == (s > 0) for x, s in zip(xs, signs)) else None
 
 
-def _return_map_newton(
-    p: Params,
-    seed: Point,
-    period: int,
-    jacobians: dict[int, tuple[float, ...]],
-    failed: set[Point],
-) -> Point | None:
+def _return_map_newton(p: Params, seed: Point, period: int, failed: set[Point]) -> Point | None:
     """Newton on v -> map^period(v) - v with the orbit's branch Jacobian.
 
-    Each iteration maps the iterate `period` times and codes the signs it
-    meets as the bits of `key` (_coded_return); only an iteration that
-    steps looks up D = J - Id and det D, which `jacobians` (one dict per
-    `brute_periodic` call, so a and b are fixed) holds once per sign word.
-    The state is the iterate alone, so the path from an iterate is fixed:
-    an iterate that repeats bit for bit has entered a cycle that never
-    meets the 1e-13 stop, and gives up at once, as the 60-iteration budget
-    would later.  `failed` (one set per call, like `jacobians`) holds the
-    iterates of earlier runs that ended None by a repeat, an iterate above
-    1e6 or |det D| < 1e-14: the path from each never meets the stop, so a
-    run that meets one gives up too, and adds its own iterates.  A run that
+    Each iteration maps the iterate `period` times and multiplies the
+    branch matrices ((-s a, -b), (1, 0)) of the signs it meets onto J,
+    first sign first, then steps with D = J - Id.  The state is the
+    iterate alone, so the path from an iterate is fixed: an iterate that
+    repeats bit for bit has entered a cycle that never meets the 1e-13
+    stop, and gives up at once, as the 60-iteration budget would later.
+    `failed` (one set per `brute_periodic` call) holds the iterates of
+    earlier runs that ended None by a repeat, an iterate above 1e6 or
+    |det D| < 1e-14: the path from each never meets the stop, so a run
+    that meets one gives up too, and adds its own iterates.  A run that
     spends its budget adds nothing, since a later run may reach the same
     iterate with budget left.
     """
@@ -107,18 +104,21 @@ def _return_map_newton(
         if (x, y) in seen or (x, y) in failed:
             break
         seen.add((x, y))
-        cx, cy, key = _coded_return(a, b, c, x, y, period)
+        cx, cy = x, y
+        j11, j12, j21, j22 = 1.0, 0.0, 0.0, 1.0
+        for _ in range(period):
+            m11 = -a if cx >= 0.0 else a
+            j11, j12, j21, j22 = m11 * j11 - b * j21, m11 * j12 - b * j22, j11, j12
+            cx, cy = -a * abs(cx) - b * cy + c, cx
         fx, fy = cx - x, cy - y
         if abs(fx) < 1e-13 and abs(fy) < 1e-13:
             return (x, y)
-        d = jacobians.get(key)
-        if d is None:
-            d = jacobians[key] = _jacobian(a, b, key, period)
-        d11, d12, d21, d22, det = d
+        d11, d22 = j11 - 1.0, j22 - 1.0
+        det = d11 * d22 - j12 * j21
         if abs(det) < 1e-14:
             break
-        x -= (fx * d22 - fy * d12) / det
-        y -= (fy * d11 - fx * d21) / det
+        x -= (fx * d22 - fy * j12) / det
+        y -= (fy * d11 - fx * j21) / det
         if abs(x) > 1e6 or abs(y) > 1e6:
             break
     else:
@@ -126,31 +126,6 @@ def _return_map_newton(
         return None
     failed |= seen
     return None
-
-
-def _coded_return(
-    a: float, b: float, c: float, x: float, y: float, period: int
-) -> tuple[float, float, int]:
-    """map^period(x, y), c = a - b - 1, and the key of the signs met on
-    the way: the first sign in the highest of `period` bits, 1 for x >= 0."""
-    key = 0
-    for _ in range(period):
-        key = 2 * key + (x >= 0.0)
-        x, y = -a * abs(x) - b * y + c, x
-    return x, y, key
-
-
-def _jacobian(a: float, b: float, key: int, period: int) -> tuple[float, ...]:
-    """(D, det D) for D = J - Id, J the product of the branch matrices
-    ((-s a, -b), (1, 0)) of the sign word coded by `key`, first sign in
-    the highest of `period` bits (1 for x >= 0)."""
-    j11, j12, j21, j22 = 1.0, 0.0, 0.0, 1.0
-    for k in range(period - 1, -1, -1):
-        s = +1.0 if key >> k & 1 else -1.0
-        m11, m12 = -s * a, -b
-        j11, j12, j21, j22 = m11 * j11 + m12 * j21, m11 * j12 + m12 * j22, j11, j12
-    d11, d12, d21, d22 = j11 - 1.0, j12, j21, j22 - 1.0
-    return d11, d12, d21, d22, d11 * d22 - d12 * d21
 
 
 def _verified_root(p: Params, v: Point, period: int) -> Point | None:
@@ -167,22 +142,15 @@ def _distinct(roots: Iterable[Point], accept: Callable[[Point], bool]) -> list[P
     """The roots, in order, each kept if no kept point is within 1e-7 in
     the max norm and `accept` holds.
 
-    A root equal to one already seen is dropped at once: had the first
-    been kept, or merged into a kept point, the repeat merges too, since
-    kept points stay kept; had it been rejected, `accept` rejects the
-    repeat again.  The others are checked against kept points indexed by
-    square cells of side 1e-6, ten times the merge distance, so a point
-    within 1e-7 lies in the root's own cell or one of its 8 neighbours
-    whatever the rounding of the cell index.  Float floor division gives
-    non-finite coordinates a NaN index, which matches no cell.
+    Kept points are indexed by square cells of side 1e-6, ten times the
+    merge distance, so a point within 1e-7 lies in the root's own cell or
+    one of its 8 neighbours whatever the rounding of the cell index.
+    Float floor division gives non-finite coordinates a NaN index, which
+    matches no cell.
     """
     kept: list[Point] = []
     cells: dict[tuple[float, float], list[Point]] = {}
-    seen: set[Point] = set()
     for root in roots:
-        if root in seen:
-            continue
-        seen.add(root)
         x, y = root
         i, j = x // _CELL, y // _CELL
         if _near_kept(cells, i, j, x, y) or not accept(root):
@@ -222,30 +190,23 @@ _seed_orbits: tuple | None = None
 
 
 def _seed_keys(a: float, b: float, grid_n: int, period: int) -> list[int]:
-    """_coded_return's key of each seed of _seed_grid(grid_n), in grid
-    order, from one coding of the seed orbits per (a, b, grid_n); see
-    brute_periodic."""
+    """The key of each seed of _seed_grid(grid_n), in grid order: the
+    first `period` signs of its orbit as bits, first sign highest, 1 for
+    x >= 0.  The seed orbits of the last (a, b, grid_n) are kept at their
+    depth, so a longer period steps them on; a shorter period, another
+    parameter or another grid restarts from the lattice."""
     global _seed_orbits
     slot = _seed_orbits
-    if slot is None or slot[:3] != (a, b, grid_n):
+    if slot is None or slot[:3] != (a, b, grid_n) or period < slot[3]:
         seeds = _seed_grid(grid_n)
         slot = (a, b, grid_n, 0, [v[0] for v in seeds], [v[1] for v in seeds], [0] * len(seeds))
     depth, xs, ys, keys = slot[3:]
-    if period <= depth:
-        return [key >> (depth - period) for key in keys]
     c = a - b - 1.0
     for _ in range(period - depth):
         keys = [2 * key + (x >= 0.0) for key, x in zip(keys, xs)]
         xs, ys = [-a * abs(x) - b * y + c for x, y in zip(xs, ys)], xs
     _seed_orbits = (a, b, grid_n, period, xs, ys, keys)
     return keys
-
-
-def _require_count(name: str, value: int, least: int, most: float = float("inf")) -> None:
-    """Refuse `value` unless it is an int (not a bool) in [least, most]."""
-    if isinstance(value, bool) or not isinstance(value, int) or not least <= value <= most:
-        upper = "" if most == float("inf") else f" <= {most}"
-        raise DomainError(f"need an integer {least} <= {name}{upper}, got {value!r}")
 
 
 def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
@@ -259,44 +220,33 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
     that pattern, and the pattern search alone reaches every orbit whose
     period divides `period`: a period-d orbit also solves the repeated
     pattern.  The grid search stays as the one path that does not rest on
-    this argument.  Roots are deduplicated at 1e-7, checked by forward
-    iteration, and sorted.
+    this argument.  Roots are deduplicated at 1e-7 (_distinct), checked
+    by forward iteration, and sorted.
 
     The grid search runs Newton once per settled cell.  map^period is
-    affine on each cell of seeds whose first `period` signs agree (the key
-    _coded_return gives, as in _return_map_newton), so one exact Newton
-    step from any seed of a cell lands on the same point.  Once a seed's
-    Newton has returned a root, its cell is settled and the cell's later
-    seeds are skipped: their first step differs only by rounding, so
-    their roots could only be near-duplicates that the dedup drops, and
-    the pattern search reaches every orbit anyway.  A cell whose Newton
-    failed is tried again from its next seed, because failure comes from
-    rounding, not from the cell: a seed can cycle bit for bit short of
-    the 1e-13 stop at a root that a later seed of its cell reaches.
-
-    Two rules save repeated work and leave every result bit for bit as
-    it was.  The seed keys come from one coding of the seed orbits per
-    (a, b, grid_n) (_seed_keys): the first sign is the highest bit, so a
-    shorter period's keys are the deeper keys shifted right, and a longer
-    period steps the stored iterates on with _coded_return's expression.
-    Newton gives up at an iterate that an earlier run of this call failed
-    from by a repeat, an iterate above 1e6 or |det D| < 1e-14 (`failed`):
-    the Newton state is the iterate alone, so the path from it is fixed
-    and never meets the 1e-13 stop.  A run that spends its budget marks
-    nothing, since a later run may reach its iterates with budget left.
+    affine on each cell of seeds whose first `period` signs agree (one
+    key of _seed_keys), so one exact Newton step from any seed of a cell
+    lands on the same point.  Once a seed's Newton has returned a root,
+    its cell is settled and the cell's later seeds are skipped: their
+    first step differs only by rounding, so their roots could only be
+    near-duplicates that the dedup drops, and the pattern search reaches
+    every orbit anyway.  A cell whose Newton failed is tried again from
+    its next seed, because failure comes from rounding, not from the
+    cell: a seed can cycle bit for bit short of the 1e-13 stop at a root
+    that a later seed of its cell reaches.  The runs of one call share
+    the set of iterates that _return_map_newton found dead.
     """
     if not p.in_full:
         raise RegionError(f"({p.a}, {p.b}) is outside the full-family region")
     _require_count("period", period, 1, 10)
     _require_count("grid_n", grid_n, 2)
     roots: list[Point] = []
-    jacobians: dict[int, tuple[float, ...]] = {}
     failed: set[Point] = set()
     settled: set[int] = set()
     for seed, key in zip(_seed_grid(grid_n), _seed_keys(p.a, p.b, grid_n, period)):
         if key in settled:
             continue
-        root = _return_map_newton(p, seed, period, jacobians, failed)
+        root = _return_map_newton(p, seed, period, failed)
         if root is not None:
             roots.append(root)
             settled.add(key)
@@ -372,7 +322,6 @@ class TrappingLines:
 
     mu: float
     lam: float
-    a: float
     u_inf: float
     phi2_slope: float
 
@@ -406,7 +355,6 @@ def trapping_lines(p: Params) -> TrappingLines:
     lines = TrappingLines(
         mu=mult.mu,
         lam=mult.lam,
-        a=p.a,
         u_inf=mult.lam - 1.0,
         phi2_slope=-1.0 / (p.a + mult.mu),
     )

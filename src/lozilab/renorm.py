@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .core import MINUS, PLUS, DomainError, Params, RegionError, multipliers
+from .core import MINUS, PLUS, DomainError, Params, RegionError, _require_count, multipliers
 from .geometry import (
     BwdLine,
     iterate_line_bwd,
@@ -64,8 +64,7 @@ def build_partition(p: Params, m_max: int = 16) -> list[Strip]:
     """
     if not p.in_mod:
         raise RegionError(f"({p.a}, {p.b}) is outside the partition region a > 3b+1")
-    if m_max < 2:
-        raise DomainError(f"need m_max >= 2, got {m_max}")
+    _require_count("m_max", m_max, 2)
     betas = [stable_line(p, PLUS)]
     for _ in range(2, m_max + 1):
         betas.append(iterate_line_bwd(p, (MINUS,), betas[-1]))
@@ -125,8 +124,9 @@ def classify_regime(p: Params, m: int, n: int) -> Regime:
 
 
 def log_coord(p: Params, x: float) -> float:
-    """Log-scale coordinate -log_lam(r_inf - x); defined for x < r_inf."""
+    """Log-scale coordinate -log_lam(r_inf - x); defined for x < r_inf,
+    which NaN is not."""
     r_inf = r_value(p, math.inf)
-    if x >= r_inf:
+    if not x < r_inf:
         raise DomainError(f"x = {x} is not below the trace limit {r_inf}")
     return -math.log(r_inf - x) / math.log(multipliers(p).lam)

@@ -19,6 +19,7 @@ from .core import (
     Params,
     Point,
     SingularSystemError,  # re-exported: cyclic_orbit raises it
+    _require_count,
     cyclic_orbit,
 )
 
@@ -49,6 +50,7 @@ def format_itinerary(itinerary: Itinerary) -> str:
 def sign_words(length: int) -> list[Itinerary]:
     """All 2**length words over {-1, +1}; symbol k of word j is + iff bit k
     of j is set."""
+    _require_count("length", length, 0)
     return [
         tuple(+1 if bits >> k & 1 else -1 for k in range(length))
         for bits in range(2**length)
@@ -101,8 +103,11 @@ def formal_periodic_point(p: Params, itinerary: Itinerary) -> FormalPeriodicPoin
 
 def iota(sigma: int, m: int, n: int) -> Itinerary:
     """The length-(m+n) word (+, -^(m-2), +, +, -^(n-2), sigma)."""
-    if m < 2 or n < 2:
-        raise ItineraryError(f"need m, n >= 2, got ({m}, {n})")
+    try:
+        _require_count("m", m, 2)
+        _require_count("n", n, 2)
+    except DomainError as exc:
+        raise ItineraryError(*exc.args) from None
     if sigma not in (-1, +1):
         raise ItineraryError(f"sigma must be -1 or +1, got {sigma}")
     return (+1,) + (-1,) * (m - 2) + (+1, +1) + (-1,) * (n - 2) + (sigma,)

@@ -125,9 +125,10 @@ def test_trace_curve_slopes_and_bounds():
 
 @pytest.mark.parametrize("call, refusal", [
     (lambda: trace_curve(8, 2, [0.01, 0.01]), "not strictly increasing"),
-    (lambda: find_reversal(1e-4, grid_points=1), "grid_points >= 2"),
+    (lambda: find_reversal(1e-4, grid_points=1), "need an integer 2 <= grid_points"),
+    (lambda: find_reversal(1e-4, grid_points=2.5), "need an integer 2 <= grid_points"),
     (lambda: find_reversal(0.0, m=10), "0 < b_bar < 1"),
-], ids=["repeated-b", "one-grid-point", "zero-cap-with-m"])
+], ids=["repeated-b", "one-grid-point", "fractional-grid-points", "zero-cap-with-m"])
 def test_degenerate_b_grid_is_refused(call, refusal):
     # each used to divide by a zero grid spacing
     with pytest.raises(DomainError, match=refusal):

@@ -130,6 +130,10 @@ def test_forcing_check_argument_validation():
         forcing_check_tent(1.8, 5, 2, 3)
     with pytest.raises(DomainError):
         forcing_check_tent(2.3, 5, 3, 2)
+    # refused as counts, not left to fail inside iota
+    for m, n1, n2 in ((5.5, 3, 2), (5, 3.0, 2), (5, 3, 2.5), (5, 3, True)):
+        with pytest.raises(DomainError, match="need an integer"):
+            forcing_check_tent(1.5, m, n1, n2)
 
 
 def test_forcing_vacuous_below_creation():

@@ -53,6 +53,10 @@ def test_partition_traces_increase():
 def test_partition_rejects_outside_mod():
     with pytest.raises(RegionError):
         build_partition(Params(1.5, 0.2))
+    # refused as a count, not left to fail inside range()
+    for m_max in (1, 2.5, 4.0, True):
+        with pytest.raises(DomainError, match="need an integer 2 <= m_max"):
+            build_partition(P18, m_max=m_max)
 
 
 def test_partition_reports_float_resolution():
@@ -107,6 +111,9 @@ def test_log_coord_basics():
     assert log_coord(P18, r_inf - 1.0) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(DomainError):
         log_coord(P18, r_inf)
+    # NaN is not below r_inf
+    with pytest.raises(DomainError):
+        log_coord(P18, math.nan)
 
 
 def test_log_coord_trace_ladder_bounds():

@@ -139,6 +139,18 @@ def test_iota_words():
         iota(+1, 1, 3)
     with pytest.raises(ItineraryError):
         iota(-1, 3, 1)
+    for m, n in ((2.5, 2), (2, 3.0), (True, 2)):
+        with pytest.raises(ItineraryError, match="need an integer"):
+            iota(+1, m, n)
+
+
+def test_sign_words_refuses_bad_length():
+    # -1 and 2.5 raised TypeError inside range()
+    for length in (-1, 2.5, 3.0, True):
+        with pytest.raises(DomainError, match="need an integer 0 <= length"):
+            sign_words(length)
+    assert sign_words(0) == [()]
+    assert sign_words(1) == [(-1,), (+1,)]
 
 
 def _spectral_bound_holds(p, word):
