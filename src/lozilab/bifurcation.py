@@ -53,6 +53,12 @@ def _a_low(b: float) -> float:
     return max(_SQRT2, 3.0 * b + 1.0) + 1e-9
 
 
+def _require_orders(m: int, n: int) -> None:
+    """Refuse (m, n) unless m > n >= 2 are whole numbers, floats like 5.0 included."""
+    if not m > n >= 2 or m % 1 or n % 1:
+        raise DomainError(f"need integers m > n >= 2, got ({m!r}, {n!r})")
+
+
 def _pq_gap(a: float, b: float, m: int, n: int) -> float:
     p = Params(a, b)
     return p_value(p, m, n) - q_value(p, m, n)
@@ -72,8 +78,7 @@ def solve_l(
     fails, and the root is then the one the scan would find where the gap
     increases on the scan cell holding it and has one sign change.
     """
-    if not m > n >= 2:
-        raise DomainError(f"need m > n >= 2, got ({m}, {n})")
+    _require_orders(m, n)
     return hybrid_root(
         lambda a: _pq_gap(a, b, m, n),
         _a_low(b),
@@ -135,11 +140,12 @@ def trace_curve(
     Each interior sample is solved from the root predicted by the samples
     before it.
 
-    Raises if the grid has fewer than two points or is not strictly
-    increasing, if any sampled a leaves (sqrt(2), 4), or if adjacent
-    samples jump by more than 1.5x the local slope estimate (a continuity
-    guard against bracket hopping).
+    Raises, before any solve, unless m > n >= 2 are whole numbers and the
+    grid has two or more strictly increasing points; and if any sampled a
+    leaves (sqrt(2), 4), or if adjacent samples jump by more than 1.5x the
+    local slope estimate (a continuity guard against bracket hopping).
     """
+    _require_orders(m, n)
     if len(b_grid) < 2:
         raise DomainError("need at least two grid points")
     for lo, hi in zip(b_grid, b_grid[1:]):

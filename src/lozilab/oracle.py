@@ -1,9 +1,9 @@
 """Brute-force verification against the genuine piecewise map.
 
-Periodic points come from two independent searches: return-map Newton over
-a seed grid, and one full-orbit solve per sign-pattern cell, which shares
-core's cyclic solver with the symbolic formal points; the grid search and
-the forward-iteration check every root passes do not use that solver.
+Periodic points come from one cyclic orbit solve per necklace of sign
+patterns, sharing core's cyclic solver with the symbolic formal points; a
+forward-iteration check and return-map Newton over a seed grid, which use
+neither, vouch for each point and for the absence of any other.
 Hyperbolicity estimates come from the universal cones, and long-run
 behaviour from the trapping triangle of the left fixed point's lines.
 """
@@ -31,6 +31,8 @@ from .core import (
 from .symbolic import sign_words
 
 _TRAP_TOL = 1e-12
+# brute_periodic's tie rule: a sign pattern holds where s_k x_k >= -_TIE
+_TIE = 1e-13
 # _distinct's cell side and search order, own cell first
 _CELL = 1e-6
 _NEIGHBOURS = ((0, 0), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
@@ -68,19 +70,19 @@ def orbit_signs(p: Params, v: Point, length: int) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def _pattern_orbit(p: Params, signs: tuple[int, ...]) -> list[float] | None:
-    """The orbit of x_{k+1} + a|x_k| + b x_{k-1} = a - b - 1 with the sign
-    pattern `signs`, or None: the system is linear within a pattern, so
-    one core.cyclic_orbit solve gives the only candidate, kept if its
-    pattern holds."""
-    try:
-        xs = cyclic_orbit(p, signs)
-    except SingularSystemError:
-        return None
-    return xs if all((x >= 0.0) == (s > 0) for x, s in zip(xs, signs)) else None
+@functools.lru_cache(maxsize=None)
+def _necklaces(period: int) -> tuple[tuple[int, ...], ...]:
+    """The sign words of length `period` that come first in sign_words
+    order among their rotations: a rotated word's orbit is the same orbit
+    shifted, so one word per rotation class reaches every orbit."""
+    words = sign_words(period)
+    index = {w: j for j, w in enumerate(words)}
+    return tuple(
+        w for j, w in enumerate(words) if j == min(index[w[k:] + w[:k]] for k in range(period))
+    )
 
 
-def _return_map_newton(p: Params, seed: Point, period: int, failed: set[Point]) -> Point | None:
+def _return_map_newton(p: Params, seed: Point, period: int) -> Point | None:
     """Newton on v -> map^period(v) - v with the orbit's branch Jacobian.
 
     Each iteration maps the iterate `period` times and multiplies the
@@ -89,19 +91,15 @@ def _return_map_newton(p: Params, seed: Point, period: int, failed: set[Point]) 
     iterate alone, so the path from an iterate is fixed: an iterate that
     repeats bit for bit has entered a cycle that never meets the 1e-13
     stop, and gives up at once, as the 60-iteration budget would later.
-    `failed` (one set per `brute_periodic` call) holds the iterates of
-    earlier runs that ended None by a repeat, an iterate above 1e6 or
-    |det D| < 1e-14: the path from each never meets the stop, so a run
-    that meets one gives up too, and adds its own iterates.  A run that
-    spends its budget adds nothing, since a later run may reach the same
-    iterate with budget left.
+    The map steps are apply_map's operations, so a root returned here
+    already passes _verified_root's forward check.
     """
     a, b = p.a, p.b
     c = a - b - 1.0
     x, y = seed
     seen = set()
     for _ in range(60):
-        if (x, y) in seen or (x, y) in failed:
+        if (x, y) in seen:
             break
         seen.add((x, y))
         cx, cy = x, y
@@ -121,10 +119,6 @@ def _return_map_newton(p: Params, seed: Point, period: int, failed: set[Point]) 
         y -= (fy * d11 - fx * j21) / det
         if abs(x) > 1e6 or abs(y) > 1e6:
             break
-    else:
-        # out of budget: a later run may reach these iterates with budget left
-        return None
-    failed |= seen
     return None
 
 
@@ -210,55 +204,53 @@ def _seed_keys(a: float, b: float, grid_n: int, period: int) -> list[int]:
 
 
 def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
-    """All points with map^period(v) = v, Newton-refined and verified.
+    """All points with map^period(v) = v, checked by forward iteration and
+    sorted; a grid Newton root that the result misses raises DomainError.
 
-    Two independent searches: return-map Newton from the seeds of a
-    sheared grid on [-2, 2]^2, and one cyclic solve per sign pattern,
-    keeping every cyclic shift of each orbit whose pattern holds.  For
-    a > b + 1 every pattern's cyclic system is strictly diagonally
-    dominant (see core.cyclic_orbit), so that solve is the one orbit with
-    that pattern, and the pattern search alone reaches every orbit whose
-    period divides `period`: a period-d orbit also solves the repeated
-    pattern.  The grid search stays as the one path that does not rest on
-    this argument.  Roots are deduplicated at 1e-7 (_distinct), checked
-    by forward iteration, and sorted.
+    The result is the pattern search: one core.cyclic_orbit solve per
+    necklace (_necklaces), keeping every cyclic shift of each orbit whose
+    sign pattern holds.  For a > b + 1 every pattern's cyclic system is
+    strictly diagonally dominant, so that solve is the one orbit with that
+    pattern, and every orbit whose period divides `period` solves some
+    pattern: a period-d orbit also solves the repeated one.  At a border
+    collision an orbit point sits at x = 0, on both patterns that differ
+    there, and rounding can put it on the wrong side in both solves; the
+    tie rule s_k x_k >= -_TIE lets both pass.  Roots are deduplicated at
+    1e-7 (_distinct) and each is checked by forward iteration.
 
-    The grid search runs Newton once per settled cell.  map^period is
-    affine on each cell of seeds whose first `period` signs agree (one
-    key of _seed_keys), so one exact Newton step from any seed of a cell
-    lands on the same point.  Once a seed's Newton has returned a root,
-    its cell is settled and the cell's later seeds are skipped: their
-    first step differs only by rounding, so their roots could only be
-    near-duplicates that the dedup drops, and the pattern search reaches
-    every orbit anyway.  A cell whose Newton failed is tried again from
-    its next seed, because failure comes from rounding, not from the
-    cell: a seed can cycle bit for bit short of the 1e-13 stop at a root
-    that a later seed of its cell reaches.  The runs of one call share
-    the set of iterates that _return_map_newton found dead.
+    The grid is a uniqueness check that does not rest on this argument.
+    map^period is affine on each cell of seeds of a sheared grid on
+    [-2, 2]^2 whose first `period` signs agree (one key of _seed_keys), so
+    return-map Newton runs once per cell, from its first seed.  A root
+    farther than 1e-7 from every point of the result raises DomainError;
+    a failed run costs nothing.
     """
     if not p.in_full:
         raise RegionError(f"({p.a}, {p.b}) is outside the full-family region")
     _require_count("period", period, 1, 10)
     _require_count("grid_n", grid_n, 2)
     roots: list[Point] = []
-    failed: set[Point] = set()
-    settled: set[int] = set()
-    for seed, key in zip(_seed_grid(grid_n), _seed_keys(p.a, p.b, grid_n, period)):
-        if key in settled:
+    for signs in _necklaces(period):
+        try:
+            xs = cyclic_orbit(p, signs)
+        except SingularSystemError:
             continue
-        root = _return_map_newton(p, seed, period, failed)
-        if root is not None:
-            roots.append(root)
-            settled.add(key)
-    # one solve per sign pattern: the patterns are the linearity cells of
-    # the cyclic return system, so this coverage is exhaustive where the
-    # grid strands thin cells
-    for signs in sign_words(period):
-        orbit = _pattern_orbit(p, signs)
-        if orbit is not None:
-            for k in range(period):
-                roots.append((orbit[k], orbit[k - 1]))
-    return sorted(_distinct(roots, lambda v: _verified_root(p, v, period) is not None))
+        if all(s * x >= -_TIE for x, s in zip(xs, signs)):
+            roots.extend((xs[k], xs[k - 1]) for k in range(period))
+    points = _distinct(roots, lambda v: _verified_root(p, v, period) is not None)
+    firsts: dict[int, Point] = {}
+    for seed, key in zip(_seed_grid(grid_n), _seed_keys(p.a, p.b, grid_n, period)):
+        firsts.setdefault(key, seed)
+    newton = [_return_map_newton(p, seed, period) for seed in firsts.values()]
+    # the points are 1e-7 apart, so _distinct keeps them all, and after
+    # them only the Newton roots far from every point
+    missed = _distinct(points + [v for v in newton if v is not None], lambda v: True)
+    if len(missed) > len(points):
+        raise DomainError(
+            f"grid Newton root {missed[len(points)]!r} of period {period} at "
+            f"({p.a}, {p.b}) is not a point of the pattern search"
+        )
+    return sorted(points)
 
 
 def cone_check(p: Params, samples: int, seed: int = 0) -> bool:

@@ -260,19 +260,25 @@ def seed_grid(grid_n):
 
 
 def reference_brute_periodic(p, period, grid_n):
-    """brute_periodic restated without its shortcuts: full-budget Newton
-    from every seed, then every cyclic shift of each sign pattern's orbit
-    (symbol k of pattern j is + iff bit k of j is set), then a pairwise
-    dedup at 1e-7 in the max norm with the forward check on each new root."""
-    roots = [full_budget_newton(p, seed, period) for seed in seed_grid(grid_n)]
-    roots = [r for r in roots if r is not None]
+    """brute_periodic restated without its shortcuts: every cyclic shift
+    of the orbit of each sign word j (symbol k is + iff bit k of j is set)
+    that is least among its rotations' j, whose pattern holds up to the
+    tie, s_k x_k >= -1e-13, then a pairwise dedup at 1e-7 in the max norm
+    with the forward check on each new root.  A full-budget Newton root
+    from any seed farther than 1e-7 from every kept point raises
+    AssertionError."""
+    roots = []
     for bits in range(2**period):
+        # rotating the word by k rotates the bits of j right by k
+        rotated = (bits >> k | bits << (period - k) & (2**period - 1) for k in range(period))
+        if bits != min(rotated):
+            continue
         signs = tuple(+1 if bits >> k & 1 else -1 for k in range(period))
         try:
             xs = cyclic_orbit(p, signs)
         except SingularSystemError:
             continue
-        if all((x >= 0.0) == (s > 0) for x, s in zip(xs, signs)):
+        if all(s * x >= -1e-13 for x, s in zip(xs, signs)):
             roots.extend((xs[k], xs[k - 1]) for k in range(period))
     kept = []
     for v in roots:
@@ -280,4 +286,42 @@ def reference_brute_periodic(p, period, grid_n):
             continue
         if close(genuine_iterate(p, v, period), v, 1e-10):
             kept.append(v)
+    for seed in seed_grid(grid_n):
+        root = full_budget_newton(p, seed, period)
+        if root is not None and not any(close(root, q, 1e-7) for q in kept):
+            raise AssertionError(f"Newton root {root!r} from {seed!r} is missing at {p}")
     return sorted(kept)
+
+
+def border_parameters(seed, count=20):
+    """`count` (p, word) pairs on border collisions, drawn from
+    random.Random(seed): a word of uniform signs and length uniform on
+    2..8, and b = 0 in every other draw, uniform on [0, 0.5] in the rest.
+    A 64-step scan of a over (b + 1, 4] looks for a sign change of
+    formal_periodic_point(p, word).admissibility, bisected down to
+    adjacent floats; p is the end where the admissibility is >= 0, so the
+    word's orbit exists and one of its points is within rounding of x = 0.
+    Draws without a sign change are skipped."""
+    rng = random.Random(seed)
+    found, draws = [], 0
+    while len(found) < count:
+        word = tuple(rng.choice((-1, 1)) for _ in range(rng.randint(2, 8)))
+        b = 0.0 if draws % 2 == 0 else rng.uniform(0.0, 0.5)
+        draws += 1
+
+        def admissible(a):
+            return L.formal_periodic_point(L.Params(a, b), word).admissibility >= 0.0
+
+        grid = [b + 1.0 + (3.0 - b) * i / 64 for i in range(1, 65)]
+        pairs = [(lo, hi) for lo, hi in zip(grid, grid[1:]) if admissible(lo) != admissible(hi)]
+        if not pairs:
+            continue
+        lo, hi = pairs[0]
+        side = admissible(lo)
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if admissible(mid) == side:
+                lo = mid
+            else:
+                hi = mid
+        found.append((L.Params(lo if side else hi, b), word))
+    return found

@@ -104,6 +104,14 @@ def test_solve_l_rejects_bad_orders():
         solve_l(0.01, 2, 3)
 
 
+def test_trace_curve_refuses_orders_before_solving():
+    # a bad order is an input error, not a curve that failed at some b
+    for m, n in ((8.5, 2), (True, 2), (5, 2.5), (3, 3)):
+        with pytest.raises(DomainError, match="need integers m > n >= 2") as info:
+            trace_curve(m, n, [0.0, 0.01])
+        assert not isinstance(info.value, BracketError)
+
+
 def test_solve_l_no_bracket_error():
     # n >= m is rejected, and a huge b has no admissible window
     with pytest.raises((BracketError, DomainError)):

@@ -21,12 +21,14 @@ from lozilab import oracle, verify
 from lozilab.core import DomainError, RegionError
 from lozilab.oracle import BudgetError, trapping_lines
 
-from helpers import close, full_budget_newton, reference_brute_periodic, seed_grid
+from helpers import (
+    border_parameters, close, full_budget_newton, reference_brute_periodic, seed_grid)
 
 P18 = Params(1.8, 0.2)
 # repr of every brute_periodic point (periods 1-6, grid 20) at the five
 # edge points of the orbit_oracle benchmark and two interior points, as
-# returned before the repeated-iterate Newton exit and the cell dedup
+# returned once the pattern search solves one word per necklace (each
+# point within 2e-14 of the earlier union of both searches)
 RECORDED_BRUTE = Path(__file__).parent / "data" / "brute_periodic_pins.json"
 
 
@@ -76,15 +78,40 @@ def test_brute_periodic_does_not_recurse(monkeypatch):
 
 
 def test_pattern_search_alone_finds_every_orbit(monkeypatch):
-    # the sign-pattern search shares its solver with formal_periodic_point;
-    # with the grid search switched off it must still find every point
+    # the result is the pattern search: with the grid's Newton switched
+    # off and a 2 x 2 grid, it finds every point
     params = (P18, Params(2.4, 0.4), Params(1.9, 0.0))
     full = {(p, n): brute_periodic(p, n, grid_n=20) for p in params for n in range(1, 7)}
-    monkeypatch.setattr(oracle, "_return_map_newton", lambda p, seed, period, failed: None)
+    monkeypatch.setattr(oracle, "_return_map_newton", lambda p, seed, period: None)
     for (p, period), points in full.items():
         alone = brute_periodic(p, period, grid_n=2)
         assert len(alone) == len(points), (p, period)
         assert all(close(u, v, 1e-12) for u, v in zip(alone, points)), (p, period)
+
+
+def test_pattern_search_keeps_border_collision_orbit(monkeypatch):
+    # one ulp below the golden ratio, rounding puts x = 0 of the superstable
+    # period-3 orbit 0 -> 0.618 -> -0.382 -> 0 on the wrong side in both
+    # sign patterns that share it; the tie rule keeps the orbit
+    p = Params(1.6180339887498947, 0.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_return_map_newton", lambda p, seed, period: None)
+        points = brute_periodic(p, 3, grid_n=20)
+    assert len(points) == 5
+    assert any(close(v, (0.0, -0.3819660112501051), 1e-12) for v in points)
+    # without the tie the orbit is missed, and the grid Newton root on it
+    # raises instead of joining the result
+    monkeypatch.setattr(oracle, "_TIE", 0.0)
+    with pytest.raises(DomainError, match=r"grid Newton root \(.*\) of period 3 at \(1.61"):
+        brute_periodic(p, 3, grid_n=20)
+
+
+def test_brute_periodic_at_border_collisions():
+    # nothing raises, and the orbit whose point sits at x = 0 is found
+    for p, word in border_parameters(16):
+        points = brute_periodic(p, len(word), grid_n=8)
+        assert repr(points) == repr(reference_brute_periodic(p, len(word), 8)), (p, word)
+        assert any(close(formal_periodic_point(p, word).point, v, 1e-7) for v in points)
 
 
 def test_brute_equivalence_with_admissible_formal():
@@ -102,44 +129,23 @@ def test_brute_periodic_matches_recorded_bytes():
 
 
 def test_newton_cycle_exit_equals_full_budget():
-    cycled = dead = 0
+    cycled = 0
     for a, b in ((1.7, 0.0), (1.7, 0.2), (2.3, 0.0), (2.9, 0.6)):
         p = Params(a, b)
         for period in range(1, 7):
-            # one failed set per (p, period), in seed grid order, as
-            # brute_periodic shares it
-            failed = set()
             for seed in seed_grid(20):
                 iterates = []
                 want = full_budget_newton(p, seed, period, iterates)
-                dead += any(v in failed for v in iterates)
-                got = oracle._return_map_newton(p, seed, period, failed)
-                assert got == want, (a, b, period, seed)
+                assert oracle._return_map_newton(p, seed, period) == want, (a, b, period, seed)
                 cycled += len(set(iterates)) < len(iterates)
-    # both exits are exercised: some seeds repeat an iterate within the
-    # budget, and some meet an iterate an earlier run failed from
-    assert cycled > 0 and dead > 0
+    # the exit is exercised: some seeds repeat an iterate within the budget
+    assert cycled > 0
     # a slow convergence, from a seed that wanders for 28 steps without
-    # repeating, is not cut short, even after the grid's failed runs
+    # repeating, is not cut short
     p, seed, iterates = Params(1.431, 0.0), (-0.19, 1.0), []
     want = full_budget_newton(p, seed, 10, iterates)
     assert want is not None and len(iterates) == len(set(iterates)) == 29
-    failed = set()
-    for grid_seed in seed_grid(20):
-        oracle._return_map_newton(p, grid_seed, 10, failed)
-    assert failed
-    assert oracle._return_map_newton(p, seed, 10, failed) == want
-
-
-def test_newton_budget_exhaustion_marks_nothing_failed():
-    # from (0, 0) the run wanders 60 distinct iterates: a later run could
-    # reach one of them with budget left, so none of them is dead
-    p, seed, iterates = Params(1.431, 0.0), (0.0, 0.0), []
-    assert full_budget_newton(p, seed, 9, iterates) is None
-    assert len(set(iterates)) == 60
-    failed = set()
-    assert oracle._return_map_newton(p, seed, 9, failed) is None
-    assert not failed
+    assert oracle._return_map_newton(p, seed, 10) == want
 
 
 def _sign_key(p, seed, period):
@@ -184,44 +190,39 @@ def test_brute_periodic_equals_reference():
 
 
 @pytest.mark.parametrize("a, b, period, grid_n", [
-    # seed 0 cycles bit for bit near (-1, -1) short of the 1e-13 stop,
-    # while later seeds of its sign cell converge: a failed cell is no
-    # settled cell
+    # the first seed of the all-minus cell cycles bit for bit near z_-
+    # short of Newton's 1e-13 stop; the pattern search has every point
     (2.5763645360439176, 0.4730484171556013, 8, 15),
-    # failures that wander through several sign keys are no proof either
+    # large a, where Newton fails from many seeds
     (1000.0, 0.5, 6, 20),
-])
-def test_brute_periodic_retries_failed_cells(a, b, period, grid_n):
+], ids=["near-z-minus", "large-a"])
+def test_brute_periodic_where_grid_newton_fails(a, b, period, grid_n):
     p = Params(a, b)
-    want = reference_brute_periodic(p, period, grid_n)
-    assert repr(brute_periodic(p, period, grid_n=grid_n)) == repr(want)
+    points = brute_periodic(p, period, grid_n=grid_n)
+    assert repr(points) == repr(reference_brute_periodic(p, period, grid_n))
+    if period == 8:
+        # every sign pattern has an orbit there
+        assert len(points) == 2**period
 
 
-def _seed_keys(p, period, grid_n):
-    return {_sign_key(p, seed, period) for seed in seed_grid(grid_n)}
-
-
-def test_grid_newton_runs_once_per_settled_cell(monkeypatch):
+def test_grid_newton_runs_once_per_sign_cell(monkeypatch):
     inner = oracle._return_map_newton
-    runs = []
+    seeds = []
 
-    def counted(p, seed, period, failed):
-        root = inner(p, seed, period, failed)
-        runs.append(root is not None)
-        return root
+    def counted(p, seed, period):
+        seeds.append(seed)
+        return inner(p, seed, period)
 
     monkeypatch.setattr(oracle, "_return_map_newton", counted)
-    # every cell converges at its first seed: one run per distinct key
-    p = Params(2.3, 0.3)
-    for period in (1, 2, 3):
-        runs.clear()
-        brute_periodic(p, period, grid_n=20)
-        assert all(runs) and len(runs) == len(_seed_keys(p, period, 20)), period
-    # some seeds fail, and their cells are tried again from later seeds
-    p = Params(1.7, 0.0)
-    runs.clear()
-    brute_periodic(p, 6, grid_n=20)
-    assert not all(runs) and len(runs) > len(_seed_keys(p, 6, 20))
+    # at (1.7, 0) some first seeds fail at period 6, and are not retried
+    for p in (Params(2.3, 0.3), Params(1.7, 0.0)):
+        for period in range(1, 7):
+            seeds.clear()
+            brute_periodic(p, period, grid_n=20)
+            first = {}
+            for seed in seed_grid(20):
+                first.setdefault(_sign_key(p, seed, period), seed)
+            assert seeds == list(first.values()), (p, period)
 
 
 CELL = oracle._CELL
