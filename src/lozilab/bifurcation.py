@@ -18,7 +18,7 @@ from operator import itemgetter
 from .core import DomainError, Params, _require_count, multipliers
 from .geometry import C_RL, C_RU, C_UL, C_UU, p_value, q_value, r_value, u_value
 from .renorm import log_coord
-from .solvers import BracketError, bisect, hybrid_root
+from .solvers import BracketError, bisect, hybrid_root, predicted_cell
 
 _SQRT2 = math.sqrt(2.0)
 _A_HI = 4.0
@@ -208,13 +208,23 @@ def refine_crossing(
     """Bisect the sign change of l_{m,2} - l_{m,3} between the curves'
     samples k and k+1 until the bracket is at most `width` wide.  Returns
     the midpoint b* and l_{m,2}(b*); every solve stops at |p - q| <= tol
-    and starts from the root predicted by the curve's samples."""
+    and starts from the root predicted by the curve's samples.
+
+    When the difference increases through the bracket, the final cell
+    comes from solvers.predicted_cell, a secant prediction of b* checked
+    by the difference's sign at the cell's two ends.  Where the difference
+    is negative below that cell and positive above it, b* and l_{m,2}(b*)
+    are bit for bit the bisection's.  A decreasing difference, or a
+    prediction no nearby cell confirms, runs the bisection.
+    """
     (lo, a2lo), (hi, a2hi) = curve2.samples[k], curve2.samples[k + 1]
     glo, ghi = a2lo - curve3.samples[k][1], a2hi - curve3.samples[k + 1][1]
-    lo, hi, _, _ = bisect(
-        lambda b: _solve_near(curve2, b, tol) - _solve_near(curve3, b, tol),
-        lo, hi, glo, ghi, width,
-    )
+
+    def gap(b: float) -> float:
+        return _solve_near(curve2, b, tol) - _solve_near(curve3, b, tol)
+
+    cell = predicted_cell(gap, lo, hi, glo, ghi, width)
+    lo, hi = cell if cell is not None else bisect(gap, lo, hi, glo, ghi, width)[:2]
     b_star = 0.5 * (lo + hi)
     return b_star, _solve_near(curve2, b_star, tol)
 
@@ -276,9 +286,12 @@ def find_reversal(
     Checks the reversed endpoint orders l_{m,2}(0) < l_{m,3}(0) and
     l_{m,2}(b_bar) > l_{m,3}(b_bar), exactly one sign change of the
     difference on the grid, slope ordering d l_{m,2}/db > d l_{m,3}/db at
-    every shared sample, then refines the crossing by bisection.  The
-    slopes at b* are central differences of solves predicted by the
-    curves' samples.
+    every shared sample, then refines the crossing with refine_crossing to
+    width max(1e-13, 1e-7 * b_bar).  That bisection is warm-started from a
+    secant prediction of b*; where l_{m,2} - l_{m,3} is negative below and
+    positive above the predicted final cell, b* and a* are bit for bit the
+    full bisection's.  The slopes at b* are central differences of solves
+    predicted by the curves' samples.
     """
     if not 0.0 < b_bar < 1.0:
         raise DomainError(f"need 0 < b_bar < 1, got {b_bar}")

@@ -27,6 +27,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
+# figure1 bisects each crossing in b to this width, and refuses a b* at or
+# below it: that crossing is not resolved
+CROSSING_WIDTH = 1e-11
+
 
 def _out_dir(path: str | None) -> Path:
     base = path or os.environ.get("LOZI_LAB_OUT") or "."
@@ -113,7 +117,7 @@ def cmd_figure1(args: argparse.Namespace) -> int:
                 curves[(m, n)] = curve
                 _write_curve_csv(curve, out / f"curve_m{m}_n{n}.csv")
 
-    intersections = []
+    intersections, unresolved = [], []
     if ns == [2, 3]:
         for m in range(args.m_min, args.m_max + 1):
             if (m, 2) not in curves or (m, 3) not in curves:
@@ -125,7 +129,13 @@ def cmd_figure1(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 continue
             k = flips[0]
-            b_star, a_star = refine_crossing(curve2, curve3, k, 1e-11, tol=args.tol)
+            b_star, a_star = refine_crossing(
+                curve2, curve3, k, CROSSING_WIDTH, tol=args.tol)
+            if b_star <= CROSSING_WIDTH:
+                print(f"warning: m={m}: crossing b* = {b_star!r} is not above the "
+                      f"refine width {CROSSING_WIDTH!r}; left out", file=sys.stderr)
+                unresolved.append(m)
+                continue
             intersections.append({
                 "m": m,
                 "b_star": b_star,
@@ -135,6 +145,10 @@ def cmd_figure1(args: argparse.Namespace) -> int:
             })
         _json_dump(intersections, out / "intersections.json")
     print(f"wrote {len(curves)} curve files and {len(intersections)} intersections to {out}")
+    if unresolved:
+        print(f"error: crossings below the refine width for m = {unresolved}",
+              file=sys.stderr)
+        return EXIT_DOMAIN
     return EXIT_OK
 
 

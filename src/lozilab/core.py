@@ -38,7 +38,7 @@ class SingularSystemError(DomainError):
     """The periodic-orbit system of a sign word is numerically singular."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Params:
     """Parameter pair: a is the expansion, b the Jacobian determinant."""
 

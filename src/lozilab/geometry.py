@@ -236,9 +236,13 @@ def u_gap(p: Params, m: int, side: str) -> float:
 
 
 @functools.lru_cache(maxsize=256)
-def _return_word(m: int, n: int) -> Itinerary:
-    """(+, -^(m-2), +, +, -^(n-2)), built once per validated (m, n)."""
-    return (PLUS,) + (MINUS,) * (m - 2) + (PLUS, PLUS) + (MINUS,) * (n - 2)
+def _return_word(m: int | float, n: int | float) -> Itinerary:
+    """(+, -^(m-2), +, +, -^(n-2)), built once per (m, n); refuses m and n
+    unless both are whole numbers >= 2 (a refusal is not cached)."""
+    m = _ladder_index(m, 2)
+    if not n >= 2 or n % 1:
+        raise DomainError(f"need an integer n >= 2, got {n}")
+    return (PLUS,) + (MINUS,) * (m - 2) + (PLUS, PLUS) + (MINUS,) * (int(n) - 2)
 
 
 def p_value(p: Params, m: int | float, n: int) -> float:
@@ -250,13 +254,11 @@ def p_value(p: Params, m: int | float, n: int) -> float:
     the left fixed point, the limit object of that block.
     """
     _require_mod(p)
-    if not n >= 2 or n % 1:
-        raise DomainError(f"need an integer n >= 2, got {n}")
-    n = int(n)
     if m == math.inf:
         line = unstable_line(p, MINUS)
-        return _fold(p, (PLUS, PLUS) + (MINUS,) * (n - 2), line.slope, line.y_at(0.0))
-    return _fold(p, _return_word(_ladder_index(m, 2), n), 0.0, 0.0)
+        tail = _return_word(2, n)[1:]  # (+, +, -^(n-2))
+        return _fold(p, tail, line.slope, line.y_at(0.0))
+    return _fold(p, _return_word(m, n), 0.0, 0.0)
 
 
 def q_value(p: Params, m: int, n: int) -> float:
@@ -267,6 +269,4 @@ def q_value(p: Params, m: int, n: int) -> float:
     unique point whose forward word-orbit lands on the switching line.
     """
     _require_mod(p)
-    if not (m >= 2 and n >= 2) or m % 1 or n % 1:
-        raise DomainError(f"need integers m, n >= 2, got ({m}, {n})")
-    return _pull_word(p, _return_word(int(m), int(n)), 0.0, 0.0)[1]
+    return _pull_word(p, _return_word(m, n), 0.0, 0.0)[1]

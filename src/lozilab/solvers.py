@@ -114,11 +114,13 @@ def newton_polish(
 def _tree_cell(
     lo: float, hi: float, n: int, xtol: float, x: float
 ) -> tuple[float, float]:
-    """The final cell that bisection to xtol reaches inside the scan cell
-    holding x, walking the bisection tree toward x without evaluating f."""
-    i = min(max(int((x - lo) / (hi - lo) * n), 0), n - 1)
-    x0, x1 = lo + (hi - lo) * i / n, lo + (hi - lo) * (i + 1) / n
-    c0, c1, _, _ = bisect(lambda t: -1.0 if t < x else 1.0, x0, x1, -1.0, 1.0, xtol)
+    """The final cell that bisection to xtol reaches inside the cell of the
+    n-cell scan of (lo, hi) that holds x, walking the bisection tree toward
+    x without evaluating f.  With n = 1 that cell is (lo, hi) itself."""
+    if n > 1:
+        i = min(max(int((x - lo) / (hi - lo) * n), 0), n - 1)
+        lo, hi = lo + (hi - lo) * i / n, lo + (hi - lo) * (i + 1) / n
+    c0, c1, _, _ = bisect(lambda t: -1.0 if t < x else 1.0, lo, hi, -1.0, 1.0, xtol)
     return c0, c1
 
 
@@ -140,6 +142,42 @@ def _warm_bracket(
         else:
             return c0, c1
     return None
+
+
+def predicted_cell(
+    f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float, xtol: float
+) -> tuple[float, float] | None:
+    """The final cell of bisect(f, lo, hi, flo, fhi, xtol), found from a
+    predicted root instead of by bisection; None when flo < 0 < fhi fails,
+    the bracket is already at most xtol wide, or no cell passes.
+
+    The prediction is the root of the line through the bracket's ends,
+    moved by at most two secant steps on f, one evaluation each.  The
+    bisection tree is walked to the final cell holding it without
+    evaluating f, and the cell is taken when f < 0 < f at its two ends
+    (flo and fhi stand for f at lo and hi, as in bisect); up to
+    _HUNT_CELLS - 1 neighbouring cells toward the root are tried.  On its
+    way to that cell bisect evaluates f only at the cell's ends or beyond
+    them, so where f is negative below the cell and positive above it,
+    this is the cell bisect reaches, bit for bit.
+    """
+    if not (flo < 0.0 < fhi and hi - lo > xtol):
+        return None
+    x, x0 = lo - flo * (hi - lo) / (fhi - flo), None
+    for _ in range(2):
+        if not lo < x < hi:
+            return None
+        fx = f(x)
+        if x0 is None:  # the first step pairs x with the end across the root
+            x0, f0 = (hi, fhi) if fx < 0.0 else (lo, flo)
+        if fx == f0:
+            break
+        x0, f0, x = x, fx, x - fx * (x - x0) / (fx - f0)
+        if abs(x - x0) <= xtol:
+            break
+    return _warm_bracket(
+        lambda t: flo if t == lo else fhi if t == hi else f(t), lo, hi, 1, xtol, x
+    )
 
 
 def hybrid_root(

@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import pytest
@@ -16,9 +17,11 @@ from lozilab import (
     tangency_a,
     trace_curve,
 )
+from lozilab import bifurcation, solvers
 from lozilab.bifurcation import (
     ConditionError,
     ReversalError,
+    _solve_near,
     choose_m,
     crossing_gaps,
     refine_crossing,
@@ -29,8 +32,10 @@ from lozilab.solvers import (
     BracketError,
     MultipleRootWarning,
     _tree_cell,
+    bisect,
     hybrid_root,
     newton_polish,
+    predicted_cell,
 )
 
 from helpers import genuine_iterate, tent_orbit_crossing
@@ -334,6 +339,127 @@ def test_warm_crossing_and_slopes_equal_cold_solves():
         for n, slope in ((2, result.slope2), (3, result.slope3)):
             assert slope == (solve_l(b_star + h, m, n) - solve_l(b_star - h, m, n)) / (2.0 * h)
         assert a5 == solve_l(b5, 5, 2)
+
+
+def cold_crossing(curve2, curve3, k, width):
+    """refine_crossing's (b*, a*) from the full bisection in b."""
+    (lo, a2lo), (hi, a2hi) = curve2.samples[k], curve2.samples[k + 1]
+    glo, ghi = a2lo - curve3.samples[k][1], a2hi - curve3.samples[k + 1][1]
+
+    def gap(b):
+        return _solve_near(curve2, b, 1e-12) - _solve_near(curve3, b, 1e-12)
+
+    c0, c1, _, _ = bisect(gap, lo, hi, glo, ghi, width)
+    b_star = 0.5 * (c0 + c1)
+    return b_star, _solve_near(curve2, b_star, 1e-12)
+
+
+@pytest.fixture
+def cold_bisections(monkeypatch):
+    """Counts refine_crossing's cold fallbacks: its module binding of
+    bisect serves nothing else."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bisect(*args)
+
+    monkeypatch.setattr(bifurcation, "bisect", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m_max, grid_n", [(14, 71), (24, 201)])
+def test_warm_crossing_equals_cold_bisection_on_figure1_families(
+    m_max, grid_n, cold_bisections
+):
+    # figure1's default family and its --m-max 24 --grid 201 run
+    grid = [0.07 * i / (grid_n - 1) for i in range(grid_n)]
+    for m in range(4, m_max + 1):
+        curve2, curve3 = trace_curve(m, 2, grid), trace_curve(m, 3, grid)
+        (k,) = crossing_gaps(curve2, curve3)[1]
+        want = cold_crossing(curve2, curve3, k, 1e-11)
+        assert refine_crossing(curve2, curve3, k, 1e-11) == want, m
+    # the cold crossings above call solvers.bisect directly
+    assert cold_bisections == []
+
+
+def test_warm_crossing_equals_cold_bisection_in_find_reversal(cold_bisections):
+    rng = random.Random(17)
+    for _ in range(20):
+        b_bar = 10.0 ** rng.uniform(math.log10(4e-8), -4.0)
+        result = find_reversal(b_bar)
+        (k,) = crossing_gaps(result.curve2, result.curve3)[1]
+        width = max(1e-13, 1e-7 * b_bar)
+        want = cold_crossing(result.curve2, result.curve3, k, width)
+        assert (result.b_star, result.a_star) == want, b_bar
+    assert cold_bisections == []
+
+
+@pytest.fixture(scope="module")
+def curves_m5():
+    grid = [0.07 * i / 70 for i in range(71)]
+    curve2, curve3 = trace_curve(5, 2, grid), trace_curve(5, 3, grid)
+    (k,) = crossing_gaps(curve2, curve3)[1]
+    return curve2, curve3, k
+
+
+def test_decreasing_crossing_runs_the_cold_bisection(curves_m5, cold_bisections):
+    # with the curves swapped the difference decreases through the bracket
+    curve2, curve3, k = curves_m5
+    want = cold_crossing(curve3, curve2, k, 1e-11)
+    assert refine_crossing(curve3, curve2, k, 1e-11) == want
+    assert len(cold_bisections) == 1
+
+
+@pytest.mark.parametrize("shift", [-4, -3, -1, 1, 3, 4, 9])
+def test_crossing_prediction_cells_off(shift, curves_m5, cold_bisections, monkeypatch):
+    # the prediction moved `shift` final cells away from the cold answer's
+    # cell: the hunt walks back within _HUNT_CELLS cells, or the cold
+    # bisection runs; either way the cold answer comes out
+    curve2, curve3, k = curves_m5
+    want = cold_crossing(curve2, curve3, k, 1e-11)
+    cell = _tree_cell(curve2.samples[k][0], curve2.samples[k + 1][0], 1, 1e-11, want[0])
+    moved = want[0] + shift * (cell[1] - cell[0])
+    warm_bracket = solvers._warm_bracket
+    monkeypatch.setattr(
+        solvers, "_warm_bracket",
+        lambda f, lo, hi, n, xtol, guess: warm_bracket(f, lo, hi, n, xtol, moved),
+    )
+    assert refine_crossing(curve2, curve3, k, 1e-11) == want
+    assert len(cold_bisections) == (abs(shift) >= _HUNT_CELLS)
+
+
+def test_predicted_cell_is_the_bisection_cell():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return math.exp(x) - 2.0
+
+    # a bracket as short against the curvature as two curve samples are:
+    # two secant steps and the two end checks, against 27 midpoints
+    lo, hi = 0.69, 0.7
+    flo, fhi = math.exp(lo) - 2.0, math.exp(hi) - 2.0
+    cold = bisect(f, lo, hi, flo, fhi, 1e-10)[:2]
+    assert len(seen) == 27
+    del seen[:]
+    assert predicted_cell(f, lo, hi, flo, fhi, 1e-10) == cold
+    assert len(seen) == 4
+    # a decreasing bracket, or one already narrower than xtol: no prediction
+    del seen[:]
+    assert predicted_cell(lambda x: -f(x), lo, hi, -flo, -fhi, 1e-10) is None
+    assert predicted_cell(f, lo, hi, flo, fhi, 0.02) is None
+    assert seen == []
+
+
+def test_one_cell_tree_starts_from_the_bracket_ends():
+    lo, hi = 0.3, 0.9
+    assert lo + (hi - lo) != hi  # the scan's node formula would not give hi
+    assert _tree_cell(lo, hi, 1, 1.0, 0.5) == (lo, hi)
+    c0, c1 = _tree_cell(lo, hi, 1, 1e-3, hi - 1e-9)
+    assert c1 == hi and 0.0 < c1 - c0 <= 1e-3
+    c0, c1 = _tree_cell(lo, hi, 1, 1e-3, lo + 1e-9)
+    assert c0 == lo and 0.0 < c1 - c0 <= 1e-3
 
 
 def test_newton_polish_evaluates_each_point_once():

@@ -186,9 +186,12 @@ def test_figure1_gap_evaluation_count(tmp_path, capsys, monkeypatch):
     # 1,427 -> 1,425 when the crossing solves were predicted by the parabola
     # through the curve's grid samples nearest b instead of the line through
     # the nearest solved b on each side (same roots, same 8 scans).
+    # 1,425 -> 847 when the crossing bisection in b was warm-started from a
+    # secant prediction of b* (same b* and a*; the cold crossing bisection,
+    # pinned below, no longer runs).
     # Each gap evaluation calls both module bindings once: the traced
     # benchmark wraps exactly these two names.
-    calls = {"p_value": 0, "q_value": 0, "scan_brackets": 0}
+    calls = {"p_value": 0, "q_value": 0, "scan_brackets": 0, "bisect": 0}
 
     def counting(module, name):
         f = getattr(module, name)
@@ -202,9 +205,28 @@ def test_figure1_gap_evaluation_count(tmp_path, capsys, monkeypatch):
     counting(bifurcation, "p_value")
     counting(bifurcation, "q_value")
     counting(solvers, "scan_brackets")
+    counting(bifurcation, "bisect")  # refine_crossing's cold fallback only
     code, _, _ = run_cli(SMALL_FAMILY + ["--out", str(tmp_path)], capsys)
     assert code == 0
-    assert calls == {"p_value": 1425, "q_value": 1425, "scan_brackets": 8}
+    assert calls == {"p_value": 847, "q_value": 847, "scan_brackets": 8, "bisect": 0}
+
+
+def test_figure1_refuses_crossings_below_the_refine_width(tmp_path, capsys):
+    # b* ~ 2^-m / 4: 1.5e-11 at m = 34 is resolved; at m = 35 and 36 the
+    # bisection to width 1e-11 ends in [5.2e-12, 1.04e-11] and [0, 5.2e-12]
+    code, out, err = run_cli(
+        ["figure1", "--m-min", "34", "--m-max", "36", "--grid", "201",
+         "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 3
+    assert len(list(tmp_path.glob("curve_*.csv"))) == 6
+    inter = json.loads((tmp_path / "intersections.json").read_text())
+    assert [entry["m"] for entry in inter] == [34]
+    assert 1e-11 < inter[0]["b_star"] < 2e-11
+    assert "m=35: crossing b* = 7.82310962677002e-12" in err
+    assert "m=36: crossing b* = 2.6077032089233402e-12" in err
+    assert "wrote 6 curve files and 1 intersections" in out
 
 
 def test_figure1_skips_failing_curve_with_warning(tmp_path, capsys):
