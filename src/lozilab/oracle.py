@@ -261,41 +261,42 @@ def cone_check(p: Params, samples: int, seed: int = 0) -> bool:
     |x| <= (b/lam)|y|: both inverse derivatives keep it and grow norms by
     >= lam/b = 1/mu.  The contracting side degenerates to the y-axis at
     b = 0 and is skipped there.
+
+    Only |wx| = |-s a x - b y| forward and |wy| = |(-x - s a y)/b| inverse
+    depend on the branch s, and every test is nondecreasing in them (float
+    +, * by a factor >= 0 and max are monotone).  So both branches pass iff
+    the smaller value, the same float as its branch's own, passes: bit for
+    bit the result of testing each branch.
     """
     if not p.in_full:
         raise RegionError(f"({p.a}, {p.b}) is outside the full-family region")
     # no samples would certify nothing
     _require_count("samples", samples, 1)
     mult = multipliers(p)
-    lam, mu = mult.lam, mult.mu
+    a, b, lam, mu = p.a, p.b, mult.lam, mult.mu
     rng = random.Random(seed)
     eps = 1e-12
+    # least norm growth forward, and inverse where the contracting side is checked
+    fwd, bwd = lam * (1.0 - eps), (1.0 / mu) * (1.0 - eps) if b != 0.0 else None
     for _ in range(samples):
         x = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
         y = rng.uniform(-abs(x) / lam, abs(x) / lam)
-        for s in (-1.0, 1.0):
-            wx, wy = -s * p.a * x - p.b * y, x
-            if abs(wy) * lam > abs(wx) * (1.0 + eps):
-                return False
-            if not _norms_grow((x, y), (wx, wy), lam * (1.0 - eps)):
-                return False
-        if p.b == 0.0:
+        wx = min(abs(a * x - b * y), abs(-a * x - b * y))
+        if abs(x) * lam > wx * (1.0 + eps) or not _norms_grow(abs(x), abs(y), wx, abs(x), fwd):
+            return False
+        if b == 0.0:
             continue
         y2 = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
         x2 = rng.uniform(-mu * abs(y2), mu * abs(y2))
-        for s in (-1.0, 1.0):
-            # inverse branch derivative: (x, y) -> (y, (-x - s*a*y)/b)
-            wx, wy = y2, (-x2 - s * p.a * y2) / p.b
-            if abs(wx) > mu * abs(wy) * (1.0 + eps):
-                return False
-            if not _norms_grow((x2, y2), (wx, wy), (1.0 / mu) * (1.0 - eps)):
-                return False
+        # inverse branch derivative: (x, y) -> (y, (-x - s*a*y)/b)
+        wy = min(abs(-x2 + a * y2), abs(-x2 - a * y2)) / b
+        if abs(y2) > mu * wy * (1.0 + eps) or not _norms_grow(abs(x2), abs(y2), abs(y2), wy, bwd):
+            return False
     return True
 
 
-def _norms_grow(v: Point, w: Point, factor: float) -> bool:
-    ax, ay = abs(v[0]), abs(v[1])
-    bx, by = abs(w[0]), abs(w[1])
+def _norms_grow(ax: float, ay: float, bx: float, by: float, factor: float) -> bool:
+    """|(bx, by)| >= factor |(ax, ay)| in the L1, L2 and Linf norms, for nonnegative entries."""
     return (
         bx + by >= factor * (ax + ay)
         and bx * bx + by * by >= factor * factor * (ax * ax + ay * ay)

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import MINUS, PLUS, Params, apply_map, multipliers
+from .core import MINUS, PLUS, Params, _require_count, apply_map, multipliers
 from .geometry import (
     C_RL,
     C_RU,
@@ -64,6 +64,8 @@ def _close(u: tuple[float, float], v: tuple[float, float], tol: float) -> bool:
 
 def orbit_residuals(params: list[Params], lengths: range) -> str:
     """Each formal periodic point of each word length has step residual < 1e-10."""
+    _require_count("len(params)", len(params), 1)
+    _require_count("len(lengths)", len(lengths), 1)
     worst = max(
         formal_periodic_point(p, word).residual
         for p in params
@@ -77,6 +79,8 @@ def orbit_residuals(params: list[Params], lengths: range) -> str:
 
 def genuine_return(params: list[Params], lengths: range) -> str:
     """The genuine map closes each admissible formal orbit to 1e-9."""
+    _require_count("len(params)", len(params), 1)
+    _require_count("len(lengths)", len(lengths), 1)
     count = 0
     for p in params:
         for length in lengths:
@@ -98,6 +102,8 @@ def genuine_return(params: list[Params], lengths: range) -> str:
 def orbit_equivalence(params: list[Params], periods: range, grid_n: int) -> str:
     """Admissible formal points are brute_periodic's points, to 1e-7; each
     brute-force point is the formal point of its coding, shared by none."""
+    _require_count("len(params)", len(params), 1)
+    _require_count("len(periods)", len(periods), 1)
     matched = 0
     for p in params:
         for period in periods:
@@ -107,14 +113,14 @@ def orbit_equivalence(params: list[Params], periods: range, grid_n: int) -> str:
                 raise AssertionError(
                     f"two period-{period} points share a coding at ({p.a}, {p.b})"
                 )
-            for word in sign_words(period):
-                fp = formal_periodic_point(p, word)
+            formal = {word: formal_periodic_point(p, word) for word in sign_words(period)}
+            for fp in formal.values():
                 if fp.admissibility >= 0.0 and not any(
                     _close(fp.point, g, 1e-7) for g in genuine
                 ):
                     raise AssertionError(f"formal point {fp.point} missing at ({p.a}, {p.b})")
             for g, word in zip(genuine, codings):
-                if not _close(formal_periodic_point(p, word).point, g, 1e-7):
+                if not _close(formal[word].point, g, 1e-7):
                     raise AssertionError(f"brute point {g} has no formal match")
                 matched += 1
     return f"{matched} genuine points matched"
@@ -122,6 +128,7 @@ def orbit_equivalence(params: list[Params], periods: range, grid_n: int) -> str:
 
 def trapped_orbits(params: list[Params]) -> str:
     """Every period-3 point of brute_periodic (grid 15) is trapped."""
+    _require_count("len(params)", len(params), 1)
     count = 0
     for p in params:
         for g in brute_periodic(p, 3, grid_n=15):
@@ -133,6 +140,7 @@ def trapped_orbits(params: list[Params]) -> str:
 
 def cone_sweep(cases: list[tuple[Params, int]], samples: int) -> str:
     """cone_check passes at every (parameter, seed) case."""
+    _require_count("len(cases)", len(cases), 1)
     for p, seed in cases:
         if not cone_check(p, samples=samples, seed=seed):
             raise AssertionError(f"cone violation at ({p.a}, {p.b})")
@@ -141,6 +149,7 @@ def cone_sweep(cases: list[tuple[Params, int]], samples: int) -> str:
 
 def r_bounds(params: list[Params], lo: float, hi: float) -> str:
     """lo / lam^m < r_inf - r_m < hi / lam^m for m = 2..12."""
+    _require_count("len(params)", len(params), 1)
     for p in params:
         lam = multipliers(p).lam
         r_inf = r_value(p, math.inf)
@@ -154,6 +163,7 @@ def r_bounds(params: list[Params], lo: float, hi: float) -> str:
 def u_bounds(params: list[Params], lo: float, slope_c: float) -> str:
     """lo s_m <= u_inf - u_m^{L,R} <= 2 (s_m + (slope_c + 1.5) (b/lam^2)(b/lam)^(m-2) b)
     for m = 2..12, with 1e-9 relative slack; s_m = (1 - lam^(1-m)) (b/lam)^(m-2) b."""
+    _require_count("len(params)", len(params), 1)
     for p in params:
         lam = multipliers(p).lam
         for m in range(2, 13):
@@ -173,6 +183,7 @@ def u_bounds(params: list[Params], lo: float, slope_c: float) -> str:
 def ladders(params: list[Params], m_max: int) -> str:
     """Traces r_m rise strictly to r_inf, and u_left <= u_m^L <= u_m^R <=
     u_{m+1}^L <= u_inf <= u_right to 1e-12, for 2 <= m < m_max."""
+    _require_count("len(params)", len(params), 1)
     for p in params:
         rs = [r_value(p, m) for m in range(1, m_max + 1)] + [r_value(p, math.inf)]
         if not all(x < y for x, y in zip(rs, rs[1:])):
@@ -228,36 +239,33 @@ def strip_membership(b: float, m: int, n: int) -> str:
 
 def order_laws(corpus: list[UItinerary]) -> str:
     """order_compare is reflexive, antisymmetric and strictly transitive
-    (u < v < w implies u < w) on the corpus."""
-    pairs = 0
-    for i, u in enumerate(corpus):
-        if order_compare(u, u) is not Ordering.EQUIVALENT:
+    (u < v < w implies u < w) on the corpus.  Each ordered pair is compared
+    once, into one table that all three laws read."""
+    _require_count("len(corpus)", len(corpus), 1)
+    table = [[order_compare(u, v) for v in corpus] for u in corpus]
+    n = len(corpus)
+    for i in range(n):
+        if table[i][i] is not Ordering.EQUIVALENT:
             raise AssertionError("comparison not reflexive")
-        for v in corpus[i + 1 :]:
-            ab = order_compare(u, v)
-            ba = order_compare(v, u)
+        for j in range(i + 1, n):
+            ab, ba = table[i][j], table[j][i]
             if ab is Ordering.EQUIVALENT:
                 if ba is not Ordering.EQUIVALENT:
                     raise AssertionError("equivalence not symmetric")
             elif ab.value != -ba.value:
                 raise AssertionError("comparison not antisymmetric")
-            pairs += 1
-    less = {
-        (i, j)
-        for i, u in enumerate(corpus)
-        for j, v in enumerate(corpus)
-        if order_compare(u, v) is Ordering.LESS
-    }
-    for i, j in less:
-        for k in range(len(corpus)):
-            if (j, k) in less and (i, k) not in less:
-                raise AssertionError("transitivity fails")
-    return f"{pairs} pairs total and transitive"
+    # above[i] = {k: corpus[i] < corpus[k]}; transitivity: above[j] <= above[i] for j in above[i]
+    above = [{k for k, o in enumerate(row) if o is Ordering.LESS} for row in table]
+    if any(not above[j] <= above[i] for i in range(n) for j in above[i]):
+        raise AssertionError("transitivity fails")
+    return f"{n * (n - 1) // 2} pairs total and transitive"
 
 
 def forcing_sweep(m_max: int, count: int) -> str:
     """forcing_check_tent holds for 2 <= n2 < n1 < m <= m_max, m >= 4, at
     `count` equally spaced a in (sqrt(2), 2]."""
+    _require_count("m_max", m_max, 4)
+    _require_count("count", count, 1)
     combos = 0
     for m in range(4, m_max + 1):
         for n1 in range(3, m):
@@ -272,6 +280,7 @@ def forcing_sweep(m_max: int, count: int) -> str:
 
 def monotone_coding(a: float, pairs: list[tuple[float, float]]) -> str:
     """No pair x < y has a 48-symbol tent coding of x above that of y."""
+    _require_count("len(pairs)", len(pairs), 1)
     for x, y in pairs:
         if x == y:
             continue

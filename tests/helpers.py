@@ -15,6 +15,7 @@ import math
 import random
 
 import lozilab as L
+from lozilab import oracle
 from lozilab.core import SingularSystemError, cyclic_orbit
 
 
@@ -325,3 +326,45 @@ def border_parameters(seed, count=20):
                 hi = mid
         found.append((L.Params(lo if side else hi, b), word))
     return found
+
+
+def reference_cone_check(p, samples, seed=0):
+    """oracle.cone_check as it ran before it tested only the smaller branch
+    image: both branches s = -1, +1 of every sample, each through the cone
+    test and the three norm-growth tests.  It reads the multipliers through
+    oracle.multipliers, so a test that patches them patches both."""
+    mult = oracle.multipliers(p)
+    lam, mu = mult.lam, mult.mu
+    rng = random.Random(seed)
+    eps = 1e-12
+    for _ in range(samples):
+        x = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
+        y = rng.uniform(-abs(x) / lam, abs(x) / lam)
+        for s in (-1.0, 1.0):
+            wx, wy = -s * p.a * x - p.b * y, x
+            if abs(wy) * lam > abs(wx) * (1.0 + eps):
+                return False
+            if not _reference_norms_grow((x, y), (wx, wy), lam * (1.0 - eps)):
+                return False
+        if p.b == 0.0:
+            continue
+        y2 = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
+        x2 = rng.uniform(-mu * abs(y2), mu * abs(y2))
+        for s in (-1.0, 1.0):
+            # inverse branch derivative: (x, y) -> (y, (-x - s*a*y)/b)
+            wx, wy = y2, (-x2 - s * p.a * y2) / p.b
+            if abs(wx) > mu * abs(wy) * (1.0 + eps):
+                return False
+            if not _reference_norms_grow((x2, y2), (wx, wy), (1.0 / mu) * (1.0 - eps)):
+                return False
+    return True
+
+
+def _reference_norms_grow(v, w, factor):
+    ax, ay = abs(v[0]), abs(v[1])
+    bx, by = abs(w[0]), abs(w[1])
+    return (
+        bx + by >= factor * (ax + ay)
+        and bx * bx + by * by >= factor * factor * (ax * ax + ay * ay)
+        and max(bx, by) >= factor * max(ax, ay)
+    )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -22,7 +23,8 @@ from lozilab.core import DomainError, RegionError
 from lozilab.oracle import BudgetError, trapping_lines
 
 from helpers import (
-    border_parameters, close, full_budget_newton, reference_brute_periodic, seed_grid)
+    border_parameters, close, full_budget_newton, reference_brute_periodic,
+    reference_cone_check, seed_grid)
 
 P18 = Params(1.8, 0.2)
 # repr of every brute_periodic point (periods 1-6, grid 20) at the five
@@ -322,6 +324,59 @@ def test_cone_check_refuses_vacuous_or_non_integer_samples():
         with pytest.raises(DomainError, match="need an integer 1 <= samples"):
             cone_check(P18, samples)
     assert cone_check(P18, 1)
+
+
+def _cone_cases():
+    """100 (p, seed) cases over b in [0, 1] and a in [b + 1.05, 4], every
+    tenth at b = 0, where the contracting side is skipped."""
+    rng = random.Random(5)
+    cases = []
+    for k in range(100):
+        b = 0.0 if k % 10 == 0 else rng.uniform(0.0, 1.0)
+        cases.append((Params(rng.uniform(b + 1.05, 4.0), b), rng.randrange(10**6)))
+    return cases
+
+
+def test_cone_check_equals_reference():
+    for p, seed in _cone_cases():
+        assert cone_check(p, 50, seed) is reference_cone_check(p, 50, seed) is True
+
+
+# The expanding side reads lam alone and the contracting side mu alone,
+# and the draws consume the generator alike whatever their bounds, so
+# scaling one multiplier can only make its own side fail.
+@pytest.mark.parametrize("field, scales", [
+    ("lam", (1.001, 1.01, 1.2)),  # inflated: the norms cannot grow by lam
+    ("mu", (0.5, 0.99, 2.0, 4.0)),  # 1/mu too large to grow by, or a cone too wide
+])
+def test_cone_check_failing_side_equals_reference(field, scales, monkeypatch):
+    original = oracle.multipliers
+    results = []
+    for scale in scales:
+        def scaled(p, scale=scale):
+            mult = original(p)
+            return dataclasses.replace(mult, **{field: getattr(mult, field) * scale})
+
+        monkeypatch.setattr(oracle, "multipliers", scaled)
+        for p, seed in _cone_cases():
+            got = cone_check(p, 50, seed)
+            assert got is reference_cone_check(p, 50, seed)
+            results.append(got)
+    assert False in results and True in results
+
+
+def test_cone_check_norm_test_count(monkeypatch):
+    # one norm-growth test per checked side of each passing sample.
+    # 4 and 2 per sample at b > 0 and b = 0 -> 2 and 1 when only the
+    # smaller of the two branch images was tested.
+    calls = []
+    original = oracle._norms_grow
+    monkeypatch.setattr(oracle, "_norms_grow", lambda *a: calls.append(a) or original(*a))
+    assert cone_check(P18, 50, 1)
+    assert len(calls) == 100
+    calls.clear()
+    assert cone_check(Params(2.0, 0.0), 50, 1)
+    assert len(calls) == 50
 
 
 def test_trapping_lines_structure():

@@ -4,11 +4,13 @@ pass vacuously."""
 
 import dataclasses
 import math
+import random
 
 import pytest
 
 from lozilab import OrbitClass, OrbitKind, Ordering, Params, UItinerary, verify
-from lozilab.geometry import SLOPE_C
+from lozilab.core import DomainError
+from lozilab.geometry import C_RL, C_RU, SLOPE_C
 
 P18 = Params(1.8, 0.2)
 CYCLE = [UItinerary((), (s,)) for s in (-1, 0, 1)]
@@ -37,6 +39,11 @@ BROKEN = {
         "brute_periodic",
         lambda f: lambda *a, **k: f(*a, **k) + [(f(*a, **k)[0][0] + 1e-9, f(*a, **k)[0][1])],
         lambda: verify.orbit_equivalence([P18], range(1, 3), 10)),
+    # each brute point coded as its next point is: the codings stay distinct,
+    # but a period-2 point is then not the formal point of its coding
+    "orbit_equivalence-coding": ("orbit_signs",
+                                 lambda f: lambda p, v, n: f(p, v, n)[1:] + f(p, v, n)[:1],
+                                 lambda: verify.orbit_equivalence([P18], range(1, 3), 10)),
     "trapped_orbits": ("classify_orbit",
                        lambda f: lambda p, v: OrbitClass(OrbitKind.ESCAPES_MINUS_INFINITY, 0),
                        lambda: verify.trapped_orbits([P18])),
@@ -56,10 +63,33 @@ BROKEN = {
                          lambda: verify.strip_membership(0.2, 3, 2)),
     "order_laws": ("order_compare", lambda f: _rock_paper_scissors,
                    lambda: verify.order_laws(CYCLE)),
+    "order_laws-reflexive": ("order_compare",
+                             lambda f: lambda u, v: Ordering.LESS if u == v else f(u, v),
+                             lambda: verify.order_laws(CYCLE)),
+    # CYCLE[0] ~ CYCLE[1] one way only
+    "order_laws-symmetric": ("order_compare",
+                             lambda f: lambda u, v: (Ordering.EQUIVALENT
+                                                     if (u, v) == (CYCLE[0], CYCLE[1])
+                                                     else f(u, v)),
+                             lambda: verify.order_laws(CYCLE)),
+    # LESS both ways
+    "order_laws-antisymmetric": ("order_compare",
+                                 lambda f: lambda u, v: Ordering.LESS if u != v else f(u, v),
+                                 lambda: verify.order_laws(CYCLE)),
     "forcing_sweep": ("forcing_check_tent", lambda f: lambda *a: False,
                       lambda: verify.forcing_sweep(4, 1)),
     # a pair out of order: the coding of 0.5 lies above that of -0.5
     "monotone_coding": (None, None, lambda: verify.monotone_coding(1.83, [(0.5, -0.5)])),
+}
+
+
+# the law each broken order_compare must fail at: a pair LESS both ways
+# also breaks transitivity, but the table is read law by law
+LAW = {
+    "order_laws": "transitivity fails",
+    "order_laws-reflexive": "not reflexive",
+    "order_laws-symmetric": "equivalence not symmetric",
+    "order_laws-antisymmetric": "not antisymmetric",
 }
 
 
@@ -69,5 +99,64 @@ def test_invariant_fails_on_broken_case(case, monkeypatch):
     if name is not None:
         call()  # passes unpatched, so the patch is what breaks it
         monkeypatch.setattr(verify, name, patch(getattr(verify, name)))
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=LAW.get(case)):
         call()
+
+
+# invariant -> (the input the refusal must name, a call with it empty)
+EMPTY = {
+    "orbit_residuals": ("params", lambda: verify.orbit_residuals([], range(1, 3))),
+    "orbit_residuals-lengths": ("lengths", lambda: verify.orbit_residuals([P18], range(3, 3))),
+    "genuine_return": ("params", lambda: verify.genuine_return([], range(1, 3))),
+    "genuine_return-lengths": ("lengths", lambda: verify.genuine_return([P18], range(0))),
+    "orbit_equivalence": ("params", lambda: verify.orbit_equivalence([], range(1, 3), 10)),
+    "orbit_equivalence-periods": (
+        "periods", lambda: verify.orbit_equivalence([P18], range(1, 1), 10)),
+    "trapped_orbits": ("params", lambda: verify.trapped_orbits([])),
+    "cone_sweep": ("cases", lambda: verify.cone_sweep([], 50)),
+    "r_bounds": ("params", lambda: verify.r_bounds([], C_RL, C_RU)),
+    "u_bounds": ("params", lambda: verify.u_bounds([], 0.5, SLOPE_C)),
+    "ladders": ("params", lambda: verify.ladders([], 8)),
+    "order_laws": ("corpus", lambda: verify.order_laws([])),
+    "forcing_sweep-count": ("count", lambda: verify.forcing_sweep(4, 0)),
+    "forcing_sweep-m_max": ("m_max", lambda: verify.forcing_sweep(3, 5)),
+    "monotone_coding": ("pairs", lambda: verify.monotone_coding(1.83, [])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY))
+def test_invariant_refuses_input_that_checks_nothing(case):
+    # each of these used to pass ("0 ... combinations") or, for
+    # orbit_residuals, raise a bare ValueError from max()
+    name, call = EMPTY[case]
+    with pytest.raises(DomainError, match=name):
+        call()
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *a: calls.append(a) or original(*a))
+    return calls
+
+
+def test_order_laws_compares_each_ordered_pair_once(monkeypatch):
+    # 3,200 -> 1,600 for suite_kneading's 40-itinerary corpus when the laws
+    # came to read one table instead of comparing each pair per law
+    calls = _counting(monkeypatch, "order_compare")
+    verify.order_laws(verify._corpus(random.Random(42), 40))
+    assert len(calls) == 40 * 40
+
+
+def test_orbit_equivalence_solves_each_word_once(monkeypatch):
+    # on suite_orbits' grid: 532 -> 270 (9 parameters x 2 + 4 + 8 + 16
+    # words) when the brute points' codings came to be looked up among the
+    # formal points already solved instead of being solved again
+    grid = []
+    monkeypatch.setattr(verify, "orbit_equivalence",
+                        lambda *args: grid.append(args) or "")
+    verify.suite_orbits(42)
+    monkeypatch.undo()
+    calls = _counting(monkeypatch, "formal_periodic_point")
+    verify.orbit_equivalence(*grid[0])
+    assert len(calls) == 270
