@@ -69,8 +69,10 @@ def solve_l(
 ) -> float:
     """The root a in (sqrt(2), 4) of the fold/pullback gap at fixed b.
 
-    Scans for a sign change, bisects the bracket to 1e-6, then polishes
-    with central-difference Newton until |p - q| <= tol.  A non-monotone
+    Scans for a sign change, finds the bracket's final bisection cell of
+    width 1e-6 from a secant prediction (bisecting only when no predicted
+    cell passes or the scan warned), then polishes with central-difference
+    Newton from its midpoint until |p - q| <= tol.  A non-monotone
     scan or several sign changes emit MultipleRootWarning and the
     rightmost root (the admissibility boundary reached from large a) is
     returned.  A call without `guess` always runs the full scan; with a

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import warnings
 from typing import Callable
 
@@ -85,8 +86,10 @@ def newton_polish(
 ) -> float:
     """Newton with central-difference slope, safeguarded inside [lo, hi].
 
-    Evaluates f once per iterate and returns the first iterate with
-    |f| <= ftol (the smallest |f| seen); raises if none is found.
+    Evaluates f at each iterate and, for the slope, at the iterate +-
+    _FD_STEP; returns the first iterate with |f| <= ftol (the smallest |f|
+    seen) and raises if none is found.  hybrid_root passes f memoized, so
+    the start's values that its cell check computed are not recomputed.
     """
     fx = f(x)
     best_x, best_f = x, abs(fx)
@@ -127,20 +130,32 @@ def _tree_cell(
 def _warm_bracket(
     f: Callable[[float], float], lo: float, hi: float, n: int, xtol: float, guess: float
 ) -> tuple[float, float] | None:
-    """The final bisection cell with f < 0 < f at its ends, hunted from the
+    """The final bisection cell in which f changes sign, hunted from the
     cell holding guess through at most _HUNT_CELLS neighbouring cells; None
-    when the hunt leaves (lo, hi) or runs out."""
+    when the hunt leaves (lo, hi) or runs out.
+
+    A cell is checked at its midpoint, the Newton start, and then toward
+    the root: at the Newton slope point on that side when both slope
+    points lie strictly inside the cell, and at the cell's end only when
+    f shows no sign change there.  Where f increases on the cell this
+    takes it exactly when f(c0) < 0 < f(c1), and a failed cell moves the
+    hunt as that test would: left when f(c0) >= 0, right when f(c1) <= 0.
+    """
     x = guess
     for _ in range(_HUNT_CELLS):
         if not lo < x < hi:
             return None
         c0, c1 = _tree_cell(lo, hi, n, xtol, x)
-        if not f(c0) < 0.0:
-            x = c0 - 0.5 * (c1 - c0)
-        elif not f(c1) > 0.0:
+        mid = 0.5 * (c0 + c1)
+        inside = c0 < mid - _FD_STEP and mid + _FD_STEP < c1
+        if f(mid) < 0.0:
+            if (inside and f(mid + _FD_STEP) > 0.0) or f(c1) > 0.0:
+                return c0, c1
             x = c1 + 0.5 * (c1 - c0)
-        else:
+        elif (inside and f(mid - _FD_STEP) < 0.0) or f(c0) < 0.0:
             return c0, c1
+        else:
+            x = c0 - 0.5 * (c1 - c0)
     return None
 
 
@@ -154,8 +169,8 @@ def predicted_cell(
     The prediction is the root of the line through the bracket's ends,
     moved by at most two secant steps on f, one evaluation each.  The
     bisection tree is walked to the final cell holding it without
-    evaluating f, and the cell is taken when f < 0 < f at its two ends
-    (flo and fhi stand for f at lo and hi, as in bisect); up to
+    evaluating f, and the cell is taken when f changes sign in it (the
+    check of _warm_bracket; flo and fhi stand for f at lo and hi); up to
     _HUNT_CELLS - 1 neighbouring cells toward the root are tried.  On its
     way to that cell bisect evaluates f only at the cell's ends or beyond
     them, so where f is negative below the cell and positive above it,
@@ -190,31 +205,37 @@ def hybrid_root(
     ftol: float = 1e-12,
     guess: float | None = None,
 ) -> float:
-    """Bracket by scanning, bisect to xtol, then Newton-polish to |f| <= ftol.
+    """Bracket by scanning, find the final cell of bisection to xtol, then
+    Newton-polish to |f| <= ftol.  Each value of f is computed once.
 
     Warns (MultipleRootWarning) when the scan is non-monotone or shows more
-    than one sign change; the last (rightmost) bracket is refined then.
+    than one sign change; the last (rightmost) bracket is bisected then.
+    After a monotone scan with one bracket, predicted_cell finds the final
+    cell from a secant prediction; bisect runs only when no cell passes.
 
     Only a call without `guess` is sure to run the full scan.  With a
     predicted root the scan is skipped: the final bisection cell holding
     guess, or one of the next _HUNT_CELLS - 1 cells toward the root, is
-    taken when f < 0 < f at its two ends.  If f increases on that scan
-    cell and the scan would find one bracket, this is the cell that the
-    cold bisection reaches, so the Newton start and the root are
-    bit-for-bit the cold ones.  Such a solve never warns.  When no cell
-    passes, the full scan runs as without a guess.
+    taken when f changes sign in it (see _warm_bracket).  If f increases
+    on that scan cell and the scan would find one bracket, this is the
+    cell that the cold bisection reaches, so the Newton start and the root
+    are bit-for-bit the cold ones.  Such a solve never warns.  When no
+    cell passes, the full scan runs as without a guess.
     """
+    f = functools.cache(f)
     cell = None if guess is None else _warm_bracket(f, lo, hi, scan_n, xtol, guess)
-    if cell is not None:
-        return newton_polish(f, 0.5 * (cell[0] + cell[1]), *cell, ftol=ftol)
-    brackets, monotone = scan_brackets(f, lo, hi, scan_n)
-    if not brackets:
-        raise BracketError(f"no sign change of f on [{lo}, {hi}]")
-    if len(brackets) > 1 or not monotone:
-        warnings.warn(
-            f"{len(brackets)} sign changes, monotone={monotone} on [{lo}, {hi}]",
-            MultipleRootWarning,
-            stacklevel=2,
-        )
-    b0, b1, f0, f1 = bisect(f, *brackets[-1], xtol)
-    return newton_polish(f, 0.5 * (b0 + b1), b0, b1, ftol=ftol)
+    if cell is None:
+        brackets, monotone = scan_brackets(f, lo, hi, scan_n)
+        if not brackets:
+            raise BracketError(f"no sign change of f on [{lo}, {hi}]")
+        warned = len(brackets) > 1 or not monotone
+        if warned:
+            warnings.warn(
+                f"{len(brackets)} sign changes, monotone={monotone} on [{lo}, {hi}]",
+                MultipleRootWarning,
+                stacklevel=2,
+            )
+        cell = None if warned else predicted_cell(f, *brackets[-1], xtol)
+        if cell is None:
+            cell = bisect(f, *brackets[-1], xtol)[:2]
+    return newton_polish(f, 0.5 * (cell[0] + cell[1]), *cell, ftol=ftol)

@@ -182,8 +182,10 @@ def u_bounds(params: list[Params], lo: float, slope_c: float) -> str:
 
 def ladders(params: list[Params], m_max: int) -> str:
     """Traces r_m rise strictly to r_inf, and u_left <= u_m^L <= u_m^R <=
-    u_{m+1}^L <= u_inf <= u_right to 1e-12, for 2 <= m < m_max."""
+    u_{m+1}^L <= u_inf <= u_right to 1e-12, for 2 <= m < m_max; refuses
+    m_max < 3, where the fold ladder is empty."""
     _require_count("len(params)", len(params), 1)
+    _require_count("m_max", m_max, 3)
     for p in params:
         rs = [r_value(p, m) for m in range(1, m_max + 1)] + [r_value(p, math.inf)]
         if not all(x < y for x, y in zip(rs, rs[1:])):

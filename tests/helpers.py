@@ -6,17 +6,27 @@ b > 0) directly, with bisection on monotone pieces; the references
 restate the branch formulas (composed maps, per-symbol line steps).
 Nothing here touches the formal line/orbit machinery whose outputs the
 tests check, except reference_brute_periodic's pattern search, which
-restates the oracle's and so shares its core.cyclic_orbit solve.
+restates the oracle's and so shares its core.cyclic_orbit solve, and
+reference_cold_root, which composes the solvers' scan, bisection and
+Newton steps the way the cold root solve once did.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import lozilab as L
 from lozilab import oracle
 from lozilab.core import SingularSystemError, cyclic_orbit
+from lozilab.solvers import (
+    BracketError,
+    MultipleRootWarning,
+    bisect,
+    newton_polish,
+    scan_brackets,
+)
 
 
 def full_family_examples(seed, count=100, max_len=200):
@@ -368,3 +378,21 @@ def _reference_norms_grow(v, w, factor):
         and bx * bx + by * by >= factor * factor * (ax * ax + ay * ay)
         and max(bx, by) >= factor * max(ax, ay)
     )
+
+
+def reference_cold_root(f, lo, hi, scan_n, xtol, ftol):
+    """solvers.hybrid_root without a guess as it ran before its final cell
+    came from predicted_cell: the scan, a warning when it is non-monotone
+    or shows several sign changes, bisection of the last bracket to xtol,
+    then Newton from the final cell's midpoint."""
+    brackets, monotone = scan_brackets(f, lo, hi, scan_n)
+    if not brackets:
+        raise BracketError(f"no sign change of f on [{lo}, {hi}]")
+    if len(brackets) > 1 or not monotone:
+        warnings.warn(
+            f"{len(brackets)} sign changes, monotone={monotone} on [{lo}, {hi}]",
+            MultipleRootWarning,
+            stacklevel=2,
+        )
+    b0, b1, f0, f1 = bisect(f, *brackets[-1], xtol)
+    return newton_polish(f, 0.5 * (b0 + b1), b0, b1, ftol=ftol)

@@ -28,6 +28,7 @@ from lozilab.bifurcation import (
 )
 from lozilab.core import DomainError
 from lozilab.solvers import (
+    _FD_STEP,
     _HUNT_CELLS,
     BracketError,
     MultipleRootWarning,
@@ -38,7 +39,7 @@ from lozilab.solvers import (
     predicted_cell,
 )
 
-from helpers import genuine_iterate, tent_orbit_crossing
+from helpers import genuine_iterate, reference_cold_root, tent_orbit_crossing
 
 
 # ------------------------------------------------------------- tangency
@@ -291,25 +292,137 @@ def test_warm_start_falls_back_to_the_cold_solve():
 
     line = lambda x: math.exp(x) - 2.0  # noqa: E731
     cold, cold_evals, _ = root(line)
+    # 41 scan nodes, 2 secant steps, the final cell's midpoint and one end,
+    # Newton's 2 slope points and 1 iterate; 69 while the scan cell was
+    # bisected to xtol (24 midpoints, then the 4 Newton values)
+    assert cold_evals == 48
     c0, c1 = _tree_cell(0.0, 3.5, 40, 1e-8, cold)
     # the warm start hunts from the guess's final bisection cell through
     # _HUNT_CELLS cells toward the root's: within reach it beats the scan
     for k in range(_HUNT_CELLS):
         x, evals, _ = root(line, 0.5 * (c0 + c1) + k * (c1 - c0))
         assert x == cold and evals < cold_evals
-    # one cell further, or outside (lo, hi): the hunt gives up, the scan runs
+    # one cell further, or outside (lo, hi): the hunt gives up, the scan
+    # runs.  Each failed cell costs its midpoint and its end toward the
+    # root (these 5.2e-9 wide cells cannot hold mid +- _FD_STEP):
+    # cold_evals + 2 * _HUNT_CELLS, where it cost one end per cell
+    # (cold_evals + _HUNT_CELLS) before the midpoint was read first
     x, evals, _ = root(line, 0.5 * (c0 + c1) + _HUNT_CELLS * (c1 - c0))
-    assert (x, evals) == (cold, cold_evals + _HUNT_CELLS)
+    assert (x, evals) == (cold, 56)
     for guess in (-1.0, 0.0, 3.5, 7.0):
         assert root(line, guess) == (cold, cold_evals, [])
     # the cubic decreases through 2.0: every hunted cell fails its sign
-    # check, and the scan still warns and returns the rightmost root
+    # check, and the scan still warns, bisects and returns the rightmost
+    # root; 69 + 2 * _HUNT_CELLS, where it was 69 + _HUNT_CELLS = 73
     cubic = lambda x: (x - 1.0) * (x - 2.0) * (x - 3.0)  # noqa: E731
     x, evals, categories = root(cubic, 2.0)
     cold, cold_evals, cold_categories = root(cubic)
-    assert (x, evals, categories) == (cold, cold_evals + _HUNT_CELLS, cold_categories)
+    assert cold_evals == 69
+    assert (x, evals, categories) == (cold, 77, cold_categories)
     assert x == pytest.approx(3.0, abs=1e-8)
     assert MultipleRootWarning in categories
+
+
+def counted_root(f, guess, xtol):
+    """hybrid_root on (0, 3.5) with 40 scan cells: the root, the points
+    where f was evaluated in order, and the warning categories."""
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return f(x)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        x = hybrid_root(counted, 0.0, 3.5, scan_n=40, xtol=xtol, ftol=1e-12, guess=guess)
+    return x, seen, [w.category for w in caught]
+
+
+@pytest.mark.parametrize("offset, far", [(0.5, False), (-0.5, False), (1.5, True), (-1.5, True)])
+def test_warm_cell_is_checked_with_the_newton_start_values(offset, far):
+    # 6.7e-7 wide final cells hold both slope points mid +- _FD_STEP.  The
+    # root `offset` slope steps from mid: within one step the midpoint and
+    # the slope point toward the root show the sign change (4 values with
+    # Newton's other slope point and its iterate); beyond it the cell's
+    # end toward the root is read too (5)
+    c0, c1 = _tree_cell(0.0, 3.5, 40, 1e-6, 1.0)
+    mid, step = 0.5 * (c0 + c1), math.copysign(_FD_STEP, offset)
+    assert c0 < mid - _FD_STEP and mid + _FD_STEP < c1
+    r = mid + offset * _FD_STEP
+    f = lambda x: math.exp(x - r) - 1.0  # noqa: E731
+    x, seen, caught = counted_root(f, 1.0, 1e-6)
+    end = [c1 if offset > 0 else c0] if far else []
+    assert seen == [mid, mid + step, *end, mid - step, x]
+    assert caught == [] and x == counted_root(f, None, 1e-6)[0]
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_warm_cell_narrower_than_the_slope_step_reads_its_end(side):
+    # 5.2e-9 wide final cells cannot hold mid +- _FD_STEP: the midpoint
+    # and the end toward the root decide, then Newton reads both slope
+    # points and its iterate
+    c0, c1 = _tree_cell(0.0, 3.5, 40, 1e-8, 1.0)
+    mid = 0.5 * (c0 + c1)
+    r = mid + side * 0.25 * (c1 - c0)
+    f = lambda x: math.exp(x - r) - 1.0  # noqa: E731
+    x, seen, caught = counted_root(f, 1.0, 1e-8)
+    assert seen == [mid, c1 if side > 0 else c0, mid + _FD_STEP, mid - _FD_STEP, x]
+    assert caught == [] and x == counted_root(f, None, 1e-8)[0]
+
+
+def test_warm_start_on_a_decreasing_function_falls_back_and_warns():
+    # f decreases through the guess: f(mid) > 0 in every hunted cell, and
+    # neither the slope point nor the end toward lower x is negative, so
+    # the hunt moves left _HUNT_CELLS times (3 values a cell).  The full
+    # scan then warns, bisects and returns the cold root; the bisection
+    # reads the hunt's cell ends it passes from the per-solve memo.
+    f = lambda x: 1.0 - math.exp(x - 1.0)  # noqa: E731
+    x, seen, caught = counted_root(f, 1.0, 1e-6)
+    cold, cold_seen, cold_caught = counted_root(f, None, 1e-6)
+    hunt, t = [], 1.0
+    for _ in range(_HUNT_CELLS):
+        c0, c1 = _tree_cell(0.0, 3.5, 40, 1e-6, t)
+        mid = 0.5 * (c0 + c1)
+        hunt += [mid, mid - _FD_STEP, c0]
+        t = c0 - 0.5 * (c1 - c0)
+    assert seen == hunt + [t for t in cold_seen if t not in hunt]
+    assert len(seen) < len(cold_seen) + len(hunt)
+    assert (x, caught) == (cold, cold_caught) == (cold, [MultipleRootWarning])
+
+
+def test_cold_solve_equals_the_scan_bisect_polish_reference():
+    # hybrid_root without a guess takes the scan cell's final cell from
+    # predicted_cell and bisects only after a warning or a failed
+    # prediction; the root and the warnings equal the old scan, bisect and
+    # polish bit for bit
+    rng = random.Random(19)
+    cases = [(lambda x: math.exp(x) - 2.0, 0.0, 3.5, 40, 1e-8, 1e-10),
+             (lambda x: (x - 1.0) * (x - 2.0) * (x - 3.0), 0.0, 3.5, 40, 1e-8, 1e-10)]
+    for k in range(60):
+        m = rng.randint(4, 30)
+        n = rng.choice((2, 3))
+        b = 0.0 if k % 6 == 0 else rng.uniform(0.0, 0.3)
+        lo = bifurcation._a_low(b)
+        cases.append((lambda a, b=b, m=m, n=n: bifurcation._pq_gap(a, b, m, n),
+                      lo, 4.0, 48, 1e-6, 1e-12))
+
+    def outcome(solve, f, *args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                x = solve(f, *args)
+            except DomainError as exc:
+                x = (type(exc), str(exc))
+        return x, [(w.category, str(w.message)) for w in caught]
+
+    warned = 0
+    for f, lo, hi, scan_n, xtol, ftol in cases:
+        want = outcome(reference_cold_root, f, lo, hi, scan_n, xtol, ftol)
+        got = outcome(lambda f, lo, hi, scan_n, xtol, ftol: hybrid_root(
+            f, lo, hi, scan_n=scan_n, xtol=xtol, ftol=ftol), f, lo, hi, scan_n, xtol, ftol)
+        assert got == want
+        warned += bool(want[1])
+    assert warned >= 1
 
 
 @pytest.mark.parametrize("m", [4, 9, 14])
@@ -437,7 +550,8 @@ def test_predicted_cell_is_the_bisection_cell():
         return math.exp(x) - 2.0
 
     # a bracket as short against the curvature as two curve samples are:
-    # two secant steps and the two end checks, against 27 midpoints
+    # two secant steps, the final cell's midpoint and one end, against 27
+    # midpoints
     lo, hi = 0.69, 0.7
     flo, fhi = math.exp(lo) - 2.0, math.exp(hi) - 2.0
     cold = bisect(f, lo, hi, flo, fhi, 1e-10)[:2]

@@ -189,9 +189,25 @@ def test_figure1_gap_evaluation_count(tmp_path, capsys, monkeypatch):
     # 1,425 -> 847 when the crossing bisection in b was warm-started from a
     # secant prediction of b* (same b* and a*; the cold crossing bisection,
     # pinned below, no longer runs).
+    # 847 -> 690 when a warm solve's cell check read Newton's start values
+    # (midpoint and slope points) before the cell's ends, and the cold
+    # solves after a monotone one-bracket scan took the final cell from
+    # predicted_cell instead of bisecting (same roots, same 8 scans; no gap
+    # is evaluated inside solvers.bisect any more, counted below).
     # Each gap evaluation calls both module bindings once: the traced
     # benchmark wraps exactly these two names.
     calls = {"p_value": 0, "q_value": 0, "scan_brackets": 0, "bisect": 0}
+    gaps_in_bisect = []
+    bisect = solvers.bisect
+
+    def bisecting(*args):
+        # _tree_cell walks the bisection tree with a sign stub, no gap
+        before = calls["p_value"]
+        result = bisect(*args)
+        gaps_in_bisect.append(calls["p_value"] - before)
+        return result
+
+    monkeypatch.setattr(solvers, "bisect", bisecting)
 
     def counting(module, name):
         f = getattr(module, name)
@@ -208,7 +224,8 @@ def test_figure1_gap_evaluation_count(tmp_path, capsys, monkeypatch):
     counting(bifurcation, "bisect")  # refine_crossing's cold fallback only
     code, _, _ = run_cli(SMALL_FAMILY + ["--out", str(tmp_path)], capsys)
     assert code == 0
-    assert calls == {"p_value": 847, "q_value": 847, "scan_brackets": 8, "bisect": 0}
+    assert calls == {"p_value": 690, "q_value": 690, "scan_brackets": 8, "bisect": 0}
+    assert gaps_in_bisect and not any(gaps_in_bisect)
 
 
 def test_figure1_refuses_crossings_below_the_refine_width(tmp_path, capsys):

@@ -117,6 +117,7 @@ EMPTY = {
     "r_bounds": ("params", lambda: verify.r_bounds([], C_RL, C_RU)),
     "u_bounds": ("params", lambda: verify.u_bounds([], 0.5, SLOPE_C)),
     "ladders": ("params", lambda: verify.ladders([], 8)),
+    "ladders-m_max": ("m_max", lambda: verify.ladders([P18], 2)),
     "order_laws": ("corpus", lambda: verify.order_laws([])),
     "forcing_sweep-count": ("count", lambda: verify.forcing_sweep(4, 0)),
     "forcing_sweep-m_max": ("m_max", lambda: verify.forcing_sweep(3, 5)),
