@@ -217,18 +217,22 @@ def refine_crossing(
     by the difference's sign at the cell's two ends.  Where the difference
     is negative below that cell and positive above it, b* and l_{m,2}(b*)
     are bit for bit the bisection's.  A decreasing difference, or a
-    prediction no nearby cell confirms, runs the bisection.
+    prediction no nearby cell confirms, runs the bisection.  l_{m,2}(b*)
+    is the value the difference solved at b*, when it was evaluated there
+    (always after a predicted cell, whose check starts at its midpoint).
     """
     (lo, a2lo), (hi, a2hi) = curve2.samples[k], curve2.samples[k + 1]
     glo, ghi = a2lo - curve3.samples[k][1], a2hi - curve3.samples[k + 1][1]
+    a2: dict[float, float] = {}
 
     def gap(b: float) -> float:
-        return _solve_near(curve2, b, tol) - _solve_near(curve3, b, tol)
+        a2[b] = _solve_near(curve2, b, tol)
+        return a2[b] - _solve_near(curve3, b, tol)
 
     cell = predicted_cell(gap, lo, hi, glo, ghi, width)
     lo, hi = cell if cell is not None else bisect(gap, lo, hi, glo, ghi, width)[:2]
     b_star = 0.5 * (lo + hi)
-    return b_star, _solve_near(curve2, b_star, tol)
+    return b_star, a2[b_star] if b_star in a2 else _solve_near(curve2, b_star, tol)
 
 
 def _ladder_coord(p: Params, x: float, name: str) -> float:

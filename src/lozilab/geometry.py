@@ -7,6 +7,10 @@ a line y = s*x + k; a branch step divides by d = b*s + sigma*a and sends
 line x = t*y + c; an inverse-branch step divides by d = t + sigma*a and
 sends (t, c) to (-b/d, (a-b-1 - c)/d).  Both refuse |d| < 1e-13 (the
 excluded slope).  Every line iteration in the package runs through them.
+Under a repeated branch the slope soon stops changing as a float; while
+the symbol keeps repeating, a step then reuses the last checked d, the
+very float it would recompute, and moves only k or c.  The words built
+here hold the symbols as the floats +-1.0, so a step multiplies floats.
 The trace recursion is exact for every b >= 0, so the degenerate tent case
 needs no separate code path, and it avoids the 1/b blow-up that mapping an
 anchor point through explicit branch inverses would produce.
@@ -66,27 +70,41 @@ class BwdLine:
 
 def _push_word(p: Params, word: Itinerary, slope: float, k: float) -> tuple[float, float]:
     """Push the line (slope, k), with (0, k) on it, through the branches
-    of `word`, first symbol first."""
+    of `word`, first symbol first.  A symbol repeated after a step that
+    left the slope unchanged reuses that step's denominator: only k moves."""
     a, b, tol = p.a, p.b, _EXCLUDED_TOL
     c0 = a - b - 1.0
+    # the symbol of a step that left the slope unchanged; compared by
+    # identity, so an equal symbol that is another object takes a full step
+    fixed = None
     for sigma in word:
-        denom = b * slope + sigma * a
-        if -tol < denom < tol:
-            raise SlopeError(f"slope {slope} maps to a vertical line under branch {sigma:+d}")
-        slope, k = -1.0 / denom, (c0 - b * k) / denom
+        if sigma is not fixed:
+            denom = b * slope + sigma * a
+            if -tol < denom < tol:
+                raise SlopeError(f"slope {slope} maps to a vertical line under branch {sigma:+.0f}")
+            new = -1.0 / denom
+            fixed = sigma if new == slope else None
+            slope = new
+        k = (c0 - b * k) / denom
     return slope, k
 
 
 def _pull_word(p: Params, word: Itinerary, vslope: float, c: float) -> tuple[float, float]:
     """Pull the near-vertical line (vslope, c), with (c, 0) on it, through
-    the inverse branches of `word`, last symbol first."""
+    the inverse branches of `word`, last symbol first.  As in _push_word,
+    a fixed vslope's denominator is reused while its symbol repeats."""
     a, b, tol = p.a, p.b, _EXCLUDED_TOL
     c0 = a - b - 1.0
+    fixed = None
     for sigma in reversed(word):
-        denom = vslope + sigma * a
-        if -tol < denom < tol:
-            raise SlopeError(f"vslope {vslope} is excluded under inverse branch {sigma:+d}")
-        vslope, c = -b / denom, (c0 - c) / denom
+        if sigma is not fixed:
+            denom = vslope + sigma * a
+            if -tol < denom < tol:
+                raise SlopeError(f"vslope {vslope} is excluded under inverse branch {sigma:+.0f}")
+            new = -b / denom
+            fixed = sigma if new == vslope else None
+            vslope = new
+        c = (c0 - c) / denom
     return vslope, c
 
 
@@ -190,7 +208,7 @@ def r_value(p: Params, m: int | float) -> float:
     if m == math.inf:
         mult = multipliers(p)
         return 1.0 - (mult.lam + 2.0) / (p.a * mult.lam + p.b) * p.b
-    word = (PLUS,) + (MINUS,) * (_ladder_index(m, 1) - 1)
+    word = (1.0,) + (-1.0,) * (_ladder_index(m, 1) - 1)
     return iterate_line_bwd(p, word, stable_line(p, PLUS)).trace
 
 
@@ -204,7 +222,7 @@ def u_value(p: Params, m: int | float, side: str) -> float:
     sigma0 = _side_sign(p, side)
     if m == math.inf:
         return multipliers(p).lam - 1.0
-    word = (PLUS,) + (MINUS,) * (_ladder_index(m, 2) - 2)
+    word = (1.0,) + (-1.0,) * (_ladder_index(m, 2) - 2)
     return _fold(p, word, 0.0, float(sigma0))
 
 
@@ -242,7 +260,7 @@ def _return_word(m: int | float, n: int | float) -> Itinerary:
     m = _ladder_index(m, 2)
     if not n >= 2 or n % 1:
         raise DomainError(f"need an integer n >= 2, got {n}")
-    return (PLUS,) + (MINUS,) * (m - 2) + (PLUS, PLUS) + (MINUS,) * (int(n) - 2)
+    return (1.0,) + (-1.0,) * (m - 2) + (1.0, 1.0) + (-1.0,) * (int(n) - 2)
 
 
 def p_value(p: Params, m: int | float, n: int) -> float:
@@ -258,7 +276,7 @@ def p_value(p: Params, m: int | float, n: int) -> float:
         line = unstable_line(p, MINUS)
         tail = _return_word(2, n)[1:]  # (+, +, -^(n-2))
         return _fold(p, tail, line.slope, line.y_at(0.0))
-    return _fold(p, _return_word(m, n), 0.0, 0.0)
+    return (p.a - p.b - 1.0) - p.b * _push_word(p, _return_word(m, n), 0.0, 0.0)[1]
 
 
 def q_value(p: Params, m: int, n: int) -> float:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import warnings
 from typing import Callable
 
@@ -195,6 +194,17 @@ def predicted_cell(
     )
 
 
+class _Memo(dict):
+    """The values of f by argument, each computed on its first lookup."""
+
+    def __init__(self, f: Callable[[float], float]) -> None:
+        self.f = f
+
+    def __missing__(self, x: float) -> float:
+        fx = self[x] = self.f(x)
+        return fx
+
+
 def hybrid_root(
     f: Callable[[float], float],
     lo: float,
@@ -222,7 +232,7 @@ def hybrid_root(
     are bit-for-bit the cold ones.  Such a solve never warns.  When no
     cell passes, the full scan runs as without a guess.
     """
-    f = functools.cache(f)
+    f = _Memo(f).__getitem__
     cell = None if guess is None else _warm_bracket(f, lo, hi, scan_n, xtol, guess)
     if cell is None:
         brackets, monotone = scan_brackets(f, lo, hi, scan_n)

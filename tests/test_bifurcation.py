@@ -454,6 +454,21 @@ def test_warm_crossing_and_slopes_equal_cold_solves():
         assert a5 == solve_l(b5, 5, 2)
 
 
+def test_find_reversal_solves_each_curve_point_once(monkeypatch):
+    # refine_crossing returns the l_{m,2}(b*) that its crossing difference
+    # solved at b*, instead of solving it a second time
+    calls = []
+
+    def counted(b, m, n, **kwargs):
+        calls.append((b, m, n, kwargs["tol"]))
+        return solve_l(b, m, n, **kwargs)
+
+    monkeypatch.setattr(bifurcation, "solve_l", counted)
+    result = find_reversal(1e-5)
+    assert len(calls) == len(set(calls))
+    assert (result.b_star, result.m, 2, 1e-12) in calls
+
+
 def cold_crossing(curve2, curve3, k, width):
     """refine_crossing's (b*, a*) from the full bisection in b."""
     (lo, a2lo), (hi, a2hi) = curve2.samples[k], curve2.samples[k + 1]

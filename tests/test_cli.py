@@ -194,6 +194,9 @@ def test_figure1_gap_evaluation_count(tmp_path, capsys, monkeypatch):
     # solves after a monotone one-bracket scan took the final cell from
     # predicted_cell instead of bisecting (same roots, same 8 scans; no gap
     # is evaluated inside solvers.bisect any more, counted below).
+    # 690 -> 680 when refine_crossing kept the l_{m,2}(b*) that the crossing
+    # difference solved instead of solving it again (one warm solve, 5 gap
+    # evaluations, for each of the 2 crossings; same b* and a*).
     # Each gap evaluation calls both module bindings once: the traced
     # benchmark wraps exactly these two names.
     calls = {"p_value": 0, "q_value": 0, "scan_brackets": 0, "bisect": 0}
@@ -224,7 +227,7 @@ def test_figure1_gap_evaluation_count(tmp_path, capsys, monkeypatch):
     counting(bifurcation, "bisect")  # refine_crossing's cold fallback only
     code, _, _ = run_cli(SMALL_FAMILY + ["--out", str(tmp_path)], capsys)
     assert code == 0
-    assert calls == {"p_value": 690, "q_value": 690, "scan_brackets": 8, "bisect": 0}
+    assert calls == {"p_value": 680, "q_value": 680, "scan_brackets": 8, "bisect": 0}
     assert gaps_in_bisect and not any(gaps_in_bisect)
 
 

@@ -29,6 +29,8 @@ from lozilab.bifurcation import solve_l
 from lozilab.core import DomainError, RegionError
 from lozilab.geometry import (
     SlopeError,
+    _pull_word,
+    _push_word,
     _return_word,
     boundary_turning_points,
     stable_line,
@@ -131,7 +133,102 @@ def test_ladders_and_line_iteration_match_per_symbol_reference_exactly():
             assert iterate_line_bwd(p, word, bwd) == BwdLine(vslope=vslope, anchor=(c, 0.0))
 
 
+# Near the tent limit a carried slope stops changing as a float after a few
+# repeated symbols; the kernels then skip the slope update.  These words run
+# long in that regime and switch symbol right after it.
+FIXED_SLOPE_B = (0.0, 1e-12, 4e-8, 1e-4)
+
+
+def _fixed_slope_params():
+    for b in FIXED_SLOPE_B:
+        for m in (3, 8, 15, 26, 40):
+            yield m, Params(2.0 - 2.4 * 2.0**-m, b)
+
+
+def _switch_words(m):
+    return [
+        ref_return_word(m, 2),
+        ref_return_word(m, 3),
+        (MINUS,) * m + (PLUS,) + (MINUS,) * 3,
+        (PLUS,) * m + (MINUS, MINUS, PLUS),
+        (MINUS, MINUS) * 3 + (MINUS,) * m + (PLUS, PLUS) + (MINUS,) * m,
+    ]
+
+
+def _fixed_steps(step, word, s):
+    """Symbols that repeat the one before them after a step that left the
+    carried slope unchanged, counted with a per-symbol reference step."""
+    count, prev, still = 0, None, False
+    for sigma in word:
+        count += sigma == prev and still
+        new = step(sigma, s)
+        prev, still, s = sigma, new == s, new
+    return count
+
+
+def test_fixed_slope_steps_match_per_symbol_reference_exactly():
+    kernels = (
+        (_push_word, ref_push_word, lambda p, sigma, s: ref_push(p, sigma, s, 0.0)[0], 1),
+        (_pull_word, ref_pull_word, lambda p, sigma, s: ref_pull(p, sigma, s, 0.0)[0], -1),
+    )
+    fired = [0, 0]
+    for m, p in _fixed_slope_params():
+        assert p.in_mod
+        line = unstable_line(p, MINUS)
+        for n in (2, 3):
+            word = ref_return_word(m, n)
+            assert p_value(p, m, n) == ref_fold(p, word, 0.0, 0.0)
+            assert q_value(p, m, n) == ref_pull_word(p, word, 0.0, 0.0)[1]
+            tail = (PLUS, PLUS) + (MINUS,) * (n - 2)
+            assert p_value(p, math.inf, n) == ref_fold(p, tail, line.slope, line.y_at(0.0))
+        for word in _switch_words(m):
+            # int symbols; float symbols shared as _return_word shares them;
+            # and floats that are equal but distinct objects
+            shared = {PLUS: 1.0, MINUS: -1.0}
+            for symbols in (
+                word,
+                tuple(shared[sigma] for sigma in word),
+                tuple(float(sigma) for sigma in word),
+            ):
+                for s0 in (0.0, -0.0, 0.3):
+                    for i, (kernel, ref, step, order) in enumerate(kernels):
+                        for k in (0.0, -0.7):
+                            got, want = kernel(p, symbols, s0, k), ref(p, word, s0, k)
+                            assert got == want
+                            assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
+                        fired[i] += _fixed_steps(lambda sigma, s: step(p, sigma, s), word[::order], s0)
+    # the sweep does exercise the fixed-slope steps, on both kernels
+    assert min(fired) > 1000, fired
+
+
+def test_slope_error_unchanged_for_int_and_float_words():
+    def raised(kernel, p, word, s, k):
+        with pytest.raises(SlopeError) as info:
+            kernel(p, word, s, k)
+        return str(info.value)
+
+    p = Params(2.0, 0.5)
+    # b*4.0 - a == 0 under the minus branch, at the first step
+    for word in ((MINUS, MINUS), (-1.0, -1.0)):
+        assert raised(_push_word, p, word, 4.0, 0.0) == "slope 4.0 maps to a vertical line under branch -1"
+        assert raised(_pull_word, p, word, 2.0, 0.0) == "vslope 2.0 is excluded under inverse branch -1"
+    # at the second step, after a minus step that lands on the excluded slope
+    s = -P18.a / P18.b
+    start = (P18.a - 1.0 / s) / P18.b
+    mid = ref_push(P18, MINUS, start, 0.0)[0]
+    vstart = P18.a + P18.b / P18.a
+    vmid = ref_pull(P18, MINUS, vstart, 0.0)[0]
+    for word in ((MINUS, PLUS, PLUS), (-1.0, 1.0, 1.0)):
+        want = f"slope {mid} maps to a vertical line under branch +1"
+        assert raised(_push_word, P18, word, start, 0.0) == want
+        want = f"vslope {vmid} is excluded under inverse branch +1"
+        assert raised(_pull_word, P18, word[::-1], vstart, 0.0) == want
+
+
 def test_return_word_cache_keyed_on_validated_ints():
+    _return_word.cache_clear()
+    word = _return_word(6, 3)
+    assert word == ref_return_word(6, 3) and {type(sigma) for sigma in word} == {float}
     _return_word.cache_clear()
     assert p_value(P18, 5.0, 2) == p_value(P18, 5, 2)
     assert q_value(P18, 5.0, 2.0) == q_value(P18, 5, 2)
