@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,38 @@ from helpers import (
 )
 
 PARAM_GRID = [Params(a, b) for a in (1.7, 2.1, 2.6, 3.2) for b in (0.0, 0.2, 0.5)]
+
+# repr of formal_periodic_point's point, admissibility and residual for
+# every word of length 1-6 at the parameters of brute_periodic_pins.json,
+# and for iota(+-1, m, n), m = 4..30, n = 2, 3, at (2, 1e-9) and (1.99, 0);
+# written by _formal_pins() before cyclic_orbit's sweep and the
+# admissibility's min were rewritten, which left every byte unchanged
+RECORDED_FORMAL = Path(__file__).parent / "data" / "formal_point_pins.json"
+PIN_WORD_PARAMS = (
+    (1.7, 0.0), (1.7, 0.05), (1.7, 0.1), (1.7, 0.2), (2.0, 0.3), (2.3, 0.0), (2.9, 0.6))
+PIN_IOTA_PARAMS = ((2.0, 1e-9), (1.99, 0.0))
+
+
+def _formal_pins():
+    """[a, b, word, point, admissibility, residual] per pinned word, the
+    last three as repr strings, the word as format_itinerary's text."""
+    cases = [
+        (a, b, word) for a, b in PIN_WORD_PARAMS for n in range(1, 7) for word in sign_words(n)
+    ]
+    cases += [
+        (a, b, iota(sigma, m, n))
+        for a, b in PIN_IOTA_PARAMS
+        for m in range(4, 31)
+        for n in (2, 3)
+        for sigma in (-1, +1)
+    ]
+    pins = []
+    for a, b, word in cases:
+        fp = formal_periodic_point(Params(a, b), word)
+        pins.append([
+            a, b, format_itinerary(word), repr(fp.point), repr(fp.admissibility), repr(fp.residual)
+        ])
+    return pins
 
 
 def test_parse_format_round_trip():
@@ -237,3 +271,10 @@ def test_spectral_radius_complex_pair():
     A, _ = compose(Params(1.05, 0.9), (1, -1))
     if (A[0] + A[3]) ** 2 < 4 * det(A):
         assert spectral_radius(A) == pytest.approx(math.sqrt(det(A)))
+
+
+def test_formal_points_match_recorded_bytes():
+    recorded = json.loads(RECORDED_FORMAL.read_text())
+    assert len(recorded) == 7 * 126 + 2 * 27 * 2 * 2
+    for want, got in zip(recorded, _formal_pins(), strict=True):
+        assert got == want, want[:3]
