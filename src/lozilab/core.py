@@ -141,18 +141,24 @@ def cyclic_orbit(p: Params, signs: Sequence[int]) -> list[float]:
     al, be, ga = 0.0, 1.0, 0.0
     sweep = []
     for s in signs:
-        piv = _pivot(p, s * a + b * al)
+        piv = s * a + b * al
+        if -1e-13 < piv < 1e-13:
+            _pivot(p, piv)
         al, be, ga = -1.0 / piv, -b * be / piv, (c - b * ga) / piv
         sweep.append((al, be, ga))
-    st = [(1.0, 0.0)]
-    for al, be, ga in reversed(sweep[:-1]):
-        st.append((al * st[-1][0] + be, al * st[-1][1] + ga))
-    (S, T), (al, be, ga) = st[-1], sweep[-1]
+    S, T = 1.0, 0.0
+    st = [(S, T)]
+    for al, be, ga in sweep[-2::-1]:
+        S, T = al * S + be, al * T + ga
+        st.append((S, T))
+    al, be, ga = sweep[-1]
     t = (al * T + ga) / _pivot(p, 1.0 - be - al * S)
-    return [S * t + T for S, T in reversed(st)]
+    st.reverse()
+    return [S * t + T for S, T in st]
 
 
 def _pivot(p: Params, value: float) -> float:
+    """value, unless it is below 1e-13 in magnitude: SingularSystemError."""
     if abs(value) < 1e-13:
         raise SingularSystemError(f"orbit system pivot {value:.1e} at ({p.a}, {p.b})")
     return value

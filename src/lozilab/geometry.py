@@ -7,6 +7,9 @@ a line y = s*x + k; a branch step divides by d = b*s + sigma*a and sends
 line x = t*y + c; an inverse-branch step divides by d = t + sigma*a and
 sends (t, c) to (-b/d, (a-b-1 - c)/d).  Both refuse |d| < 1e-13 (the
 excluded slope).  Every line iteration in the package runs through them.
+They do not check their symbols; the public steps slope_fwd, slope_bwd,
+iterate_line_fwd and iterate_line_bwd refuse a symbol other than +-1 with
+ItineraryError, once per call.
 Under a repeated branch the slope soon stops changing as a float; while
 the symbol keeps repeating, a step then reuses the last checked d, the
 very float it would recompute, and moves only k or c.  The words built
@@ -32,7 +35,7 @@ from .core import (
     fixed_points,
     multipliers,
 )
-from .symbolic import Itinerary
+from .symbolic import Itinerary, _require_symbols
 
 _EXCLUDED_TOL = 1e-13
 
@@ -116,11 +119,13 @@ def _fold(p: Params, word: Itinerary, slope: float, k: float) -> float:
 
 def slope_fwd(p: Params, sigma: int, slope: float) -> float:
     """Slope of the sigma-branch image of a line with the given slope."""
+    _require_symbols((sigma,))
     return _push_word(p, (sigma,), slope, 0.0)[0]
 
 
 def slope_bwd(p: Params, sigma: int, vslope: float) -> float:
     """Vertical slope of the sigma-branch preimage of a near-vertical line."""
+    _require_symbols((sigma,))
     return _pull_word(p, (sigma,), vslope, 0.0)[0]
 
 
@@ -129,6 +134,8 @@ def iterate_line_fwd(p: Params, word: Itinerary, line: FwdLine) -> FwdLine:
 
     The returned line is re-anchored at its y-axis crossing (0, k).
     """
+    word = tuple(word)
+    _require_symbols(word)
     slope, k = _push_word(p, word, line.slope, line.y_at(0.0))
     return FwdLine(slope=slope, anchor=(0.0, k))
 
@@ -141,6 +148,8 @@ def iterate_line_bwd(p: Params, word: Itinerary, line: BwdLine) -> BwdLine:
     line is re-anchored at its x-axis trace (same line, stable arithmetic,
     and well defined in the noninvertible case b = 0).
     """
+    word = tuple(word)
+    _require_symbols(word)
     vslope, c = _pull_word(p, word, line.vslope, line.trace)
     return BwdLine(vslope=vslope, anchor=(c, 0.0))
 
@@ -249,7 +258,7 @@ def u_gap(p: Params, m: int, side: str) -> float:
         denom = p.a - p.b * s
         d = p.b * ((lam - 1.0) * e + lam * d) / (denom * lam)
         e = e * p.b / (denom * lam)
-        s = slope_fwd(p, MINUS, s)
+        s = _push_word(p, (MINUS,), s, 0.0)[0]
     return p.b * d
 
 

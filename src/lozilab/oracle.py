@@ -61,12 +61,19 @@ def orbit_signs(p: Params, v: Point, length: int) -> tuple[int, ...]:
     """Sign coding of the genuine orbit; x = 0 codes as +, and an x that
     is NaN has no sign and is refused with DomainError."""
     _require_count("length", length, 0)
+    a, b = p.a, p.b
+    c = a - b - 1.0
+    x, y = v
     signs = []
     for _ in range(length):
-        if not (v[0] >= 0.0 or v[0] < 0.0):
-            raise DomainError(f"the orbit meets {v!r}, whose x has no sign")
-        signs.append(+1 if v[0] >= 0.0 else -1)
-        v = apply_map(p, v)
+        if x >= 0.0:
+            signs.append(+1)
+        elif x < 0.0:
+            signs.append(-1)
+        else:
+            raise DomainError(f"the orbit meets {(x, y)!r}, whose x has no sign")
+        # apply_map's operations
+        x, y = -a * abs(x) - b * y + c, x
     return tuple(signs)
 
 
@@ -123,16 +130,24 @@ def _return_map_newton(p: Params, seed: Point, period: int) -> Point | None:
 
 
 def _verified_root(p: Params, v: Point, period: int) -> Point | None:
-    w = v
+    """v if map^period(v) is within 1e-10 of it, stepped by apply_map's
+    operations; otherwise None."""
+    a, b = p.a, p.b
+    c = a - b - 1.0
+    x, y = v
     for _ in range(period):
-        w = apply_map(p, w)
+        x, y = -a * abs(x) - b * y + c, x
     # written so that a NaN difference fails the test
-    if not (abs(w[0] - v[0]) <= 1e-10 and abs(w[1] - v[1]) <= 1e-10):
+    if not (abs(x - v[0]) <= 1e-10 and abs(y - v[1]) <= 1e-10):
         return None
     return v
 
 
-def _distinct(roots: Iterable[Point], accept: Callable[[Point], bool]) -> list[Point]:
+def _distinct(
+    roots: Iterable[Point],
+    accept: Callable[[Point], bool],
+    cells: dict[tuple[float, float], list[Point]] | None = None,
+) -> list[Point]:
     """The roots, in order, each kept if no kept point is within 1e-7 in
     the max norm and `accept` holds.
 
@@ -140,10 +155,12 @@ def _distinct(roots: Iterable[Point], accept: Callable[[Point], bool]) -> list[P
     merge distance, so a point within 1e-7 lies in the root's own cell or
     one of its 8 neighbours whatever the rounding of the cell index.
     Float floor division gives non-finite coordinates a NaN index, which
-    matches no cell.
+    matches no cell.  The index is built in `cells` when it is given, for
+    later _near_kept lookups.
     """
     kept: list[Point] = []
-    cells: dict[tuple[float, float], list[Point]] = {}
+    if cells is None:
+        cells = {}
     for root in roots:
         x, y = root
         i, j = x // _CELL, y // _CELL
@@ -221,9 +238,10 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
     The grid is a uniqueness check that does not rest on this argument.
     map^period is affine on each cell of seeds of a sheared grid on
     [-2, 2]^2 whose first `period` signs agree (one key of _seed_keys), so
-    return-map Newton runs once per cell, from its first seed.  A root
-    farther than 1e-7 from every point of the result raises DomainError;
-    a failed run costs nothing.
+    return-map Newton runs once per cell, from its first seed, in grid
+    order.  Each root is looked up in the result's own dedup index
+    (_near_kept), and the first one farther than 1e-7 from every point of
+    the result raises DomainError; a failed run costs nothing.
     """
     if not p.in_full:
         raise RegionError(f"({p.a}, {p.b}) is outside the full-family region")
@@ -237,19 +255,21 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
             continue
         if all(s * x >= -_TIE for x, s in zip(xs, signs)):
             roots.extend((xs[k], xs[k - 1]) for k in range(period))
-    points = _distinct(roots, lambda v: _verified_root(p, v, period) is not None)
-    firsts: dict[int, Point] = {}
-    for seed, key in zip(_seed_grid(grid_n), _seed_keys(p.a, p.b, grid_n, period)):
-        firsts.setdefault(key, seed)
-    newton = [_return_map_newton(p, seed, period) for seed in firsts.values()]
-    # the points are 1e-7 apart, so _distinct keeps them all, and after
-    # them only the Newton roots far from every point
-    missed = _distinct(points + [v for v in newton if v is not None], lambda v: True)
-    if len(missed) > len(points):
-        raise DomainError(
-            f"grid Newton root {missed[len(points)]!r} of period {period} at "
-            f"({p.a}, {p.b}) is not a point of the pattern search"
-        )
+    cells: dict[tuple[float, float], list[Point]] = {}
+    points = _distinct(roots, lambda v: _verified_root(p, v, period) is not None, cells)
+    keys = _seed_keys(p.a, p.b, grid_n, period)
+    # built backwards, so each key keeps its first seed
+    first = dict(zip(reversed(keys), reversed(_seed_grid(grid_n))))
+    for key in dict.fromkeys(keys):
+        root = _return_map_newton(p, first[key], period)
+        if root is None:
+            continue
+        x, y = root
+        if not _near_kept(cells, x // _CELL, y // _CELL, x, y):
+            raise DomainError(
+                f"grid Newton root {root!r} of period {period} at "
+                f"({p.a}, {p.b}) is not a point of the pattern search"
+            )
     return sorted(points)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .core import (
     DomainError,
@@ -31,6 +32,14 @@ _CHARS = {-1: "-", +1: "+"}
 
 class ItineraryError(DomainError):
     """Malformed itinerary text or symbols."""
+
+
+def _require_symbols(itinerary: Itinerary) -> None:
+    """Refuse, with ItineraryError, a word with a symbol other than -1 or
+    +1 (the floats -1.0 and +1.0 are the same symbols)."""
+    if not {-1, +1}.issuperset(itinerary):
+        bad = next(s for s in itinerary if s not in (-1, +1))
+        raise ItineraryError(f"bad symbol {bad!r} in {itinerary!r}: symbols are -1, +1")
 
 
 def parse_itinerary(text: str) -> Itinerary:
@@ -78,11 +87,9 @@ def formal_periodic_point(p: Params, itinerary: Itinerary) -> FormalPeriodicPoin
     given.
     """
     itinerary = tuple(itinerary)
-    if not {-1, +1}.issuperset(itinerary):
-        bad = next(s for s in itinerary if s not in (-1, +1))
-        raise ItineraryError(f"bad symbol {bad!r} in {itinerary!r}: symbols are -1, +1")
+    _require_symbols(itinerary)
     xs = cyclic_orbit(p, itinerary)
-    h = min(s * x for s, x in zip(itinerary, xs))
+    h = min(map(mul, itinerary, xs))
     a, b = p.a, p.b
     residual = max(
         abs(xs[(k + 1) % len(xs)] + s * a * xs[k] - (a - 1.0) + b * (xs[k - 1] + 1.0))

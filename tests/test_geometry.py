@@ -37,6 +37,7 @@ from lozilab.geometry import (
     u_gap,
     unstable_line,
 )
+from lozilab.symbolic import ItineraryError
 
 from helpers import (
     fold_oracle,
@@ -85,6 +86,31 @@ def test_excluded_slopes():
         iterate_line_fwd(P18, (MINUS, PLUS), FwdLine(slope=start, anchor=(0.0, 0.0)))
 
 
+@pytest.mark.parametrize("bad", [0, 7, 0.5])
+def test_line_steps_refuse_symbols_outside_plus_minus_one(bad):
+    fwd = FwdLine(slope=0.3, anchor=(0.0, 0.0))
+    bwd = BwdLine(vslope=0.05, anchor=(0.3, 0.0))
+    calls = (
+        lambda word: iterate_line_fwd(P18, word, fwd),
+        lambda word: iterate_line_bwd(P18, word, bwd),
+        lambda word: slope_fwd(P18, word[-1], 0.3),
+        lambda word: slope_bwd(P18, word[-1], 0.05),
+    )
+    for call in calls:
+        for word in ((bad,), (PLUS, bad)):
+            with pytest.raises(ItineraryError, match=re.escape(f"bad symbol {bad!r} in")):
+                call(word)
+
+
+def test_line_iteration_reads_a_one_pass_word_once():
+    # the symbol check must not use up a word given as an iterator
+    word = (PLUS, MINUS, MINUS)
+    fwd = FwdLine(slope=0.3, anchor=(0.2, -0.4))
+    bwd = BwdLine(vslope=0.05, anchor=(0.3, 0.1))
+    assert iterate_line_fwd(P18, iter(word), fwd) == iterate_line_fwd(P18, word, fwd)
+    assert iterate_line_bwd(P18, iter(word), bwd) == iterate_line_bwd(P18, word, bwd)
+
+
 # ------------------------------------------- word loops, bit for bit
 
 KERNEL_WORDS = [(4, 2), (8, 2), (14, 3), (26, 2), (26, 3)]
@@ -111,7 +137,9 @@ def test_gap_kernel_matches_per_symbol_reference_exactly():
 
 
 def test_ladders_and_line_iteration_match_per_symbol_reference_exactly():
-    words = [(), (PLUS,), (MINUS,) * 5, (PLUS, MINUS, MINUS, PLUS, PLUS, MINUS), ref_return_word(14, 3)]
+    # the float symbols +-1.0 are the same symbols as +-1
+    words = [(), (PLUS,), (-1.0,), (1.0,), (MINUS,) * 5, (PLUS, MINUS, MINUS, PLUS, PLUS, MINUS),
+             ref_return_word(14, 3)]
     fwd = FwdLine(slope=0.3, anchor=(0.2, -0.4))
     bwd = BwdLine(vslope=0.05, anchor=(0.3, 0.1))
     for p in _kernel_params():
@@ -123,7 +151,7 @@ def test_ladders_and_line_iteration_match_per_symbol_reference_exactly():
             for side, y0 in (("L", -1.0), ("R", 1.0)):
                 assert u_value(p, m, side) == ref_fold(p, (PLUS,) + (MINUS,) * (m - 2), 0.0, y0)
         assert turning_point(p, fwd) == ref_fold(p, (), fwd.slope, fwd.y_at(0.0))
-        for sigma in (MINUS, PLUS):
+        for sigma in (MINUS, PLUS, -1.0, 1.0):
             assert slope_fwd(p, sigma, fwd.slope) == ref_push(p, sigma, fwd.slope, 0.0)[0]
             assert slope_bwd(p, sigma, bwd.vslope) == ref_pull(p, sigma, bwd.vslope, 0.0)[0]
         for word in words:

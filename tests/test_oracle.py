@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from lozilab.core import DomainError, RegionError
 from lozilab.oracle import BudgetError, trapping_lines
 
 from helpers import (
-    border_parameters, close, full_budget_newton, reference_brute_periodic,
+    border_parameters, close, full_budget_newton, genuine_iterate, reference_brute_periodic,
     reference_cone_check, seed_grid)
 
 P18 = Params(1.8, 0.2)
@@ -252,6 +253,28 @@ def test_dedup_across_cell_boundaries(edge, axes):
             assert oracle._distinct(repeated, accept) == want
 
 
+@pytest.mark.parametrize("axes", [(1, 0), (0, 1), (1, 1)])
+def test_grid_check_looks_roots_up_across_cell_edges(axes, monkeypatch):
+    # the kept point at z_- = (-1, -1) sits at the top of its cell (-1.0 //
+    # CELL is -1000001), so a step up by either gap crosses into the next
+    p, period = Params(2.3, 0.3), 3
+    points = brute_periodic(p, period, grid_n=20)
+    z = points[0]
+    assert close(z, (-1.0, -1.0), 1e-15)
+    for gap, missed in ((0.99e-7, False), (1.01e-7, True)):
+        root = (z[0] + gap * axes[0], z[1] + gap * axes[1])
+        for k in range(2):
+            if axes[k]:
+                assert root[k] // CELL != z[k] // CELL
+        monkeypatch.setattr(oracle, "_return_map_newton", lambda p, seed, period: root)
+        if missed:
+            with pytest.raises(DomainError, match=re.escape(
+                    f"grid Newton root {root!r} of period 3 at (2.3, 0.3) is not a point")):
+                brute_periodic(p, period, grid_n=20)
+        else:
+            assert brute_periodic(p, period, grid_n=20) == points
+
+
 def test_dedup_non_finite_roots_do_not_raise():
     roots = [(math.nan, 0.0), (math.inf, 1.0), (0.5, -math.inf), (0.5, 0.5), (0.5, 0.5)]
     assert oracle._distinct(roots, lambda v: math.isfinite(v[0] + v[1])) == [(0.5, 0.5)]
@@ -274,6 +297,63 @@ def test_verified_root_refuses_nan():
         assert oracle._verified_root(p, z, period) == z
         for v in ((math.nan, z[1]), (z[0], math.nan), (math.nan, math.nan)):
             assert oracle._verified_root(p, v, period) is None, (v, period)
+    # a finite start whose orbit overflows: -inf, -inf, then -inf + inf
+    assert oracle._verified_root(Params(1e308, 0.5), (1e308, 0.0), 3) is None
+
+
+def _stepper_cases():
+    """(p, v) over the full-family region: b = 0 and b > 0, a up to 1e15,
+    random starts and, at border collisions, formal points whose orbit
+    meets x = 0 within rounding, where a sign turns on the last bit."""
+    rng = random.Random(21)
+    cases = []
+    for b in (0.0, 0.3, 1.0, None, None, None):
+        for a in (1e3, 1e15, None, None):
+            bb = rng.uniform(0.0, 1.0) if b is None else b
+            aa = rng.uniform(bb + 1.001, 4.0) if a is None else a
+            for _ in range(5):
+                cases.append((Params(aa, bb), (rng.uniform(-2, 2), rng.uniform(-2, 2))))
+    for p, word in border_parameters(21):
+        cases.append((p, formal_periodic_point(p, word).point))
+    return cases
+
+
+def test_orbit_signs_equal_genuine_iteration():
+    for p, v in _stepper_cases():
+        want = []
+        w = v
+        for _ in range(12):
+            if not (w[0] >= 0.0 or w[0] < 0.0):
+                break
+            want.append(+1 if w[0] >= 0.0 else -1)
+            w = genuine_iterate(p, w, 1)
+        assert orbit_signs(p, v, len(want)) == tuple(want), (p, v)
+
+
+def test_verified_root_equals_genuine_iteration():
+    # the forward check of a start moved off a periodic point by delta is
+    # bisected down to adjacent deltas on either side of its 1e-10 bound:
+    # there one ulp of the iterate decides, so both must be stepped alike
+    flips = 0
+    for p, v in _stepper_cases():
+        for period in (1, 2, 3):
+            assert (oracle._verified_root(p, v, period) == v) is close(
+                genuine_iterate(p, v, period), v, 1e-10), (p, v, period)
+        z = fixed_points(p)[1]
+
+        def passes(delta):
+            u = (z[0] + delta, z[1])
+            return close(genuine_iterate(p, u, 2), u, 1e-10)
+
+        lo, hi = 0.0, 1e-9
+        if not passes(lo) or passes(hi):
+            continue
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+        for delta, want in ((lo, (z[0] + lo, z[1])), (hi, None)):
+            assert oracle._verified_root(p, (z[0] + delta, z[1]), 2) == want, (p, delta)
+        flips += 1
+    assert flips >= 50
 
 
 def test_brute_rejects_bad_inputs():
@@ -446,6 +526,11 @@ def test_orbit_signs_refuses_nan():
     for p, v in ((P18, (0.1, math.nan)), (Params(2.0, 0.0), (math.inf, math.inf))):
         with pytest.raises(DomainError, match="no sign"):
             orbit_signs(p, v, 3)
+    # a finite start whose x steps to -inf, -inf, then -inf + inf = NaN
+    p, v = Params(1e308, 0.5), (1e308, 0.0)
+    assert orbit_signs(p, v, 3) == (1, -1, -1)
+    with pytest.raises(DomainError, match=r"the orbit meets \(nan, -inf\), whose x has no sign"):
+        orbit_signs(p, v, 4)
 
 
 def test_classify_random_orbits_always_resolve():

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -226,6 +227,25 @@ def test_singular_system_outside_full_region():
     for p, word in [(Params(1.0, 0.0), (-1,)), (Params(1.8, 0.2), ())]:
         with pytest.raises(SingularSystemError):
             formal_periodic_point(p, word)
+
+
+@pytest.mark.parametrize("p, word, message", [
+    (Params(1.8, 0.2), (), "the empty word has no periodic orbit"),
+    # a forward-sweep pivot s a + b al, at the first symbol and later
+    (Params(0.0, 0.0), (1,), "orbit system pivot 0.0e+00 at (0.0, 0.0)"),
+    (Params(5e-14, 0.0), (-1,), "orbit system pivot -5.0e-14 at (5e-14, 0.0)"),
+    (Params(1.0, 1.0), (1, 1), "orbit system pivot 0.0e+00 at (1.0, 1.0)"),
+    # the bordering pivot 1 - be - al S that fixes x_{N-1}
+    (Params(1.0, 0.0), (-1,), "orbit system pivot 0.0e+00 at (1.0, 0.0)"),
+])
+def test_cyclic_orbit_singular_messages(p, word, message):
+    with pytest.raises(SingularSystemError, match=re.escape(message)):
+        cyclic_orbit(p, word)
+
+
+def test_cyclic_orbit_pivot_at_the_bound_passes():
+    # only a pivot below 1e-13 in magnitude is refused
+    assert cyclic_orbit(Params(1e-13, 0.0), (1,)) == [(1e-13 - 1.0) / 1e-13 / (1.0 + 1.0 / 1e-13)]
 
 
 @pytest.mark.parametrize("word, bad", [((2,), 2), ((0,), 0), ((1, -1, 0), 0)])
