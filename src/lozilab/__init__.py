@@ -33,15 +33,10 @@ from .core import (
 )
 from .geometry import (
     BwdLine,
-    FwdLine,
     iterate_line_bwd,
-    iterate_line_fwd,
     p_value,
     q_value,
     r_value,
-    slope_bwd,
-    slope_fwd,
-    turning_point,
     u_gap,
     u_value,
 )

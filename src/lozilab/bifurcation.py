@@ -69,16 +69,13 @@ def solve_l(
 ) -> float:
     """The root a in (sqrt(2), 4) of the fold/pullback gap at fixed b.
 
-    Scans for a sign change, finds the bracket's final bisection cell of
-    width 1e-6 from a secant prediction (bisecting only when no predicted
-    cell passes or the scan warned), then polishes with central-difference
+    solvers.hybrid_root scans for a sign change, finds the bracket's final
+    bisection cell of width 1e-6, then polishes with central-difference
     Newton from its midpoint until |p - q| <= tol.  A non-monotone
     scan or several sign changes emit MultipleRootWarning and the
     rightmost root (the admissibility boundary reached from large a) is
-    returned.  A call without `guess` always runs the full scan; with a
-    predicted root the scan runs only when hybrid_root's warm start
-    fails, and the root is then the one the scan would find where the gap
-    increases on the scan cell holding it and has one sign change.
+    returned.  `guess` warm-starts the solve under the warm-start
+    contract of solvers.
     """
     _require_orders(m, n)
     return hybrid_root(
@@ -192,7 +189,10 @@ def tangency_a(b: float) -> float:
 
 def crossing_gaps(curve2: BifCurve, curve3: BifCurve) -> tuple[list[float], list[int]]:
     """The gaps l_{m,2} - l_{m,3} on the shared b-grid, and every k where
-    the sign changes between samples k and k+1."""
+    the sign changes between samples k and k+1; refuses curves sampled on
+    different b-grids."""
+    if [b for b, _ in curve2.samples] != [b for b, _ in curve3.samples]:
+        raise DomainError("the two curves are sampled on different b-grids")
     gaps = [a2 - a3 for (_, a2), (_, a3) in zip(curve2.samples, curve3.samples)]
     flips = [k for k in range(len(gaps) - 1) if (gaps[k] < 0.0) != (gaps[k + 1] < 0.0)]
     return gaps, flips
@@ -210,19 +210,18 @@ def refine_crossing(
     """Bisect the sign change of l_{m,2} - l_{m,3} between the curves'
     samples k and k+1 until the bracket is at most `width` wide.  Returns
     the midpoint b* and l_{m,2}(b*); every solve stops at |p - q| <= tol
-    and starts from the root predicted by the curve's samples.
+    and starts from the root predicted by the curve's samples.  Refuses
+    curves sampled on different b-grids and k outside 0..len(samples) - 2.
 
-    When the difference increases through the bracket, the final cell
-    comes from solvers.predicted_cell, a secant prediction of b* checked
-    by the difference's sign at the cell's two ends.  Where the difference
-    is negative below that cell and positive above it, b* and l_{m,2}(b*)
-    are bit for bit the bisection's.  A decreasing difference, or a
-    prediction no nearby cell confirms, runs the bisection.  l_{m,2}(b*)
-    is the value the difference solved at b*, when it was evaluated there
-    (always after a predicted cell, whose check starts at its midpoint).
+    The final cell comes from solvers.predicted_cell, so under the
+    warm-start contract b* and l_{m,2}(b*) are bit for bit the
+    bisection's; a decreasing difference, or a prediction no nearby cell
+    confirms, runs the bisection.  l_{m,2}(b*) is the value the difference
+    solved at b*, when it was evaluated there.
     """
-    (lo, a2lo), (hi, a2hi) = curve2.samples[k], curve2.samples[k + 1]
-    glo, ghi = a2lo - curve3.samples[k][1], a2hi - curve3.samples[k + 1][1]
+    gaps = crossing_gaps(curve2, curve3)[0]
+    _require_count("k", k, 0, len(gaps) - 2)
+    lo, hi, glo, ghi = curve2.samples[k][0], curve2.samples[k + 1][0], gaps[k], gaps[k + 1]
     a2: dict[float, float] = {}
 
     def gap(b: float) -> float:
@@ -293,11 +292,9 @@ def find_reversal(
     l_{m,2}(b_bar) > l_{m,3}(b_bar), exactly one sign change of the
     difference on the grid, slope ordering d l_{m,2}/db > d l_{m,3}/db at
     every shared sample, then refines the crossing with refine_crossing to
-    width max(1e-13, 1e-7 * b_bar).  That bisection is warm-started from a
-    secant prediction of b*; where l_{m,2} - l_{m,3} is negative below and
-    positive above the predicted final cell, b* and a* are bit for bit the
-    full bisection's.  The slopes at b* are central differences of solves
-    predicted by the curves' samples.
+    width max(1e-13, 1e-7 * b_bar), warm-started under the warm-start
+    contract of solvers.  The slopes at b* are central differences of
+    solves predicted by the curves' samples.
     """
     if not 0.0 < b_bar < 1.0:
         raise DomainError(f"need 0 < b_bar < 1, got {b_bar}")

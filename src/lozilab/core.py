@@ -19,7 +19,6 @@ Point = tuple[float, float]
 
 MINUS = -1
 PLUS = +1
-SIGNS = (MINUS, PLUS)
 
 
 class DomainError(ValueError):

@@ -1,5 +1,5 @@
-"""Forward and backward iteration of lines, fold abscissas, and the
-critical-value / stable-trace ladders.
+"""Backward iteration of lines, fold abscissas, and the critical-value /
+stable-trace ladders.
 
 Two line shapes are tracked, each by one word loop.  `_push_word` carries
 a line y = s*x + k; a branch step divides by d = b*s + sigma*a and sends
@@ -7,9 +7,9 @@ a line y = s*x + k; a branch step divides by d = b*s + sigma*a and sends
 line x = t*y + c; an inverse-branch step divides by d = t + sigma*a and
 sends (t, c) to (-b/d, (a-b-1 - c)/d).  Both refuse |d| < 1e-13 (the
 excluded slope).  Every line iteration in the package runs through them.
-They do not check their symbols; the public steps slope_fwd, slope_bwd,
-iterate_line_fwd and iterate_line_bwd refuse a symbol other than +-1 with
-ItineraryError, once per call.
+They do not check their symbols; the public iterate_line_bwd and
+stable_line refuse a symbol other than +-1 with ItineraryError, once per
+call.
 Under a repeated branch the slope soon stops changing as a float; while
 the symbol keeps repeating, a step then reuses the last checked d, the
 very float it would recompute, and moves only k or c.  The words built
@@ -42,17 +42,6 @@ _EXCLUDED_TOL = 1e-13
 
 class SlopeError(DomainError):
     """A line iteration hit the excluded (vertical-image) slope."""
-
-
-@dataclass(frozen=True)
-class FwdLine:
-    """Non-vertical line through `anchor` with slope dy/dx = `slope`."""
-
-    slope: float
-    anchor: Point
-
-    def y_at(self, x: float) -> float:
-        return self.anchor[1] + self.slope * (x - self.anchor[0])
 
 
 @dataclass(frozen=True)
@@ -117,29 +106,6 @@ def _fold(p: Params, word: Itinerary, slope: float, k: float) -> float:
     return (p.a - p.b - 1.0) - p.b * _push_word(p, word, slope, k)[1]
 
 
-def slope_fwd(p: Params, sigma: int, slope: float) -> float:
-    """Slope of the sigma-branch image of a line with the given slope."""
-    _require_symbols((sigma,))
-    return _push_word(p, (sigma,), slope, 0.0)[0]
-
-
-def slope_bwd(p: Params, sigma: int, vslope: float) -> float:
-    """Vertical slope of the sigma-branch preimage of a near-vertical line."""
-    _require_symbols((sigma,))
-    return _pull_word(p, (sigma,), vslope, 0.0)[0]
-
-
-def iterate_line_fwd(p: Params, word: Itinerary, line: FwdLine) -> FwdLine:
-    """Push a line through the branches named by `word`, first symbol first.
-
-    The returned line is re-anchored at its y-axis crossing (0, k).
-    """
-    word = tuple(word)
-    _require_symbols(word)
-    slope, k = _push_word(p, word, line.slope, line.y_at(0.0))
-    return FwdLine(slope=slope, anchor=(0.0, k))
-
-
 def iterate_line_bwd(p: Params, word: Itinerary, line: BwdLine) -> BwdLine:
     """Pull a near-vertical line back through the forward word `word`.
 
@@ -154,25 +120,13 @@ def iterate_line_bwd(p: Params, word: Itinerary, line: BwdLine) -> BwdLine:
     return BwdLine(vslope=vslope, anchor=(c, 0.0))
 
 
-def turning_point(p: Params, line: FwdLine) -> float:
-    """Fold abscissa of the full-map image of a line crossing x = 0."""
-    return _fold(p, (), line.slope, line.y_at(0.0))
-
-
 def stable_line(p: Params, sigma: int) -> BwdLine:
     """Carrier line of the local stable manifold of the sigma fixed point."""
+    _require_symbols((sigma,))
     z_minus, z_plus = fixed_points(p)
     z = z_plus if sigma == PLUS else z_minus
     mu = multipliers(p).mu
     return BwdLine(vslope=-sigma * mu, anchor=z)
-
-
-def unstable_line(p: Params, sigma: int) -> FwdLine:
-    """Carrier line of the local unstable manifold of the sigma fixed point."""
-    z_minus, z_plus = fixed_points(p)
-    z = z_plus if sigma == PLUS else z_minus
-    lam = multipliers(p).lam
-    return FwdLine(slope=-sigma / lam, anchor=z)
 
 
 def _require_mod(p: Params) -> None:
@@ -277,14 +231,14 @@ def p_value(p: Params, m: int | float, n: int) -> float:
 
     The x-axis is pushed through (+, -^(m-2), +, +, -^(n-2)) and the final
     full-map application folds the image; the fold abscissa is returned.
-    m = inf replaces the first m-dependent block by the unstable line of
-    the left fixed point, the limit object of that block.
+    m = inf replaces the first m-dependent block by the unstable line
+    y = s*x + s - 1, s = 1/lam, of the left fixed point, the limit object
+    of that block.
     """
     _require_mod(p)
     if m == math.inf:
-        line = unstable_line(p, MINUS)
-        tail = _return_word(2, n)[1:]  # (+, +, -^(n-2))
-        return _fold(p, tail, line.slope, line.y_at(0.0))
+        s = 1.0 / multipliers(p).lam
+        return _fold(p, _return_word(2, n)[1:], s, s - 1.0)
     return (p.a - p.b - 1.0) - p.b * _push_word(p, _return_word(m, n), 0.0, 0.0)[1]
 
 

@@ -1,4 +1,22 @@
-"""Scalar root finding: bracket scan, bisection, safeguarded Newton polish."""
+"""Scalar root finding: bracket scan, bisection, safeguarded Newton polish.
+
+Warm-start contract.  A root is found in two stages: the final cell of
+bisection to xtol inside a sign-change bracket, then Newton from that
+cell's midpoint.  A warm start replaces the first stage by a predicted
+root: the bisection tree is walked to the final cell holding it without
+evaluating f, and the cell is taken when f changes sign in it; up to
+_HUNT_CELLS - 1 neighbouring cells toward the root are tried next.  A
+cell is checked at its midpoint, the Newton start, then toward the root:
+at the Newton slope point on that side when both slope points lie
+strictly inside the cell, and at the cell's end only when f shows no
+sign change there.  On its way to the final cell bisection evaluates f
+only at that cell's ends or beyond them, so where f is negative below
+the taken cell and positive above it across the cold path's bracket, and
+a cold scan would see that one sign change only, the cell, the Newton
+start and the root are bit for bit the cold path's.  When no cell
+passes, the cold path runs.  The predictions are hybrid_root's `guess`
+and predicted_cell's secant root of a bracket.
+"""
 
 from __future__ import annotations
 
@@ -131,14 +149,10 @@ def _warm_bracket(
 ) -> tuple[float, float] | None:
     """The final bisection cell in which f changes sign, hunted from the
     cell holding guess through at most _HUNT_CELLS neighbouring cells; None
-    when the hunt leaves (lo, hi) or runs out.
-
-    A cell is checked at its midpoint, the Newton start, and then toward
-    the root: at the Newton slope point on that side when both slope
-    points lie strictly inside the cell, and at the cell's end only when
-    f shows no sign change there.  Where f increases on the cell this
-    takes it exactly when f(c0) < 0 < f(c1), and a failed cell moves the
-    hunt as that test would: left when f(c0) >= 0, right when f(c1) <= 0.
+    when the hunt leaves (lo, hi) or runs out.  A cell is checked as the
+    warm-start contract says.  Where f increases on the cell this takes it
+    exactly when f(c0) < 0 < f(c1), and a failed cell moves the hunt as
+    that test would: left when f(c0) >= 0, right when f(c1) <= 0.
     """
     x = guess
     for _ in range(_HUNT_CELLS):
@@ -166,14 +180,9 @@ def predicted_cell(
     the bracket is already at most xtol wide, or no cell passes.
 
     The prediction is the root of the line through the bracket's ends,
-    moved by at most two secant steps on f, one evaluation each.  The
-    bisection tree is walked to the final cell holding it without
-    evaluating f, and the cell is taken when f changes sign in it (the
-    check of _warm_bracket; flo and fhi stand for f at lo and hi); up to
-    _HUNT_CELLS - 1 neighbouring cells toward the root are tried.  On its
-    way to that cell bisect evaluates f only at the cell's ends or beyond
-    them, so where f is negative below the cell and positive above it,
-    this is the cell bisect reaches, bit for bit.
+    moved by at most two secant steps on f, one evaluation each; its cell
+    is checked under the warm-start contract, with flo and fhi standing
+    for f at lo and hi.
     """
     if not (flo < 0.0 < fhi and hi - lo > xtol):
         return None
@@ -222,15 +231,9 @@ def hybrid_root(
     than one sign change; the last (rightmost) bracket is bisected then.
     After a monotone scan with one bracket, predicted_cell finds the final
     cell from a secant prediction; bisect runs only when no cell passes.
-
-    Only a call without `guess` is sure to run the full scan.  With a
-    predicted root the scan is skipped: the final bisection cell holding
-    guess, or one of the next _HUNT_CELLS - 1 cells toward the root, is
-    taken when f changes sign in it (see _warm_bracket).  If f increases
-    on that scan cell and the scan would find one bracket, this is the
-    cell that the cold bisection reaches, so the Newton start and the root
-    are bit-for-bit the cold ones.  Such a solve never warns.  When no
-    cell passes, the full scan runs as without a guess.
+    With `guess` the scan is skipped unless the warm start fails (see the
+    warm-start contract); a warm solve never warns, and only a call
+    without `guess` is sure to run the full scan.
     """
     f = _Memo(f).__getitem__
     cell = None if guess is None else _warm_bracket(f, lo, hi, scan_n, xtol, guess)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import warnings
 
 import pytest
@@ -537,6 +538,38 @@ def test_decreasing_crossing_runs_the_cold_bisection(curves_m5, cold_bisections)
     want = cold_crossing(curve3, curve2, k, 1e-11)
     assert refine_crossing(curve3, curve2, k, 1e-11) == want
     assert len(cold_bisections) == 1
+
+
+@pytest.fixture(scope="module")
+def curves_m6_coarse():
+    grid = [0.07 * i / 10 for i in range(11)]
+    return trace_curve(6, 2, grid), trace_curve(6, 3, grid)
+
+
+@pytest.mark.parametrize("k", [-1, 10, 11, True, 1.0])
+def test_refine_crossing_refuses_an_index_off_the_samples(k, curves_m6_coarse):
+    # k = -1 used to wrap round to the last sample and return (0.035, ...),
+    # far from the crossing b* = 0.00452... in the first interval
+    curve2, curve3 = curves_m6_coarse
+    assert crossing_gaps(curve2, curve3)[1] == [0]
+    assert refine_crossing(curve2, curve3, 0, 1e-11)[0] == pytest.approx(0.00452, abs=1e-5)
+    with pytest.raises(DomainError, match=re.escape(f"need an integer 0 <= k <= 9, got {k!r}")):
+        refine_crossing(curve2, curve3, k, 1e-11)
+
+
+@pytest.mark.parametrize("grid", [
+    [0.06 * i / 10 for i in range(11)],  # same count, other spacing
+    [0.07 * i / 11 for i in range(12)],  # one point more: zip would drop it
+])
+def test_crossing_refuses_curves_on_different_grids(grid, curves_m6_coarse):
+    curve2, _ = curves_m6_coarse
+    curve3 = trace_curve(6, 3, grid)
+    for call in (
+        lambda: crossing_gaps(curve2, curve3),
+        lambda: refine_crossing(curve2, curve3, 0, 1e-11),
+    ):
+        with pytest.raises(DomainError, match="different b-grids"):
+            call()
 
 
 @pytest.mark.parametrize("shift", [-4, -3, -1, 1, 3, 4, 9])

@@ -1,27 +1,26 @@
+import __future__
 import math
 import random
 import re
+import types
 
 import pytest
 
+import lozilab
 from lozilab import (
     MINUS,
     PLUS,
     BwdLine,
-    FwdLine,
     Params,
     apply_branch,
     apply_branch_inverse,
     fixed_points,
+    geometry,
     iterate_line_bwd,
-    iterate_line_fwd,
     multipliers,
     p_value,
     q_value,
     r_value,
-    slope_bwd,
-    slope_fwd,
-    turning_point,
     u_value,
     verify,
 )
@@ -29,13 +28,13 @@ from lozilab.bifurcation import solve_l
 from lozilab.core import DomainError, RegionError
 from lozilab.geometry import (
     SlopeError,
+    _fold,
     _pull_word,
     _push_word,
     _return_word,
     boundary_turning_points,
     stable_line,
     u_gap,
-    unstable_line,
 )
 from lozilab.symbolic import ItineraryError
 
@@ -62,52 +61,70 @@ MOD_GRID = [
 
 
 # ---------------------------------------------------------------- slopes
+#
+# A forward line is the pair (slope, k) of y = slope*x + k, as _push_word
+# carries it; the helpers below give the one-step slope maps and the k of
+# a line given by its slope and one point.
+
+def _slope_fwd(p, sigma, slope):
+    """Slope of the sigma-branch image of a line with the given slope."""
+    return _push_word(p, (sigma,), slope, 0.0)[0]
+
+
+def _slope_bwd(p, sigma, vslope):
+    """Vertical slope of the sigma-branch preimage of a near-vertical line."""
+    return _pull_word(p, (sigma,), vslope, 0.0)[0]
+
+
+def _y_axis(slope, x0, y0):
+    """k of the line with the given slope through (x0, y0)."""
+    return y0 + slope * (0.0 - x0)
+
+
+def _unstable_minus(p):
+    """(slope, k) of the unstable line of z_-: slope 1/lam through (-1, -1)."""
+    slope = 1.0 / multipliers(p).lam
+    return slope, _y_axis(slope, *fixed_points(p)[0])
+
 
 def test_slope_fixed_points():
     mult = multipliers(P18)
-    assert slope_fwd(P18, MINUS, 1 / mult.lam) == pytest.approx(1 / mult.lam)
-    assert slope_fwd(P18, PLUS, -1 / mult.lam) == pytest.approx(-1 / mult.lam)
-    assert slope_bwd(P18, MINUS, mult.mu) == pytest.approx(mult.mu)
-    assert slope_fwd(P18, MINUS, 0.0) == pytest.approx(1 / 1.8)
-    assert slope_bwd(P18, PLUS, 0.0) == pytest.approx(-1 / 9)
-    assert slope_bwd(Params(2.0, 0.0), PLUS, 0.3) == 0.0
+    assert _slope_fwd(P18, MINUS, 1 / mult.lam) == pytest.approx(1 / mult.lam)
+    assert _slope_fwd(P18, PLUS, -1 / mult.lam) == pytest.approx(-1 / mult.lam)
+    assert _slope_bwd(P18, MINUS, mult.mu) == pytest.approx(mult.mu)
+    assert _slope_fwd(P18, MINUS, 0.0) == pytest.approx(1 / 1.8)
+    assert _slope_bwd(P18, PLUS, 0.0) == pytest.approx(-1 / 9)
+    assert _slope_bwd(Params(2.0, 0.0), PLUS, 0.3) == 0.0
 
 
 def test_excluded_slopes():
     s = -P18.a / P18.b
     with pytest.raises(SlopeError, match=re.escape(f"slope {s} maps to a vertical line under branch +1")):
-        slope_fwd(P18, PLUS, s)
+        _slope_fwd(P18, PLUS, s)
     with pytest.raises(SlopeError, match=re.escape("vslope 1.8 is excluded under inverse branch -1")):
-        slope_bwd(P18, MINUS, P18.a)
+        _slope_bwd(P18, MINUS, P18.a)
     # inside a word the message names the slope reaching the excluded step
     start = (P18.a - 1.0 / s) / P18.b
-    mid = slope_fwd(P18, MINUS, start)
+    mid = _slope_fwd(P18, MINUS, start)
     with pytest.raises(SlopeError, match=re.escape(f"slope {mid} maps to a vertical line under branch +1")):
-        iterate_line_fwd(P18, (MINUS, PLUS), FwdLine(slope=start, anchor=(0.0, 0.0)))
+        _push_word(P18, (MINUS, PLUS), start, 0.0)
 
 
 @pytest.mark.parametrize("bad", [0, 7, 0.5])
 def test_line_steps_refuse_symbols_outside_plus_minus_one(bad):
-    fwd = FwdLine(slope=0.3, anchor=(0.0, 0.0))
     bwd = BwdLine(vslope=0.05, anchor=(0.3, 0.0))
-    calls = (
-        lambda word: iterate_line_fwd(P18, word, fwd),
-        lambda word: iterate_line_bwd(P18, word, bwd),
-        lambda word: slope_fwd(P18, word[-1], 0.3),
-        lambda word: slope_bwd(P18, word[-1], 0.05),
-    )
-    for call in calls:
-        for word in ((bad,), (PLUS, bad)):
-            with pytest.raises(ItineraryError, match=re.escape(f"bad symbol {bad!r} in")):
-                call(word)
+    match = re.escape(f"bad symbol {bad!r} in")
+    for word in ((bad,), (PLUS, bad)):
+        with pytest.raises(ItineraryError, match=match):
+            iterate_line_bwd(P18, word, bwd)
+    with pytest.raises(ItineraryError, match=match):
+        stable_line(P18, bad)
 
 
 def test_line_iteration_reads_a_one_pass_word_once():
     # the symbol check must not use up a word given as an iterator
     word = (PLUS, MINUS, MINUS)
-    fwd = FwdLine(slope=0.3, anchor=(0.2, -0.4))
     bwd = BwdLine(vslope=0.05, anchor=(0.3, 0.1))
-    assert iterate_line_fwd(P18, iter(word), fwd) == iterate_line_fwd(P18, word, fwd)
     assert iterate_line_bwd(P18, iter(word), bwd) == iterate_line_bwd(P18, word, bwd)
 
 
@@ -127,20 +144,21 @@ def _kernel_params():
 def test_gap_kernel_matches_per_symbol_reference_exactly():
     for p in _kernel_params():
         assert p.in_mod
-        line = unstable_line(p, MINUS)
+        line = _unstable_minus(p)
         for m, n in KERNEL_WORDS:
             word = ref_return_word(m, n)
             assert p_value(p, m, n) == ref_fold(p, word, 0.0, 0.0)
             assert q_value(p, m, n) == ref_pull_word(p, word, 0.0, 0.0)[1]
             tail = (PLUS, PLUS) + (MINUS,) * (n - 2)
-            assert p_value(p, math.inf, n) == ref_fold(p, tail, line.slope, line.y_at(0.0))
+            assert p_value(p, math.inf, n) == ref_fold(p, tail, *line)
 
 
 def test_ladders_and_line_iteration_match_per_symbol_reference_exactly():
     # the float symbols +-1.0 are the same symbols as +-1
     words = [(), (PLUS,), (-1.0,), (1.0,), (MINUS,) * 5, (PLUS, MINUS, MINUS, PLUS, PLUS, MINUS),
              ref_return_word(14, 3)]
-    fwd = FwdLine(slope=0.3, anchor=(0.2, -0.4))
+    slope = 0.3
+    k = _y_axis(slope, 0.2, -0.4)
     bwd = BwdLine(vslope=0.05, anchor=(0.3, 0.1))
     for p in _kernel_params():
         stable = stable_line(p, PLUS)
@@ -150,13 +168,13 @@ def test_ladders_and_line_iteration_match_per_symbol_reference_exactly():
         for m in (2, 3, 8, 26):
             for side, y0 in (("L", -1.0), ("R", 1.0)):
                 assert u_value(p, m, side) == ref_fold(p, (PLUS,) + (MINUS,) * (m - 2), 0.0, y0)
-        assert turning_point(p, fwd) == ref_fold(p, (), fwd.slope, fwd.y_at(0.0))
+        assert _fold(p, (), slope, k) == ref_fold(p, (), slope, k)
         for sigma in (MINUS, PLUS, -1.0, 1.0):
-            assert slope_fwd(p, sigma, fwd.slope) == ref_push(p, sigma, fwd.slope, 0.0)[0]
-            assert slope_bwd(p, sigma, bwd.vslope) == ref_pull(p, sigma, bwd.vslope, 0.0)[0]
+            assert _slope_fwd(p, sigma, slope) == ref_push(p, sigma, slope, 0.0)[0]
+            assert _slope_bwd(p, sigma, bwd.vslope) == ref_pull(p, sigma, bwd.vslope, 0.0)[0]
+            assert repr(stable_line(p, sigma)) == repr(stable_line(p, int(sigma)))
         for word in words:
-            slope, k = ref_push_word(p, word, fwd.slope, fwd.y_at(0.0))
-            assert iterate_line_fwd(p, word, fwd) == FwdLine(slope=slope, anchor=(0.0, k))
+            assert _push_word(p, word, slope, k) == ref_push_word(p, word, slope, k)
             vslope, c = ref_pull_word(p, word, bwd.vslope, bwd.trace)
             assert iterate_line_bwd(p, word, bwd) == BwdLine(vslope=vslope, anchor=(c, 0.0))
 
@@ -202,13 +220,13 @@ def test_fixed_slope_steps_match_per_symbol_reference_exactly():
     fired = [0, 0]
     for m, p in _fixed_slope_params():
         assert p.in_mod
-        line = unstable_line(p, MINUS)
+        line = _unstable_minus(p)
         for n in (2, 3):
             word = ref_return_word(m, n)
             assert p_value(p, m, n) == ref_fold(p, word, 0.0, 0.0)
             assert q_value(p, m, n) == ref_pull_word(p, word, 0.0, 0.0)[1]
             tail = (PLUS, PLUS) + (MINUS,) * (n - 2)
-            assert p_value(p, math.inf, n) == ref_fold(p, tail, line.slope, line.y_at(0.0))
+            assert p_value(p, math.inf, n) == ref_fold(p, tail, *line)
         for word in _switch_words(m):
             # int symbols; float symbols shared as _return_word shares them;
             # and floats that are equal but distinct objects
@@ -273,12 +291,12 @@ def test_unstable_cone_invariance_and_contraction():
         for _ in range(40):
             s = rng.uniform(-inv, inv)
             for sigma in (MINUS, PLUS):
-                image = slope_fwd(p, sigma, s)
+                image = _slope_fwd(p, sigma, s)
                 assert abs(image) <= inv * (1 + 1e-12)
                 deriv = p.b / (p.b * s + sigma * p.a) ** 2
                 assert 0.0 <= deriv <= p.b / mult.lam**2 * (1 + 1e-12)
-            assert slope_fwd(p, MINUS, s) >= s - 1e-15
-            assert slope_fwd(p, PLUS, s) <= s + 1e-15
+            assert _slope_fwd(p, MINUS, s) >= s - 1e-15
+            assert _slope_fwd(p, PLUS, s) <= s + 1e-15
 
 
 def test_stable_cone_invariance_and_contraction():
@@ -288,41 +306,40 @@ def test_stable_cone_invariance_and_contraction():
         for _ in range(40):
             s = rng.uniform(-mult.mu, mult.mu)
             for sigma in (MINUS, PLUS):
-                image = slope_bwd(p, sigma, s)
+                image = _slope_bwd(p, sigma, s)
                 assert abs(image) <= mult.mu * (1 + 1e-12)
                 deriv = p.b / (s + sigma * p.a) ** 2
                 assert 0.0 <= deriv <= p.b / mult.lam**2 * (1 + 1e-12)
-            assert slope_bwd(p, MINUS, s) >= s - 1e-15
-            assert slope_bwd(p, PLUS, s) <= s + 1e-15
+            assert _slope_bwd(p, MINUS, s) >= s - 1e-15
+            assert _slope_bwd(p, PLUS, s) <= s + 1e-15
 
 
 # ------------------------------------------------------- line iteration
 
 def test_forward_iteration_of_horizontal_line():
-    line = iterate_line_fwd(P18, (PLUS,), FwdLine(slope=0.0, anchor=(0.0, 1.0)))
-    assert line.slope == pytest.approx(-1 / 1.8)
+    slope, k = _push_word(P18, (PLUS,), 0.0, 1.0)
+    assert slope == pytest.approx(-1 / 1.8)
     # the image passes through the fold of {y=1}
-    assert line.y_at(P18.a - 2 * P18.b - 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert slope * (P18.a - 2 * P18.b - 1.0) + k == pytest.approx(0.0, abs=1e-12)
     # pushed points stay collinear
     for x in (-1.0, 0.7):
         image = apply_branch(P18, PLUS, (x, 1.0))
-        assert abs(line.y_at(image[0]) - image[1]) < 1e-12
+        assert abs(slope * image[0] + k - image[1]) < 1e-12
 
 
 def test_forward_slope_invariant_direction():
     mult = multipliers(P18)
-    line = FwdLine(slope=1 / mult.lam, anchor=(-1.0, -1.0))
-    out = iterate_line_fwd(P18, (MINUS,) * 5, line)
-    assert out.slope == pytest.approx(1 / mult.lam)
+    slope, _ = _push_word(P18, (MINUS,) * 5, *_unstable_minus(P18))
+    assert slope == pytest.approx(1 / mult.lam)
 
 
 def test_forward_then_inverse_returns_line():
-    line = FwdLine(slope=0.2, anchor=(0.3, -0.4))
-    pushed = iterate_line_fwd(P18, (PLUS,), line)
+    slope, x0, y0 = 0.2, 0.3, -0.4
+    pushed, k = _push_word(P18, (PLUS,), slope, _y_axis(slope, x0, y0))
     # pull two points of the image back through the branch inverse
     for x in (-0.5, 1.1):
-        v = apply_branch_inverse(P18, PLUS, (x, pushed.y_at(x)))
-        assert abs(line.y_at(v[0]) - v[1]) < 1e-11
+        v = apply_branch_inverse(P18, PLUS, (x, pushed * x + k))
+        assert abs(y0 + slope * (v[0] - x0) - v[1]) < 1e-11
 
 
 def test_backward_iteration_of_critical_line():
@@ -358,19 +375,19 @@ def test_backward_iteration_word_order():
 def test_turning_point_band_boundaries():
     for p in (P18, Params(2.3, 0.4), Params(1.9, 0.0)):
         u_left, u_right = boundary_turning_points(p)
-        assert turning_point(p, FwdLine(slope=0.0, anchor=(0.0, 1.0))) == pytest.approx(u_left)
-        assert turning_point(p, FwdLine(slope=0.0, anchor=(0.0, -1.0))) == pytest.approx(u_right)
+        assert _fold(p, (), 0.0, 1.0) == pytest.approx(u_left)
+        assert _fold(p, (), 0.0, -1.0) == pytest.approx(u_right)
 
 
 def test_turning_point_by_folding_sample_points():
     # the two branch images of points just left/right of the switching
     # line straddle the fold at height ~0
     p = Params(2.1, 0.3)
-    line = FwdLine(slope=-0.1, anchor=(0.5, -0.2))
-    fold = turning_point(p, line)
+    slope, x0, y0 = -0.1, 0.5, -0.2
+    fold = _fold(p, (), slope, _y_axis(slope, x0, y0))
     eps = 1e-6
     for x in (-eps, eps):
-        v = (x, line.y_at(x))
+        v = (x, y0 + slope * (x - x0))
         image = apply_branch(p, PLUS if x >= 0 else MINUS, v)
         assert abs(image[0] - fold) < 1e-5 and abs(image[1]) < 1e-5
 
@@ -378,8 +395,7 @@ def test_turning_point_by_folding_sample_points():
 def test_turning_point_degenerate_family():
     p = Params(1.7, 0.0)
     for k in (-2.0, 0.0, 1.5):
-        line = FwdLine(slope=0.3, anchor=(0.0, k))
-        assert turning_point(p, line) == pytest.approx(p.a - 1.0)
+        assert _fold(p, (), 0.3, k) == pytest.approx(p.a - 1.0)
 
 
 def test_turning_point_stable_manifold_parameterization():
@@ -392,17 +408,16 @@ def test_turning_point_stable_manifold_parameterization():
             zeta = fixed_points(p)[1][0] if sigma == PLUS else -1.0
             for _ in range(20):
                 s = rng.uniform(-1 / mult.lam, 1 / mult.lam)
-                line = FwdLine(slope=s, anchor=(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+                x0, y0 = rng.uniform(-1, 1), rng.uniform(-1, 1)
                 # intersection with {x = -sigma*mu*v + zeta, y = v + zeta}
                 denom = 1.0 + sigma * mult.mu * s
-                x0, y0 = line.anchor
                 v = (y0 + s * (-sigma * mult.mu * 0 + zeta - x0) - zeta) / denom
                 predicted = (
                     (p.a - p.b - 1.0)
                     - (1.0 + sigma * s * mult.mu) * p.b * v
                     - (1.0 - s) * p.b * zeta
                 )
-                assert turning_point(p, line) == pytest.approx(predicted, abs=1e-10)
+                assert _fold(p, (), s, _y_axis(s, x0, y0)) == pytest.approx(predicted, abs=1e-10)
 
 
 # ------------------------------------------------------------- r ladder
@@ -659,11 +674,10 @@ def test_stable_intersection_transfer_formula():
         for _ in range(20):
             sigma = rng.choice((MINUS, PLUS))
             s = rng.uniform(-1 / mult.lam, 1 / mult.lam)
-            line = FwdLine(slope=s, anchor=(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+            x0, y0 = rng.uniform(-1, 1), rng.uniform(-1, 1)
 
             def crossing_parameter(tau):
-                # solve line == {(-tau*mu*v + zeta_tau, v + zeta_tau)} for v
-                x0, y0 = line.anchor
+                # solve the line through (x0, y0) == {(-tau*mu*v + zeta_tau, v + zeta_tau)} for v
                 return (y0 + s * (zeta[tau] - x0) - zeta[tau]) / (1.0 + tau * mult.mu * s)
 
             v = crossing_parameter(-sigma)
@@ -744,3 +758,39 @@ def test_unstable_backward_orbit_recursion():
                 point = apply_branch_inverse(p, sigma, point)
                 v = -sigma * v / mult.lam
                 assert point[0] == pytest.approx(v + zeta, abs=1e-10)
+
+
+# ------------------------------------------------------------ public surface
+
+def _public_names(module):
+    """The names `from module import *` binds (no __all__ is defined), less
+    the modules and the __future__ feature that the module imports."""
+    return sorted(
+        name
+        for name, value in vars(module).items()
+        if not name.startswith("_")
+        and not isinstance(value, types.ModuleType)
+        and value is not __future__.annotations
+    )
+
+
+def test_public_surface_is_pinned():
+    # a change to either list is an API change: update it with a CHANGES.md entry
+    assert _public_names(lozilab) == [
+        "BifCurve", "BwdLine", "DomainError", "FormalPeriodicPoint", "Itinerary", "MINUS",
+        "Multipliers", "NonInvertibleError", "OrbitClass", "OrbitKind", "Ordering", "PLUS",
+        "Params", "Point", "Regime", "RegionError", "ReversalResult", "SpectrumError", "Strip",
+        "UItinerary", "apply_branch", "apply_branch_inverse", "apply_inverse", "apply_map",
+        "brute_periodic", "build_partition", "choose_m", "classify_orbit", "classify_regime",
+        "cone_check", "epsilon", "exists_Cmn", "find_reversal", "fixed_points",
+        "forcing_check_tent", "formal_periodic_point", "format_itinerary", "iota", "is_maximum",
+        "iterate_line_bwd", "log_coord", "multipliers", "orbit_signs", "order_compare",
+        "p_value", "parse_itinerary", "partition_rows", "q_value", "r_value", "solve_l",
+        "tangency_a", "trace_curve", "u_gap", "u_value",
+    ]
+    assert _public_names(geometry) == [
+        "BwdLine", "C_RL", "C_RU", "C_UL", "C_UU", "DomainError", "Itinerary", "MINUS", "PLUS",
+        "Params", "Point", "RegionError", "SLOPE_C", "SlopeError", "boundary_turning_points",
+        "dataclass", "fixed_points", "iterate_line_bwd", "multipliers", "p_value", "q_value",
+        "r_value", "stable_line", "u_gap", "u_value",
+    ]
