@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .core import DomainError, Params, _require_count, multipliers
-from .geometry import C_RL, C_RU, C_UL, C_UU, p_value, q_value, r_value, u_value
+from .geometry import C_RL, C_RU, C_UL, C_UU, _r_ladder, p_value, q_value, r_value, u_value
 from .renorm import log_coord
 from .solvers import BracketError, bisect, hybrid_root, predicted_cell
 
@@ -207,11 +207,11 @@ def _solve_near(curve: BifCurve, b: float, tol: float) -> float:
 def refine_crossing(
     curve2: BifCurve, curve3: BifCurve, k: int, width: float, *, tol: float = 1e-12
 ) -> tuple[float, float]:
-    """Bisect the sign change of l_{m,2} - l_{m,3} between the curves'
-    samples k and k+1 until the bracket is at most `width` wide.  Returns
-    the midpoint b* and l_{m,2}(b*); every solve stops at |p - q| <= tol
-    and starts from the root predicted by the curve's samples.  Refuses
-    curves sampled on different b-grids and k outside 0..len(samples) - 2.
+    """Bisect the sign change of l_{m,2} - l_{m,3} between the curves' samples k
+    and k+1 until the bracket is at most `width` wide.  Returns the midpoint b*
+    and l_{m,2}(b*); every solve stops at |p - q| <= tol and starts from the root
+    predicted by the curve's samples.  Refuses curves on different b-grids, k
+    outside 0..len(samples) - 2, and a NaN, infinite or negative width.
 
     The final cell comes from solvers.predicted_cell, so under the
     warm-start contract b* and l_{m,2}(b*) are bit for bit the
@@ -221,6 +221,8 @@ def refine_crossing(
     """
     gaps = crossing_gaps(curve2, curve3)[0]
     _require_count("k", k, 0, len(gaps) - 2)
+    if not 0.0 <= width < math.inf:
+        raise DomainError(f"need a finite width >= 0, got {width!r}")
     lo, hi, glo, ghi = curve2.samples[k][0], curve2.samples[k + 1][0], gaps[k], gaps[k + 1]
     a2: dict[float, float] = {}
 
@@ -259,15 +261,16 @@ def choose_m(b_bar: float) -> int:
             f"b_bar = {b_bar} too large: log-scale separation gap {gap:.3f} <= 0"
         )
     t_fold = _ladder_coord(p, u_value(p, 2, "R"), "fold u_2^R")
-    j = 1
-    while _ladder_coord(p, r_value(p, j), f"trace r_{j}") <= t_fold:
-        j += 1
-        if j > 400:
+    traces = (r for *_, r in _r_ladder(p, 401))
+    for j, r in enumerate(traces, start=1):
+        if _ladder_coord(p, r, f"trace r_{j}") > t_fold:
+            break
+        if j == 400:
             raise DomainError("fold sandwich not found below index 400")
     m = j + 1
     # the full reversed configuration: the third fold must clear trace m
     t_third = _ladder_coord(p, u_value(p, 3, "L"), f"fold u_3^L (m = {m})")
-    if t_third <= _ladder_coord(p, r_value(p, m), f"trace r_{m}"):
+    if t_third <= _ladder_coord(p, next(traces), f"trace r_{m}"):
         raise ConditionError(f"third fold not beyond trace {m} at b_bar = {b_bar}")
     return m
 

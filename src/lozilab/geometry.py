@@ -6,7 +6,8 @@ a line y = s*x + k; a branch step divides by d = b*s + sigma*a and sends
 (s, k) to (-1/d, (a-b-1 - b*k)/d).  `_pull_word` carries a near-vertical
 line x = t*y + c; an inverse-branch step divides by d = t + sigma*a and
 sends (t, c) to (-b/d, (a-b-1 - c)/d).  Both refuse |d| < 1e-13 (the
-excluded slope).  Every line iteration in the package runs through them.
+excluded slope).  Every line iteration in the package runs through them;
+each ladder (r_m, or u_m with u_inf - u_m) is swept by one loop over them.
 They do not check their symbols; the public iterate_line_bwd and
 stable_line refuse a symbol other than +-1 with ItineraryError, once per
 call.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import typing
 from dataclasses import dataclass
 
 from .core import (
@@ -143,8 +145,8 @@ def _side_sign(p: Params, side: str) -> int:
 
 
 def _ladder_index(m: int | float, least: int) -> int:
-    """A finite ladder index m as an int; rejects m < least and fractions."""
-    if not m >= least or m % 1:
+    """A finite ladder index m as an int; rejects m < least, fractions and bools."""
+    if isinstance(m, bool) or not m >= least or m % 1:
         raise DomainError(f"need an integer m >= {least}, got {m}")
     return int(m)
 
@@ -172,7 +174,22 @@ def r_value(p: Params, m: int | float) -> float:
         mult = multipliers(p)
         return 1.0 - (mult.lam + 2.0) / (p.a * mult.lam + p.b) * p.b
     word = (1.0,) + (-1.0,) * (_ladder_index(m, 1) - 1)
-    return iterate_line_bwd(p, word, stable_line(p, PLUS)).trace
+    line = stable_line(p, PLUS)
+    return _pull_word(p, word, line.vslope, line.trace)[1]
+
+
+def _r_ladder(p: Params, m_max: int) -> typing.Iterator[tuple[float, float, float, float]]:
+    """beta_j + gamma_j, j = 0 .. m_max - 1, as (vslope, trace) pairs: z_+'s stable
+    line pulled back through j minus branches, then through +.  One kernel step a
+    pullback, so gamma_j's trace is r_{j+1}, bit for bit r_value(p, j + 1)."""
+    _require_mod(p)
+    m_max = _ladder_index(m_max, 1)
+    line = stable_line(p, PLUS)
+    beta = (line.vslope, line.trace)
+    for j in range(m_max):
+        if j:
+            beta = _pull_word(p, (MINUS,), *beta)
+        yield beta + _pull_word(p, (PLUS,), *beta)
 
 
 def u_value(p: Params, m: int | float, side: str) -> float:
@@ -195,7 +212,12 @@ def boundary_turning_points(p: Params) -> tuple[float, float]:
 
 
 def u_gap(p: Params, m: int, side: str) -> float:
-    """u_value(p, inf, side) - u_value(p, m, side), cancellation-free.
+    """u_value(p, inf, side) - u_value(p, m, side), cancellation-free (_u_ladder)."""
+    return list(_u_ladder(p, side, m))[-1][1]
+
+
+def _u_ladder(p: Params, side: str, m_max: int) -> typing.Iterator[tuple[float, float]]:
+    """(u_value, u_gap)(p, m, side) for m = 2 .. m_max, bit for bit; one kernel step a rung.
 
     The gap scales like (b/lam)^(m-1), which underflows the float
     resolution of the fold values themselves for small b; this form keeps
@@ -203,17 +225,19 @@ def u_gap(p: Params, m: int, side: str) -> float:
     and crossing gap d_j = k_j - k_inf through positive-term recursions.
     """
     sigma0 = float(_side_sign(p, side))
-    m = _ladder_index(m, 2)
+    m_max = _ladder_index(m_max, 2)
+    a, b = p.a, p.b
     lam = multipliers(p).lam
     s, k = _push_word(p, (PLUS,), 0.0, sigma0)
-    e = 1.0 / lam + 1.0 / p.a
+    e = 1.0 / lam + 1.0 / a
     d = k - (1.0 - lam) / lam
-    for _ in range(m - 2):
-        denom = p.a - p.b * s
-        d = p.b * ((lam - 1.0) * e + lam * d) / (denom * lam)
-        e = e * p.b / (denom * lam)
-        s = _push_word(p, (MINUS,), s, 0.0)[0]
-    return p.b * d
+    for m in range(2, m_max + 1):
+        if m > 2:
+            denom = a - b * s
+            d = b * ((lam - 1.0) * e + lam * d) / (denom * lam)
+            e = e * b / (denom * lam)
+            s, k = _push_word(p, (MINUS,), s, k)
+        yield (a - b - 1.0) - b * k, b * d
 
 
 @functools.lru_cache(maxsize=256)

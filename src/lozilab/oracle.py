@@ -295,19 +295,22 @@ def cone_check(p: Params, samples: int, seed: int = 0) -> bool:
     mult = multipliers(p)
     a, b, lam, mu = p.a, p.b, mult.lam, mult.mu
     rng = random.Random(seed)
+    rand, choice = rng.random, rng.choice  # uniform(lo, hi) is lo + (hi - lo) * rand()
     eps = 1e-12
     # least norm growth forward, and inverse where the contracting side is checked
     fwd, bwd = lam * (1.0 - eps), (1.0 / mu) * (1.0 - eps) if b != 0.0 else None
     for _ in range(samples):
-        x = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
-        y = rng.uniform(-abs(x) / lam, abs(x) / lam)
+        x = (0.5 + (2.0 - 0.5) * rand()) * choice((-1.0, 1.0))
+        hi = abs(x) / lam
+        y = -hi + (hi - -hi) * rand()
         wx = min(abs(a * x - b * y), abs(-a * x - b * y))
         if abs(x) * lam > wx * (1.0 + eps) or not _norms_grow(abs(x), abs(y), wx, abs(x), fwd):
             return False
         if b == 0.0:
             continue
-        y2 = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
-        x2 = rng.uniform(-mu * abs(y2), mu * abs(y2))
+        y2 = (0.5 + (2.0 - 0.5) * rand()) * choice((-1.0, 1.0))
+        hi = mu * abs(y2)
+        x2 = -hi + (hi - -hi) * rand()
         # inverse branch derivative: (x, y) -> (y, (-x - s*a*y)/b)
         wy = min(abs(-x2 + a * y2), abs(-x2 - a * y2)) / b
         if abs(y2) > mu * wy * (1.0 + eps) or not _norms_grow(abs(x2), abs(y2), abs(y2), wy, bwd):
@@ -320,7 +323,7 @@ def _norms_grow(ax: float, ay: float, bx: float, by: float, factor: float) -> bo
     return (
         bx + by >= factor * (ax + ay)
         and bx * bx + by * by >= factor * factor * (ax * ax + ay * ay)
-        and max(bx, by) >= factor * max(ax, ay)
+        and (by if by > bx else bx) >= factor * (ay if ay > ax else ax)
     )
 
 

@@ -13,13 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .core import MINUS, PLUS, DomainError, Params, RegionError, _require_count, multipliers
-from .geometry import (
-    BwdLine,
-    iterate_line_bwd,
-    r_value,
-    stable_line,
-    u_value,
-)
+from .geometry import BwdLine, _r_ladder, iterate_line_bwd, r_value, stable_line, u_value
 
 _TRACE_TIE_TOL = 1e-12
 _STRIP_TOL = 1e-9
@@ -65,10 +59,9 @@ def build_partition(p: Params, m_max: int = 16) -> list[Strip]:
     if not p.in_mod:
         raise RegionError(f"({p.a}, {p.b}) is outside the partition region a > 3b+1")
     _require_count("m_max", m_max, 2)
-    betas = [stable_line(p, PLUS)]
-    for _ in range(2, m_max + 1):
-        betas.append(iterate_line_bwd(p, (MINUS,), betas[-1]))
-    gammas = [iterate_line_bwd(p, (PLUS,), beta) for beta in betas]
+    pullbacks = list(_r_ladder(p, m_max))
+    betas = [stable_line(p, PLUS)] + [BwdLine(v, (c, 0.0)) for v, c, _, _ in pullbacks[1:]]
+    gammas = [BwdLine(v, (c, 0.0)) for _, _, v, c in pullbacks]
     beta_inf = stable_line(p, MINUS)
     gamma_inf = iterate_line_bwd(p, (PLUS,), beta_inf)
 

@@ -24,10 +24,11 @@ from .geometry import (
     C_UL,
     SLOPE_C,
     BwdLine,
+    _r_ladder,
+    _u_ladder,
     boundary_turning_points,
     iterate_line_bwd,
     r_value,
-    u_gap,
     u_value,
 )
 from .kneading import (
@@ -153,8 +154,9 @@ def r_bounds(params: list[Params], lo: float, hi: float) -> str:
     for p in params:
         lam = multipliers(p).lam
         r_inf = r_value(p, math.inf)
+        traces = [r for *_, r in _r_ladder(p, 12)]
         for m in range(2, 13):
-            gap = r_inf - r_value(p, m)
+            gap = r_inf - traces[m - 1]
             if not lo * lam ** -m < gap < hi * lam ** -m:
                 raise AssertionError(f"r bound fails at ({p.a}, {p.b}), m={m}")
     return f"{len(params)} parameters, m = 2..12"
@@ -166,17 +168,16 @@ def u_bounds(params: list[Params], lo: float, slope_c: float) -> str:
     _require_count("len(params)", len(params), 1)
     for p in params:
         lam = multipliers(p).lam
+        gaps = {side: [g for _, g in _u_ladder(p, side, 12)] for side in ("L", "R")}
         for m in range(2, 13):
             shrink = (1.0 - lam ** (1 - m)) * (p.b / lam) ** (m - 2) * p.b
             hi = 2.0 * (
                 1.0 - lam ** (1 - m) + (slope_c + 1.5) * p.b / lam ** 2
             ) * (p.b / lam) ** (m - 2) * p.b
             for side in ("L", "R"):
-                gap = u_gap(p, m, side)
+                gap = gaps[side][m - 2]
                 if not lo * shrink * (1 - 1e-9) <= gap <= hi * (1 + 1e-9):
-                    raise AssertionError(
-                        f"u bound fails at ({p.a}, {p.b}), m={m}, side={side}"
-                    )
+                    raise AssertionError(f"u bound fails at ({p.a}, {p.b}), m={m}, side={side}")
     return f"{len(params)} parameters, m = 2..12, both sides"
 
 
@@ -187,14 +188,14 @@ def ladders(params: list[Params], m_max: int) -> str:
     _require_count("len(params)", len(params), 1)
     _require_count("m_max", m_max, 3)
     for p in params:
-        rs = [r_value(p, m) for m in range(1, m_max + 1)] + [r_value(p, math.inf)]
+        rs = [r for *_, r in _r_ladder(p, m_max)] + [r_value(p, math.inf)]
         if not all(x < y for x, y in zip(rs, rs[1:])):
             raise AssertionError(f"traces not increasing at ({p.a}, {p.b})")
         u_left, u_right = boundary_turning_points(p)
         u_inf = u_value(p, math.inf, "L")
+        left, right = ([u for u, _ in _u_ladder(p, side, m_max)] for side in ("L", "R"))
         for m in range(2, m_max):
-            folds = (u_left, u_value(p, m, "L"), u_value(p, m, "R"),
-                     u_value(p, m + 1, "L"), u_inf, u_right)
+            folds = (u_left, left[m - 2], right[m - 2], left[m - 1], u_inf, u_right)
             if not all(x <= y + 1e-12 for x, y in zip(folds, folds[1:])):
                 raise AssertionError(f"fold ladder fails at ({p.a}, {p.b}), m={m}")
     return "trace and fold ladders ordered"
@@ -433,10 +434,5 @@ SUITES: dict[str, Callable[[int], list[Check]]] = {
 
 def run_suite(name: str, seed: int) -> list[Check]:
     if name == "all":
-        checks: list[Check] = []
-        for key in SUITES:
-            checks.extend(SUITES[key](seed))
-        return checks
-    if name not in SUITES:
-        raise KeyError(name)
+        return [check for suite in SUITES.values() for check in suite(seed)]
     return SUITES[name](seed)

@@ -183,6 +183,21 @@ def ref_fold(p, word, slope, k):
     return (p.a - p.b - 1.0) - p.b * k
 
 
+def ref_u_gap(p, m, side):
+    """u_inf - u_m on `side` by the slope-gap / crossing-gap recursion,
+    one ref_push a step, each rung recomputed from m = 2."""
+    lam = L.multipliers(p).lam
+    s, k = ref_push(p, +1, 0.0, -1.0 if side == "L" else 1.0)
+    e = 1.0 / lam + 1.0 / p.a
+    d = k - (1.0 - lam) / lam
+    for _ in range(m - 2):
+        denom = p.a - p.b * s
+        d = p.b * ((lam - 1.0) * e + lam * d) / (denom * lam)
+        e = e * p.b / (denom * lam)
+        s = ref_push(p, -1, s, 0.0)[0]
+    return p.b * d
+
+
 def ref_return_word(m, n):
     return (+1,) + (-1,) * (m - 2) + (+1, +1) + (-1,) * (n - 2)
 

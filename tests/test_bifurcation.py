@@ -17,6 +17,7 @@ from lozilab import (
     solve_l,
     tangency_a,
     trace_curve,
+    u_value,
 )
 from lozilab import bifurcation, solvers
 from lozilab.bifurcation import (
@@ -224,6 +225,40 @@ def test_choose_m_grows_like_log_of_inverse_cap(reversal):
     for k in (1, 2):
         grown = choose_m(b_bar / 4**k)
         assert m + 2 * k - 1 <= grown <= m + 2 * k + 1
+
+
+def _scanned_m(b_bar):
+    """choose_m's index from one single-rung r_value call per trace, each
+    word pulled from scratch; a refusal as its repr."""
+    p = Params(tangency_a(b_bar), b_bar)
+    try:
+        t_fold = bifurcation._ladder_coord(p, u_value(p, 2, "R"), "fold u_2^R")
+        j = 1
+        while bifurcation._ladder_coord(p, r_value(p, j), f"trace r_{j}") <= t_fold:
+            j += 1
+        m = j + 1
+        t_third = bifurcation._ladder_coord(p, u_value(p, 3, "L"), f"fold u_3^L (m = {m})")
+        if t_third <= bifurcation._ladder_coord(p, r_value(p, m), f"trace r_{m}"):
+            raise ConditionError(f"third fold not beyond trace {m} at b_bar = {b_bar}")
+    except DomainError as exc:
+        return repr(exc)
+    return m
+
+
+def test_choose_m_equals_a_scan_of_single_traces():
+    # log-spaced b_bar from 1e-4 down to 1.3e-9: m from 15 to 31, and three
+    # refusals at float resolution below 1e-8
+    outcomes = []
+    for k in range(50):
+        b_bar = 10.0 ** (-4.0 - 0.1 * k)
+        try:
+            got = choose_m(b_bar)
+        except DomainError as exc:
+            got = repr(exc)
+        assert got == _scanned_m(b_bar), b_bar
+        outcomes.append(got)
+    assert sum(isinstance(o, str) for o in outcomes) == 3
+    assert {o for o in outcomes if isinstance(o, int)} == set(range(15, 32))
 
 
 # ---------------------------------------------------------- reversal
@@ -555,6 +590,21 @@ def test_refine_crossing_refuses_an_index_off_the_samples(k, curves_m6_coarse):
     assert refine_crossing(curve2, curve3, 0, 1e-11)[0] == pytest.approx(0.00452, abs=1e-5)
     with pytest.raises(DomainError, match=re.escape(f"need an integer 0 <= k <= 9, got {k!r}")):
         refine_crossing(curve2, curve3, k, 1e-11)
+
+
+@pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf, -1e-11])
+def test_refine_crossing_refuses_an_unusable_width(width, curves_m6_coarse):
+    # NaN and inf used to stop every bisection at once and return the
+    # sample interval's midpoint (0.0035, 1.958499606757987) as the crossing
+    curve2, curve3 = curves_m6_coarse
+    with pytest.raises(DomainError, match=re.escape(f"need a finite width >= 0, got {width!r}")):
+        refine_crossing(curve2, curve3, 0, width)
+
+
+def test_refine_crossing_at_width_zero_stops_at_float_resolution(curves_m6_coarse):
+    curve2, curve3 = curves_m6_coarse
+    b_star, _ = refine_crossing(curve2, curve3, 0, 0.0)
+    assert b_star == pytest.approx(refine_crossing(curve2, curve3, 0, 1e-11)[0], abs=1e-11)
 
 
 @pytest.mark.parametrize("grid", [

@@ -31,7 +31,9 @@ from lozilab.geometry import (
     _fold,
     _pull_word,
     _push_word,
+    _r_ladder,
     _return_word,
+    _u_ladder,
     boundary_turning_points,
     stable_line,
     u_gap,
@@ -47,6 +49,7 @@ from helpers import (
     ref_push,
     ref_push_word,
     ref_return_word,
+    ref_u_gap,
     stable_polyline_crossing,
     tent_orbit_crossing,
 )
@@ -659,6 +662,63 @@ def test_exponential_u_bounds():
     # the gap itself drops below float resolution of the fold values for
     # small b, hence the cancellation-free evaluation
     verify.u_bounds(MOD_GRID, 0.25, (64.0 / 7.0) * math.log(2.0))
+
+
+# ------------------------------------------------------------ ladder sweeps
+
+def _sweep_params():
+    """Seeded draws over the whole region a > 3b + 1, a <= 4, plus b = 0,
+    points within 1e-9 and 1e-6 of the edge a = 3b + 1, and a = 4."""
+    rng = random.Random(29)
+    params = []
+    for _ in range(30):
+        b = rng.uniform(0.0, 0.99)
+        params.append(Params(3.0 * b + 1.0 + (3.0 - 3.0 * b) * rng.uniform(1e-3, 1.0), b))
+    params += [Params(a, 0.0) for a in (1.0 + 1e-9, 1.3, 2.0, rng.uniform(1.0, 4.0), 4.0)]
+    for b in (0.0, 1e-7, 0.05, 0.2, 0.5, 0.9, 0.99):
+        params += [Params(3.0 * b + 1.0 + 1e-9, b), Params(3.0 * b + 1.0 + 1e-6, b)]
+    params += [Params(4.0, b) for b in (1e-12, 0.3, 0.999)]
+    assert all(p.in_mod for p in params)
+    return params
+
+
+def test_ladder_sweeps_equal_single_rungs_bit_for_bit():
+    for p in _sweep_params():
+        rungs = list(_r_ladder(p, 40))
+        assert [r for *_, r in rungs] == [r_value(p, m) for m in range(1, 41)]
+        line = stable_line(p, PLUS)
+        assert rungs[0][:2] == (line.vslope, line.trace)
+        for j in (1, 7, 39):
+            want = iterate_line_bwd(p, (MINUS,) * j, line)
+            assert rungs[j][:2] == (want.vslope, want.anchor[0])
+        for side in "LR":
+            folds, gaps = zip(*_u_ladder(p, side, 40))
+            assert list(folds) == [u_value(p, m, side) for m in range(2, 41)]
+            assert list(gaps) == [u_gap(p, m, side) for m in range(2, 41)]
+            assert list(gaps) == [ref_u_gap(p, m, side) for m in range(2, 41)]
+
+
+def test_ladder_sweep_lengths_and_whole_float_indices():
+    assert len(list(_r_ladder(P18, 1))) == 1
+    assert len(list(_u_ladder(P18, "R", 2))) == 1
+    assert [r for *_, r in _r_ladder(P18, 5.0)] == [r_value(P18, m) for m in range(1, 6)]
+    assert r_value(P18, 5.0) == r_value(P18, 5)
+    assert u_value(P18, 5.0, "L") == u_value(P18, 5, "L")
+    assert u_gap(P18, 5.0, "L") == u_gap(P18, 5, "L")
+
+
+@pytest.mark.parametrize("m", [True, False])
+def test_ladder_indices_refuse_bools(m):
+    # True used to pass as m = 1: r_value(P18, True) returned r_1
+    for call in (
+        lambda: r_value(P18, m),
+        lambda: u_value(P18, m, "L"),
+        lambda: u_gap(P18, m, "R"),
+        lambda: list(_r_ladder(P18, m)),
+        lambda: list(_u_ladder(P18, "L", m)),
+    ):
+        with pytest.raises(DomainError, match=f"need an integer m >= [12], got {m}"):
+            call()
 
 
 # ---------------------------------- manifold-intersection transfer identities

@@ -3,11 +3,14 @@ import math
 import pytest
 
 from lozilab import (
+    MINUS,
+    PLUS,
     Params,
     Regime,
     build_partition,
     classify_regime,
     exists_Cmn,
+    iterate_line_bwd,
     log_coord,
     multipliers,
     partition_rows,
@@ -17,6 +20,7 @@ from lozilab import (
 )
 from lozilab.bifurcation import C3, C4, solve_l
 from lozilab.core import DomainError, RegionError
+from lozilab.geometry import stable_line
 
 P18 = Params(1.8, 0.2)
 
@@ -48,6 +52,20 @@ def test_partition_traces_increase():
             cs = [s for s in strips if s.label.startswith("C")]
             traces = [c.left_trace for c in cs] + [cs[-1].right_trace]
             assert all(x < y for x, y in zip(traces, traces[1:]))
+
+
+def test_partition_lines_equal_line_by_line_pullbacks():
+    # the strip boundaries come from the trace ladder's sweep; each must be
+    # the BwdLine that pulling the previous boundary back once gives
+    for p in (P18, Params(2.0, 0.0), Params(3.9, 0.3), Params(1.0 + 3 * 0.1 + 1e-9, 0.1)):
+        betas = [stable_line(p, PLUS)]
+        for _ in range(15):
+            betas.append(iterate_line_bwd(p, (MINUS,), betas[-1]))
+        gammas = [iterate_line_bwd(p, (PLUS,), beta) for beta in betas]
+        strips = build_partition(p, m_max=16)
+        assert [(s.left, s.right) for s in strips[:-1]] == (
+            [(betas[1], betas[0])] + list(zip(gammas, gammas[1:]))
+        )
 
 
 def test_partition_rejects_outside_mod():

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from lozilab import OrbitClass, OrbitKind, Ordering, Params, UItinerary, verify
+from lozilab import OrbitClass, OrbitKind, Ordering, Params, UItinerary, geometry, verify
 from lozilab.core import DomainError
 from lozilab.geometry import C_RL, C_RU, SLOPE_C
 
@@ -161,3 +161,24 @@ def test_orbit_equivalence_solves_each_word_once(monkeypatch):
     calls = _counting(monkeypatch, "formal_periodic_point")
     verify.orbit_equivalence(*grid[0])
     assert len(calls) == 270
+
+
+def test_convergence_suite_kernel_steps(monkeypatch):
+    # symbols fed to the two line kernels by suite_convergence(0): the
+    # r-bounds, u-bounds, ladders and regions checks.
+    # 13,808 (8,748 pushed, 5,060 pulled) -> 3,056 (1,488, 1,568) when each
+    # trace and fold ladder came to be swept once, one kernel step a rung,
+    # instead of pulling or pushing the whole word again for every rung and
+    # restarting u_gap's recursion at m = 2 for every m.  A ladder that is
+    # quadratic again in its length fails here.
+    steps = {"_push_word": 0, "_pull_word": 0}
+    for name in steps:
+        kernel = getattr(geometry, name)
+
+        def counted(p, word, *line, kernel=kernel, name=name):
+            steps[name] += len(word)
+            return kernel(p, word, *line)
+
+        monkeypatch.setattr(geometry, name, counted)
+    assert all(check.passed for check in verify.suite_convergence(0))
+    assert steps == {"_push_word": 1488, "_pull_word": 1568}
