@@ -10,6 +10,7 @@ cross once, reversing the creation order of the two orbit pairs.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -224,16 +225,15 @@ def refine_crossing(
     if not 0.0 <= width < math.inf:
         raise DomainError(f"need a finite width >= 0, got {width!r}")
     lo, hi, glo, ghi = curve2.samples[k][0], curve2.samples[k + 1][0], gaps[k], gaps[k + 1]
-    a2: dict[float, float] = {}
+    l2 = functools.cache(lambda b: _solve_near(curve2, b, tol))
 
     def gap(b: float) -> float:
-        a2[b] = _solve_near(curve2, b, tol)
-        return a2[b] - _solve_near(curve3, b, tol)
+        return l2(b) - _solve_near(curve3, b, tol)
 
     cell = predicted_cell(gap, lo, hi, glo, ghi, width)
     lo, hi = cell if cell is not None else bisect(gap, lo, hi, glo, ghi, width)[:2]
     b_star = 0.5 * (lo + hi)
-    return b_star, a2[b_star] if b_star in a2 else _solve_near(curve2, b_star, tol)
+    return b_star, l2(b_star)
 
 
 def _ladder_coord(p: Params, x: float, name: str) -> float:

@@ -170,11 +170,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        checks = run_suite(args.suite, args.seed)
-    except KeyError:
-        print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-        return EXIT_USAGE
+    checks = run_suite(args.suite, args.seed)
     for check in checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.id}: {check.detail}")
     summary = {

@@ -36,6 +36,7 @@ _TIE = 1e-13
 # _distinct's cell side and search order, own cell first
 _CELL = 1e-6
 _NEIGHBOURS = ((0, 0), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+_Cells = dict[tuple[float, float], list[Point]]
 
 
 class BudgetError(DomainError):
@@ -144,23 +145,20 @@ def _verified_root(p: Params, v: Point, period: int) -> Point | None:
 
 
 def _distinct(
-    roots: Iterable[Point],
-    accept: Callable[[Point], bool],
-    cells: dict[tuple[float, float], list[Point]] | None = None,
-) -> list[Point]:
+    roots: Iterable[Point], accept: Callable[[Point], bool]
+) -> tuple[list[Point], _Cells]:
     """The roots, in order, each kept if no kept point is within 1e-7 in
-    the max norm and `accept` holds.
+    the max norm and then `accept` holds (tested only for such a root);
+    and the index of the kept points, for _near_kept lookups.
 
     Kept points are indexed by square cells of side 1e-6, ten times the
     merge distance, so a point within 1e-7 lies in the root's own cell or
     one of its 8 neighbours whatever the rounding of the cell index.
     Float floor division gives non-finite coordinates a NaN index, which
-    matches no cell.  The index is built in `cells` when it is given, for
-    later _near_kept lookups.
+    matches no cell.
     """
     kept: list[Point] = []
-    if cells is None:
-        cells = {}
+    cells: _Cells = {}
     for root in roots:
         x, y = root
         i, j = x // _CELL, y // _CELL
@@ -168,12 +166,10 @@ def _distinct(
             continue
         kept.append(root)
         cells.setdefault((i, j), []).append(root)
-    return kept
+    return kept, cells
 
 
-def _near_kept(
-    cells: dict[tuple[float, float], list[Point]], i: float, j: float, x: float, y: float
-) -> bool:
+def _near_kept(cells: _Cells, i: float, j: float, x: float, y: float) -> bool:
     """Whether a point in cell (i, j) or a neighbour is within 1e-7 of (x, y)."""
     for di, dj in _NEIGHBOURS:
         for qx, qy in cells.get((i + di, j + dj), ()):
@@ -194,30 +190,22 @@ def _seed_grid(grid_n: int) -> tuple[Point, ...]:
     )
 
 
-# (a, b, grid_n, depth, xs, ys, keys) of the last parameter and grid seen:
-# each seed's iterate and sign key after `depth` map steps.  Replaced
-# whole, never mutated, so a reader holds a consistent tuple.
-_seed_orbits: tuple | None = None
-
-
-def _seed_keys(a: float, b: float, grid_n: int, period: int) -> list[int]:
-    """The key of each seed of _seed_grid(grid_n), in grid order: the
-    first `period` signs of its orbit as bits, first sign highest, 1 for
-    x >= 0.  The seed orbits of the last (a, b, grid_n) are kept at their
-    depth, so a longer period steps them on; a shorter period, another
-    parameter or another grid restarts from the lattice."""
-    global _seed_orbits
-    slot = _seed_orbits
-    if slot is None or slot[:3] != (a, b, grid_n) or period < slot[3]:
+# A call at depth d looks up depth d - 1 only, so two entries let an
+# ascending sweep of periods at one parameter and grid step each seed once
+# per period; other orders can step from the lattice again.
+@functools.lru_cache(maxsize=2)
+def _seed_orbits(a: float, b: float, grid_n: int, depth: int) -> tuple[list, list, list[int]]:
+    """Each seed of _seed_grid(grid_n) after `depth` map steps, in grid
+    order: its x, its y, and its key, the first `depth` signs of its orbit
+    as bits, first sign highest, 1 for x >= 0.  The lists are shared by the
+    cache and never mutated."""
+    if depth == 0:
         seeds = _seed_grid(grid_n)
-        slot = (a, b, grid_n, 0, [v[0] for v in seeds], [v[1] for v in seeds], [0] * len(seeds))
-    depth, xs, ys, keys = slot[3:]
+        return [v[0] for v in seeds], [v[1] for v in seeds], [0] * len(seeds)
+    xs, ys, keys = _seed_orbits(a, b, grid_n, depth - 1)
     c = a - b - 1.0
-    for _ in range(period - depth):
-        keys = [2 * key + (x >= 0.0) for key, x in zip(keys, xs)]
-        xs, ys = [-a * abs(x) - b * y + c for x, y in zip(xs, ys)], xs
-    _seed_orbits = (a, b, grid_n, period, xs, ys, keys)
-    return keys
+    keys = [2 * key + (x >= 0.0) for key, x in zip(keys, xs)]
+    return [-a * abs(x) - b * y + c for x, y in zip(xs, ys)], xs, keys
 
 
 def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
@@ -237,7 +225,7 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
 
     The grid is a uniqueness check that does not rest on this argument.
     map^period is affine on each cell of seeds of a sheared grid on
-    [-2, 2]^2 whose first `period` signs agree (one key of _seed_keys), so
+    [-2, 2]^2 whose first `period` signs agree (one key of _seed_orbits), so
     return-map Newton runs once per cell, from its first seed, in grid
     order.  Each root is looked up in the result's own dedup index
     (_near_kept), and the first one farther than 1e-7 from every point of
@@ -255,9 +243,8 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
             continue
         if all(s * x >= -_TIE for x, s in zip(xs, signs)):
             roots.extend((xs[k], xs[k - 1]) for k in range(period))
-    cells: dict[tuple[float, float], list[Point]] = {}
-    points = _distinct(roots, lambda v: _verified_root(p, v, period) is not None, cells)
-    keys = _seed_keys(p.a, p.b, grid_n, period)
+    points, cells = _distinct(roots, lambda v: _verified_root(p, v, period) is not None)
+    keys = _seed_orbits(p.a, p.b, grid_n, period)[2]
     # built backwards, so each key keeps its first seed
     first = dict(zip(reversed(keys), reversed(_seed_grid(grid_n))))
     for key in dict.fromkeys(keys):

@@ -20,6 +20,8 @@ and predicted_cell's secant root of a bracket.
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from typing import Callable
 
@@ -203,17 +205,6 @@ def predicted_cell(
     )
 
 
-class _Memo(dict):
-    """The values of f by argument, each computed on its first lookup."""
-
-    def __init__(self, f: Callable[[float], float]) -> None:
-        self.f = f
-
-    def __missing__(self, x: float) -> float:
-        fx = self[x] = self.f(x)
-        return fx
-
-
 def hybrid_root(
     f: Callable[[float], float],
     lo: float,
@@ -233,9 +224,12 @@ def hybrid_root(
     cell from a secant prediction; bisect runs only when no cell passes.
     With `guess` the scan is skipped unless the warm start fails (see the
     warm-start contract); a warm solve never warns, and only a call
-    without `guess` is sure to run the full scan.
+    without `guess` is sure to run the full scan.  A NaN, infinite or
+    negative xtol or ftol is refused.
     """
-    f = _Memo(f).__getitem__
+    if not (0.0 <= xtol < math.inf and 0.0 <= ftol < math.inf):
+        raise DomainError(f"need finite tolerances >= 0, got xtol={xtol!r}, ftol={ftol!r}")
+    f = functools.cache(f)
     cell = None if guess is None else _warm_bracket(f, lo, hi, scan_n, xtol, guess)
     if cell is None:
         brackets, monotone = scan_brackets(f, lo, hi, scan_n)

@@ -36,9 +36,9 @@ class ItineraryError(DomainError):
 
 def _require_symbols(itinerary: Itinerary) -> None:
     """Refuse, with ItineraryError, a word with a symbol other than -1 or
-    +1 (the floats -1.0 and +1.0 are the same symbols)."""
-    if not {-1, +1}.issuperset(itinerary):
-        bad = next(s for s in itinerary if s not in (-1, +1))
+    +1 (the floats -1.0 and +1.0 are the same symbols; bools are not)."""
+    if not {-1, +1}.issuperset(itinerary) or bool in map(type, itinerary):
+        bad = next(s for s in itinerary if type(s) is bool or s not in (-1, +1))
         raise ItineraryError(f"bad symbol {bad!r} in {itinerary!r}: symbols are -1, +1")
 
 
@@ -81,10 +81,11 @@ def formal_periodic_point(p: Params, itinerary: Itinerary) -> FormalPeriodicPoin
     + 1)|, summed in that order so that the coupling is not lost in the
     rounding of a (an N-step closure error grows like lam^N even at the exact
     orbit).  Raises ItineraryError for a symbol other than -1 or +1,
-    SingularSystemError outside the two-saddle region and DomainError when
-    the orbit or a reported value is not finite.  The point stores the
-    itinerary as a tuple, so it hashes and compares whatever sequence was
-    given.
+    SingularSystemError for an empty word or a numerically singular cyclic
+    system (a core.cyclic_orbit pivot below 1e-13 in magnitude), and
+    DomainError when the orbit or a reported value is not finite.  The
+    point stores the itinerary as a tuple, so it hashes and compares
+    whatever sequence was given.
     """
     itinerary = tuple(itinerary)
     _require_symbols(itinerary)
@@ -115,6 +116,6 @@ def iota(sigma: int, m: int, n: int) -> Itinerary:
         _require_count("n", n, 2)
     except DomainError as exc:
         raise ItineraryError(*exc.args) from None
-    if sigma not in (-1, +1):
+    if type(sigma) is bool or sigma not in (-1, +1):
         raise ItineraryError(f"sigma must be -1 or +1, got {sigma}")
     return (+1,) + (-1,) * (m - 2) + (+1, +1) + (-1,) * (n - 2) + (sigma,)

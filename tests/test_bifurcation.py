@@ -601,6 +601,27 @@ def test_refine_crossing_refuses_an_unusable_width(width, curves_m6_coarse):
         refine_crossing(curve2, curve3, 0, width)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_solves_refuse_an_unusable_tolerance(tol, curves_m6_coarse):
+    # a NaN tol is never met, and the last Newton iterate came back as a
+    # root: solve_l(0.01, 5, 2, tol=nan) returned 1.9118990857551197
+    match = re.escape(f"need finite tolerances >= 0, got xtol=1e-06, ftol={tol!r}")
+    with pytest.raises(DomainError, match=match):
+        solve_l(0.01, 5, 2, tol=tol)
+    with pytest.raises(DomainError, match=match):
+        trace_curve(5, 2, [0.0, 0.01, 0.02], tol=tol)
+    curve2, curve3 = curves_m6_coarse
+    with pytest.raises(DomainError, match=match):
+        refine_crossing(curve2, curve3, 0, 1e-11, tol=tol)
+    for xtol in (math.nan, math.inf, -1e-6):
+        with pytest.raises(DomainError, match=re.escape(f"got xtol={xtol!r}, ftol=1e-12")):
+            hybrid_root(lambda x: x - 1.0, 0.0, 2.0, xtol=xtol)
+
+
+def test_solves_accept_a_zero_tolerance():
+    assert hybrid_root(lambda x: x - 0.7, 0.0, 2.0, xtol=0.0, ftol=0.0) == 0.7
+
+
 def test_refine_crossing_at_width_zero_stops_at_float_resolution(curves_m6_coarse):
     curve2, curve3 = curves_m6_coarse
     b_star, _ = refine_crossing(curve2, curve3, 0, 0.0)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from lozilab import bifurcation, find_reversal, solvers
+from lozilab import bifurcation, find_reversal, solvers, verify
 from lozilab.cli import main
 
 SMALL_FAMILY = ["figure1", "--m-min", "5", "--m-max", "6", "--b-max", "0.02", "--grid", "9"]
@@ -324,6 +324,19 @@ def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "nonsense"])
     assert info.value.code == 2
+    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+
+
+def test_verify_suite_key_error_is_not_an_unknown_suite(capsys, monkeypatch):
+    # argparse refuses unknown suites; a KeyError inside a suite is a bug
+    # in that suite, and propagates as one
+    def broken(seed):
+        raise KeyError("inner")
+
+    monkeypatch.setitem(verify.SUITES, "cones", broken)
+    with pytest.raises(KeyError, match="inner"):
+        main(["verify", "cones"])
+    assert "unknown suite" not in capsys.readouterr().err
 
 
 def test_env_var_output_dir(tmp_path, capsys, monkeypatch):

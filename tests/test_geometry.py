@@ -1,8 +1,10 @@
 import __future__
+import ast
 import math
 import random
 import re
 import types
+from pathlib import Path
 
 import pytest
 
@@ -113,7 +115,7 @@ def test_excluded_slopes():
         _push_word(P18, (MINUS, PLUS), start, 0.0)
 
 
-@pytest.mark.parametrize("bad", [0, 7, 0.5])
+@pytest.mark.parametrize("bad", [0, 7, 0.5, True, False])
 def test_line_steps_refuse_symbols_outside_plus_minus_one(bad):
     bwd = BwdLine(vslope=0.05, anchor=(0.3, 0.0))
     match = re.escape(f"bad symbol {bad!r} in")
@@ -854,3 +856,13 @@ def test_public_surface_is_pinned():
         "dataclass", "fixed_points", "iterate_line_bwd", "multipliers", "p_value", "q_value",
         "r_value", "stable_line", "u_gap", "u_value",
     ]
+
+
+def test_no_module_keeps_state_through_global():
+    # memos are functools caches, so no call rebinds a module name
+    modules = sorted(Path(lozilab.__file__).parent.glob("*.py"))
+    assert modules
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]
+        assert found == [], (path.name, found)

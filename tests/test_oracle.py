@@ -162,15 +162,20 @@ def test_seed_keys_equal_per_seed_coding():
         return [_sign_key(Params(a, b), seed, period) for seed in seed_grid(grid_n)]
 
     ascending = [(2.3, 0.3, 20, n) for n in range(1, 9)]
-    # each shorter period restarts the coding from the lattice
+    # a shorter period is cached only when it is one of the last two
+    # depths computed; otherwise it steps from the lattice
     descending = [(1.7, 0.0, 20, n) for n in range(8, 0, -1)]
     # two parameters taking turns, each restarting the coding
     interleaved = [(a, b, 15, n) for n in (3, 5, 2, 7) for a, b in ((2.9, 0.6), (1e3, 0.5))]
     # the same parameter on another grid, then back
     regrid = [(2.3, 0.3, g, n) for g, n in ((20, 4), (15, 4), (15, 6), (2, 3), (20, 6))]
+    oracle._seed_orbits.cache_clear()
     for a, b, grid_n, period in ascending + descending + interleaved + regrid:
-        assert oracle._seed_keys(a, b, grid_n, period) == coded(a, b, grid_n, period), (
+        assert oracle._seed_orbits(a, b, grid_n, period)[2] == coded(a, b, grid_n, period), (
             a, b, grid_n, period)
+        if (a, b, grid_n, period) == ascending[-1]:
+            # depths 0..8 computed once each: every seed stepped once per period
+            assert oracle._seed_orbits.cache_info()[:2] == (7, 9)
 
 
 # criterion 3's 25 points; two more at b = 0, (1.431, 0) with a slowly
@@ -242,15 +247,18 @@ def test_dedup_across_cell_boundaries(edge, axes):
         for k in range(2):
             if axes[k]:
                 assert first[k] // CELL != second[k] // CELL
-        kept = oracle._distinct([first, second], lambda v: True)
+        kept, cells = oracle._distinct([first, second], lambda v: True)
         assert kept == ([first] if merged else [first, second]), (gap, first, second)
-        assert oracle._distinct([second, first], lambda v: True) == ([second] if merged else [second, first])
+        # the index holds exactly the kept points
+        assert sorted(q for qs in cells.values() for q in qs) == sorted(kept)
+        assert oracle._distinct([second, first], lambda v: True)[0] == (
+            [second] if merged else [second, first])
         # a rejected root is not indexed, so it hides nothing
-        assert oracle._distinct([first, second], lambda v: v != first) == [second]
+        assert oracle._distinct([first, second], lambda v: v != first)[0] == [second]
         # exact repeats of a kept, a merged or a rejected root change nothing
         repeated = [first, second, first, second, second, first]
         for accept, want in ((lambda v: True, kept), (lambda v: v != first, [second])):
-            assert oracle._distinct(repeated, accept) == want
+            assert oracle._distinct(repeated, accept)[0] == want
 
 
 @pytest.mark.parametrize("axes", [(1, 0), (0, 1), (1, 1)])
@@ -277,15 +285,15 @@ def test_grid_check_looks_roots_up_across_cell_edges(axes, monkeypatch):
 
 def test_dedup_non_finite_roots_do_not_raise():
     roots = [(math.nan, 0.0), (math.inf, 1.0), (0.5, -math.inf), (0.5, 0.5), (0.5, 0.5)]
-    assert oracle._distinct(roots, lambda v: math.isfinite(v[0] + v[1])) == [(0.5, 0.5)]
-    assert len(oracle._distinct(roots, lambda v: True)) == 4
+    assert oracle._distinct(roots, lambda v: math.isfinite(v[0] + v[1]))[0] == [(0.5, 0.5)]
+    assert len(oracle._distinct(roots, lambda v: True)[0]) == 4
 
 
 def test_dedup_signed_zero_repeat():
     # -0.0 == 0.0, and both map alike: the first seen is kept, once
     calls = []
     roots = [(-0.0, 0.25), (0.0, 0.25), (0.25, -0.0), (0.25, 0.0)]
-    kept = oracle._distinct(roots, lambda v: calls.append(v) or True)
+    kept = oracle._distinct(roots, lambda v: calls.append(v) or True)[0]
     assert kept == calls == [(-0.0, 0.25), (0.25, -0.0)]
     assert math.copysign(1.0, kept[0][0]) == math.copysign(1.0, kept[1][1]) == -1.0
 

@@ -179,6 +179,19 @@ def test_iota_words():
             iota(+1, m, n)
 
 
+def test_iota_refuses_a_bool_sigma():
+    # True == 1, but it is no symbol, as in the counts m and n
+    for sigma in (True, False):
+        with pytest.raises(ItineraryError, match=f"sigma must be -1 or \\+1, got {sigma}"):
+            iota(sigma, 5, 2)
+    assert iota(1.0, 5, 2) == iota(+1, 5, 2) and iota(-1.0, 5, 2) == iota(-1, 5, 2)
+
+
+def test_formal_point_accepts_float_symbols():
+    p = Params(1.8, 0.2)
+    assert formal_periodic_point(p, (1.0, -1.0)).point == formal_periodic_point(p, (1, -1)).point
+
+
 def test_sign_words_refuses_bad_length():
     # -1 and 2.5 raised TypeError inside range()
     for length in (-1, 2.5, 3.0, True):
@@ -248,7 +261,9 @@ def test_cyclic_orbit_pivot_at_the_bound_passes():
     assert cyclic_orbit(Params(1e-13, 0.0), (1,)) == [(1e-13 - 1.0) / 1e-13 / (1.0 + 1.0 / 1e-13)]
 
 
-@pytest.mark.parametrize("word, bad", [((2,), 2), ((0,), 0), ((1, -1, 0), 0)])
+@pytest.mark.parametrize("word, bad", [
+    ((2,), 2), ((0,), 0), ((1, -1, 0), 0), ((True, -1), True), ((1, -1, False), False),
+])
 def test_formal_point_refuses_symbols_outside_plus_minus_one(word, bad):
     with pytest.raises(ItineraryError, match=f"bad symbol {bad} "):
         formal_periodic_point(Params(2.3, 0.1), word)
