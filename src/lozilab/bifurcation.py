@@ -19,12 +19,13 @@ from operator import itemgetter
 from .core import DomainError, Params, _require_count, multipliers
 from .geometry import C_RL, C_RU, C_UL, C_UU, _r_ladder, p_value, q_value, r_value, u_value
 from .renorm import log_coord
-from .solvers import BracketError, bisect, hybrid_root, predicted_cell
+from .solvers import BracketError, _require_tolerances, bisect, hybrid_root, predicted_cell
 
 _SQRT2 = math.sqrt(2.0)
 _A_HI = 4.0
 # the a-step of the secant that corrects a guess from fewer than three samples
 _SECANT_STEP = 1e-6
+_L_XTOL = 1e-6  # the width of the final bisection cell of every l_{m,n} solve
 
 # Log-scale offsets for the folds: T(u_n^d) - (n-1) log_lam(1/b) lies in
 # [log_lam C3, log_lam C4] for n in {2, 3} on the box [sqrt(2), 4] x [0, B].
@@ -84,7 +85,7 @@ def solve_l(
         _a_low(b),
         _A_HI,
         scan_n=48,
-        xtol=1e-6,
+        xtol=_L_XTOL,
         ftol=tol,
         guess=guess,
     )
@@ -140,12 +141,13 @@ def trace_curve(
     Each interior sample is solved from the root predicted by the samples
     before it.
 
-    Raises, before any solve, unless m > n >= 2 are whole numbers and the
-    grid has two or more strictly increasing points; and if any sampled a
-    leaves (sqrt(2), 4), or if adjacent samples jump by more than 1.5x the
-    local slope estimate (a continuity guard against bracket hopping).
+    Raises, before any solve, unless m > n >= 2 are whole numbers, tol is
+    finite and >= 0 and the grid has two or more strictly increasing points;
+    and if any sampled a leaves (sqrt(2), 4), or if adjacent samples jump by
+    more than 1.5x the local slope estimate (a guard against bracket hopping).
     """
     _require_orders(m, n)
+    _require_tolerances(_L_XTOL, tol)
     if len(b_grid) < 2:
         raise DomainError("need at least two grid points")
     for lo, hi in zip(b_grid, b_grid[1:]):

@@ -271,9 +271,13 @@ def cone_check(p: Params, samples: int, seed: int = 0) -> bool:
 
     Only |wx| = |-s a x - b y| forward and |wy| = |(-x - s a y)/b| inverse
     depend on the branch s, and every test is nondecreasing in them (float
-    +, * by a factor >= 0 and max are monotone).  So both branches pass iff
-    the smaller value, the same float as its branch's own, passes: bit for
-    bit the result of testing each branch.
+    +, * by a factor >= 0 and max are monotone), so both branches pass iff
+    the smaller passes.  With P = a|x| and Q = b|y| the images are fl(P - Q)
+    and fl(P + Q) up to an exact sign, and rounding is monotone and odd, so
+    the smaller is |a|x| - b|y||, bit for bit; inverse, |a|y| - |x||/b.  The
+    abs stays, as Q exceeds P where the multipliers are off.  No test reads
+    the signs of x and y, but they are drawn as choice((-1.0, 1.0)) draws
+    them, so the magnitudes are those of a signed sweep of the same seed.
     """
     if not p.in_full:
         raise RegionError(f"({p.a}, {p.b}) is outside the full-family region")
@@ -282,25 +286,28 @@ def cone_check(p: Params, samples: int, seed: int = 0) -> bool:
     mult = multipliers(p)
     a, b, lam, mu = p.a, p.b, mult.lam, mult.mu
     rng = random.Random(seed)
-    rand, choice = rng.random, rng.choice  # uniform(lo, hi) is lo + (hi - lo) * rand()
+    rand, bits = rng.random, rng.getrandbits  # uniform(lo, hi) is lo + (hi - lo) * rand()
     eps = 1e-12
     # least norm growth forward, and inverse where the contracting side is checked
     fwd, bwd = lam * (1.0 - eps), (1.0 / mu) * (1.0 - eps) if b != 0.0 else None
     for _ in range(samples):
-        x = (0.5 + (2.0 - 0.5) * rand()) * choice((-1.0, 1.0))
-        hi = abs(x) / lam
-        y = -hi + (hi - -hi) * rand()
-        wx = min(abs(a * x - b * y), abs(-a * x - b * y))
-        if abs(x) * lam > wx * (1.0 + eps) or not _norms_grow(abs(x), abs(y), wx, abs(x), fwd):
+        ax = 0.5 + (2.0 - 0.5) * rand()
+        while bits(2) >= 2:  # the unread sign of x
+            pass
+        hi = ax / lam
+        ay = abs(-hi + (hi - -hi) * rand())
+        wx = abs(a * ax - b * ay)
+        if ax * lam > wx * (1.0 + eps) or not _norms_grow(ax, ay, wx, ax, fwd):
             return False
         if b == 0.0:
             continue
-        y2 = (0.5 + (2.0 - 0.5) * rand()) * choice((-1.0, 1.0))
-        hi = mu * abs(y2)
-        x2 = -hi + (hi - -hi) * rand()
-        # inverse branch derivative: (x, y) -> (y, (-x - s*a*y)/b)
-        wy = min(abs(-x2 + a * y2), abs(-x2 - a * y2)) / b
-        if abs(y2) > mu * wy * (1.0 + eps) or not _norms_grow(abs(x2), abs(y2), abs(y2), wy, bwd):
+        ay2 = 0.5 + (2.0 - 0.5) * rand()
+        while bits(2) >= 2:  # the unread sign of y
+            pass
+        hi = mu * ay2
+        ax2 = abs(-hi + (hi - -hi) * rand())
+        wy = abs(a * ay2 - ax2) / b
+        if ay2 > mu * wy * (1.0 + eps) or not _norms_grow(ax2, ay2, ay2, wy, bwd):
             return False
     return True
 

@@ -205,6 +205,11 @@ def predicted_cell(
     )
 
 
+def _require_tolerances(xtol: float, ftol: float) -> None:
+    if not (0.0 <= xtol < math.inf and 0.0 <= ftol < math.inf):
+        raise DomainError(f"need finite tolerances >= 0, got xtol={xtol!r}, ftol={ftol!r}")
+
+
 def hybrid_root(
     f: Callable[[float], float],
     lo: float,
@@ -227,8 +232,7 @@ def hybrid_root(
     without `guess` is sure to run the full scan.  A NaN, infinite or
     negative xtol or ftol is refused.
     """
-    if not (0.0 <= xtol < math.inf and 0.0 <= ftol < math.inf):
-        raise DomainError(f"need finite tolerances >= 0, got xtol={xtol!r}, ftol={ftol!r}")
+    _require_tolerances(xtol, ftol)
     f = functools.cache(f)
     cell = None if guess is None else _warm_bracket(f, lo, hi, scan_n, xtol, guess)
     if cell is None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .core import MINUS, PLUS, Params, _require_count, apply_map, multipliers
 from .geometry import (
@@ -285,19 +285,16 @@ def monotone_coding(a: float, pairs: list[tuple[float, float]]) -> str:
     """No pair x < y has a 48-symbol tent coding of x above that of y."""
     _require_count("len(pairs)", len(pairs), 1)
     for x, y in pairs:
-        if x == y:
-            continue
-        if compare_tails(_tent_code(a, x, 48), _tent_code(a, y, 48)) is Ordering.GREATER:
+        if x != y and compare_tails(_tent_code(a, x, 48), _tent_code(a, y, 48)) is Ordering.GREATER:
             raise AssertionError(f"coding order reversed for {x} < {y}")
     return f"{len(pairs)} sampled pairs at a = {a}"
 
 
-def _tent_code(a: float, x: float, length: int) -> list[int]:
-    code = []
+def _tent_code(a: float, x: float, length: int) -> Iterator[int]:
+    """The first `length` symbols of x's tent orbit, made as they are read."""
     for _ in range(length):
-        code.append(0 if x == 0.0 else (+1 if x > 0.0 else -1))
+        yield 0 if x == 0.0 else (+1 if x > 0.0 else -1)
         x = -a * abs(x) + (a - 1.0)
-    return code
 
 
 # ---------------------------------------------------------------- suites

@@ -411,3 +411,13 @@ def reference_cold_root(f, lo, hi, scan_n, xtol, ftol):
         )
     b0, b1, f0, f1 = bisect(f, *brackets[-1], xtol)
     return newton_polish(f, 0.5 * (b0 + b1), b0, b1, ftol=ftol)
+
+
+def reference_tent_code(a, x, length):
+    """verify._tent_code as it ran before it yielded its symbols: the
+    whole list of the first `length` tent-orbit signs of x."""
+    code = []
+    for _ in range(length):
+        code.append(0 if x == 0.0 else (+1 if x > 0.0 else -1))
+        x = -a * abs(x) + (a - 1.0)
+    return code

@@ -120,6 +120,16 @@ def test_trace_curve_refuses_orders_before_solving():
         assert not isinstance(info.value, BracketError)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_trace_curve_refuses_a_tolerance_before_solving(tol, monkeypatch):
+    # an unusable tol is an input error, not a curve that failed at b = 0.0
+    monkeypatch.setattr(bifurcation, "_pq_gap", lambda *args: pytest.fail("a solve ran"))
+    with pytest.raises(DomainError) as info:
+        trace_curve(5, 2, [0.0, 0.01, 0.02], tol=tol)
+    assert type(info.value) is DomainError
+    assert str(info.value) == f"need finite tolerances >= 0, got xtol=1e-06, ftol={tol!r}"
+
+
 def test_solve_l_no_bracket_error():
     # n >= m is rejected, and a huge b has no admissible window
     with pytest.raises((BracketError, DomainError)):

@@ -16,7 +16,9 @@ from lozilab import (
     verify,
 )
 from lozilab.core import DomainError
-from lozilab.kneading import UItineraryError
+from lozilab.kneading import UItineraryError, compare_tails
+
+from helpers import reference_tent_code
 
 
 def u(pre, per):
@@ -123,6 +125,25 @@ def test_coding_map_is_monotone_on_tent_orbits():
     lo, hi = -((a - 1.0) ** 2) - 1e-9, (a - 1.0) + 1e-9
     pairs = [sorted((rng.uniform(lo, hi), rng.uniform(lo, hi))) for _ in range(1000)]
     verify.monotone_coding(a, pairs)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_lazy_tent_codes_decide_as_full_lists(seed, monkeypatch):
+    # monotone_coding compares codings made as they are read; on each of
+    # suite_kneading's pairs, either way round, the decision is that of
+    # the full 48-symbol lists
+    runs = []
+    monkeypatch.setattr(verify, "_run", lambda check_id, fn, *args: runs.append((fn, args)))
+    verify.suite_kneading(seed)
+    [(a, pairs)] = [args for fn, args in runs if fn is verify.monotone_coding]
+    decisions = set()
+    for x, y in pairs:
+        for u, v in ((x, y), (y, x)):
+            got = compare_tails(verify._tent_code(a, u, 48), verify._tent_code(a, v, 48))
+            assert got is compare_tails(reference_tent_code(a, u, 48), reference_tent_code(a, v, 48))
+            decisions.add(got)
+    assert {Ordering.LESS, Ordering.GREATER} <= decisions
+    assert verify.monotone_coding(a, pairs) == f"300 sampled pairs at a = {a}"
 
 
 def test_forcing_check_argument_validation():

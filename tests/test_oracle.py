@@ -453,6 +453,19 @@ def test_cone_check_failing_side_equals_reference(field, scales, monkeypatch):
     assert False in results and True in results
 
 
+# Cones this wide draw b |y| > a |x| forward (lam shrunk) and |x| > a |y|
+# inverse (mu grown), where the smaller branch image is |a|x| - b|y|| or
+# |a|y| - |x|| / b only through its abs, and some such samples pass.
+@pytest.mark.parametrize("field, scale", [("lam", 0.05), ("lam", 0.1), ("mu", 8.0), ("mu", 16.0)])
+def test_cone_check_on_a_wide_cone_equals_reference(field, scale, monkeypatch):
+    original = oracle.multipliers
+    monkeypatch.setattr(oracle, "multipliers", lambda p: dataclasses.replace(
+        original(p), **{field: getattr(original(p), field) * scale}))
+    results = [cone_check(p, 5, seed) for p, seed in _cone_cases()]
+    assert results == [reference_cone_check(p, 5, seed) for p, seed in _cone_cases()]
+    assert False in results and True in results
+
+
 def test_cone_check_norm_test_count(monkeypatch):
     # one norm-growth test per checked side of each passing sample.
     # 4 and 2 per sample at b > 0 and b = 0 -> 2 and 1 when only the
@@ -465,6 +478,74 @@ def test_cone_check_norm_test_count(monkeypatch):
     calls.clear()
     assert cone_check(Params(2.0, 0.0), 50, 1)
     assert len(calls) == 50
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 406677, 2**64 + 7])
+def test_sign_draw_loop_leaves_the_stream_as_choice_does(seed):
+    # cone_check reads no sign, so it runs only the getrandbits loop that
+    # choice((-1.0, 1.0)) runs; every later draw must be unchanged
+    signed, unsigned = random.Random(seed), random.Random(seed)
+    bits = unsigned.getrandbits
+    for _ in range(10_000):
+        signed.random()
+        signed.choice((-1.0, 1.0))
+        unsigned.random()
+        while bits(2) >= 2:
+            pass
+    assert signed.getstate() == unsigned.getstate()
+
+
+class _LoggedRandom(random.Random):
+    """A Random that logs each draw; both methods are overridden, so its
+    _randbelow is still the getrandbits one."""
+
+    log = None
+
+    def random(self):
+        value = super().random()
+        self.log.append(("random", value))
+        return value
+
+    def getrandbits(self, k):
+        value = super().getrandbits(k)
+        self.log.append(("bits", k, value))
+        return value
+
+
+def test_cone_check_draws_the_reference_stream(monkeypatch):
+    # each sample's magnitudes, and every draw between them, are the ones
+    # the signed reference sweep makes from the same seed
+    cases = _cone_cases()[:30]
+    monkeypatch.setattr(random, "Random", _LoggedRandom)
+    for p, seed in cases:
+        _LoggedRandom.log = got = []
+        assert cone_check(p, 50, seed)
+        _LoggedRandom.log = want = []
+        assert reference_cone_check(p, 50, seed)
+        assert got == want
+
+
+def test_smaller_branch_image_equals_the_magnitude_form():
+    # min(|a x - b y|, |-a x - b y|) == |a|x| - b|y||, and inversely
+    # min(|-x + a y|, |-x - a y|) == |a|y| - |x||, bit for bit, over the
+    # cone draws under the scaled multipliers of the tests above as well
+    rng = random.Random(11)
+    q_above_p = [0, 0]
+    for p, _ in _cone_cases():
+        a, b, mult = p.a, p.b, multipliers(p)
+        for scale in (0.05, 0.1, 0.5, 0.99, 1.0, 1.001, 1.01, 1.2, 2.0, 4.0, 8.0, 16.0):
+            lam, mu = mult.lam * scale, mult.mu * scale
+            for _ in range(20):
+                x = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
+                y = rng.uniform(-abs(x) / lam, abs(x) / lam)
+                assert min(abs(a * x - b * y), abs(-a * x - b * y)) == abs(a * abs(x) - b * abs(y))
+                y2 = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
+                x2 = rng.uniform(-mu * abs(y2), mu * abs(y2))
+                assert min(abs(-x2 + a * y2), abs(-x2 - a * y2)) == abs(a * abs(y2) - abs(x2))
+                q_above_p[0] += b * abs(y) > a * abs(x)
+                q_above_p[1] += abs(x2) > a * abs(y2)
+    # on both sides the abs in the magnitude form is needed
+    assert min(q_above_p) > 0
 
 
 def test_trapping_lines_structure():
