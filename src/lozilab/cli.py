@@ -3,6 +3,9 @@ export, and the verification suites.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 domain error.
 Outputs are deterministic for a fixed configuration and seed.
+
+Only the standard library and ``core`` load with this module; each command
+imports its own layers when it runs, so a process pays only for those.
 """
 
 from __future__ import annotations
@@ -15,12 +18,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .bifurcation import crossing_gaps, refine_crossing, trace_curve
 from .core import DomainError, Params
-from .renorm import build_partition, partition_rows
-from .solvers import BracketError
-from .symbolic import ItineraryError, formal_periodic_point, parse_itinerary
-from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -30,6 +28,10 @@ EXIT_DOMAIN = 3
 # figure1 bisects each crossing in b to this width, and refuses a b* at or
 # below it: that crossing is not resolved
 CROSSING_WIDTH = 1e-11
+
+# the keys of verify.SUITES (a test holds the two equal), listed here so
+# that building the parser does not import verify
+SUITE_NAMES = ("cones", "convergence", "kneading", "orbits", "partition")
 
 
 def _out_dir(path: str | None) -> Path:
@@ -44,6 +46,8 @@ def _json_dump(obj, path: Path) -> None:
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
+    from .symbolic import ItineraryError, formal_periodic_point, parse_itinerary
+
     try:
         itinerary = parse_itinerary(args.itinerary)
     except ItineraryError as exc:
@@ -75,6 +79,9 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 def _trace_or_skip(m: int, n: int, grid: list[float], tol: float):
     """The traced curve (None if it failed) and its warning notes."""
+    from .bifurcation import trace_curve
+    from .solvers import BracketError
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -92,6 +99,8 @@ def _write_curve_csv(curve, path: Path) -> None:
 
 
 def cmd_figure1(args: argparse.Namespace) -> int:
+    from .bifurcation import crossing_gaps, refine_crossing
+
     if args.grid < 2 or args.m_min > args.m_max or args.b_max <= 0.0 or args.tol <= 0.0:
         print("error: need --grid >= 2, --m-min <= --m-max, --b-max > 0, --tol > 0",
               file=sys.stderr)
@@ -153,6 +162,8 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
+    from .renorm import build_partition, partition_rows
+
     p = Params(args.a, args.b)
     try:
         strips = build_partition(p, m_max=args.m_max)
@@ -170,6 +181,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suite
+
     checks = run_suite(args.suite, args.seed)
     for check in checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.id}: {check.detail}")
@@ -229,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     part.set_defaults(func=cmd_partition)
 
     ver = sub.add_parser("verify", help="run an invariant suite")
-    ver.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    ver.add_argument("suite", choices=SUITE_NAMES + ("all",))
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--out", default=None, help="also write a JSON summary here")
     ver.set_defaults(func=cmd_verify)

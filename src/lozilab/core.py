@@ -73,28 +73,6 @@ def apply_map(p: Params, v: Point) -> Point:
     return (-p.a * abs(x) - p.b * y + (p.a - p.b - 1.0), x)
 
 
-def apply_branch(p: Params, sigma: int, v: Point) -> Point:
-    """One step of the formal sigma-branch, applied regardless of sign(x)."""
-    x, y = v
-    return (-sigma * p.a * x - p.b * y + (p.a - p.b - 1.0), x)
-
-
-def apply_inverse(p: Params, v: Point) -> Point:
-    """Genuine inverse step; the map is a homeomorphism only for b > 0."""
-    if p.b == 0.0:
-        raise NonInvertibleError("the map is not invertible at b = 0")
-    x, y = v
-    return (y, (-p.a * abs(y) + (p.a - p.b - 1.0) - x) / p.b)
-
-
-def apply_branch_inverse(p: Params, sigma: int, v: Point) -> Point:
-    """Formal inverse of the sigma-branch (b > 0)."""
-    if p.b == 0.0:
-        raise NonInvertibleError("branches are not invertible at b = 0")
-    x, y = v
-    return (y, (-sigma * p.a * y + (p.a - p.b - 1.0) - x) / p.b)
-
-
 class NonInvertibleError(DomainError):
     """Point inversion requested for the degenerate (b = 0) map."""
 

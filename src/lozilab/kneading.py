@@ -55,17 +55,6 @@ class UItinerary:
         return UItinerary((), self.period[r:] + self.period[:r])
 
 
-def epsilon(word: Itinerary) -> int:
-    """Orientation (-1)^N of a finite word, N = number of + symbols."""
-    sign = 1
-    for s in word:
-        if s == +1:
-            sign = -sign
-        elif s != -1:
-            raise UItineraryError("orientation is defined only for words over {-, +}")
-    return sign
-
-
 def order_compare(i1: UItinerary, i2: UItinerary) -> Ordering:
     """Parity-weighted lexicographic comparison of two U-itineraries.
 
@@ -92,14 +81,6 @@ def compare_tails(symbols1: Iterable[int], symbols2: Iterable[int]) -> Ordering 
         if s1 == +1:
             sign = -sign
     return None
-
-
-def is_maximum(i: UItinerary) -> bool:
-    """Whether every shift compares <= to the sequence itself."""
-    for k in range(1, len(i.preperiod) + len(i.period) + 1):
-        if order_compare(i.shift(k), i) is Ordering.GREATER:
-            return False
-    return True
 
 
 def forcing_check_tent(a: float, m: int, n1: int, n2: int) -> bool:

@@ -89,17 +89,6 @@ def partition_rows(strips: list[Strip]) -> list[tuple[str, float, float]]:
     return [(s.label, s.left_trace, s.right_trace) for s in strips]
 
 
-def exists_Cmn(p: Params, m: int, n: int) -> bool:
-    """Whether the depth-two strip pair C_{m,n} splits off two components.
-
-    Sufficient condition: the n-th stable trace does not exceed the m-th
-    left fold.  Exact ties count as existing (strips are closed).
-    """
-    if m < 2 or n < 2:
-        raise DomainError(f"need m, n >= 2, got ({m}, {n})")
-    return r_value(p, n) <= u_value(p, m, "L") + _TRACE_TIE_TOL
-
-
 def classify_regime(p: Params, m: int, n: int) -> Regime:
     """Position of the n-th folds relative to the strips around C_m.
 

@@ -20,6 +20,7 @@ import warnings
 import lozilab as L
 from lozilab import oracle
 from lozilab.core import SingularSystemError, cyclic_orbit
+from lozilab.kneading import UItineraryError
 from lozilab.solvers import (
     BracketError,
     MultipleRootWarning,
@@ -64,6 +65,53 @@ def genuine_iterate(p, v, steps):
     for _ in range(steps):
         v = L.apply_map(p, v)
     return v
+
+
+# -- branch formulas, restated from the map's definition --------------------
+
+
+def apply_branch(p, sigma, v):
+    """One step of the formal sigma-branch, applied regardless of sign(x)."""
+    x, y = v
+    return (-sigma * p.a * x - p.b * y + (p.a - p.b - 1.0), x)
+
+
+def apply_inverse(p, v):
+    """Genuine inverse step; the map is a homeomorphism only for b > 0."""
+    if p.b == 0.0:
+        raise L.NonInvertibleError("the map is not invertible at b = 0")
+    x, y = v
+    return (y, (-p.a * abs(y) + (p.a - p.b - 1.0) - x) / p.b)
+
+
+def apply_branch_inverse(p, sigma, v):
+    """Formal inverse of the sigma-branch (b > 0)."""
+    if p.b == 0.0:
+        raise L.NonInvertibleError("branches are not invertible at b = 0")
+    x, y = v
+    return (y, (-sigma * p.a * y + (p.a - p.b - 1.0) - x) / p.b)
+
+
+def epsilon(word):
+    """Orientation (-1)^N of a finite word, N = number of + symbols."""
+    sign = 1
+    for s in word:
+        if s == +1:
+            sign = -sign
+        elif s != -1:
+            raise UItineraryError("orientation is defined only for words over {-, +}")
+    return sign
+
+
+def exists_Cmn(p, m, n):
+    """Whether the depth-two strip pair C_{m,n} splits off two components.
+
+    Sufficient condition: the n-th stable trace does not exceed the m-th
+    left fold.  Exact ties, to 1e-12, count as existing (strips are closed).
+    """
+    if m < 2 or n < 2:
+        raise L.DomainError(f"need m, n >= 2, got ({m}, {n})")
+    return L.r_value(p, n) <= L.u_value(p, m, "L") + 1e-12
 
 
 def fold_oracle(p, word, y0, x_lo, x_hi, n_scan=4000):
@@ -118,7 +166,7 @@ def stable_polyline_crossing(p, m, near, n_scan=8000):
     def back(t):
         v = (e0[0] + t * (e1[0] - e0[0]), e0[1] + t * (e1[1] - e0[1]))
         for _ in range(m):
-            v = L.apply_inverse(p, v)
+            v = apply_inverse(p, v)
         return v
 
     best = None

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from lozilab import bifurcation, find_reversal, solvers, verify
+import lozilab
+from lozilab import bifurcation, cli, find_reversal, solvers, verify
 from lozilab.cli import main
 
 SMALL_FAMILY = ["figure1", "--m-min", "5", "--m-max", "6", "--b-max", "0.02", "--grid", "9"]
@@ -344,3 +348,78 @@ def test_env_var_output_dir(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(["partition", "-a", "1.8", "-b", "0.2", "--m-max", "3"], capsys)
     assert code == 0
     assert list(tmp_path.glob("partition_*.csv"))
+
+
+# `lozi-lab verify --help` and a bad suite name, as printed at 80 columns
+# before the suite names moved into cli
+VERIFY_USAGE = """usage: lozi-lab verify [-h] [--seed SEED] [--out OUT]
+                       {cones,convergence,kneading,orbits,partition,all}
+"""
+VERIFY_HELP = VERIFY_USAGE + """
+positional arguments:
+  {cones,convergence,kneading,orbits,partition,all}
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED
+  --out OUT             also write a JSON summary here
+"""
+
+
+def test_suite_names_are_those_of_verify(capsys, monkeypatch):
+    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == VERIFY_HELP
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "bogus"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err == VERIFY_USAGE + (
+        "lozi-lab verify: error: argument suite: invalid choice: 'bogus' (choose from "
+        "'cones', 'convergence', 'kneading', 'orbits', 'partition', 'all')\n")
+
+
+def _fresh_python(*args, cwd=None):
+    """Run a new interpreter on this checkout's package; stdout, or the
+    test fails with its stderr."""
+    src = str(Path(lozilab.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _modules_after(code, tmp_path):
+    """The lozilab modules a fresh interpreter has loaded after running code."""
+    out = _fresh_python("-c", code + "\nimport sys\nprint(*(k for k in sys.modules "
+                        "if k.split('.')[0] == 'lozilab'))", cwd=tmp_path)
+    return set(out.splitlines()[-1].split())
+
+
+def test_each_command_imports_only_its_own_layers(tmp_path):
+    base = {"lozilab", "lozilab.cli", "lozilab.core"}
+    assert _modules_after("import lozilab, lozilab.cli", tmp_path) == base
+    orbit = "from lozilab import cli; cli.main(['orbit', '-a', '1.8', '-b', '0.2', '-I', '+-'])"
+    assert _modules_after(orbit, tmp_path) == base | {"lozilab.symbolic"}
+    figure1 = "from lozilab import cli; cli.main(['figure1', '--m-max', '6', '--grid', '11'])"
+    loaded = _modules_after(figure1, tmp_path)
+    assert not loaded & {"lozilab.oracle", "lozilab.verify", "lozilab.kneading"}, loaded
+    # a submodule resolves as an attribute without being imported by name
+    assert "lozilab.verify" in _modules_after("import lozilab; lozilab.verify.SUITES", tmp_path)
+
+
+@pytest.mark.parametrize("args", [
+    ["orbit", "-a", "1.8", "-b", "0.2", "-I", "+-++-"],
+    ["partition", "-a", "1.8", "-b", "0.2", "--out", "."],
+    ["figure1", "--m-max", "6", "--grid", "11", "--out", "."],
+    ["verify", "kneading"],
+], ids=lambda args: args[0])
+def test_fresh_process_prints_what_main_prints(args, tmp_path, capsys, monkeypatch):
+    fresh = _fresh_python("-m", "lozilab.cli", *args, cwd=tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert fresh == out

@@ -10,15 +10,12 @@ from lozilab import (
     Params,
     RegionError,
     SpectrumError,
-    apply_branch,
-    apply_branch_inverse,
-    apply_inverse,
     apply_map,
     fixed_points,
     multipliers,
 )
 
-from helpers import close
+from helpers import apply_branch, apply_branch_inverse, apply_inverse, close
 
 
 def p_full_grid():

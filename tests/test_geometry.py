@@ -1,5 +1,6 @@
 import __future__
 import ast
+import importlib
 import math
 import random
 import re
@@ -14,8 +15,6 @@ from lozilab import (
     PLUS,
     BwdLine,
     Params,
-    apply_branch,
-    apply_branch_inverse,
     fixed_points,
     geometry,
     iterate_line_bwd,
@@ -43,6 +42,9 @@ from lozilab.geometry import (
 from lozilab.symbolic import ItineraryError
 
 from helpers import (
+    apply_branch,
+    apply_branch_inverse,
+    exists_Cmn,
     fold_oracle,
     genuine_iterate,
     ref_fold,
@@ -580,8 +582,6 @@ def test_pq_genuine_orbit_identity_sweep():
     # trace's genuine orbit reaches the switching line at step m+n-1 and
     # the fold point at step m+n, wherever the depth-two strips exist
     rng = random.Random(31)
-    from lozilab import exists_Cmn
-
     checked = 0
     while checked < 40:
         b = rng.uniform(0.0, 0.25)
@@ -838,14 +838,13 @@ def _public_names(module):
 
 def test_public_surface_is_pinned():
     # a change to either list is an API change: update it with a CHANGES.md entry
-    assert _public_names(lozilab) == [
+    assert sorted(lozilab.__all__) == [
         "BifCurve", "BwdLine", "DomainError", "FormalPeriodicPoint", "Itinerary", "MINUS",
         "Multipliers", "NonInvertibleError", "OrbitClass", "OrbitKind", "Ordering", "PLUS",
         "Params", "Point", "Regime", "RegionError", "ReversalResult", "SpectrumError", "Strip",
-        "UItinerary", "apply_branch", "apply_branch_inverse", "apply_inverse", "apply_map",
-        "brute_periodic", "build_partition", "choose_m", "classify_orbit", "classify_regime",
-        "cone_check", "epsilon", "exists_Cmn", "find_reversal", "fixed_points",
-        "forcing_check_tent", "formal_periodic_point", "format_itinerary", "iota", "is_maximum",
+        "UItinerary", "apply_map", "brute_periodic", "build_partition", "choose_m",
+        "classify_orbit", "classify_regime", "cone_check", "find_reversal", "fixed_points",
+        "forcing_check_tent", "formal_periodic_point", "format_itinerary", "iota",
         "iterate_line_bwd", "log_coord", "multipliers", "orbit_signs", "order_compare",
         "p_value", "parse_itinerary", "partition_rows", "q_value", "r_value", "solve_l",
         "tangency_a", "trace_curve", "u_gap", "u_value",
@@ -856,6 +855,23 @@ def test_public_surface_is_pinned():
         "dataclass", "fixed_points", "iterate_line_bwd", "multipliers", "p_value", "q_value",
         "r_value", "stable_line", "u_gap", "u_value",
     ]
+
+
+def test_lazy_package_serves_each_name_from_its_home_module():
+    listed = set(dir(lozilab))
+    assert set(lozilab.__all__) <= listed
+    for name in lozilab.__all__:
+        home = importlib.import_module(f"lozilab.{lozilab._HOMES[name]}")
+        assert getattr(lozilab, name) is getattr(home, name), name
+    for name in ("bifurcation", "core", "geometry", "kneading", "oracle", "renorm",
+                 "solvers", "symbolic", "verify"):
+        assert name in listed
+        assert getattr(lozilab, name) is importlib.import_module(f"lozilab.{name}")
+    with pytest.raises(AttributeError, match=r"^module 'lozilab' has no attribute 'no_such_name'$"):
+        lozilab.no_such_name
+    namespace = {}
+    exec("from lozilab import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(lozilab.__all__)
 
 
 def test_no_module_keeps_state_through_global():

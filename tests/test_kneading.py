@@ -7,18 +7,16 @@ from lozilab import (
     Ordering,
     Params,
     UItinerary,
-    epsilon,
     forcing_check_tent,
     formal_periodic_point,
     iota,
-    is_maximum,
     order_compare,
     verify,
 )
 from lozilab.core import DomainError
 from lozilab.kneading import UItineraryError, compare_tails
 
-from helpers import reference_tent_code
+from helpers import epsilon, reference_tent_code
 
 
 def u(pre, per):
@@ -69,24 +67,6 @@ def test_order_needs_full_horizon():
     left = u([], [-1, 1, -1, 1, -1, -1])
     right = u([], [-1, 1])
     assert order_compare(left, right) is not Ordering.EQUIVALENT
-
-
-def test_maximum_examples():
-    assert is_maximum(u([], [1, -1]))
-    assert not is_maximum(u([], [-1, 1]))
-    assert is_maximum(u([], [1]))
-    assert is_maximum(u([], [-1]))  # all shifts equal
-
-
-def test_nontrivial_maximum_starts_plus_minus():
-    rng = random.Random(4)
-    for _ in range(300):
-        per = tuple(rng.choice((-1, 1)) for _ in range(rng.randrange(2, 7)))
-        seq = u([], per)
-        if len(set(per)) < 2:
-            continue
-        if is_maximum(seq):
-            assert per[0] == 1 and per[1] == -1
 
 
 def test_totality_and_transitivity():

@@ -9,7 +9,6 @@ from lozilab import (
     Regime,
     build_partition,
     classify_regime,
-    exists_Cmn,
     iterate_line_bwd,
     log_coord,
     multipliers,
@@ -21,6 +20,8 @@ from lozilab import (
 from lozilab.bifurcation import C3, C4, solve_l
 from lozilab.core import DomainError, RegionError
 from lozilab.geometry import stable_line
+
+from helpers import exists_Cmn
 
 P18 = Params(1.8, 0.2)
 

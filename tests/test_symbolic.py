@@ -8,7 +8,6 @@ import pytest
 
 from lozilab import (
     Params,
-    apply_branch,
     formal_periodic_point,
     format_itinerary,
     iota,
@@ -21,6 +20,7 @@ from lozilab.symbolic import ItineraryError, SingularSystemError, sign_words
 
 from helpers import (
     affine_apply,
+    apply_branch,
     close,
     compose,
     det,
