@@ -18,12 +18,12 @@ _HOMES = {
     for module, names in {
         "bifurcation": "BifCurve ReversalResult choose_m find_reversal solve_l tangency_a "
                        "trace_curve",
-        "core": "MINUS PLUS DomainError Multipliers NonInvertibleError Params Point "
-                "RegionError SpectrumError apply_map fixed_points multipliers",
+        "core": "MINUS PLUS DomainError Multipliers Params Point RegionError SpectrumError "
+                "apply_map fixed_points multipliers",
         "geometry": "BwdLine iterate_line_bwd p_value q_value r_value u_gap u_value",
         "kneading": "Ordering UItinerary forcing_check_tent order_compare",
         "oracle": "OrbitClass OrbitKind brute_periodic classify_orbit cone_check orbit_signs",
-        "renorm": "Regime Strip build_partition classify_regime log_coord partition_rows",
+        "renorm": "Regime Strip build_partition classify_regime log_coord",
         "symbolic": "FormalPeriodicPoint Itinerary formal_periodic_point format_itinerary "
                     "iota parse_itinerary",
     }.items()

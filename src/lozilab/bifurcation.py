@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import DomainError, Params, _require_count, multipliers
+from .core import DomainError, Params, _require_count, _require_orders, multipliers
 from .geometry import C_RL, C_RU, C_UL, C_UU, _r_ladder, p_value, q_value, r_value, u_value
 from .renorm import log_coord
 from .solvers import BracketError, _require_tolerances, bisect, hybrid_root, predicted_cell
@@ -53,12 +53,6 @@ class ReversalError(DomainError):
 
 def _a_low(b: float) -> float:
     return max(_SQRT2, 3.0 * b + 1.0) + 1e-9
-
-
-def _require_orders(m: int, n: int) -> None:
-    """Refuse (m, n) unless m > n >= 2 are whole numbers, floats like 5.0 included."""
-    if not m > n >= 2 or m % 1 or n % 1:
-        raise DomainError(f"need integers m > n >= 2, got ({m!r}, {n!r})")
 
 
 def _pq_gap(a: float, b: float, m: int, n: int) -> float:
@@ -158,7 +152,7 @@ def trace_curve(
         guess = _guess(samples, b, m, n) if 0 < k < len(b_grid) - 1 else None
         try:
             samples.append((b, solve_l(b, m, n, tol=tol, guess=guess)))
-        except (BracketError, DomainError) as exc:
+        except DomainError as exc:
             raise BracketError(f"curve ({m},{n}) failed at b = {b}: {exc}") from exc
     avals = [a for _, a in samples]
     for a in avals:
@@ -251,13 +245,23 @@ def choose_m(b_bar: float) -> int:
     Evaluated at (t(b_bar), b_bar): finds m with T(r_{m-2}) <= T(u_2^R)
     < T(r_{m-1}).  Requires the log-scale separation condition
     log_lam(1/b_bar) + log_lam(C3/C4) > 2 + log_lam(C_RU/C_RL); otherwise
-    raises ConditionError carrying the measured gap.
+    raises ConditionError carrying the measured gap.  Above b_bar ~ 0.287
+    t(b_bar) falls below 3 b_bar + 1 and is not solved; the numerator
+    log(1/b_bar) + log(C3/C4) - log(C_RU/C_RL) is <= 0 there, so the
+    condition fails for every lam > 1 and ConditionError carries it.
     """
     if not 0.0 < b_bar < 1.0:
         raise DomainError(f"need 0 < b_bar < 1, got {b_bar}")
-    p = Params(tangency_a(b_bar), b_bar)
-    log_lam = math.log(multipliers(p).lam)
-    gap = (math.log(1.0 / b_bar) + math.log(C3 / C4) - math.log(C_RU / C_RL)) / log_lam - 2.0
+    sep = math.log(1.0 / b_bar) + math.log(C3 / C4) - math.log(C_RU / C_RL)
+    try:
+        p = Params(tangency_a(b_bar), b_bar)
+    except DomainError:
+        if sep > 0.0:
+            raise
+        raise ConditionError(
+            f"b_bar = {b_bar} too large: log-scale separation numerator {sep:.3f} <= 0"
+        ) from None
+    gap = sep / math.log(multipliers(p).lam) - 2.0
     if gap <= 0.0:
         raise ConditionError(
             f"b_bar = {b_bar} too large: log-scale separation gap {gap:.3f} <= 0"

@@ -80,22 +80,18 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 def _trace_or_skip(m: int, n: int, grid: list[float], tol: float):
     """The traced curve (None if it failed) and its warning notes."""
     from .bifurcation import trace_curve
-    from .solvers import BracketError
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             curve = trace_curve(m, n, grid, tol=tol)
-        except (BracketError, DomainError) as exc:
+        except DomainError as exc:
             return None, [f"skipped: {exc}"]
     return curve, [str(w.message) for w in caught]
 
 
-def _write_curve_csv(curve, path: Path) -> None:
-    lines = ["m,n,b,a,dadb"]
-    for (b, a), slope in zip(curve.samples, curve.dadb):
-        lines.append(f"{curve.m},{curve.n},{b!r},{a!r},{slope!r}")
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, rows) -> None:
+    path.write_text("\n".join([header, *rows]) + "\n")
 
 
 def cmd_figure1(args: argparse.Namespace) -> int:
@@ -124,7 +120,9 @@ def cmd_figure1(args: argparse.Namespace) -> int:
                 print(f"warning: curve ({m},{n}): {note}", file=sys.stderr)
             if curve is not None:
                 curves[(m, n)] = curve
-                _write_curve_csv(curve, out / f"curve_m{m}_n{n}.csv")
+                points = zip(curve.samples, curve.dadb)
+                rows = (f"{m},{n},{b!r},{a!r},{s!r}" for (b, a), s in points)
+                _write_csv(out / f"curve_m{m}_n{n}.csv", "m,n,b,a,dadb", rows)
 
     intersections, unresolved = [], []
     if ns == [2, 3]:
@@ -162,20 +160,12 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    from .renorm import build_partition, partition_rows
+    from .renorm import build_partition
 
-    p = Params(args.a, args.b)
-    try:
-        strips = build_partition(p, m_max=args.m_max)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    out = _out_dir(args.out)
-    path = out / f"partition_a{args.a!r}_b{args.b!r}.csv"
-    lines = ["label,left_trace,right_trace"]
-    for label, left, right in partition_rows(strips):
-        lines.append(f"{label},{left!r},{right!r}")
-    path.write_text("\n".join(lines) + "\n")
+    strips = build_partition(Params(args.a, args.b), m_max=args.m_max)
+    path = _out_dir(args.out) / f"partition_a{args.a!r}_b{args.b!r}.csv"
+    rows = (f"{s.label},{s.left_trace!r},{s.right_trace!r}" for s in strips)
+    _write_csv(path, "label,left_trace,right_trace", rows)
     print(f"wrote {path}")
     return EXIT_OK
 

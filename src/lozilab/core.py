@@ -54,10 +54,6 @@ class Params:
         """3b+1 < a < inf and 0 <= b <= 1: the renormalization partition exists."""
         return 3.0 * self.b + 1.0 < self.a < math.inf and 0.0 <= self.b <= 1.0
 
-    def in_nbd(self, b_bar: float) -> bool:
-        """Inside the modulated region with b capped at b_bar."""
-        return self.in_mod and self.b <= b_bar
-
 
 @dataclass(frozen=True)
 class Multipliers:
@@ -73,10 +69,6 @@ def apply_map(p: Params, v: Point) -> Point:
     return (-p.a * abs(x) - p.b * y + (p.a - p.b - 1.0), x)
 
 
-class NonInvertibleError(DomainError):
-    """Point inversion requested for the degenerate (b = 0) map."""
-
-
 def _require_count(name: str, value: int, least: int, most: float = math.inf) -> None:
     """Refuse `value` unless it is an int (not a bool) in [least, most]."""
     if isinstance(value, bool) or not isinstance(value, int) or not least <= value <= most:
@@ -84,10 +76,21 @@ def _require_count(name: str, value: int, least: int, most: float = math.inf) ->
         raise DomainError(f"need an integer {least} <= {name}{upper}, got {value!r}")
 
 
-def fixed_points(p: Params) -> tuple[Point, Point]:
-    """The two saddle fixed points z_- = (-1,-1) and z_+ on the diagonal."""
+def _require_orders(m: int, n: int) -> None:
+    """Refuse (m, n) unless m > n >= 2 are whole numbers, floats like 5.0 included."""
+    if not m > n >= 2 or m % 1 or n % 1:
+        raise DomainError(f"need integers m > n >= 2, got ({m!r}, {n!r})")
+
+
+def _require_full(p: Params) -> None:
+    """Refuse p outside the full-family region (p.in_full)."""
     if not p.in_full:
         raise RegionError(f"({p.a}, {p.b}) is outside the full-family region")
+
+
+def fixed_points(p: Params) -> tuple[Point, Point]:
+    """The two saddle fixed points z_- = (-1,-1) and z_+ on the diagonal."""
+    _require_full(p)
     zeta_plus = 1.0 - 2.0 * (p.b + 1.0) / (p.a + p.b + 1.0)
     return ((-1.0, -1.0), (zeta_plus, zeta_plus))
 

@@ -21,9 +21,9 @@ from .core import (
     DomainError,
     Params,
     Point,
-    RegionError,
     SingularSystemError,
     _require_count,
+    _require_full,
     apply_map,
     cyclic_orbit,
     multipliers,
@@ -231,8 +231,7 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
     (_near_kept), and the first one farther than 1e-7 from every point of
     the result raises DomainError; a failed run costs nothing.
     """
-    if not p.in_full:
-        raise RegionError(f"({p.a}, {p.b}) is outside the full-family region")
+    _require_full(p)
     _require_count("period", period, 1, 10)
     _require_count("grid_n", grid_n, 2)
     roots: list[Point] = []
@@ -279,8 +278,7 @@ def cone_check(p: Params, samples: int, seed: int = 0) -> bool:
     the signs of x and y, but they are drawn as choice((-1.0, 1.0)) draws
     them, so the magnitudes are those of a signed sweep of the same seed.
     """
-    if not p.in_full:
-        raise RegionError(f"({p.a}, {p.b}) is outside the full-family region")
+    _require_full(p)
     # no samples would certify nothing
     _require_count("samples", samples, 1)
     mult = multipliers(p)
@@ -359,8 +357,7 @@ class TrappingLines:
 
 
 def trapping_lines(p: Params) -> TrappingLines:
-    if not p.in_full:
-        raise RegionError(f"({p.a}, {p.b}) is outside the full-family region")
+    _require_full(p)
     mult = multipliers(p)
     lines = TrappingLines(
         mu=mult.mu,
@@ -401,16 +398,13 @@ def classify_orbit(p: Params, v: Point, max_iter: int = 100_000) -> OrbitClass:
             return OrbitClass(kind=OrbitKind.ESCAPES_MINUS_INFINITY, witness=i)
         if lines.in_trap(v):
             if streak_start < 0:
-                streak_start = i
-                streak_points = []
-            if any(
+                streak_start, streak_points = i, []
+            if i - streak_start + 1 >= 100 or any(
                 abs(v[0] - w[0]) <= 1e-9 and abs(v[1] - w[1]) <= 1e-9
                 for w in streak_points
             ):
                 return OrbitClass(kind=OrbitKind.TRAPPED, witness=streak_start)
             streak_points.append(v)
-            if i - streak_start + 1 >= 100:
-                return OrbitClass(kind=OrbitKind.TRAPPED, witness=streak_start)
         else:
             streak_start = -1
         v = apply_map(p, v)

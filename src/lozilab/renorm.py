@@ -12,8 +12,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .core import MINUS, PLUS, DomainError, Params, RegionError, _require_count, multipliers
-from .geometry import BwdLine, _r_ladder, iterate_line_bwd, r_value, stable_line, u_value
+from .core import MINUS, PLUS, DomainError, Params, _require_count, _require_orders, multipliers
+from .geometry import BwdLine, _r_ladder, _require_mod, iterate_line_bwd, r_value, stable_line
+from .geometry import u_value
 
 _TRACE_TIE_TOL = 1e-12
 _STRIP_TOL = 1e-9
@@ -54,10 +55,10 @@ def build_partition(p: Params, m_max: int = 16) -> list[Strip]:
     B sits between the first two minus-pullbacks of the right fixed
     point's stable line; each C_m between consecutive plus-pullbacks; D
     spans from the left fixed point's stable line pullback family limit
-    to its plus-pullback.
+    to its plus-pullback.  Refuses p outside the partition region
+    (geometry._require_mod) and m_max < 2.
     """
-    if not p.in_mod:
-        raise RegionError(f"({p.a}, {p.b}) is outside the partition region a > 3b+1")
+    _require_mod(p)
     _require_count("m_max", m_max, 2)
     pullbacks = list(_r_ladder(p, m_max))
     betas = [stable_line(p, PLUS)] + [BwdLine(v, (c, 0.0)) for v, c, _, _ in pullbacks[1:]]
@@ -84,20 +85,15 @@ def build_partition(p: Params, m_max: int = 16) -> list[Strip]:
     return strips
 
 
-def partition_rows(strips: list[Strip]) -> list[tuple[str, float, float]]:
-    """Rows (label, left_trace, right_trace) for CSV export."""
-    return [(s.label, s.left_trace, s.right_trace) for s in strips]
-
-
 def classify_regime(p: Params, m: int, n: int) -> Regime:
     """Position of the n-th folds relative to the strips around C_m.
 
     LARGE (r_m <= u_n^L) forces the period-(m+n) orbit pair to exist;
     SMALL (u_n^R < r_{m-1}) forbids it; INTERMEDIATE contains the border
-    collision.
+    collision.  Refuses (m, n) unless m > n >= 2 are whole numbers
+    (core._require_orders), before any ladder is read.
     """
-    if not m > n >= 2:
-        raise DomainError(f"need m > n >= 2, got ({m}, {n})")
+    _require_orders(m, n)
     if u_value(p, n, "R") < r_value(p, m - 1):
         return Regime.SMALL
     if r_value(p, m) <= u_value(p, n, "L"):

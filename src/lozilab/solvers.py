@@ -230,9 +230,12 @@ def hybrid_root(
     With `guess` the scan is skipped unless the warm start fails (see the
     warm-start contract); a warm solve never warns, and only a call
     without `guess` is sure to run the full scan.  A NaN, infinite or
-    negative xtol or ftol is refused.
+    negative xtol or ftol is refused, and so is an interval without lo < hi,
+    before f is evaluated.
     """
     _require_tolerances(xtol, ftol)
+    if not lo < hi:
+        raise DomainError(f"need an interval lo < hi, got lo={lo!r}, hi={hi!r}")
     f = functools.cache(f)
     cell = None if guess is None else _warm_bracket(f, lo, hi, scan_n, xtol, guess)
     if cell is None:

@@ -4,10 +4,11 @@ CLI command.
 Each invariant is written once, as a public function that takes its
 inputs and bounds, returns a one-line detail and raises AssertionError
 on failure; the suites here, the acceptance criteria and the unit tests
-call it on their own grids.  Each suite returns a list of named checks;
-a check that raises is a failure with the exception text as detail.  All
-randomness is drawn from the given seed, so summaries are reproducible
-byte for byte.
+call it on their own grids.  The two formal-point invariants read one
+sweep, _formal_sweep, which also makes their empty-input refusals.  Each
+suite returns a list of named checks; a check that raises is a failure
+with the exception text as detail.  All randomness is drawn from the
+given seed, so summaries are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -63,16 +64,19 @@ def _close(u: tuple[float, float], v: tuple[float, float], tol: float) -> bool:
     return max(abs(u[0] - v[0]), abs(u[1] - v[1])) <= tol
 
 
-def orbit_residuals(params: list[Params], lengths: range) -> str:
-    """Each formal periodic point of each word length has step residual < 1e-10."""
+def _formal_sweep(params: list[Params], lengths: range) -> Iterator[tuple]:
+    """(p, length, formal point) of each word of each length at each p; refuses empty inputs."""
     _require_count("len(params)", len(params), 1)
     _require_count("len(lengths)", len(lengths), 1)
-    worst = max(
-        formal_periodic_point(p, word).residual
-        for p in params
-        for length in lengths
-        for word in sign_words(length)
-    )
+    for p in params:
+        for length in lengths:
+            for word in sign_words(length):
+                yield p, length, formal_periodic_point(p, word)
+
+
+def orbit_residuals(params: list[Params], lengths: range) -> str:
+    """Each formal periodic point of each word length has step residual < 1e-10."""
+    worst = max(fp.residual for _, _, fp in _formal_sweep(params, lengths))
     if not worst < 1e-10:
         raise AssertionError(f"residual {worst:.3e} not below 1e-10")
     return f"worst residual {worst:.3e}"
@@ -80,23 +84,18 @@ def orbit_residuals(params: list[Params], lengths: range) -> str:
 
 def genuine_return(params: list[Params], lengths: range) -> str:
     """The genuine map closes each admissible formal orbit to 1e-9."""
-    _require_count("len(params)", len(params), 1)
-    _require_count("len(lengths)", len(lengths), 1)
     count = 0
-    for p in params:
-        for length in lengths:
-            for word in sign_words(length):
-                fp = formal_periodic_point(p, word)
-                if fp.admissibility < 0.0:
-                    continue
-                v = fp.point
-                for _ in range(length):
-                    v = apply_map(p, v)
-                if not _close(v, fp.point, 1e-9):
-                    raise AssertionError(
-                        f"{format_itinerary(word)} not genuinely periodic at ({p.a}, {p.b})"
-                    )
-                count += 1
+    for p, length, fp in _formal_sweep(params, lengths):
+        if fp.admissibility < 0.0:
+            continue
+        v = fp.point
+        for _ in range(length):
+            v = apply_map(p, v)
+        if not _close(v, fp.point, 1e-9):
+            raise AssertionError(
+                f"{format_itinerary(fp.itinerary)} not genuinely periodic at ({p.a}, {p.b})"
+            )
+        count += 1
     return f"{count} admissible orbits close up"
 
 

@@ -70,6 +70,10 @@ def genuine_iterate(p, v, steps):
 # -- branch formulas, restated from the map's definition --------------------
 
 
+class NonInvertibleError(L.DomainError):
+    """Point inversion requested for the degenerate (b = 0) map."""
+
+
 def apply_branch(p, sigma, v):
     """One step of the formal sigma-branch, applied regardless of sign(x)."""
     x, y = v
@@ -79,7 +83,7 @@ def apply_branch(p, sigma, v):
 def apply_inverse(p, v):
     """Genuine inverse step; the map is a homeomorphism only for b > 0."""
     if p.b == 0.0:
-        raise L.NonInvertibleError("the map is not invertible at b = 0")
+        raise NonInvertibleError("the map is not invertible at b = 0")
     x, y = v
     return (y, (-p.a * abs(y) + (p.a - p.b - 1.0) - x) / p.b)
 
@@ -87,7 +91,7 @@ def apply_inverse(p, v):
 def apply_branch_inverse(p, sigma, v):
     """Formal inverse of the sigma-branch (b > 0)."""
     if p.b == 0.0:
-        raise L.NonInvertibleError("branches are not invertible at b = 0")
+        raise NonInvertibleError("branches are not invertible at b = 0")
     x, y = v
     return (y, (-sigma * p.a * y + (p.a - p.b - 1.0) - x) / p.b)
 

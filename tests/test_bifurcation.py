@@ -21,6 +21,8 @@ from lozilab import (
 )
 from lozilab import bifurcation, solvers
 from lozilab.bifurcation import (
+    C3,
+    C4,
     ConditionError,
     ReversalError,
     _solve_near,
@@ -29,6 +31,7 @@ from lozilab.bifurcation import (
     refine_crossing,
 )
 from lozilab.core import DomainError
+from lozilab.geometry import C_RL, C_RU
 from lozilab.solvers import (
     _FD_STEP,
     _HUNT_CELLS,
@@ -204,6 +207,25 @@ def test_choose_m_condition_gap_reported():
         assert "gap" in str(exc)
     else:
         pytest.fail("expected ConditionError")
+
+
+@pytest.mark.parametrize("b_bar, gap", [(0.01, -6.116), (0.02, -7.162), (0.1, -10.017),
+                                        (0.287, -13.774)])
+def test_choose_m_condition_message_where_the_tangency_is_solved(b_bar, gap):
+    with pytest.raises(ConditionError) as info:
+        choose_m(b_bar)
+    assert str(info.value) == f"b_bar = {b_bar} too large: log-scale separation gap {gap} <= 0"
+
+
+@pytest.mark.parametrize("b_bar", [0.3, 0.5, 0.9])
+def test_large_b_bar_fails_the_condition_before_the_tangency(b_bar):
+    # t(b_bar) lies below the tangency scan there: these were a bare
+    # BracketError (0.3, 0.5) and a RegionError (0.9)
+    sep = math.log(1.0 / b_bar) + math.log(C3 / C4) - math.log(C_RU / C_RL)
+    match = re.escape(f"b_bar = {b_bar} too large: log-scale separation numerator {sep:.3f} <= 0")
+    for search in (choose_m, find_reversal):
+        with pytest.raises(ConditionError, match=match):
+            search(b_bar)
 
 
 def test_choose_m_reports_float_resolution():
@@ -626,6 +648,23 @@ def test_solves_refuse_an_unusable_tolerance(tol, curves_m6_coarse):
     for xtol in (math.nan, math.inf, -1e-6):
         with pytest.raises(DomainError, match=re.escape(f"got xtol={xtol!r}, ftol=1e-12")):
             hybrid_root(lambda x: x - 1.0, 0.0, 2.0, xtol=xtol)
+
+
+@pytest.mark.parametrize("lo, hi", [(3.7, 3.0), (3.0, 3.0), (math.nan, 3.0), (3.0, math.nan)])
+def test_hybrid_root_refuses_an_empty_or_reversed_interval(lo, hi):
+    # (3.7, 3.0) used to scan backwards and end in ConvergenceError,
+    # although 3.5 is a simple root between the two ends
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 3.5
+
+    with pytest.raises(DomainError, match=re.escape(f"got lo={lo!r}, hi={hi!r}")):
+        hybrid_root(f, lo, hi)
+    with pytest.raises(DomainError, match=re.escape(f"got lo={lo!r}, hi={hi!r}")):
+        hybrid_root(f, lo, hi, guess=3.5)
+    assert calls == []
 
 
 def test_solves_accept_a_zero_tolerance():

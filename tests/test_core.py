@@ -6,7 +6,6 @@ import pytest
 from lozilab import (
     MINUS,
     PLUS,
-    NonInvertibleError,
     Params,
     RegionError,
     SpectrumError,
@@ -14,8 +13,9 @@ from lozilab import (
     fixed_points,
     multipliers,
 )
+from lozilab import oracle
 
-from helpers import apply_branch, apply_branch_inverse, apply_inverse, close
+from helpers import NonInvertibleError, apply_branch, apply_branch_inverse, apply_inverse, close
 
 
 def p_full_grid():
@@ -113,9 +113,24 @@ def test_region_predicate_boundaries():
     assert not Params(1.2, 0.2).in_full  # a = b + 1 is excluded
     assert Params(2.5, 1.0).in_full  # b = 1 is included
     assert not Params(2.5, 1.0 + 1e-12).in_full
-    assert Params(1.8, 0.2).in_nbd(0.2) and not Params(1.8, 0.2).in_nbd(0.1)
     assert not Params(math.inf, 0.2).in_full  # a must be finite
     assert not Params(math.inf, 0.2).in_mod
+
+
+def test_full_family_refusal_is_one_message_at_every_site():
+    p = Params(1.0, 0.2)  # a < b + 1
+    want = "(1.0, 0.2) is outside the full-family region"
+    sites = [
+        lambda: fixed_points(p),
+        lambda: oracle.brute_periodic(p, 2, grid_n=10),
+        lambda: oracle.cone_check(p, samples=10),
+        lambda: oracle.trapping_lines(p),
+        lambda: oracle.classify_orbit(p, (0.0, 0.0)),
+    ]
+    for site in sites:
+        with pytest.raises(RegionError) as info:
+            site()
+        assert str(info.value) == want
 
 
 def test_inverse_round_trip():

@@ -840,13 +840,13 @@ def test_public_surface_is_pinned():
     # a change to either list is an API change: update it with a CHANGES.md entry
     assert sorted(lozilab.__all__) == [
         "BifCurve", "BwdLine", "DomainError", "FormalPeriodicPoint", "Itinerary", "MINUS",
-        "Multipliers", "NonInvertibleError", "OrbitClass", "OrbitKind", "Ordering", "PLUS",
+        "Multipliers", "OrbitClass", "OrbitKind", "Ordering", "PLUS",
         "Params", "Point", "Regime", "RegionError", "ReversalResult", "SpectrumError", "Strip",
         "UItinerary", "apply_map", "brute_periodic", "build_partition", "choose_m",
         "classify_orbit", "classify_regime", "cone_check", "find_reversal", "fixed_points",
         "forcing_check_tent", "formal_periodic_point", "format_itinerary", "iota",
         "iterate_line_bwd", "log_coord", "multipliers", "orbit_signs", "order_compare",
-        "p_value", "parse_itinerary", "partition_rows", "q_value", "r_value", "solve_l",
+        "p_value", "parse_itinerary", "q_value", "r_value", "solve_l",
         "tangency_a", "trace_curve", "u_gap", "u_value",
     ]
     assert _public_names(geometry) == [

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -12,7 +13,6 @@ from lozilab import (
     iterate_line_bwd,
     log_coord,
     multipliers,
-    partition_rows,
     r_value,
     u_value,
     verify,
@@ -85,10 +85,10 @@ def test_partition_reports_float_resolution():
 
 
 def test_partition_rows_schema():
-    rows = partition_rows(build_partition(P18, m_max=4))
-    assert [r[0] for r in rows] == ["B", "C2", "C3", "C4", "D"]
-    for _, left, right in rows:
-        assert left <= right
+    strips = build_partition(P18, m_max=4)
+    assert [s.label for s in strips] == ["B", "C2", "C3", "C4", "D"]
+    for s in strips:
+        assert s.left_trace <= s.right_trace
 
 
 def test_strip_contains_band_clipping():
@@ -117,6 +117,15 @@ def test_classify_regime_extremes():
     assert classify_regime(Params(1.25, 0.04), 5, 2) is Regime.SMALL
     with pytest.raises(DomainError):
         classify_regime(P18, 2, 2)
+
+
+@pytest.mark.parametrize("m, n", [(5.5, 2), (5, 2.5), (math.nan, 2), (5, math.inf)])
+def test_classify_regime_refuses_the_pair_before_reading_a_ladder(m, n):
+    # a fraction used to reach a ladder check naming the wrong value:
+    # (5.5, 2) said "need an integer m >= 1, got 4.5", (5, 2.5) "... got 2.5"
+    match = re.escape(f"need integers m > n >= 2, got ({m!r}, {n!r})")
+    with pytest.raises(DomainError, match=match):
+        classify_regime(P18, m, n)
 
 
 def test_classify_regime_on_bifurcation_curve():
