@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import DomainError, Params, _require_count, _require_orders, multipliers
+from .core import DomainError, Params, RegionError, _require_count, _require_orders, multipliers
 from .geometry import C_RL, C_RU, C_UL, C_UU, _r_ladder, p_value, q_value, r_value, u_value
 from .renorm import log_coord
 from .solvers import BracketError, _require_tolerances, bisect, hybrid_root, predicted_cell
@@ -173,15 +173,25 @@ def _tangency_gap(a: float, b: float) -> float:
 
 
 def tangency_a(b: float) -> float:
-    """The parameter a = t(b) near 2 where the fold limit meets the trace limit."""
-    return hybrid_root(
-        lambda a: _tangency_gap(a, b),
-        _a_low(b),
-        3.0,
-        scan_n=32,
-        xtol=1e-6,
-        ftol=1e-13,
-    )
+    """The parameter a = t(b) near 2 where the fold limit meets the trace limit.
+
+    Searched on (max(sqrt(2), 3b + 1), 3).  From b ~ 0.2871 on t(b) lies at
+    or below 3b + 1, and for b >= 2/3 that interval is empty; both raise
+    RegionError, as the tangency has left the partition region a > 3b + 1.
+    Any other scan without a sign change raises BracketError.
+    """
+    lo = _a_low(b)
+    if not lo < 3.0:
+        raise RegionError(f"b = {b}: the partition region a > 3b + 1 leaves no a < 3 for t(b)")
+    try:
+        return hybrid_root(
+            lambda a: _tangency_gap(a, b), lo, 3.0, scan_n=32, xtol=1e-6, ftol=1e-13
+        )
+    except BracketError:
+        if not _tangency_gap(lo, b) > 0.0:
+            raise
+    raise RegionError(f"b = {b}: t(b) lies at or below 3b + 1, outside the partition "
+                      "region a > 3b + 1")
 
 
 def crossing_gaps(curve2: BifCurve, curve3: BifCurve) -> tuple[list[float], list[int]]:

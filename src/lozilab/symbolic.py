@@ -12,6 +12,8 @@ value is >= 0.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from operator import mul
 
@@ -66,13 +68,29 @@ def sign_words(length: int) -> list[Itinerary]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FormalPeriodicPoint:
     point: Point
     itinerary: Itinerary
     admissibility: float
     hyperbolic: bool
     residual: float
+
+
+# (p, itinerary) -> formal point, inside a _solve_once scope only
+_SOLVED: ContextVar[dict | None] = ContextVar("_SOLVED", default=None)
+
+
+@contextmanager
+def _solve_once():
+    """Within this scope formal_periodic_point solves each (p, itinerary)
+    once and returns that point again on every later call; on leaving it
+    the points are dropped."""
+    token = _SOLVED.set({})
+    try:
+        yield
+    finally:
+        _SOLVED.reset(token)
 
 
 def formal_periodic_point(p: Params, itinerary: Itinerary) -> FormalPeriodicPoint:
@@ -86,9 +104,19 @@ def formal_periodic_point(p: Params, itinerary: Itinerary) -> FormalPeriodicPoin
     DomainError when the orbit or a reported value is not finite.  The
     point stores the itinerary as a tuple, so it hashes and compares
     whatever sequence was given.
+
+    The point depends on (p, itinerary) alone, so inside a _solve_once
+    scope (each verify suite runs in one) a pair is solved once and
+    later calls return that point; a solve that raises is not kept, and
+    the symbols are checked on every call.  Outside a scope every call
+    solves.
     """
     itinerary = tuple(itinerary)
     _require_symbols(itinerary)
+    solved = _SOLVED.get()
+    fp = None if solved is None else solved.get((p, itinerary))
+    if fp is not None:
+        return fp
     xs = cyclic_orbit(p, itinerary)
     h = min(map(mul, itinerary, xs))
     a, b = p.a, p.b
@@ -100,13 +128,16 @@ def formal_periodic_point(p: Params, itinerary: Itinerary) -> FormalPeriodicPoin
         raise DomainError(
             f"formal orbit of {format_itinerary(itinerary)} overflows at ({p.a}, {p.b})"
         )
-    return FormalPeriodicPoint(
+    fp = FormalPeriodicPoint(
         point=(xs[0], xs[-1]),
         itinerary=itinerary,
         admissibility=h,
         hyperbolic=h > 0.0,
         residual=residual,
     )
+    if solved is not None:
+        solved[p, itinerary] = fp
+    return fp
 
 
 def iota(sigma: int, m: int, n: int) -> Itinerary:

@@ -8,7 +8,10 @@ call it on their own grids.  The two formal-point invariants read one
 sweep, _formal_sweep, which also makes their empty-input refusals.  Each
 suite returns a list of named checks; a check that raises is a failure
 with the exception text as detail.  All randomness is drawn from the
-given seed, so summaries are reproducible byte for byte.
+given seed, so summaries are reproducible byte for byte.  run_suite
+runs each suite in its own symbolic._solve_once scope, so a formal
+periodic point that several of its checks read is solved once; the
+scope ends with the suite, raised or not.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .kneading import (
 )
 from .oracle import OrbitKind, brute_periodic, classify_orbit, cone_check, orbit_signs
 from .renorm import Regime, build_partition, classify_regime
-from .symbolic import format_itinerary, formal_periodic_point, iota, sign_words
+from .symbolic import _solve_once, format_itinerary, formal_periodic_point, iota, sign_words
 
 
 @dataclass(frozen=True)
@@ -429,6 +432,9 @@ SUITES: dict[str, Callable[[int], list[Check]]] = {
 
 
 def run_suite(name: str, seed: int) -> list[Check]:
-    if name == "all":
-        return [check for suite in SUITES.values() for check in suite(seed)]
-    return SUITES[name](seed)
+    """The checks of one suite, or of every suite for "all"."""
+    checks = []
+    for suite in SUITES.values() if name == "all" else [SUITES[name]]:
+        with _solve_once():
+            checks += suite(seed)
+    return checks

@@ -30,7 +30,7 @@ from lozilab.bifurcation import (
     crossing_gaps,
     refine_crossing,
 )
-from lozilab.core import DomainError
+from lozilab.core import DomainError, RegionError
 from lozilab.geometry import C_RL, C_RU
 from lozilab.solvers import (
     _FD_STEP,
@@ -77,6 +77,25 @@ def test_tangency_curve_sampling():
     avals = [tangency_a(b) for b in (0.0, 0.01, 0.02, 0.03)]
     assert avals[0] == pytest.approx(2.0, abs=1e-12)
     assert all(1.8 < a < 2.2 for a in avals)
+
+
+def test_tangency_last_b_inside_the_partition_region():
+    assert tangency_a(0.287) == 1.8612693327523417
+
+
+@pytest.mark.parametrize("b", [0.2871, 0.3, 0.5, 0.7, 1.0])
+def test_tangency_outside_the_partition_region_is_a_region_error(b):
+    # t(b) <= 3b + 1 here; these were a bare BracketError ("no sign change
+    # of f on [1.900000001, 3.0]" at 0.3) and, from b = 2/3 on, hybrid_root's
+    # "need an interval lo < hi"
+    with pytest.raises(RegionError, match=re.escape(f"b = {b}: ") + r".*a > 3b \+ 1"):
+        tangency_a(b)
+
+
+def test_tangency_scan_without_a_root_below_it_stays_a_bracket_error(monkeypatch):
+    monkeypatch.setattr(bifurcation, "_tangency_gap", lambda a, b: -1.0)
+    with pytest.raises(BracketError, match="no sign change"):
+        tangency_a(0.1)
 
 
 # ----------------------------------------------------------- root solves

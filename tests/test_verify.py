@@ -8,8 +8,9 @@ import random
 
 import pytest
 
-from lozilab import OrbitClass, OrbitKind, Ordering, Params, UItinerary, geometry, verify
-from lozilab.core import DomainError
+from lozilab import OrbitClass, OrbitKind, Ordering, Params, UItinerary, geometry, symbolic, verify
+from lozilab.cli import main
+from lozilab.core import DomainError, SingularSystemError
 from lozilab.geometry import C_RL, C_RU, SLOPE_C
 
 P18 = Params(1.8, 0.2)
@@ -182,3 +183,86 @@ def test_convergence_suite_kernel_steps(monkeypatch):
         monkeypatch.setattr(geometry, name, counted)
     assert all(check.passed for check in verify.suite_convergence(0))
     assert steps == {"_push_word": 1488, "_pull_word": 1568}
+
+
+def _counted_solves(monkeypatch, fail=None):
+    """The (p, word) of each formal-point solve, counted at symbolic's
+    cyclic_orbit binding; the solve of `fail` raises SingularSystemError."""
+    solves = []
+    cyclic_orbit = symbolic.cyclic_orbit
+
+    def solve(p, word):
+        solves.append((p, word))
+        if (p, word) == fail:
+            raise SingularSystemError(f"pivot below 1e-13 for {word}")
+        return cyclic_orbit(p, word)
+
+    monkeypatch.setattr(symbolic, "cyclic_orbit", solve)
+    return solves
+
+
+def test_verify_all_solves_each_formal_point_once(monkeypatch):
+    # 2,124 -> 1,000 for `verify all --seed 42` when each suite came to keep
+    # the formal points it solved: orbits.residual, orbits.equivalence
+    # and orbits.genuine-return had each solved the same words, and
+    # kneading.forcing the (+, m, n1) word once per n2
+    solves = _counted_solves(monkeypatch)
+    assert all(check.passed for check in verify.run_suite("all", 42))
+    assert len(solves) == len(set(solves)) == 1000
+
+
+def test_each_suite_solves_each_formal_point_once(monkeypatch):
+    # orbits 1,386 -> 558 (9 parameters x 62 words), kneading 736 -> 440
+    solves = _counted_solves(monkeypatch)
+    counts = {}
+    for name in verify.SUITES:
+        before = len(solves)
+        verify.run_suite(name, 42)
+        counts[name] = len(solves) - before
+    assert counts == {"cones": 0, "orbits": 558, "convergence": 0,
+                      "partition": 2, "kneading": 440}
+
+
+def test_a_suite_keeps_its_formal_points_only_while_it_runs(monkeypatch):
+    solves = _counted_solves(monkeypatch)
+    verify.run_suite("all", 42)
+    verify.run_suite("all", 42)
+    assert len(solves) == 2000
+    for _ in range(2):
+        symbolic.formal_periodic_point(P18, (+1, -1))
+    assert len(solves) == 2002
+
+
+BAD = (Params(2.1, 0.2), (+1, -1, -1))
+
+
+def test_a_failed_solve_fails_each_check_that_reads_it(monkeypatch):
+    solves = _counted_solves(monkeypatch, fail=BAD)
+    checks = verify.run_suite("orbits", 42)
+    assert [(c.id, c.passed) for c in checks] == [
+        ("orbits.residual", False),
+        ("orbits.equivalence", False),
+        ("orbits.genuine-return", False),
+        ("orbits.trapped", True),
+    ]
+    for check in checks[:3]:
+        assert check.detail == "SingularSystemError: pivot below 1e-13 for (1, -1, -1)"
+    # a solve that raised is not kept: each of the three checks solved it again
+    assert solves.count(BAD) == 3
+    assert main(["verify", "orbits"]) == 1
+    assert solves.count(BAD) == 6
+
+
+def test_the_solve_once_scope_ends_with_a_suite_that_raised(monkeypatch):
+    inside = []
+
+    def broken(seed):
+        symbolic.formal_periodic_point(P18, (+1, -1))
+        inside.append(dict(symbolic._SOLVED.get()))
+        raise RuntimeError("suite broke")
+
+    monkeypatch.setitem(verify.SUITES, "cones", broken)
+    with pytest.raises(RuntimeError, match="suite broke"):
+        verify.run_suite("cones", 0)
+    assert list(inside[0]) == [(P18, (+1, -1))]
+    assert symbolic._SOLVED.get() is None
