@@ -178,8 +178,11 @@ def tangency_a(b: float) -> float:
     Searched on (max(sqrt(2), 3b + 1), 3).  From b ~ 0.2871 on t(b) lies at
     or below 3b + 1, and for b >= 2/3 that interval is empty; both raise
     RegionError, as the tangency has left the partition region a > 3b + 1.
-    Any other scan without a sign change raises BracketError.
+    Any other scan without a sign change raises BracketError.  A b that is
+    not >= 0 (NaN included) raises DomainError before any gap evaluation.
     """
+    if not b >= 0.0:
+        raise DomainError(f"need b >= 0, got {b}")
     lo = _a_low(b)
     if not lo < 3.0:
         raise RegionError(f"b = {b}: the partition region a > 3b + 1 leaves no a < 3 for t(b)")

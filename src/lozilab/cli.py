@@ -4,8 +4,9 @@ export, and the verification suites.
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 domain error.
 Outputs are deterministic for a fixed configuration and seed.
 
-Only the standard library and ``core`` load with this module; each command
-imports its own layers when it runs, so a process pays only for those.
+Only the standard library loads with this module; each command imports its
+own layers when it runs, so a process pays only for those, and ``--help``
+and argparse usage errors load no layer at all.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import os
 import sys
 import warnings
 from pathlib import Path
-
-from .core import DomainError, Params
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -46,6 +45,7 @@ def _json_dump(obj, path: Path) -> None:
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
+    from .core import Params
     from .symbolic import ItineraryError, formal_periodic_point, parse_itinerary
 
     try:
@@ -80,6 +80,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 def _trace_or_skip(m: int, n: int, grid: list[float], tol: float):
     """The traced curve (None if it failed) and its warning notes."""
     from .bifurcation import trace_curve
+    from .core import DomainError
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -95,8 +96,6 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def cmd_figure1(args: argparse.Namespace) -> int:
-    from .bifurcation import crossing_gaps, refine_crossing
-
     if args.grid < 2 or args.m_min > args.m_max or args.b_max <= 0.0 or args.tol <= 0.0:
         print("error: need --grid >= 2, --m-min <= --m-max, --b-max > 0, --tol > 0",
               file=sys.stderr)
@@ -110,6 +109,9 @@ def cmd_figure1(args: argparse.Namespace) -> int:
         print(f"error: --b-max {args.b_max!r} over --grid {args.grid} points gives "
               "b-grid points that are not strictly increasing", file=sys.stderr)
         return EXIT_USAGE
+    # after the usage checks, which need no layer
+    from .bifurcation import crossing_gaps, refine_crossing
+
     out = _out_dir(args.out)
     ns = sorted(set(args.n))
     curves = {}
@@ -160,6 +162,7 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
+    from .core import Params
     from .renorm import build_partition
 
     strips = build_partition(Params(args.a, args.b), m_max=args.m_max)
@@ -242,6 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # imported only now, so that --help and usage errors load no layer
+    from .core import DomainError
+
     if args.command == "figure1" and not args.n:
         args.n = [2, 3]
     try:

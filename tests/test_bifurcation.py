@@ -92,6 +92,22 @@ def test_tangency_outside_the_partition_region_is_a_region_error(b):
         tangency_a(b)
 
 
+@pytest.mark.parametrize("b", [math.nan, -0.1])
+def test_tangency_refuses_b_not_at_least_zero(b):
+    # both were RegionError("(1.4142135633730952, nan) is outside the
+    # partition region a > 3b+1"), naming the scan's first a
+    with pytest.raises(DomainError) as info:
+        tangency_a(b)
+    assert type(info.value) is DomainError
+    assert str(info.value) == f"need b >= 0, got {b}"
+
+
+def test_tangency_at_infinite_b_stays_a_region_error():
+    with pytest.raises(RegionError) as info:
+        tangency_a(math.inf)
+    assert str(info.value) == "b = inf: the partition region a > 3b + 1 leaves no a < 3 for t(b)"
+
+
 def test_tangency_scan_without_a_root_below_it_stays_a_bracket_error(monkeypatch):
     monkeypatch.setattr(bifurcation, "_tangency_gap", lambda a, b: -1.0)
     with pytest.raises(BracketError, match="no sign change"):

@@ -381,13 +381,17 @@ def test_suite_names_are_those_of_verify(capsys, monkeypatch):
         "'cones', 'convergence', 'kneading', 'orbits', 'partition', 'all')\n")
 
 
-def _fresh_python(*args, cwd=None):
-    """Run a new interpreter on this checkout's package; stdout, or the
-    test fails with its stderr."""
+def _fresh_run(*args, cwd=None):
+    """Run a new interpreter on this checkout's package."""
     src = str(Path(lozilab.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
                           text=True, timeout=120)
+
+
+def _fresh_python(*args, cwd=None):
+    """Stdout of _fresh_run, or the test fails with its stderr."""
+    done = _fresh_run(*args, cwd=cwd)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -399,16 +403,36 @@ def _modules_after(code, tmp_path):
     return set(out.splitlines()[-1].split())
 
 
+def _modules_after_exit(argv, code, tmp_path):
+    """The lozilab modules loaded once cli.main(argv) has returned or exited
+    through argparse with the given exit code."""
+    run = (f"from lozilab import cli\ntry:\n    code = cli.main({argv!r})\n"
+           f"except SystemExit as exc:\n    code = exc.code\nassert code == {code}, code")
+    return _modules_after(run, tmp_path)
+
+
 def test_each_command_imports_only_its_own_layers(tmp_path):
-    base = {"lozilab", "lozilab.cli", "lozilab.core"}
+    base = {"lozilab", "lozilab.cli"}
     assert _modules_after("import lozilab, lozilab.cli", tmp_path) == base
     orbit = "from lozilab import cli; cli.main(['orbit', '-a', '1.8', '-b', '0.2', '-I', '+-'])"
-    assert _modules_after(orbit, tmp_path) == base | {"lozilab.symbolic"}
+    assert _modules_after(orbit, tmp_path) == base | {"lozilab.core", "lozilab.symbolic"}
+    # help and usage errors load no layer
+    assert _modules_after_exit(["--help"], 0, tmp_path) == base
+    assert _modules_after_exit(["orbit", "-a", "nan", "-b", "0", "-I", "+"], 2, tmp_path) == base
+    assert "lozilab.bifurcation" not in _modules_after_exit(["figure1", "--grid", "1"], 2, tmp_path)
     figure1 = "from lozilab import cli; cli.main(['figure1', '--m-max', '6', '--grid', '11'])"
     loaded = _modules_after(figure1, tmp_path)
     assert not loaded & {"lozilab.oracle", "lozilab.verify", "lozilab.kneading"}, loaded
     # a submodule resolves as an attribute without being imported by name
     assert "lozilab.verify" in _modules_after("import lozilab; lozilab.verify.SUITES", tmp_path)
+
+
+def test_fresh_process_domain_error_exit(tmp_path):
+    # main imports DomainError only after parsing; it still catches the error
+    done = _fresh_run("-m", "lozilab.cli", "partition", "-a", "1.2", "-b", "0.5", cwd=tmp_path)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == "error: (1.2, 0.5) is outside the partition region a > 3b+1\n"
 
 
 @pytest.mark.parametrize("args", [
