@@ -258,22 +258,19 @@ def choose_m(b_bar: float) -> int:
     Evaluated at (t(b_bar), b_bar): finds m with T(r_{m-2}) <= T(u_2^R)
     < T(r_{m-1}).  Requires the log-scale separation condition
     log_lam(1/b_bar) + log_lam(C3/C4) > 2 + log_lam(C_RU/C_RL); otherwise
-    raises ConditionError carrying the measured gap.  Above b_bar ~ 0.287
-    t(b_bar) falls below 3 b_bar + 1 and is not solved; the numerator
-    log(1/b_bar) + log(C3/C4) - log(C_RU/C_RL) is <= 0 there, so the
-    condition fails for every lam > 1 and ConditionError carries it.
+    raises ConditionError carrying the measured gap.  Above b_bar ~ 5.887e-4
+    the numerator log(1/b_bar) + log(C3/C4) - log(C_RU/C_RL) is <= 0, so
+    the condition fails for every lam > 1: ConditionError carries the
+    numerator, and t(b_bar) is not solved.
     """
     if not 0.0 < b_bar < 1.0:
         raise DomainError(f"need 0 < b_bar < 1, got {b_bar}")
     sep = math.log(1.0 / b_bar) + math.log(C3 / C4) - math.log(C_RU / C_RL)
-    try:
-        p = Params(tangency_a(b_bar), b_bar)
-    except DomainError:
-        if sep > 0.0:
-            raise
+    if sep <= 0.0:
         raise ConditionError(
             f"b_bar = {b_bar} too large: log-scale separation numerator {sep:.3f} <= 0"
-        ) from None
+        )
+    p = Params(tangency_a(b_bar), b_bar)
     gap = sep / math.log(multipliers(p).lam) - 2.0
     if gap <= 0.0:
         raise ConditionError(
@@ -340,7 +337,7 @@ def find_reversal(
     k = flips[0]
     b_star, a_star = refine_crossing(curve2, curve3, k, max(1e-13, 1e-7 * b_bar))
     h = 0.5 * (bs[1] - bs[0])
-    h = min(h, b_star) if b_star > 0 else h
+    h = min(h, b_star)
     slope2, slope3 = (
         (_solve_near(c, b_star + h, 1e-12) - _solve_near(c, b_star - h, 1e-12)) / (2.0 * h)
         for c in (curve2, curve3)

@@ -319,89 +319,48 @@ def _norms_grow(ax: float, ay: float, bx: float, by: float, factor: float) -> bo
     )
 
 
-@dataclass(frozen=True)
-class TrappingLines:
-    """Boundary lines of the trapping triangle of the left fixed point.
-
-    chi: x = mu*(y+1) - 1 (stable line), phi1: y = (x+1)/lam - 1 (unstable
-    line), phi2: the plus-branch image of phi1, through (lam-1, 0) with
-    slope -1/(a+mu).
-    """
-
-    mu: float
-    lam: float
-    u_inf: float
-    phi2_slope: float
-
-    def chi_x(self, y: float) -> float:
-        return self.mu * (y + 1.0) - 1.0
-
-    def phi1_y(self, x: float) -> float:
-        return (x + 1.0) / self.lam - 1.0
-
-    def phi2_y(self, x: float) -> float:
-        return self.phi2_slope * (x - self.u_inf)
-
-    def in_escape(self, v: Point) -> bool:
-        # open wedge: demand a strict margin so boundary points within
-        # float noise of the stable line are not misread as escaping
-        return v[0] < self.chi_x(v[1]) - _TRAP_TOL and v[0] < 0.0
-
-    def in_trap(self, v: Point) -> bool:
-        x, y = v
-        return (
-            x >= self.chi_x(y) - _TRAP_TOL
-            and y >= self.phi1_y(x) - _TRAP_TOL
-            and y <= self.phi2_y(x) + _TRAP_TOL
-        )
-
-
-def trapping_lines(p: Params) -> TrappingLines:
-    _require_full(p)
-    mult = multipliers(p)
-    lines = TrappingLines(
-        mu=mult.mu,
-        lam=mult.lam,
-        u_inf=mult.lam - 1.0,
-        phi2_slope=-1.0 / (p.a + mult.mu),
-    )
-    # the stable line must clear the second-fold image on the y-axis,
-    # so the triangle closes in the second quadrant
-    if p.b > 0.0:
-        j = mult.lam / p.b - 1.0
-        k = (mult.lam - 1.0) / (p.a + mult.mu)
-        if not j > k:
-            raise DomainError("trapping triangle failed to close")
-    return lines
-
-
 def classify_orbit(p: Params, v: Point, max_iter: int = 100_000) -> OrbitClass:
     """Iterate until the orbit certifies escape or trapping.
 
-    Escape: the orbit enters the forward-invariant wedge left of the
-    stable line (or falls below -1e10, the numeric fallback).  Trapping:
-    the orbit stays in the closed triangle for 100 consecutive steps, or
-    revisits a streak point to within 1e-9 (a pseudo-cycle inside the
-    triangle; saddle orbits drift off the exact cycle long before 100
-    steps, so plain streak counting would misread them).  The witness is
-    the first step of the certifying streak.  A start point that is not
-    finite is refused with DomainError (a NaN one meets no certificate).
+    The left fixed point's trapping triangle has sides chi: x = mu*(y+1) - 1
+    (stable line), phi1: y = (x+1)/lam - 1 (unstable line) and phi2, the
+    plus-branch image of phi1, through (lam-1, 0) with slope -1/(a+mu).
+    Escape: the orbit enters the forward-invariant wedge left of chi (or
+    falls below -1e10, the numeric fallback).  Trapping: the orbit stays in
+    the closed triangle for 100 consecutive steps, or revisits a streak
+    point to within 1e-9 (a pseudo-cycle inside the triangle; saddle orbits
+    drift off the exact cycle long before 100 steps, so plain streak
+    counting would misread them).  The witness is the first step of the
+    certifying streak.  A start point that is not finite (a NaN one meets
+    no certificate) and a triangle that fails to close raise DomainError.
     """
     if not (math.isfinite(v[0]) and math.isfinite(v[1])):
         raise DomainError(f"start point {v!r} is not finite")
     _require_count("max_iter", max_iter, 0)
-    lines = trapping_lines(p)
+    _require_full(p)
+    mult = multipliers(p)
+    mu, lam = mult.mu, mult.lam
+    u_inf, slope = lam - 1.0, -1.0 / (p.a + mu)
+    # the stable line must clear the second-fold image on the y-axis
+    if p.b > 0.0 and not lam / p.b - 1.0 > (lam - 1.0) / (p.a + mu):
+        raise DomainError("trapping triangle failed to close")
     streak_start = -1
     streak_points: list[Point] = []
     for i in range(max_iter + 1):
-        if lines.in_escape(v) or v[0] < -1e10:
+        x, y = v
+        chi = mu * (y + 1.0) - 1.0
+        # open wedge, with a strict margin so float noise on chi is not escape
+        if (x < chi - _TRAP_TOL and x < 0.0) or x < -1e10:
             return OrbitClass(kind=OrbitKind.ESCAPES_MINUS_INFINITY, witness=i)
-        if lines.in_trap(v):
+        if (
+            x >= chi - _TRAP_TOL
+            and y >= (x + 1.0) / lam - 1.0 - _TRAP_TOL
+            and y <= slope * (x - u_inf) + _TRAP_TOL
+        ):
             if streak_start < 0:
                 streak_start, streak_points = i, []
             if i - streak_start + 1 >= 100 or any(
-                abs(v[0] - w[0]) <= 1e-9 and abs(v[1] - w[1]) <= 1e-9
-                for w in streak_points
+                abs(x - w[0]) <= 1e-9 and abs(y - w[1]) <= 1e-9 for w in streak_points
             ):
                 return OrbitClass(kind=OrbitKind.TRAPPED, witness=streak_start)
             streak_points.append(v)

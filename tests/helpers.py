@@ -16,10 +16,19 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from dataclasses import dataclass
 
 import lozilab as L
 from lozilab import oracle
-from lozilab.core import SingularSystemError, cyclic_orbit
+from lozilab.core import (
+    DomainError,
+    SingularSystemError,
+    _require_count,
+    _require_full,
+    apply_map,
+    cyclic_orbit,
+    multipliers,
+)
 from lozilab.kneading import UItineraryError
 from lozilab.solvers import (
     BracketError,
@@ -445,6 +454,90 @@ def _reference_norms_grow(v, w, factor):
         and bx * bx + by * by >= factor * factor * (ax * ax + ay * ay)
         and max(bx, by) >= factor * max(ax, ay)
     )
+
+
+@dataclass(frozen=True)
+class _ReferenceTrappingLines:
+    """Boundary lines of the trapping triangle of the left fixed point.
+
+    chi: x = mu*(y+1) - 1 (stable line), phi1: y = (x+1)/lam - 1 (unstable
+    line), phi2: the plus-branch image of phi1, through (lam-1, 0) with
+    slope -1/(a+mu).
+    """
+
+    mu: float
+    lam: float
+    u_inf: float
+    phi2_slope: float
+
+    def chi_x(self, y: float) -> float:
+        return self.mu * (y + 1.0) - 1.0
+
+    def phi1_y(self, x: float) -> float:
+        return (x + 1.0) / self.lam - 1.0
+
+    def phi2_y(self, x: float) -> float:
+        return self.phi2_slope * (x - self.u_inf)
+
+    def in_escape(self, v) -> bool:
+        # open wedge: demand a strict margin so boundary points within
+        # float noise of the stable line are not misread as escaping
+        return v[0] < self.chi_x(v[1]) - 1e-12 and v[0] < 0.0
+
+    def in_trap(self, v) -> bool:
+        x, y = v
+        return (
+            x >= self.chi_x(y) - 1e-12
+            and y >= self.phi1_y(x) - 1e-12
+            and y <= self.phi2_y(x) + 1e-12
+        )
+
+
+def _reference_trapping_lines(p):
+    _require_full(p)
+    mult = multipliers(p)
+    lines = _ReferenceTrappingLines(
+        mu=mult.mu,
+        lam=mult.lam,
+        u_inf=mult.lam - 1.0,
+        phi2_slope=-1.0 / (p.a + mult.mu),
+    )
+    # the stable line must clear the second-fold image on the y-axis,
+    # so the triangle closes in the second quadrant
+    if p.b > 0.0:
+        j = mult.lam / p.b - 1.0
+        k = (mult.lam - 1.0) / (p.a + mult.mu)
+        if not j > k:
+            raise DomainError("trapping triangle failed to close")
+    return lines
+
+
+def reference_classify_orbit(p, v, max_iter=100_000):
+    """oracle.classify_orbit as it ran before it read the trapping
+    triangle inline: the triangle's lines as a frozen dataclass whose
+    methods test escape and trapping, restated verbatim."""
+    if not (math.isfinite(v[0]) and math.isfinite(v[1])):
+        raise DomainError(f"start point {v!r} is not finite")
+    _require_count("max_iter", max_iter, 0)
+    lines = _reference_trapping_lines(p)
+    streak_start = -1
+    streak_points = []
+    for i in range(max_iter + 1):
+        if lines.in_escape(v) or v[0] < -1e10:
+            return oracle.OrbitClass(kind=oracle.OrbitKind.ESCAPES_MINUS_INFINITY, witness=i)
+        if lines.in_trap(v):
+            if streak_start < 0:
+                streak_start, streak_points = i, []
+            if i - streak_start + 1 >= 100 or any(
+                abs(v[0] - w[0]) <= 1e-9 and abs(v[1] - w[1]) <= 1e-9
+                for w in streak_points
+            ):
+                return oracle.OrbitClass(kind=oracle.OrbitKind.TRAPPED, witness=streak_start)
+            streak_points.append(v)
+        else:
+            streak_start = -1
+        v = apply_map(p, v)
+    raise oracle.BudgetError(f"no classification within {max_iter} iterations", v)
 
 
 def reference_cold_root(f, lo, hi, scan_n, xtol, ftol):

@@ -237,25 +237,34 @@ def test_choose_m_rejects_large_b():
 
 def test_choose_m_condition_gap_reported():
     try:
-        choose_m(0.01)
+        choose_m(3e-4)
     except ConditionError as exc:
         assert "gap" in str(exc)
     else:
         pytest.fail("expected ConditionError")
+    # below the window where the gap fails, the condition holds
+    assert choose_m(1e-4) == 15
 
 
-@pytest.mark.parametrize("b_bar, gap", [(0.01, -6.116), (0.02, -7.162), (0.1, -10.017),
-                                        (0.287, -13.774)])
+# the numerator is still positive on about (1.45e-4, 5.887e-4), so t(b_bar)
+# is solved there and the gap is what fails
+@pytest.mark.parametrize("b_bar, gap", [(2e-4, -0.442), (3e-4, -1.027), (5e-4, -1.764)])
 def test_choose_m_condition_message_where_the_tangency_is_solved(b_bar, gap):
-    with pytest.raises(ConditionError) as info:
-        choose_m(b_bar)
-    assert str(info.value) == f"b_bar = {b_bar} too large: log-scale separation gap {gap} <= 0"
+    for search in (choose_m, find_reversal):
+        with pytest.raises(ConditionError) as info:
+            search(b_bar)
+        assert str(info.value) == f"b_bar = {b_bar} too large: log-scale separation gap {gap} <= 0"
 
 
-@pytest.mark.parametrize("b_bar", [0.3, 0.5, 0.9])
-def test_large_b_bar_fails_the_condition_before_the_tangency(b_bar):
-    # t(b_bar) lies below the tangency scan there: these were a bare
-    # BracketError (0.3, 0.5) and a RegionError (0.9)
+@pytest.mark.parametrize("b_bar", [0.01, 0.02, 0.1, 0.287, 0.3, 0.5, 0.9])
+def test_large_b_bar_fails_the_condition_before_the_tangency(b_bar, monkeypatch):
+    # the numerator is <= 0 above b_bar ~ 5.887e-4, so t(b_bar) is not
+    # solved; from 0.2871 it lies below the tangency scan, where 0.3, 0.5
+    # and 0.9 were a bare BracketError (0.3, 0.5) and a RegionError (0.9)
+    def unsolved(b):
+        raise AssertionError(f"t({b}) was solved")
+
+    monkeypatch.setattr(bifurcation, "tangency_a", unsolved)
     sep = math.log(1.0 / b_bar) + math.log(C3 / C4) - math.log(C_RU / C_RL)
     match = re.escape(f"b_bar = {b_bar} too large: log-scale separation numerator {sep:.3f} <= 0")
     for search in (choose_m, find_reversal):

@@ -21,11 +21,11 @@ from lozilab import (
 )
 from lozilab import oracle, verify
 from lozilab.core import DomainError, RegionError
-from lozilab.oracle import BudgetError, trapping_lines
+from lozilab.oracle import BudgetError
 
 from helpers import (
     border_parameters, close, full_budget_newton, genuine_iterate, reference_brute_periodic,
-    reference_cone_check, seed_grid)
+    reference_classify_orbit, reference_cone_check, seed_grid)
 
 P18 = Params(1.8, 0.2)
 # repr of every brute_periodic point (periods 1-6, grid 20) at the five
@@ -548,15 +548,73 @@ def test_smaller_branch_image_equals_the_magnitude_form():
     assert min(q_above_p) > 0
 
 
-def test_trapping_lines_structure():
-    lines = trapping_lines(P18)
+def test_trapping_triangle_edges_at_p18():
     mult = multipliers(P18)
-    assert lines.u_inf == pytest.approx(mult.lam - 1.0)
-    # vertex on the unstable line, fold point on the axis
-    assert lines.phi1_y(lines.u_inf) == pytest.approx(0.0)
-    assert lines.phi2_y(lines.u_inf) == pytest.approx(0.0)
+    # the stable line chi crosses the x-axis at mu - 1: left of it by more
+    # than the margin is the escape wedge, right of it the triangle
+    left = classify_orbit(P18, (mult.mu - 1.0 - 1e-9, 0.0))
+    assert left.kind is OrbitKind.ESCAPES_MINUS_INFINITY and left.witness == 0
+    right = classify_orbit(P18, (mult.mu - 1.0 + 1e-9, 0.0))
+    assert right.kind is OrbitKind.TRAPPED and right.witness == 0
+    # the vertex (lam - 1, 0), where phi1 and phi2 meet, is in the triangle
+    vertex = classify_orbit(P18, (mult.lam - 1.0, 0.0))
+    assert vertex.kind is OrbitKind.TRAPPED and vertex.witness == 0
     # the triangle closes in the second quadrant
     assert mult.lam / P18.b - 1.0 > (mult.lam - 1.0) / (P18.a + mult.mu)
+
+
+def _classify_outcome(classify, p, v, max_iter):
+    """(kind, witness), or the refusal's type, message and last point."""
+    try:
+        result = classify(p, v, max_iter)
+    except DomainError as exc:
+        return type(exc), str(exc), repr(getattr(exc, "last_point", None))
+    return result.kind, result.witness
+
+
+def test_classify_orbit_matches_the_trapping_lines_reference():
+    # b = 0, b = 1, b within 1e-2 of 1 and uniform b; a in (b + 1, 4], and
+    # in every 40th draw below b + 1, outside the full family.  Starts on
+    # [-1, 1]^2 or at x = 0 high up, on a side of the triangle moved out by
+    # the 1e-12 margin and then by 0 or up to 1e-10 (chi, phi1, phi2), on
+    # [-3, 3]^2, and over 12 decades (one in twenty of these not finite)
+    rng = random.Random(30)
+    seen = set()
+    for k in range(2800):
+        b = (0.0, 1.0, 1.0 - 10.0 ** rng.uniform(-12.0, -2.0), rng.uniform(0.0, 1.0))[k % 4]
+        a = rng.uniform(b, b + 1.0) if k % 40 == 39 else rng.uniform(b + 1.0, 4.0)
+        p = Params(a, b)
+        mult = multipliers(p if p.in_full else P18)
+        x, y = rng.uniform(-1.0, mult.lam - 1.0), rng.uniform(-1.0, 1.0)
+        shift = rng.choice((-1.0, 0.0, 1.0)) * 10.0 ** rng.uniform(-18.0, -10.0)
+        kind = k % 7
+        if kind == 0:
+            v = (rng.uniform(-1.0, 1.0), y) if k % 2 else (0.0, 10.0 ** rng.uniform(0.0, 4.0))
+        elif kind == 1:
+            v = (mult.mu * (y + 1.0) - 1.0 - 1e-12 + shift, y)
+        elif kind == 2:
+            v = (x, (x + 1.0) / mult.lam - 1.0 - 1e-12 + shift)
+        elif kind == 3:
+            v = (x, -1.0 / (a + mult.mu) * (x - (mult.lam - 1.0)) + 1e-12 + shift)
+        elif kind == 4:
+            v = (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        elif k % 70 == 5:
+            v = rng.choice(((math.nan, y), (y, math.inf), (-math.inf, y)))
+        else:
+            scale = 10.0 ** rng.uniform(0.0, 12.0)
+            v = (scale * rng.uniform(-1.0, 1.0), scale * rng.uniform(-1.0, 1.0))
+        max_iter = (0, 1, 100_000)[k % 3]
+        got = _classify_outcome(classify_orbit, p, v, max_iter)
+        assert repr(got) == repr(_classify_outcome(reference_classify_orbit, p, v, max_iter)), (
+            p, v, max_iter)
+        if isinstance(got[0], OrbitKind):
+            seen.add(got[0] if got[1] == 0 else (got[0], "late"))
+        else:
+            seen.add(got[0].__name__)
+    # every outcome is reached, and each kind also after the start point
+    assert set(seen) == {
+        OrbitKind.ESCAPES_MINUS_INFINITY, OrbitKind.TRAPPED, "BudgetError", "RegionError",
+        "DomainError", (OrbitKind.ESCAPES_MINUS_INFINITY, "late"), (OrbitKind.TRAPPED, "late")}
 
 
 def test_classify_fixed_point_trapped_immediately():
