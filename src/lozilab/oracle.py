@@ -4,8 +4,9 @@ Periodic points come from one cyclic orbit solve per necklace of sign
 patterns, sharing core's cyclic solver with the symbolic formal points; a
 forward-iteration check and return-map Newton over a seed grid, which use
 neither, vouch for each point and for the absence of any other.
-Hyperbolicity estimates come from the universal cones, and long-run
-behaviour from the trapping triangle of the left fixed point's lines.
+Hyperbolicity is decided on the universal cones at the rays where each
+cone and norm test can first fail, and long-run behaviour from the
+trapping triangle of the left fixed point's lines.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
@@ -259,8 +259,9 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
     return sorted(points)
 
 
-def cone_check(p: Params, samples: int, seed: int = 0) -> bool:
-    """Random-vector sweep of the universal cone invariances.
+def cone_check(p: Params) -> bool:
+    """Whether both universal cones are invariant and expanded, decided at
+    the rays where each test can first fail.
 
     Expanding cone |y| <= |x|/lam: both branch derivatives keep it and
     grow the L1/L2/Linf norms by >= lam (slack 1e-12).  Contracting cone
@@ -268,44 +269,40 @@ def cone_check(p: Params, samples: int, seed: int = 0) -> bool:
     >= lam/b = 1/mu.  The contracting side degenerates to the y-axis at
     b = 0 and is skipped there.
 
-    Only |wx| = |-s a x - b y| forward and |wy| = |(-x - s a y)/b| inverse
-    depend on the branch s, and every test is nondecreasing in them (float
-    +, * by a factor >= 0 and max are monotone), so both branches pass iff
-    the smaller passes.  With P = a|x| and Q = b|y| the images are fl(P - Q)
-    and fl(P + Q) up to an exact sign, and rounding is monotone and odd, so
-    the smaller is |a|x| - b|y||, bit for bit; inverse, |a|y| - |x||/b.  The
-    abs stays, as Q exceeds P where the multipliers are off.  No test reads
-    the signs of x and y, but they are drawn as choice((-1.0, 1.0)) draws
-    them, so the magnitudes are those of a signed sweep of the same seed.
+    Every test is homogeneous and reads magnitudes only, and is
+    nondecreasing in the branch image, so each side is decided on the rays
+    (1, u), 0 <= u <= h, by the smaller branch image (W(u), 1) (the
+    inverse side's rays (u, 1) swapped; the norms are symmetric): forward
+    h = 1/lam and W = |a - b u|, inverse h = mu and W = |a - u|/b, so that
+    k h = 1 for the growth k, lam or 1/mu, and f = k (1 - 1e-12).  The
+    cone test W >= k and the L1 test W + 1 >= f (1 + u) are convex in u,
+    as W is, so each is least at an end or at W's kink.  At each ray they
+    imply the other two: Linf, as f max(1, u) <= max(f, f h) < max(W, 1)
+    once W >= k; and L2, as in two dimensions, with sorted entries, w1 >=
+    f v1 and w1 + w2 >= f (v1 + v2) give w1^2 + w2^2 >= f^2 (v1^2 + v2^2).
+    Hence a side holds on all of [0, h] iff it holds at 0, at h and at the
+    kink when it lies inside; for the true multipliers it lies outside
+    (a/b > 1/lam forward, a > mu inverse), and only the edge rays run.
     """
     _require_full(p)
-    # no samples would certify nothing
-    _require_count("samples", samples, 1)
     mult = multipliers(p)
     a, b, lam, mu = p.a, p.b, mult.lam, mult.mu
-    rng = random.Random(seed)
-    rand, bits = rng.random, rng.getrandbits  # uniform(lo, hi) is lo + (hi - lo) * rand()
+    return _rays_hold(a, b, 1.0, 1.0 / lam, lam) and (
+        b == 0.0 or _rays_hold(a, 1.0, b, mu, 1.0 / mu)
+    )
+
+
+def _rays_hold(a: float, c: float, d: float, h: float, k: float) -> bool:
+    """Whether each ray (1, u), 0 <= u <= h, has its image (W, 1), W = |a -
+    c u|/d, in the cone W >= k and grown by k in each norm, slack 1e-12,
+    tested at the ends and at W's kink a/c (none at c = 0) when inside
+    (cone_check)."""
     eps = 1e-12
-    # least norm growth forward, and inverse where the contracting side is checked
-    fwd, bwd = lam * (1.0 - eps), (1.0 / mu) * (1.0 - eps) if b != 0.0 else None
-    for _ in range(samples):
-        ax = 0.5 + (2.0 - 0.5) * rand()
-        while bits(2) >= 2:  # the unread sign of x
-            pass
-        hi = ax / lam
-        ay = abs(-hi + (hi - -hi) * rand())
-        wx = abs(a * ax - b * ay)
-        if ax * lam > wx * (1.0 + eps) or not _norms_grow(ax, ay, wx, ax, fwd):
-            return False
-        if b == 0.0:
+    for u in (0.0, h, a / c if c else math.inf):
+        if not 0.0 <= u <= h:
             continue
-        ay2 = 0.5 + (2.0 - 0.5) * rand()
-        while bits(2) >= 2:  # the unread sign of y
-            pass
-        hi = mu * ay2
-        ax2 = abs(-hi + (hi - -hi) * rand())
-        wy = abs(a * ay2 - ax2) / b
-        if ay2 > mu * wy * (1.0 + eps) or not _norms_grow(ax2, ay2, ay2, wy, bwd):
+        w = abs(a - c * u) / d
+        if k > w * (1.0 + eps) or not _norms_grow(1.0, u, w, 1.0, k * (1.0 - eps)):
             return False
     return True
 
@@ -332,7 +329,8 @@ def classify_orbit(p: Params, v: Point, max_iter: int = 100_000) -> OrbitClass:
     drift off the exact cycle long before 100 steps, so plain streak
     counting would misread them).  The witness is the first step of the
     certifying streak.  A start point that is not finite (a NaN one meets
-    no certificate) and a triangle that fails to close raise DomainError.
+    no certificate) raises DomainError; the triangle closes for every p in
+    the full family, as chi crosses the y-axis at lam/b - 1 > phi2's y.
     """
     if not (math.isfinite(v[0]) and math.isfinite(v[1])):
         raise DomainError(f"start point {v!r} is not finite")
@@ -341,9 +339,6 @@ def classify_orbit(p: Params, v: Point, max_iter: int = 100_000) -> OrbitClass:
     mult = multipliers(p)
     mu, lam = mult.mu, mult.lam
     u_inf, slope = lam - 1.0, -1.0 / (p.a + mu)
-    # the stable line must clear the second-fold image on the y-axis
-    if p.b > 0.0 and not lam / p.b - 1.0 > (lam - 1.0) / (p.a + mu):
-        raise DomainError("trapping triangle failed to close")
     streak_start = -1
     streak_points: list[Point] = []
     for i in range(max_iter + 1):

@@ -446,6 +446,36 @@ def reference_cone_check(p, samples, seed=0):
     return True
 
 
+def reference_ray_check(p, n=400):
+    """oracle.cone_check's decision by brute force on each cone's rays
+    (1, u), 0 <= u <= h, with smaller branch image (W(u), 1): the cone
+    test and the three norm-growth tests at n + 1 evenly spaced u and at
+    every break of a test that is piecewise in u, namely the kink of W,
+    the two u where W = 1, u = 1, and the vertex of the L2 test's
+    quadratic when it is convex.  It reads the multipliers through
+    oracle.multipliers, so a test that patches them patches both."""
+    mult = oracle.multipliers(p)
+    a, b, eps = p.a, p.b, 1e-12
+    # (c, d, h, k): W = |a - c u| / d on [0, h], growth k
+    sides = [(b, 1.0, 1.0 / mult.lam, mult.lam)]
+    if b != 0.0:
+        sides.append((1.0, b, mult.mu, 1.0 / mult.mu))
+    for c, d, h, k in sides:
+        f = k * (1.0 - eps)
+        rays = [h * (i / n) for i in range(n + 1)] + [1.0]
+        if c != 0.0:
+            rays += [a / c, (a - d) / c, (a + d) / c]
+        if (c / d) ** 2 > f * f:
+            rays.append(a * c / (d * d) / ((c / d) ** 2 - f * f))
+        for u in rays:
+            w = abs(a - c * u) / d
+            if 0.0 <= u <= h and (
+                k > w * (1.0 + eps) or not _reference_norms_grow((1.0, u), (w, 1.0), f)
+            ):
+                return False
+    return True
+
+
 def _reference_norms_grow(v, w, factor):
     ax, ay = abs(v[0]), abs(v[1])
     bx, by = abs(w[0]), abs(w[1])
@@ -496,26 +526,20 @@ class _ReferenceTrappingLines:
 def _reference_trapping_lines(p):
     _require_full(p)
     mult = multipliers(p)
-    lines = _ReferenceTrappingLines(
+    return _ReferenceTrappingLines(
         mu=mult.mu,
         lam=mult.lam,
         u_inf=mult.lam - 1.0,
         phi2_slope=-1.0 / (p.a + mult.mu),
     )
-    # the stable line must clear the second-fold image on the y-axis,
-    # so the triangle closes in the second quadrant
-    if p.b > 0.0:
-        j = mult.lam / p.b - 1.0
-        k = (mult.lam - 1.0) / (p.a + mult.mu)
-        if not j > k:
-            raise DomainError("trapping triangle failed to close")
-    return lines
 
 
 def reference_classify_orbit(p, v, max_iter=100_000):
     """oracle.classify_orbit as it ran before it read the trapping
     triangle inline: the triangle's lines as a frozen dataclass whose
-    methods test escape and trapping, restated verbatim."""
+    methods test escape and trapping, restated verbatim but for the
+    refusal of a triangle that fails to close, which no parameter of the
+    full family reaches (test_trapping_triangle_closes_in_the_full_family)."""
     if not (math.isfinite(v[0]) and math.isfinite(v[1])):
         raise DomainError(f"start point {v!r} is not finite")
     _require_count("max_iter", max_iter, 0)

@@ -77,12 +77,12 @@ def test_criterion_3_formal_orbit_oracle_equivalence():
 def test_criterion_4_cone_suite():
     t0 = time.time()
     rng = random.Random(2024)
-    cases = []
-    for _ in range(10_000 // 20):
+    params = []
+    for _ in range(500):
         b = rng.uniform(0.0, 1.0)
-        a = rng.uniform(b + 1.02, 4.0)
-        cases.append((L.Params(a, b), rng.randrange(10**9)))
-    _report("4 cone suite", t0, 10.0, verify.cone_sweep(cases, samples=20))
+        params.append(L.Params(rng.uniform(b + 1.02, 4.0), b))
+        rng.randrange(10**9)  # each parameter's retired sampling seed, drawn to keep the grid
+    _report("4 cone suite", t0, 10.0, verify.cone_sweep(params))
 
 
 def test_criterion_5_convergence_rates():

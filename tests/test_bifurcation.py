@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -377,6 +378,42 @@ def test_find_reversal_rejects_band_before_crossing():
     # yet reversed
     with pytest.raises(ReversalError):
         find_reversal(0.005, m=5, grid_points=9)
+
+
+# crossing_gaps' (gaps, flips) -> the refusal find_reversal must make
+@pytest.mark.parametrize("gaps, flips, message", [
+    ([0.0, 1.0, 2.0], [], "order not l2 < l3 at b = 0 (gap 0.000e+00)"),
+    ([-2.0, -1.0, 0.0], [], "order not l2 > l3 at b_bar (gap 0.000e+00)"),
+    ([-1.0, 1.0, -1.0, 1.0], [0, 1, 2], "3 sign changes of l2 - l3 on the grid"),
+], ids=["order-at-0", "order-at-b_bar", "sign-changes"])
+def test_find_reversal_refuses_the_gaps_of_no_single_crossing(gaps, flips, message, monkeypatch):
+    monkeypatch.setattr(bifurcation, "crossing_gaps", lambda curve2, curve3: (gaps, flips))
+    with pytest.raises(ReversalError, match=re.escape(message)):
+        find_reversal(0.05, m=5, grid_points=3)
+
+
+def test_find_reversal_refuses_slopes_out_of_order(monkeypatch):
+    # the m = 5 curves on [0, 0.05] cross once; with every slope estimate
+    # 0.0, d l_{m,2}/db > d l_{m,3}/db fails at the first sample
+    trace = bifurcation.trace_curve
+    monkeypatch.setattr(bifurcation, "trace_curve", lambda m, n, bs: dataclasses.replace(
+        trace(m, n, bs), dadb=[0.0] * len(bs)))
+    with pytest.raises(ReversalError, match=re.escape("slope order fails at b = 0.0")):
+        find_reversal(0.05, m=5, grid_points=11)
+
+
+def test_find_reversal_refuses_a_crossing_that_is_not_transverse(monkeypatch):
+    # once the crossing is refined, both curves read flat near b*, so
+    # their central differences tie
+    refined = []
+    refine, solve_near = bifurcation.refine_crossing, bifurcation._solve_near
+    monkeypatch.setattr(bifurcation, "refine_crossing",
+                        lambda *args: refined.append(refine(*args)) or refined[-1])
+    monkeypatch.setattr(bifurcation, "_solve_near",
+                        lambda curve, b, tol: 2.0 if refined else solve_near(curve, b, tol))
+    with pytest.raises(ReversalError, match=re.escape("crossing not transverse: 0.0 <= 0.0")):
+        find_reversal(0.05, m=5, grid_points=11)
+    assert len(refined) == 1
 
 
 def test_hybrid_root_warning_on_multiple_roots():

@@ -123,7 +123,7 @@ def test_full_family_refusal_is_one_message_at_every_site():
     sites = [
         lambda: fixed_points(p),
         lambda: oracle.brute_periodic(p, 2, grid_n=10),
-        lambda: oracle.cone_check(p, samples=10),
+        lambda: oracle.cone_check(p),
         lambda: oracle.classify_orbit(p, (0.0, 0.0)),
     ]
     for site in sites:

@@ -25,7 +25,7 @@ from lozilab.oracle import BudgetError
 
 from helpers import (
     border_parameters, close, full_budget_newton, genuine_iterate, reference_brute_periodic,
-    reference_classify_orbit, reference_cone_check, seed_grid)
+    reference_classify_orbit, reference_cone_check, reference_ray_check, seed_grid)
 
 P18 = Params(1.8, 0.2)
 # repr of every brute_periodic point (periods 1-6, grid 20) at the five
@@ -394,24 +394,30 @@ def test_cone_example_vectors():
 
 def test_cone_sweep_many_parameters():
     rng = random.Random(10)
-    cases = []
+    params = []
     for _ in range(60):
         b = rng.uniform(0.0, 1.0)
-        a = rng.uniform(b + 1.05, 4.0)
-        cases.append((Params(a, b), rng.randrange(10**6)))
-    verify.cone_sweep(cases, samples=60)
+        params.append(Params(rng.uniform(b + 1.05, 4.0), b))
+    assert verify.cone_sweep(params) == "60 parameters decided at the cone edges"
 
 
 def test_cone_degenerate_skips_stable_side():
-    assert cone_check(Params(2.0, 0.0), samples=50, seed=3)
+    assert cone_check(Params(2.0, 0.0))
 
 
-def test_cone_check_refuses_vacuous_or_non_integer_samples():
-    # zero samples would return True having checked nothing
-    for samples in (0, -5, 2.5, 1.0, None):
-        with pytest.raises(DomainError, match="need an integer 1 <= samples"):
-            cone_check(P18, samples)
-    assert cone_check(P18, 1)
+def test_cone_check_skips_the_inverse_side_at_b_zero(monkeypatch):
+    # an inverse cone so narrow that the inverse derivatives cannot grow
+    # norms by 1/mu = 1000 fails at b > 0, and is never read at b = 0, where
+    # only the forward edges u = 0 and u = 1/lam = 0.5 are tested
+    original = oracle.multipliers
+    monkeypatch.setattr(oracle, "multipliers",
+                        lambda p: dataclasses.replace(original(p), mu=1e-3))
+    assert not cone_check(P18)
+    calls = []
+    norms = oracle._norms_grow
+    monkeypatch.setattr(oracle, "_norms_grow", lambda *a: calls.append(a) or norms(*a))
+    assert cone_check(Params(2.0, 0.0))
+    assert [u for _, u, *_ in calls] == [0.0, 0.5]
 
 
 def _cone_cases():
@@ -427,30 +433,37 @@ def _cone_cases():
 
 def test_cone_check_equals_reference():
     for p, seed in _cone_cases():
-        assert cone_check(p, 50, seed) is reference_cone_check(p, 50, seed) is True
+        assert cone_check(p) is reference_cone_check(p, 50, seed) is True
+
+
+def _sweep_failure_implies_ray_failure(samples):
+    """The reference sweep's results on _cone_cases, asserting that
+    cone_check fails wherever the sweep does: the rays decide each side on
+    the whole cone, so they may also fail where no sample landed."""
+    swept = []
+    for p, seed in _cone_cases():
+        swept.append(reference_cone_check(p, samples, seed))
+        assert swept[-1] or not cone_check(p)
+    return swept
 
 
 # The expanding side reads lam alone and the contracting side mu alone,
-# and the draws consume the generator alike whatever their bounds, so
-# scaling one multiplier can only make its own side fail.
+# so scaling one multiplier can only make its own side fail.
 @pytest.mark.parametrize("field, scales", [
     ("lam", (1.001, 1.01, 1.2)),  # inflated: the norms cannot grow by lam
     ("mu", (0.5, 0.99, 2.0, 4.0)),  # 1/mu too large to grow by, or a cone too wide
 ])
 def test_cone_check_failing_side_equals_reference(field, scales, monkeypatch):
     original = oracle.multipliers
-    results = []
+    swept = []
     for scale in scales:
         def scaled(p, scale=scale):
             mult = original(p)
             return dataclasses.replace(mult, **{field: getattr(mult, field) * scale})
 
         monkeypatch.setattr(oracle, "multipliers", scaled)
-        for p, seed in _cone_cases():
-            got = cone_check(p, 50, seed)
-            assert got is reference_cone_check(p, 50, seed)
-            results.append(got)
-    assert False in results and True in results
+        swept += _sweep_failure_implies_ray_failure(50)
+    assert False in swept and True in swept
 
 
 # Cones this wide draw b |y| > a |x| forward (lam shrunk) and |x| > a |y|
@@ -461,68 +474,90 @@ def test_cone_check_on_a_wide_cone_equals_reference(field, scale, monkeypatch):
     original = oracle.multipliers
     monkeypatch.setattr(oracle, "multipliers", lambda p: dataclasses.replace(
         original(p), **{field: getattr(original(p), field) * scale}))
-    results = [cone_check(p, 5, seed) for p, seed in _cone_cases()]
-    assert results == [reference_cone_check(p, 5, seed) for p, seed in _cone_cases()]
-    assert False in results and True in results
+    swept = _sweep_failure_implies_ray_failure(5)
+    assert False in swept and True in swept
+
+
+# Scalings of one multiplier that move the cone's edges, its growth, or
+# both far enough for W's kink, the points W = 1, u = 1 and a convex L2
+# vertex to fall inside it
+RAY_SCALES = [("lam", s) for s in (0.02, 0.05, 0.1, 0.3, 0.6, 0.9, 1.0, 1.0 + 1e-9, 1.2)] + [
+    ("mu", s) for s in (0.5, 1.0 - 1e-9, 1.5, 3.0, 8.0, 16.0, 40.0)]
+
+
+@pytest.mark.parametrize("field, scale", RAY_SCALES)
+def test_cone_check_equals_the_dense_ray_check(field, scale, monkeypatch):
+    # the ends and W's kink decide each side exactly: the brute-force
+    # check at 401 rays and at every break of every test agrees
+    original = oracle.multipliers
+    monkeypatch.setattr(oracle, "multipliers", lambda p: dataclasses.replace(
+        original(p), **{field: getattr(original(p), field) * scale}))
+    results = [cone_check(p) for p, _ in _cone_cases()]
+    assert results == [reference_ray_check(p) for p, _ in _cone_cases()]
+    if scale == 1.0:
+        assert all(results)
+
+
+def test_l1_and_linf_growth_imply_l2_growth():
+    # cone_check tests L2 growth only at the rays that decide the cone and
+    # L1 tests: in two dimensions L1 and Linf growth imply it, so it has
+    # no break of its own.  Random and tight vectors, growth factors and
+    # images
+    rng = random.Random(12)
+    implied = 0
+    for _ in range(20_000):
+        ax, ay = rng.uniform(0.0, 2.0), rng.choice((0.0, 1.0, rng.uniform(0.0, 2.0)))
+        factor = rng.uniform(0.1, 4.0)
+        bx = rng.choice((factor * ax, factor * ay, rng.uniform(0.0, 4.0 * factor)))
+        by = rng.choice((factor * (ax + ay) - bx, rng.uniform(0.0, 4.0 * factor)))
+        by = max(by, 0.0)
+        l1 = bx + by >= factor * (ax + ay)
+        linf = max(bx, by) >= factor * max(ax, ay)
+        l2 = bx * bx + by * by >= factor * factor * (ax * ax + ay * ay) * (1.0 - 1e-12)
+        assert not (l1 and linf) or l2, (ax, ay, bx, by, factor)
+        implied += l1 and linf
+    assert 5_000 < implied < 19_000
+
+
+def _suite_cone_params(monkeypatch):
+    """The 200 parameters of the seed-42 cones suite."""
+    params = []
+    monkeypatch.setattr(verify, "cone_sweep", lambda ps: params.extend(ps) or "")
+    verify.suite_cones(42)
+    monkeypatch.undo()
+    assert len(params) == 200
+    return params
 
 
 def test_cone_check_norm_test_count(monkeypatch):
-    # one norm-growth test per checked side of each passing sample.
-    # 4 and 2 per sample at b > 0 and b = 0 -> 2 and 1 when only the
-    # smaller of the two branch images was tested.
+    # one norm-growth test per edge ray of each checked side: for the true
+    # multipliers every break of the tests lies outside the cone.  4 and 2
+    # at b > 0 and b = 0 (100 and 50 when 50 random vectors were drawn).
+    params = _suite_cone_params(monkeypatch)
     calls = []
     original = oracle._norms_grow
     monkeypatch.setattr(oracle, "_norms_grow", lambda *a: calls.append(a) or original(*a))
-    assert cone_check(P18, 50, 1)
-    assert len(calls) == 100
-    calls.clear()
-    assert cone_check(Params(2.0, 0.0), 50, 1)
-    assert len(calls) == 50
+    for p in params + [Params(2.0, 0.0)]:
+        calls.clear()
+        assert cone_check(p)
+        assert len(calls) == (4 if p.b > 0.0 else 2)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 42, 406677, 2**64 + 7])
-def test_sign_draw_loop_leaves_the_stream_as_choice_does(seed):
-    # cone_check reads no sign, so it runs only the getrandbits loop that
-    # choice((-1.0, 1.0)) runs; every later draw must be unchanged
-    signed, unsigned = random.Random(seed), random.Random(seed)
-    bits = unsigned.getrandbits
-    for _ in range(10_000):
-        signed.random()
-        signed.choice((-1.0, 1.0))
-        unsigned.random()
-        while bits(2) >= 2:
-            pass
-    assert signed.getstate() == unsigned.getstate()
-
-
-class _LoggedRandom(random.Random):
-    """A Random that logs each draw; both methods are overridden, so its
-    _randbelow is still the getrandbits one."""
-
-    log = None
-
-    def random(self):
-        value = super().random()
-        self.log.append(("random", value))
-        return value
-
-    def getrandbits(self, k):
-        value = super().getrandbits(k)
-        self.log.append(("bits", k, value))
-        return value
-
-
-def test_cone_check_draws_the_reference_stream(monkeypatch):
-    # each sample's magnitudes, and every draw between them, are the ones
-    # the signed reference sweep makes from the same seed
-    cases = _cone_cases()[:30]
-    monkeypatch.setattr(random, "Random", _LoggedRandom)
-    for p, seed in cases:
-        _LoggedRandom.log = got = []
-        assert cone_check(p, 50, seed)
-        _LoggedRandom.log = want = []
-        assert reference_cone_check(p, 50, seed)
-        assert got == want
+# Each edge ray is mapped onto itself and stretched by exactly lam
+# (forward) or 1/mu (inverse), so a multiplier moved past its true value
+# by 1e-9, or by 1e-11, ten times the 1e-12 slack, fails at the edge
+# (the margin is the move times 1 - b/lam^2 >= 0.43 on this grid).
+@pytest.mark.parametrize("field, scale", [
+    ("lam", 1.0 + 1e-9), ("mu", 1.0 - 1e-9), ("lam", 1.0 + 1e-11), ("mu", 1.0 - 1e-11)])
+def test_cone_check_fails_a_multiplier_moved_past_its_value(field, scale, monkeypatch):
+    params = _suite_cone_params(monkeypatch)
+    assert all(cone_check(p) for p in params)
+    original = oracle.multipliers
+    monkeypatch.setattr(oracle, "multipliers", lambda p: dataclasses.replace(
+        original(p), **{field: getattr(original(p), field) * scale}))
+    checked = [p for p in params if field == "lam" or p.b > 0.0]
+    assert len(checked) > 190
+    assert not any(cone_check(p) for p in checked)
 
 
 def test_smaller_branch_image_equals_the_magnitude_form():
@@ -561,6 +596,26 @@ def test_trapping_triangle_edges_at_p18():
     assert vertex.kind is OrbitKind.TRAPPED and vertex.witness == 0
     # the triangle closes in the second quadrant
     assert mult.lam / P18.b - 1.0 > (mult.lam - 1.0) / (P18.a + mult.mu)
+
+
+def test_trapping_triangle_closes_in_the_full_family():
+    # chi meets the y-axis at j = lam/b - 1 >= lam - 1, above phi2's
+    # k = (lam - 1)/(a + mu), as b <= 1 and a + mu > 1, so classify_orbit
+    # needs no refusal of a triangle that fails to close.  b = 1, b down to
+    # the least float, a up to the float after b + 1
+    rng = random.Random(31)
+    count = 0
+    for i in range(4000):
+        b = (1.0, 5e-324, 10.0 ** rng.uniform(-300.0, -1.0), rng.uniform(0.0, 1.0))[i % 4]
+        a = (math.nextafter(b + 1.0, math.inf), b + 1.0 + 10.0 ** rng.uniform(-15.0, 0.0),
+             rng.uniform(b + 1.0, 4.0), 4.0)[i // 4 % 4]
+        p = Params(a, b)
+        if not p.in_full:
+            continue
+        mult = multipliers(p)
+        assert mult.lam / b - 1.0 > (mult.lam - 1.0) / (a + mult.mu), p
+        count += 1
+    assert count > 3900
 
 
 def _classify_outcome(classify, p, v, max_iter):

@@ -48,8 +48,8 @@ BROKEN = {
     "trapped_orbits": ("classify_orbit",
                        lambda f: lambda p, v: OrbitClass(OrbitKind.ESCAPES_MINUS_INFINITY, 0),
                        lambda: verify.trapped_orbits([P18])),
-    "cone_sweep": ("cone_check", lambda f: lambda *a, **k: False,
-                   lambda: verify.cone_sweep([(P18, 0)], 10)),
+    "cone_sweep": ("cone_check", lambda f: lambda p: False,
+                   lambda: verify.cone_sweep([P18])),
     "r_bounds": (None, None, lambda: verify.r_bounds([P18], 1.0, 1.0)),
     "u_bounds": (None, None, lambda: verify.u_bounds([P18], 100.0, SLOPE_C)),
     # u_inf just above u_right = a - 1
@@ -114,7 +114,7 @@ EMPTY = {
     "orbit_equivalence-periods": (
         "periods", lambda: verify.orbit_equivalence([P18], range(1, 1), 10)),
     "trapped_orbits": ("params", lambda: verify.trapped_orbits([])),
-    "cone_sweep": ("cases", lambda: verify.cone_sweep([], 50)),
+    "cone_sweep": ("params", lambda: verify.cone_sweep([])),
     "r_bounds": ("params", lambda: verify.r_bounds([], C_RL, C_RU)),
     "u_bounds": ("params", lambda: verify.u_bounds([], 0.5, SLOPE_C)),
     "ladders": ("params", lambda: verify.ladders([], 8)),
