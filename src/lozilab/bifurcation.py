@@ -10,7 +10,6 @@ cross once, reversing the creation order of the two orbit pairs.
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from operator import itemgetter
 from .core import DomainError, Params, RegionError, _require_count, _require_orders, multipliers
 from .geometry import C_RL, C_RU, C_UL, C_UU, _r_ladder, p_value, q_value, r_value, u_value
 from .renorm import log_coord
-from .solvers import BracketError, _require_tolerances, bisect, hybrid_root, predicted_cell
+from .solvers import BracketError, _Memo, _require_tolerances, bisect, hybrid_root, predicted_cell
 
 _SQRT2 = math.sqrt(2.0)
 _A_HI = 4.0
@@ -234,7 +233,7 @@ def refine_crossing(
     if not 0.0 <= width < math.inf:
         raise DomainError(f"need a finite width >= 0, got {width!r}")
     lo, hi, glo, ghi = curve2.samples[k][0], curve2.samples[k + 1][0], gaps[k], gaps[k + 1]
-    l2 = functools.cache(lambda b: _solve_near(curve2, b, tol))
+    l2 = _Memo(lambda b: _solve_near(curve2, b, tol)).__getitem__
 
     def gap(b: float) -> float:
         return l2(b) - _solve_near(curve3, b, tol)

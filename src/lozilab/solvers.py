@@ -20,7 +20,6 @@ and predicted_cell's secant root of a bracket.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from typing import Callable
@@ -205,6 +204,19 @@ def predicted_cell(
     )
 
 
+class _Memo(dict):
+    """The values of f by argument, each computed on its first lookup: the
+    per-call memo of hybrid_root and bifurcation.refine_crossing, read
+    through its __getitem__."""
+
+    def __init__(self, f: Callable[[float], float]) -> None:
+        self.f = f
+
+    def __missing__(self, x: float) -> float:
+        fx = self[x] = self.f(x)
+        return fx
+
+
 def _require_tolerances(xtol: float, ftol: float) -> None:
     if not (0.0 <= xtol < math.inf and 0.0 <= ftol < math.inf):
         raise DomainError(f"need finite tolerances >= 0, got xtol={xtol!r}, ftol={ftol!r}")
@@ -236,7 +248,7 @@ def hybrid_root(
     _require_tolerances(xtol, ftol)
     if not lo < hi:
         raise DomainError(f"need an interval lo < hi, got lo={lo!r}, hi={hi!r}")
-    f = functools.cache(f)
+    f = _Memo(f).__getitem__
     cell = None if guess is None else _warm_bracket(f, lo, hi, scan_n, xtol, guess)
     if cell is None:
         brackets, monotone = scan_brackets(f, lo, hi, scan_n)

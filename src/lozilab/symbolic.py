@@ -77,15 +77,18 @@ class FormalPeriodicPoint:
     residual: float
 
 
-# (p, itinerary) -> formal point, inside a _solve_once scope only
+# (a, b, itinerary) -> formal point and (a, b, period, grid_n) -> brute-force
+# points (oracle.brute_periodic), inside a _solve_once scope only; keyed by
+# floats, so a lookup hashes no Params
 _SOLVED: ContextVar[dict | None] = ContextVar("_SOLVED", default=None)
 
 
 @contextmanager
 def _solve_once():
     """Within this scope formal_periodic_point solves each (p, itinerary)
-    once and returns that point again on every later call; on leaving it
-    the points are dropped."""
+    once, and oracle.brute_periodic computes each (p, period, grid_n) point
+    set once; later calls return the stored result.  On leaving it the
+    results are dropped."""
     token = _SOLVED.set({})
     try:
         yield
@@ -114,7 +117,7 @@ def formal_periodic_point(p: Params, itinerary: Itinerary) -> FormalPeriodicPoin
     itinerary = tuple(itinerary)
     _require_symbols(itinerary)
     solved = _SOLVED.get()
-    fp = None if solved is None else solved.get((p, itinerary))
+    fp = None if solved is None else solved.get((p.a, p.b, itinerary))
     if fp is not None:
         return fp
     xs = cyclic_orbit(p, itinerary)
@@ -136,7 +139,7 @@ def formal_periodic_point(p: Params, itinerary: Itinerary) -> FormalPeriodicPoin
         residual=residual,
     )
     if solved is not None:
-        solved[p, itinerary] = fp
+        solved[p.a, p.b, itinerary] = fp
     return fp
 
 

@@ -10,8 +10,8 @@ suite returns a list of named checks; a check that raises is a failure
 with the exception text as detail.  All randomness is drawn from the
 given seed, so summaries are reproducible byte for byte.  run_suite
 runs each suite in its own symbolic._solve_once scope, so a formal
-periodic point that several of its checks read is solved once; the
-scope ends with the suite, raised or not.
+periodic point or a brute_periodic point set that several of its checks
+read is computed once; the scope ends with the suite, raised or not.
 """
 
 from __future__ import annotations

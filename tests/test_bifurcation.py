@@ -37,12 +37,14 @@ from lozilab.solvers import (
     _FD_STEP,
     _HUNT_CELLS,
     BracketError,
+    ConvergenceError,
     MultipleRootWarning,
     _tree_cell,
     bisect,
     hybrid_root,
     newton_polish,
     predicted_cell,
+    scan_brackets,
 )
 
 from helpers import genuine_iterate, reference_cold_root, tent_orbit_crossing
@@ -836,3 +838,86 @@ def test_newton_polish_evaluates_each_point_once():
     assert abs(math.exp(root) - 2.0) <= 1e-14
     assert len(seen) == len(set(seen))
     assert seen[-1] == root
+
+
+def _logged(f):
+    """f, and the list of the points it is evaluated at."""
+    seen = []
+    return (lambda x: seen.append(x) or f(x)), seen
+
+
+def test_scan_brackets_keeps_a_node_where_f_is_zero():
+    # node 2 of 4 on (0, 2) is the root 1.0: the cell that ends there
+    # changes sign, and the node itself is a zero-width bracket
+    brackets, monotone = scan_brackets(lambda x: x - 1.0, 0.0, 2.0, 4)
+    assert brackets == [(0.5, 1.0, -0.5, 0.0), (1.0, 1.0, 0.0, 0.0)]
+    assert monotone
+
+
+def test_bisect_returns_a_zero_end_and_refuses_a_bracket_without_sign_change():
+    f, seen = _logged(lambda x: x - 0.3)
+    assert bisect(f, 1.0, 2.0, 0.0, 3.0, 1e-6) == (1.0, 1.0, 0.0, 0.0)
+    assert bisect(f, 0.0, 1.0, -1.0, 0.0, 1e-6) == (1.0, 1.0, 0.0, 0.0)
+    with pytest.raises(BracketError, match=re.escape("no sign change on [0.0, 1.0]")):
+        bisect(f, 0.0, 1.0, 1.0, 2.0, 1e-6)
+    with pytest.raises(BracketError, match=re.escape("no sign change on [0.0, 1.0]")):
+        bisect(f, 0.0, 1.0, -2.0, -1.0, 1e-6)
+    assert seen == []
+
+
+@pytest.mark.parametrize("start, lo, hi, half", [(3.0, 0.0, 4.0, 1.5), (-1.0, -2.0, 2.0, 0.5)])
+def test_newton_polish_halves_toward_the_end_when_a_step_leaves_the_bracket(start, lo, hi, half):
+    # atan's Newton step from two units off its root lands 5.5 units away,
+    # past the end ahead: the next iterate is the midpoint of the start and
+    # that end
+    f, seen = _logged(lambda x: math.atan(x - 1.0))
+    assert newton_polish(f, start, lo, hi, ftol=1e-14) == 1.0
+    assert seen[:4] == [start, start + _FD_STEP, start - _FD_STEP, half]
+
+
+def test_newton_polish_refuses_a_flat_or_stalled_iteration():
+    # a zero slope at the start: no step to take
+    with pytest.raises(ConvergenceError, match=re.escape(
+            "|f| = 1.000e+00 above tolerance 1.000e-12")):
+        newton_polish(lambda x: 1.0 + x * x, 0.0, -1.0, 1.0, ftol=1e-12)
+    # the root lies 1e-20 below 0.1, under half an ulp: the step rounds
+    # back onto the start, whose |f| is 1e10
+    with pytest.raises(ConvergenceError, match=re.escape(
+            "|f| = 1.000e+10 above tolerance 1.000e-12")):
+        newton_polish(lambda x: (x - 0.1) * 1e30 + 1e10, 0.1, 0.0, 1.0, ftol=1e-12)
+
+
+def test_newton_polish_accepts_the_iterate_of_its_last_step():
+    # x^3's triple root: Newton converges linearly, so |f| falls on each of
+    # the 60 steps; at a tolerance equal to the last |f| only the last
+    # iterate passes, after the loop, and at any smaller one none does
+    f, seen = _logged(lambda x: x**3)
+    with pytest.raises(ConvergenceError):
+        newton_polish(f, 1.0, -1.0, 2.0, ftol=0.0)
+    iterates = seen[::3]
+    assert len(iterates) == 61
+    values = [abs(x**3) for x in iterates]
+    assert all(u > v for u, v in zip(values, values[1:]))
+    assert newton_polish(lambda x: x**3, 1.0, -1.0, 2.0, ftol=values[-1]) == iterates[-1]
+
+
+def test_predicted_cell_exits_where_the_prediction_leaves_the_bracket():
+    # an end value so close to zero that the chord root rounds onto that
+    # end: no prediction, and f is never evaluated
+    f, seen = _logged(lambda x: x - 1.0)
+    assert predicted_cell(f, 1.0, 2.0, -1e-300, 1.0, 1e-6) is None
+    assert seen == []
+    # the first secant step from a value far below flo lands on hi
+    f, seen = _logged(lambda x: -1e300)
+    assert predicted_cell(f, 0.0, 1.0, -1.0, 1.0, 1e-6) is None
+    assert seen == [0.5]
+
+
+def test_predicted_cell_stops_its_secant_on_a_repeated_value():
+    # a step function: the secant's second point reads the same value as
+    # its first, so the secant stops there, and the cell checked from that
+    # prediction is still the bisection's
+    f, seen = _logged(lambda x: -0.5 if x < 0.75 else 0.5)
+    cell = predicted_cell(f, 0.0, 1.0, -1.0, 1.0, 0.1)
+    assert seen[:2] == [0.5, 0.5 + 0.5 / 3.0]
+    assert cell == bisect(f, 0.0, 1.0, -1.0, 1.0, 0.1)[:2] == (0.6875, 0.75)

@@ -875,7 +875,8 @@ def test_lazy_package_serves_each_name_from_its_home_module():
 
 
 def test_no_module_keeps_state_through_global():
-    # memos are functools caches, so no call rebinds a module name
+    # module memos are functools caches and per-call ones solvers._Memo dicts,
+    # so no call rebinds a module name
     modules = sorted(Path(lozilab.__file__).parent.glob("*.py"))
     assert modules
     for path in modules:

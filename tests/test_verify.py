@@ -13,6 +13,8 @@ from lozilab.cli import main
 from lozilab.core import DomainError, SingularSystemError
 from lozilab.geometry import C_RL, C_RU, SLOPE_C
 
+from helpers import counted_point_sets
+
 P18 = Params(1.8, 0.2)
 CYCLE = [UItinerary((), (s,)) for s in (-1, 0, 1)]
 
@@ -205,10 +207,28 @@ def test_verify_all_solves_each_formal_point_once(monkeypatch):
     # 2,124 -> 1,000 for `verify all --seed 42` when each suite came to keep
     # the formal points it solved: orbits.residual, orbits.equivalence
     # and orbits.genuine-return had each solved the same words, and
-    # kneading.forcing the (+, m, n1) word once per n2
+    # kneading.forcing the (+, m, n1) word once per n2; 45 -> 36
+    # brute-force point sets when the suite came to keep those too
     solves = _counted_solves(monkeypatch)
+    runs = counted_point_sets(monkeypatch)
     assert all(check.passed for check in verify.run_suite("all", 42))
     assert len(solves) == len(set(solves)) == 1000
+    assert len(runs) == len(set(runs)) == 36
+
+
+def test_verify_orbits_computes_each_point_set_once(monkeypatch):
+    # 45 -> 36: orbits.trapped reads the 9 period-3 point sets (grid 15)
+    # that orbits.equivalence computed among its 9 x 4
+    params = [Params(a, b) for a in (1.7, 2.1, 2.6) for b in (0.0, 0.2, 0.45)]
+    runs = counted_point_sets(monkeypatch)
+    assert all(check.passed for check in verify.run_suite("orbits", 42))
+    assert len(runs) == 36
+    assert set(runs) == {(p, period) for p in params for period in range(1, 5)}
+    # the same two checks outside a suite's scope compute every call
+    del runs[:]
+    verify.orbit_equivalence(params, range(1, 5), 15)
+    verify.trapped_orbits(params)
+    assert len(runs) == 45
 
 
 def test_each_suite_solves_each_formal_point_once(monkeypatch):
@@ -264,5 +284,5 @@ def test_the_solve_once_scope_ends_with_a_suite_that_raised(monkeypatch):
     monkeypatch.setitem(verify.SUITES, "cones", broken)
     with pytest.raises(RuntimeError, match="suite broke"):
         verify.run_suite("cones", 0)
-    assert list(inside[0]) == [(P18, (+1, -1))]
+    assert list(inside[0]) == [(P18.a, P18.b, (+1, -1))]
     assert symbolic._SOLVED.get() is None
