@@ -22,8 +22,6 @@ from .solvers import BracketError, _Memo, _require_tolerances, bisect, hybrid_ro
 
 _SQRT2 = math.sqrt(2.0)
 _A_HI = 4.0
-# the a-step of the secant that corrects a guess from fewer than three samples
-_SECANT_STEP = 1e-6
 _L_XTOL = 1e-6  # the width of the final bisection cell of every l_{m,n} solve
 
 # Log-scale offsets for the folds: T(u_n^d) - (n-1) log_lam(1/b) lies in
@@ -84,10 +82,9 @@ def solve_l(
     )
 
 
-def _guess(samples: list[tuple[float, float]], b: float, m: int, n: int) -> float:
-    """The predicted root of l_{m,n} at b: the polynomial through the (at
-    most) three samples (b_i, a_i), sorted in b, that bracket or lead up to
-    b, plus one secant step in a toward the root when fewer than three exist."""
+def _guess(samples: list[tuple[float, float]], b: float) -> float:
+    """The predicted root of a curve at b: the polynomial through the (at
+    most) three samples (b_i, a_i), sorted in b, that bracket or lead up to b."""
     i = max(min(bisect_left(samples, b, key=itemgetter(0)) - 2, len(samples) - 3), 0)
     near = samples[i:i + 3]
     guess = 0.0
@@ -96,10 +93,6 @@ def _guess(samples: list[tuple[float, float]], b: float, m: int, n: int) -> floa
             if bj != bi:
                 ai *= (b - bj) / (bi - bj)
         guess += ai
-    if len(samples) < 3:
-        g0, g1 = _pq_gap(guess, b, m, n), _pq_gap(guess + _SECANT_STEP, b, m, n)
-        if g1 != g0:
-            guess -= g0 * _SECANT_STEP / (g1 - g0)
     return guess
 
 
@@ -148,7 +141,7 @@ def trace_curve(
             raise DomainError(f"b-grid not strictly increasing: {lo!r} then {hi!r}")
     samples: list[tuple[float, float]] = []
     for k, b in enumerate(b_grid):
-        guess = _guess(samples, b, m, n) if 0 < k < len(b_grid) - 1 else None
+        guess = _guess(samples, b) if 0 < k < len(b_grid) - 1 else None
         try:
             samples.append((b, solve_l(b, m, n, tol=tol, guess=guess)))
         except DomainError as exc:
@@ -209,8 +202,7 @@ def crossing_gaps(curve2: BifCurve, curve3: BifCurve) -> tuple[list[float], list
 
 def _solve_near(curve: BifCurve, b: float, tol: float) -> float:
     """l_{m,n}(b) solved from the root predicted by the curve's samples."""
-    m, n = curve.m, curve.n
-    return solve_l(b, m, n, tol=tol, guess=_guess(curve.samples, b, m, n))
+    return solve_l(b, curve.m, curve.n, tol=tol, guess=_guess(curve.samples, b))
 
 
 def refine_crossing(
@@ -222,11 +214,11 @@ def refine_crossing(
     predicted by the curve's samples.  Refuses curves on different b-grids, k
     outside 0..len(samples) - 2, and a NaN, infinite or negative width.
 
-    The final cell comes from solvers.predicted_cell, so under the
-    warm-start contract b* and l_{m,2}(b*) are bit for bit the
-    bisection's; a decreasing difference, or a prediction no nearby cell
-    confirms, runs the bisection.  l_{m,2}(b*) is the value the difference
-    solved at b*, when it was evaluated there.
+    The final cell comes from solvers.predicted_cell, whose hunt stays
+    between the two samples, so under the warm-start contract b* and
+    l_{m,2}(b*) are bit for bit the bisection's; a decreasing difference,
+    or a hunt that fails, runs the bisection.  l_{m,2}(b*) is the value the
+    difference solved at b*, when it was evaluated there.
     """
     gaps = crossing_gaps(curve2, curve3)[0]
     _require_count("k", k, 0, len(gaps) - 2)

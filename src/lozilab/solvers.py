@@ -2,20 +2,25 @@
 
 Warm-start contract.  A root is found in two stages: the final cell of
 bisection to xtol inside a sign-change bracket, then Newton from that
-cell's midpoint.  A warm start replaces the first stage by a predicted
-root: the bisection tree is walked to the final cell holding it without
-evaluating f, and the cell is taken when f changes sign in it; up to
-_HUNT_CELLS - 1 neighbouring cells toward the root are tried next.  A
-cell is checked at its midpoint, the Newton start, then toward the root:
-at the Newton slope point on that side when both slope points lie
-strictly inside the cell, and at the cell's end only when f shows no
-sign change there.  On its way to the final cell bisection evaluates f
+cell's midpoint.  A warm start replaces the first stage by a hunt from a
+predicted root that never leaves the scan cell holding the prediction:
+the bisection tree of that cell is walked to the final cell holding the
+current point without evaluating f, and the final cell is checked at its
+midpoint, the Newton start, then toward the root at the Newton slope
+point on that side when both slope points lie strictly inside it.  A
+failed check moves the hunt to the secant root of the midpoint and a
+second point: that slope point, else the previous midpoint, or at the
+first step the scan cell's end across the root.  When that secant root
+stays in the cell, the cell's end toward the root decides instead, and
+an end without a sign change moves the hunt one cell on.  The hunt gives
+up when it leaves the scan cell or has checked _HUNT_CELLS cells; then
+the cold path runs.  On its way to the final cell bisection evaluates f
 only at that cell's ends or beyond them, so where f is negative below
-the taken cell and positive above it across the cold path's bracket, and
-a cold scan would see that one sign change only, the cell, the Newton
-start and the root are bit for bit the cold path's.  When no cell
-passes, the cold path runs.  The predictions are hybrid_root's `guess`
-and predicted_cell's secant root of a bracket.
+the taken cell and positive above it across the scan cell, and a cold
+scan would see that one sign change only, the cell, the Newton start and
+the root are bit for bit the cold path's.  The predictions are
+hybrid_root's `guess` and predicted_cell's root of the line through a
+bracket's ends.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .core import DomainError
 # central-difference step for the Newton slope, and the Newton step budget
 _FD_STEP = 1e-7
 _NEWTON_MAX_ITER = 60
-# final bisection cells a warm solve tries before it falls back to the scan
+# final bisection cells a warm solve checks before it falls back to the scan
 _HUNT_CELLS = 4
 
 
@@ -50,16 +55,18 @@ def scan_brackets(
 ) -> tuple[list[tuple[float, float, float, float]], bool]:
     """Evaluate f on n+1 uniform nodes; return sign-change brackets.
 
-    Each bracket is (x0, x1, f0, f1).  The second result reports whether
+    Each bracket is (x0, x1, f0, f1): a node where f is 0, lo and hi
+    included, as the zero-width bracket (x, x, 0, 0), and a cell whose two
+    nonzero end values differ in sign.  The second result reports whether
     the sampled values were strictly increasing.
     """
     xs = [lo + (hi - lo) * i / n for i in range(n + 1)]
     vals = [f(x) for x in xs]
     brackets = []
-    for i in range(n):
+    for i in range(n + 1):
         if vals[i] == 0.0:
             brackets.append((xs[i], xs[i], vals[i], vals[i]))
-        elif (vals[i] < 0.0) != (vals[i + 1] < 0.0):
+        elif i < n and vals[i + 1] != 0.0 and (vals[i] < 0.0) != (vals[i + 1] < 0.0):
             brackets.append((xs[i], xs[i + 1], vals[i], vals[i + 1]))
     monotone = all(vals[i] < vals[i + 1] for i in range(n))
     return brackets, monotone
@@ -132,15 +139,9 @@ def newton_polish(
     return best_x
 
 
-def _tree_cell(
-    lo: float, hi: float, n: int, xtol: float, x: float
-) -> tuple[float, float]:
-    """The final cell that bisection to xtol reaches inside the cell of the
-    n-cell scan of (lo, hi) that holds x, walking the bisection tree toward
-    x without evaluating f.  With n = 1 that cell is (lo, hi) itself."""
-    if n > 1:
-        i = min(max(int((x - lo) / (hi - lo) * n), 0), n - 1)
-        lo, hi = lo + (hi - lo) * i / n, lo + (hi - lo) * (i + 1) / n
+def _tree_cell(lo: float, hi: float, xtol: float, x: float) -> tuple[float, float]:
+    """The final cell that bisection of (lo, hi) to xtol reaches around x,
+    walking the bisection tree toward x without evaluating f."""
     c0, c1, _, _ = bisect(lambda t: -1.0 if t < x else 1.0, lo, hi, -1.0, 1.0, xtol)
     return c0, c1
 
@@ -148,59 +149,55 @@ def _tree_cell(
 def _warm_bracket(
     f: Callable[[float], float], lo: float, hi: float, n: int, xtol: float, guess: float
 ) -> tuple[float, float] | None:
-    """The final bisection cell in which f changes sign, hunted from the
-    cell holding guess through at most _HUNT_CELLS neighbouring cells; None
-    when the hunt leaves (lo, hi) or runs out.  A cell is checked as the
-    warm-start contract says.  Where f increases on the cell this takes it
-    exactly when f(c0) < 0 < f(c1), and a failed cell moves the hunt as
-    that test would: left when f(c0) >= 0, right when f(c1) <= 0.
+    """The final bisection cell in which f changes sign, hunted inside the
+    cell of the n-cell scan of (lo, hi) that holds guess; None when guess
+    is not inside (lo, hi), or the hunt leaves that scan cell or checks
+    _HUNT_CELLS cells without a sign change.  Cells are checked and the
+    hunt moves as the warm-start contract says.
     """
-    x = guess
+    if not lo < guess < hi:
+        return None
+    i = min(int((guess - lo) / (hi - lo) * n), n - 1)
+    lo, hi = lo + (hi - lo) * i / n, lo + (hi - lo) * (i + 1) / n
+    x, x0 = guess, None
     for _ in range(_HUNT_CELLS):
         if not lo < x < hi:
             return None
-        c0, c1 = _tree_cell(lo, hi, n, xtol, x)
+        c0, c1 = _tree_cell(lo, hi, xtol, x)
         mid = 0.5 * (c0 + c1)
-        inside = c0 < mid - _FD_STEP and mid + _FD_STEP < c1
-        if f(mid) < 0.0:
-            if (inside and f(mid + _FD_STEP) > 0.0) or f(c1) > 0.0:
+        fm = f(mid)
+        s = 1.0 if fm < 0.0 else -1.0  # the side of mid that the root is on
+        if c0 < mid - _FD_STEP and mid + _FD_STEP < c1:
+            x0 = mid + s * _FD_STEP
+            f0 = f(x0)
+            if s * f0 > 0.0:
                 return c0, c1
-            x = c1 + 0.5 * (c1 - c0)
-        elif (inside and f(mid - _FD_STEP) < 0.0) or f(c0) < 0.0:
-            return c0, c1
-        else:
-            x = c0 - 0.5 * (c1 - c0)
+        elif x0 is None:  # the first step pairs mid with the end across the root
+            x0 = hi if s > 0.0 else lo
+            f0 = f(x0)
+        x = mid - fm * (x0 - mid) / (f0 - fm) if f0 != fm else mid
+        if c0 <= x <= c1:  # the secant stays in the cell: its end decides
+            end = c1 if s > 0.0 else c0
+            if s * f(end) > 0.0:
+                return c0, c1
+            x = end + 0.5 * s * (c1 - c0)
+        x0, f0 = mid, fm
     return None
 
 
 def predicted_cell(
     f: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float, xtol: float
 ) -> tuple[float, float] | None:
-    """The final cell of bisect(f, lo, hi, flo, fhi, xtol), found from a
-    predicted root instead of by bisection; None when flo < 0 < fhi fails,
-    the bracket is already at most xtol wide, or no cell passes.
-
-    The prediction is the root of the line through the bracket's ends,
-    moved by at most two secant steps on f, one evaluation each; its cell
-    is checked under the warm-start contract, with flo and fhi standing
-    for f at lo and hi.
+    """The final cell of bisect(f, lo, hi, flo, fhi, xtol), hunted from the
+    root of the line through the bracket's ends, with flo and fhi standing
+    for f at lo and hi; None when flo < 0 < fhi fails, the bracket is
+    already at most xtol wide, or the hunt fails.
     """
     if not (flo < 0.0 < fhi and hi - lo > xtol):
         return None
-    x, x0 = lo - flo * (hi - lo) / (fhi - flo), None
-    for _ in range(2):
-        if not lo < x < hi:
-            return None
-        fx = f(x)
-        if x0 is None:  # the first step pairs x with the end across the root
-            x0, f0 = (hi, fhi) if fx < 0.0 else (lo, flo)
-        if fx == f0:
-            break
-        x0, f0, x = x, fx, x - fx * (x - x0) / (fx - f0)
-        if abs(x - x0) <= xtol:
-            break
     return _warm_bracket(
-        lambda t: flo if t == lo else fhi if t == hi else f(t), lo, hi, 1, xtol, x
+        lambda t: flo if t == lo else fhi if t == hi else f(t),
+        lo, hi, 1, xtol, lo - flo * (hi - lo) / (fhi - flo),
     )
 
 
@@ -237,8 +234,9 @@ def hybrid_root(
 
     Warns (MultipleRootWarning) when the scan is non-monotone or shows more
     than one sign change; the last (rightmost) bracket is bisected then.
-    After a monotone scan with one bracket, predicted_cell finds the final
-    cell from a secant prediction; bisect runs only when no cell passes.
+    After a monotone scan with one bracket, predicted_cell hunts the final
+    cell from the line through the bracket's ends; bisect runs only when
+    the hunt fails.
     With `guess` the scan is skipped unless the warm start fails (see the
     warm-start contract); a warm solve never warns, and only a call
     without `guess` is sure to run the full scan.  A NaN, infinite or

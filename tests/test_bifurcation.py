@@ -202,6 +202,49 @@ def test_degenerate_b_grid_is_refused(call, refusal):
         call()
 
 
+def test_trace_curve_refuses_a_single_grid_point(monkeypatch):
+    monkeypatch.setattr(bifurcation, "solve_l", lambda *args, **kwargs: pytest.fail("a solve ran"))
+    with pytest.raises(DomainError, match="^need at least two grid points$"):
+        trace_curve(5, 2, [0.01])
+
+
+def _patched_solves(monkeypatch, values):
+    """bifurcation.solve_l replaced by the sample values a[b]."""
+    monkeypatch.setattr(bifurcation, "solve_l", lambda b, m, n, **kwargs: values[b])
+
+
+def test_trace_curve_wraps_a_failed_solve_as_a_bracket_error(monkeypatch):
+    def solve(b, m, n, **kwargs):
+        if b == 0.02:
+            raise ConvergenceError("|f| = 1.000e-09 above tolerance 1.000e-12")
+        return 1.9
+
+    monkeypatch.setattr(bifurcation, "solve_l", solve)
+    with pytest.raises(BracketError) as info:
+        trace_curve(5, 2, [0.0, 0.01, 0.02, 0.03])
+    assert str(info.value) == (
+        "curve (5,2) failed at b = 0.02: |f| = 1.000e-09 above tolerance 1.000e-12")
+    assert isinstance(info.value.__cause__, ConvergenceError)
+
+
+@pytest.mark.parametrize("a", [4.0, math.sqrt(2.0), math.nan])
+def test_trace_curve_refuses_a_sample_outside_the_a_range(a, monkeypatch):
+    _patched_solves(monkeypatch, {0.0: 1.9, 0.01: a, 0.02: 1.9})
+    with pytest.raises(DomainError, match=re.escape(f"curve (5,2) left (sqrt(2), 4): a = {a}")):
+        trace_curve(5, 2, [0.0, 0.01, 0.02])
+
+
+def test_trace_curve_refuses_a_jump_between_samples(monkeypatch):
+    # the rise 0.05 over (0.01, 0.02) exceeds 1.5 times the larger
+    # centered slope there (2.5) times the spacing, 0.0375
+    _patched_solves(monkeypatch, {0.0: 1.9, 0.01: 1.9, 0.02: 1.95, 0.03: 1.95})
+    with pytest.raises(DomainError, match=re.escape("curve (5,2) jumps at b = 0.01")):
+        trace_curve(5, 2, [0.0, 0.01, 0.02, 0.03])
+    # samples on a line of slope 1 are kept
+    _patched_solves(monkeypatch, {0.0: 1.9, 0.01: 1.91, 0.02: 1.92, 0.03: 1.93})
+    assert trace_curve(5, 2, [0.0, 0.01, 0.02, 0.03]).dadb == pytest.approx([1.0] * 4)
+
+
 def test_trace_curves_same_n_do_not_cross():
     grid = [0.004 * i for i in range(9)]
     a5 = trace_curve(5, 2, grid).samples
@@ -279,6 +322,36 @@ def test_choose_m_reports_float_resolution():
     # at this b_bar the third fold rounds onto the trace limit r_inf
     with pytest.raises(DomainError, match=r"\(m = 28\).*float resolution"):
         choose_m(1.107491395289921e-08)
+
+
+@pytest.mark.parametrize("b_bar", [0.0, -1e-5, 1.0, math.nan])
+def test_choose_m_refuses_b_bar_outside_the_unit_interval(b_bar, monkeypatch):
+    # find_reversal refuses these first; choose_m does on its own too
+    monkeypatch.setattr(bifurcation, "tangency_a", lambda b: pytest.fail("t(b) was solved"))
+    with pytest.raises(DomainError, match=re.escape(f"need 0 < b_bar < 1, got {b_bar}")):
+        choose_m(b_bar)
+
+
+def test_choose_m_refuses_when_no_trace_passes_the_fold(monkeypatch):
+    # every trace of the ladder read at the fold's own value: none lies
+    # beyond it on the log scale
+    def ladder(p, m_max):
+        fold = u_value(p, 2, "R")
+        return ((0.0, fold, 0.0, fold) for _ in range(m_max))
+
+    monkeypatch.setattr(bifurcation, "_r_ladder", ladder)
+    with pytest.raises(DomainError, match="^fold sandwich not found below index 400$"):
+        choose_m(1e-4)
+
+
+def test_choose_m_refuses_a_third_fold_short_of_the_next_trace(monkeypatch):
+    # u_3^L read as u_2^R: the third fold lies below trace m
+    fold = bifurcation.u_value
+    monkeypatch.setattr(bifurcation, "u_value",
+                        lambda p, n, side: fold(p, 2, "R") if n == 3 else fold(p, n, side))
+    with pytest.raises(ConditionError, match=re.escape(
+            "third fold not beyond trace 15 at b_bar = 0.0001")):
+        choose_m(1e-4)
 
 
 def test_choose_m_sandwich_and_monotonicity(reversal):
@@ -427,6 +500,14 @@ def test_hybrid_root_warning_on_multiple_roots():
     assert root == pytest.approx(3.0, abs=1e-8)
 
 
+def scan_tree_cell(x, xtol, lo=0.0, hi=3.5, n=40):
+    """The final cell that a warm hunt of hybrid_root(f, lo, hi, scan_n=n,
+    xtol=xtol) checks for x: bisection's cell around x inside the cell of
+    the n-cell scan that holds x."""
+    i = min(int((x - lo) / (hi - lo) * n), n - 1)
+    return _tree_cell(lo + (hi - lo) * i / n, lo + (hi - lo) * (i + 1) / n, xtol, x)
+
+
 def test_warm_start_falls_back_to_the_cold_solve():
     def root(f, guess=None):
         seen = []
@@ -443,35 +524,52 @@ def test_warm_start_falls_back_to_the_cold_solve():
 
     line = lambda x: math.exp(x) - 2.0  # noqa: E731
     cold, cold_evals, _ = root(line)
-    # 41 scan nodes, 2 secant steps, the final cell's midpoint and one end,
+    # 41 scan nodes, the hunt from the line through the scan cell's ends
+    # (3 midpoints, the last the final cell's, and that cell's end),
     # Newton's 2 slope points and 1 iterate; 69 while the scan cell was
     # bisected to xtol (24 midpoints, then the 4 Newton values)
     assert cold_evals == 48
-    c0, c1 = _tree_cell(0.0, 3.5, 40, 1e-8, cold)
-    # the warm start hunts from the guess's final bisection cell through
-    # _HUNT_CELLS cells toward the root's: within reach it beats the scan
-    for k in range(_HUNT_CELLS):
-        x, evals, _ = root(line, 0.5 * (c0 + c1) + k * (c1 - c0))
-        assert x == cold and evals < cold_evals
-    # one cell further, or outside (lo, hi): the hunt gives up, the scan
-    # runs.  Each failed cell costs its midpoint and its end toward the
-    # root (these 5.2e-9 wide cells cannot hold mid +- _FD_STEP):
-    # cold_evals + 2 * _HUNT_CELLS, where it cost one end per cell
-    # (cold_evals + _HUNT_CELLS) before the midpoint was read first
-    x, evals, _ = root(line, 0.5 * (c0 + c1) + _HUNT_CELLS * (c1 - c0))
-    assert (x, evals) == (cold, 56)
+    c0, c1 = scan_tree_cell(cold, 1e-8)
+    # a guess in the root's scan cell (0.6125, 0.7) is hunted there by
+    # secant steps: _HUNT_CELLS cells off it costs 8 values (2 midpoints,
+    # the scan cell's end, then the root's cell as the cold path reads it),
+    # where the hunt of one cell at a time gave up and scanned (56)
+    assert root(line, 0.5 * (c0 + c1) + _HUNT_CELLS * (c1 - c0)) == (cold, 8, [])
+    # a guess outside that scan cell: the first secant step leaves the
+    # guess's own scan cell, and the scan runs; beyond the cold values only
+    # the guess cell's midpoint was read, its partner being a scan node
+    for guess in (0.7 + 0.01, 0.6125 - 0.01):
+        assert root(line, guess) == (cold, cold_evals + 1, [])
     for guess in (-1.0, 0.0, 3.5, 7.0):
         assert root(line, guess) == (cold, cold_evals, [])
     # the cubic decreases through 2.0: every hunted cell fails its sign
     # check, and the scan still warns, bisects and returns the rightmost
-    # root; 69 + 2 * _HUNT_CELLS, where it was 69 + _HUNT_CELLS = 73
+    # root; 69 + 3 (two midpoints and one end), where the hunt of one cell
+    # at a time read 69 + 2 * _HUNT_CELLS = 77
     cubic = lambda x: (x - 1.0) * (x - 2.0) * (x - 3.0)  # noqa: E731
     x, evals, categories = root(cubic, 2.0)
     cold, cold_evals, cold_categories = root(cubic)
     assert cold_evals == 69
-    assert (x, evals, categories) == (cold, 77, cold_categories)
+    assert (x, evals, categories) == (cold, 72, cold_categories)
     assert x == pytest.approx(3.0, abs=1e-8)
     assert MultipleRootWarning in categories
+
+
+@pytest.mark.parametrize("cells", [_HUNT_CELLS, 100, 10_000])
+def test_warm_hunt_reaches_a_root_far_off_inside_its_scan_cell(cells, monkeypatch):
+    # the hunt of one cell at a time gave up beyond _HUNT_CELLS - 1 cells
+    # and scanned 41 nodes; the secant steps reach the root's cell from
+    # anywhere in its scan cell, with no scan
+    scans = []
+    scan = solvers.scan_brackets
+    monkeypatch.setattr(solvers, "scan_brackets", lambda *args: scans.append(args) or scan(*args))
+    f = lambda x: math.exp(x) - 2.0  # noqa: E731
+    c0, c1 = scan_tree_cell(math.log(2.0), 1e-8)
+    guess = 0.5 * (c0 + c1) - cells * (c1 - c0)
+    assert 0.6125 < guess
+    x, seen, caught = counted_root(f, guess, 1e-8)
+    assert len(seen) <= 8 and caught == [] and scans == []
+    assert x == counted_root(f, None, 1e-8)[0]
 
 
 def counted_root(f, guess, xtol):
@@ -494,9 +592,10 @@ def test_warm_cell_is_checked_with_the_newton_start_values(offset, far):
     # 6.7e-7 wide final cells hold both slope points mid +- _FD_STEP.  The
     # root `offset` slope steps from mid: within one step the midpoint and
     # the slope point toward the root show the sign change (4 values with
-    # Newton's other slope point and its iterate); beyond it the cell's
-    # end toward the root is read too (5)
-    c0, c1 = _tree_cell(0.0, 3.5, 40, 1e-6, 1.0)
+    # Newton's other slope point and its iterate); beyond it their secant
+    # root stays in the cell, so the cell's end toward the root is read too
+    # (5)
+    c0, c1 = scan_tree_cell(1.0, 1e-6)
     mid, step = 0.5 * (c0 + c1), math.copysign(_FD_STEP, offset)
     assert c0 < mid - _FD_STEP and mid + _FD_STEP < c1
     r = mid + offset * _FD_STEP
@@ -509,33 +608,37 @@ def test_warm_cell_is_checked_with_the_newton_start_values(offset, far):
 
 @pytest.mark.parametrize("side", [1, -1])
 def test_warm_cell_narrower_than_the_slope_step_reads_its_end(side):
-    # 5.2e-9 wide final cells cannot hold mid +- _FD_STEP: the midpoint
-    # and the end toward the root decide, then Newton reads both slope
-    # points and its iterate
-    c0, c1 = _tree_cell(0.0, 3.5, 40, 1e-8, 1.0)
+    # 5.2e-9 wide final cells cannot hold mid +- _FD_STEP: the midpoint is
+    # paired with the end of the scan cell (0.9625, 1.05) across the root,
+    # their secant root stays in the cell, and the cell's end toward the
+    # root decides; then Newton reads both slope points and its iterate
+    c0, c1 = scan_tree_cell(1.0, 1e-8)
     mid = 0.5 * (c0 + c1)
     r = mid + side * 0.25 * (c1 - c0)
     f = lambda x: math.exp(x - r) - 1.0  # noqa: E731
     x, seen, caught = counted_root(f, 1.0, 1e-8)
-    assert seen == [mid, c1 if side > 0 else c0, mid + _FD_STEP, mid - _FD_STEP, x]
+    ends = [1.05, c1] if side > 0 else [0.9625, c0]
+    assert seen == [mid, *ends, mid + _FD_STEP, mid - _FD_STEP, x]
     assert caught == [] and x == counted_root(f, None, 1e-8)[0]
 
 
 def test_warm_start_on_a_decreasing_function_falls_back_and_warns():
-    # f decreases through the guess: f(mid) > 0 in every hunted cell, and
-    # neither the slope point nor the end toward lower x is negative, so
-    # the hunt moves left _HUNT_CELLS times (3 values a cell).  The full
-    # scan then warns, bisects and returns the cold root; the bisection
-    # reads the hunt's cell ends it passes from the per-solve memo.
+    # f decreases through the guess: f(mid) > 0 in every hunted cell, so
+    # the hunt looks for the root below mid.  The first cell's midpoint and
+    # slope point have their secant root 1.0 in that cell, so its lower end
+    # is read and fails; the next cell's midpoint and slope point send the
+    # hunt back to the first cell, whose values are kept, and so on until
+    # _HUNT_CELLS cells are checked.  The full scan then warns, bisects and
+    # returns the cold root, reading the hunt's values it passes from the
+    # per-solve memo.
     f = lambda x: 1.0 - math.exp(x - 1.0)  # noqa: E731
     x, seen, caught = counted_root(f, 1.0, 1e-6)
     cold, cold_seen, cold_caught = counted_root(f, None, 1e-6)
-    hunt, t = [], 1.0
-    for _ in range(_HUNT_CELLS):
-        c0, c1 = _tree_cell(0.0, 3.5, 40, 1e-6, t)
-        mid = 0.5 * (c0 + c1)
-        hunt += [mid, mid - _FD_STEP, c0]
-        t = c0 - 0.5 * (c1 - c0)
+    c0, c1 = scan_tree_cell(1.0, 1e-6)
+    d0, d1 = scan_tree_cell(c0 - 0.5 * (c1 - c0), 1e-6)
+    mid, mid2 = 0.5 * (c0 + c1), 0.5 * (d0 + d1)
+    assert mid < 1.0 and d1 == c0
+    hunt = [mid, mid - _FD_STEP, c0, mid2, mid2 - _FD_STEP]
     assert seen == hunt + [t for t in cold_seen if t not in hunt]
     assert len(seen) < len(cold_seen) + len(hunt)
     assert (x, caught) == (cold, cold_caught) == (cold, [MultipleRootWarning])
@@ -544,7 +647,7 @@ def test_warm_start_on_a_decreasing_function_falls_back_and_warns():
 def test_cold_solve_equals_the_scan_bisect_polish_reference():
     # hybrid_root without a guess takes the scan cell's final cell from
     # predicted_cell and bisects only after a warning or a failed
-    # prediction; the root and the warnings equal the old scan, bisect and
+    # hunt; the root and the warnings equal the old scan, bisect and
     # polish bit for bit
     rng = random.Random(19)
     cases = [(lambda x: math.exp(x) - 2.0, 0.0, 3.5, 40, 1e-8, 1e-10),
@@ -778,11 +881,12 @@ def test_crossing_refuses_curves_on_different_grids(grid, curves_m6_coarse):
 @pytest.mark.parametrize("shift", [-4, -3, -1, 1, 3, 4, 9])
 def test_crossing_prediction_cells_off(shift, curves_m5, cold_bisections, monkeypatch):
     # the prediction moved `shift` final cells away from the cold answer's
-    # cell: the hunt walks back within _HUNT_CELLS cells, or the cold
-    # bisection runs; either way the cold answer comes out
+    # cell: the hunt's secant steps lead back to it between the two
+    # samples, where the hunt of one cell at a time gave up from
+    # _HUNT_CELLS cells off and bisected; the cold answer comes out
     curve2, curve3, k = curves_m5
     want = cold_crossing(curve2, curve3, k, 1e-11)
-    cell = _tree_cell(curve2.samples[k][0], curve2.samples[k + 1][0], 1, 1e-11, want[0])
+    cell = _tree_cell(curve2.samples[k][0], curve2.samples[k + 1][0], 1e-11, want[0])
     moved = want[0] + shift * (cell[1] - cell[0])
     warm_bracket = solvers._warm_bracket
     monkeypatch.setattr(
@@ -790,7 +894,7 @@ def test_crossing_prediction_cells_off(shift, curves_m5, cold_bisections, monkey
         lambda f, lo, hi, n, xtol, guess: warm_bracket(f, lo, hi, n, xtol, moved),
     )
     assert refine_crossing(curve2, curve3, k, 1e-11) == want
-    assert len(cold_bisections) == (abs(shift) >= _HUNT_CELLS)
+    assert cold_bisections == []
 
 
 def test_predicted_cell_is_the_bisection_cell():
@@ -801,8 +905,8 @@ def test_predicted_cell_is_the_bisection_cell():
         return math.exp(x) - 2.0
 
     # a bracket as short against the curvature as two curve samples are:
-    # two secant steps, the final cell's midpoint and one end, against 27
-    # midpoints
+    # three midpoints, the last the final cell's, and that cell's end,
+    # against 27 midpoints
     lo, hi = 0.69, 0.7
     flo, fhi = math.exp(lo) - 2.0, math.exp(hi) - 2.0
     cold = bisect(f, lo, hi, flo, fhi, 1e-10)[:2]
@@ -820,10 +924,10 @@ def test_predicted_cell_is_the_bisection_cell():
 def test_one_cell_tree_starts_from_the_bracket_ends():
     lo, hi = 0.3, 0.9
     assert lo + (hi - lo) != hi  # the scan's node formula would not give hi
-    assert _tree_cell(lo, hi, 1, 1.0, 0.5) == (lo, hi)
-    c0, c1 = _tree_cell(lo, hi, 1, 1e-3, hi - 1e-9)
+    assert _tree_cell(lo, hi, 1.0, 0.5) == (lo, hi)
+    c0, c1 = _tree_cell(lo, hi, 1e-3, hi - 1e-9)
     assert c1 == hi and 0.0 < c1 - c0 <= 1e-3
-    c0, c1 = _tree_cell(lo, hi, 1, 1e-3, lo + 1e-9)
+    c0, c1 = _tree_cell(lo, hi, 1e-3, lo + 1e-9)
     assert c0 == lo and 0.0 < c1 - c0 <= 1e-3
 
 
@@ -847,11 +951,20 @@ def _logged(f):
 
 
 def test_scan_brackets_keeps_a_node_where_f_is_zero():
-    # node 2 of 4 on (0, 2) is the root 1.0: the cell that ends there
-    # changes sign, and the node itself is a zero-width bracket
+    # node 2 of 4 on (0, 2) is the root 1.0: the node is one zero-width
+    # bracket, and the cell that ends there is none (it was a second
+    # bracket, and hybrid_root warned "2 sign changes")
     brackets, monotone = scan_brackets(lambda x: x - 1.0, 0.0, 2.0, 4)
-    assert brackets == [(0.5, 1.0, -0.5, 0.0), (1.0, 1.0, 0.0, 0.0)]
+    assert brackets == [(1.0, 1.0, 0.0, 0.0)]
     assert monotone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MultipleRootWarning)
+        assert hybrid_root(lambda x: x - 1.0, 0.0, 2.0) == 1.0
+    # a root at lo or at hi is found too, reached from either sign (2 - x
+    # had no bracket at hi)
+    for f, root in ((lambda x: x, 0.0), (lambda x: -x, 0.0),
+                    (lambda x: x - 2.0, 2.0), (lambda x: 2.0 - x, 2.0)):
+        assert scan_brackets(f, 0.0, 2.0, 4)[0] == [(root, root, 0.0, 0.0)]
 
 
 def test_bisect_returns_a_zero_end_and_refuses_a_bracket_without_sign_change():
@@ -907,17 +1020,37 @@ def test_predicted_cell_exits_where_the_prediction_leaves_the_bracket():
     f, seen = _logged(lambda x: x - 1.0)
     assert predicted_cell(f, 1.0, 2.0, -1e-300, 1.0, 1e-6) is None
     assert seen == []
-    # the first secant step from a value far below flo lands on hi
-    f, seen = _logged(lambda x: -1e300)
+    # f's root 5.0 lies beyond the bracket that the stated end values
+    # suggest: the secant of the first cell's midpoint and slope point
+    # leaves the bracket at once
+    f, seen = _logged(lambda x: x - 5.0)
+    c0, c1 = _tree_cell(0.0, 1.0, 1e-6, 0.5)
+    mid = 0.5 * (c0 + c1)
     assert predicted_cell(f, 0.0, 1.0, -1.0, 1.0, 1e-6) is None
-    assert seen == [0.5]
+    assert seen == [mid, mid + _FD_STEP]
+    # cells narrower than the slope step: the first secant pairs the
+    # midpoint with hi, whose stated value is not evaluated, and lands at
+    # 0.909 inside; the second pairs the next midpoint with the first and
+    # leaves
+    f, seen = _logged(lambda x: x - 5.0)
+    c0, c1 = _tree_cell(0.0, 1.0, 1e-8, 0.5)
+    assert predicted_cell(f, 0.0, 1.0, -1.0, 1.0, 1e-8) is None
+    assert seen[0] == 0.5 * (c0 + c1) and len(seen) == 2
+    assert seen[1] == pytest.approx(0.5 + 4.5 * 0.5 / 5.5, abs=1e-8)
 
 
 def test_predicted_cell_stops_its_secant_on_a_repeated_value():
-    # a step function: the secant's second point reads the same value as
-    # its first, so the secant stops there, and the cell checked from that
-    # prediction is still the bisection's
-    f, seen = _logged(lambda x: -0.5 if x < 0.75 else 0.5)
+    # a step function: each cell's slope point repeats its midpoint's
+    # value, so the secant has no root, the cell's end toward the root
+    # decides, and a failed end moves the hunt one 0.0625 wide cell on.
+    # The step at 0.6 is in the third cell from the chord root 0.5, the
+    # bisection's cell; a step at 0.75 is in the fifth, beyond the
+    # _HUNT_CELLS cells of the hunt
+    f, seen = _logged(lambda x: -0.5 if x < 0.6 else 0.5)
     cell = predicted_cell(f, 0.0, 1.0, -1.0, 1.0, 0.1)
-    assert seen[:2] == [0.5, 0.5 + 0.5 / 3.0]
-    assert cell == bisect(f, 0.0, 1.0, -1.0, 1.0, 0.1)[:2] == (0.6875, 0.75)
+    mids = (0.46875, 0.53125, 0.59375)
+    assert seen == [t for mid, end in zip(mids, (0.5, 0.5625, 0.625))
+                    for t in (mid, mid + _FD_STEP, end)]
+    assert cell == bisect(f, 0.0, 1.0, -1.0, 1.0, 0.1)[:2] == (0.5625, 0.625)
+    f = lambda x: -0.5 if x < 0.75 else 0.5  # noqa: E731
+    assert predicted_cell(f, 0.0, 1.0, -1.0, 1.0, 0.1) is None

@@ -201,6 +201,10 @@ def test_figure1_gap_evaluation_count(tmp_path, capsys, monkeypatch):
     # 690 -> 680 when refine_crossing kept the l_{m,2}(b*) that the crossing
     # difference solved instead of solving it again (one warm solve, 5 gap
     # evaluations, for each of the 2 crossings; same b* and a*).
+    # 680 -> 674 when one hunt took every predicted root to its final cell:
+    # a failed cell moves to a secant root inside the prediction's scan
+    # cell, and the guesses from fewer than three samples no longer take a
+    # secant step of their own (same roots, same b* and a*, same 8 scans).
     # Each gap evaluation calls both module bindings once: the traced
     # benchmark wraps exactly these two names.
     calls = {"p_value": 0, "q_value": 0, "scan_brackets": 0, "bisect": 0}
@@ -231,7 +235,7 @@ def test_figure1_gap_evaluation_count(tmp_path, capsys, monkeypatch):
     counting(bifurcation, "bisect")  # refine_crossing's cold fallback only
     code, _, _ = run_cli(SMALL_FAMILY + ["--out", str(tmp_path)], capsys)
     assert code == 0
-    assert calls == {"p_value": 680, "q_value": 680, "scan_brackets": 8, "bisect": 0}
+    assert calls == {"p_value": 674, "q_value": 674, "scan_brackets": 8, "bisect": 0}
     assert gaps_in_bisect and not any(gaps_in_bisect)
 
 
