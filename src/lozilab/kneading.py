@@ -47,13 +47,6 @@ class UItinerary:
             return self.preperiod[i]
         return self.period[(i - len(self.preperiod)) % len(self.period)]
 
-    def shift(self, k: int = 1) -> "UItinerary":
-        """Drop the first k symbols."""
-        if k <= len(self.preperiod):
-            return UItinerary(self.preperiod[k:], self.period)
-        r = (k - len(self.preperiod)) % len(self.period)
-        return UItinerary((), self.period[r:] + self.period[:r])
-
 
 def order_compare(i1: UItinerary, i2: UItinerary) -> Ordering:
     """Parity-weighted lexicographic comparison of two U-itineraries.

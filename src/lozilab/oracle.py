@@ -21,7 +21,6 @@ from .core import (
     DomainError,
     Params,
     Point,
-    SingularSystemError,
     _require_count,
     _require_full,
     apply_map,
@@ -100,7 +99,8 @@ def _return_map_newton(p: Params, seed: Point, period: int) -> Point | None:
     repeats bit for bit has entered a cycle that never meets the 1e-13
     stop, and gives up at once, as the 60-iteration budget would later.
     The map steps are apply_map's operations, so a root returned here
-    already passes _verified_root's forward check.
+    already passes _verified_root's forward check.  A step lands on a
+    formal point, in [-1, 1]^2, so no iterate is cut off for its size.
     """
     a, b = p.a, p.b
     c = a - b - 1.0
@@ -125,8 +125,6 @@ def _return_map_newton(p: Params, seed: Point, period: int) -> Point | None:
             break
         x -= (fx * d22 - fy * j12) / det
         y -= (fy * d11 - fx * j21) / det
-        if abs(x) > 1e6 or abs(y) > 1e6:
-            break
     return None
 
 
@@ -217,11 +215,12 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
     sign pattern holds.  For a > b + 1 every pattern's cyclic system is
     strictly diagonally dominant, so that solve is the one orbit with that
     pattern, and every orbit whose period divides `period` solves some
-    pattern: a period-d orbit also solves the repeated one.  At a border
-    collision an orbit point sits at x = 0, on both patterns that differ
-    there, and rounding can put it on the wrong side in both solves; the
-    tie rule s_k x_k >= -_TIE lets both pass.  Roots are deduplicated at
-    1e-7 (_distinct) and each is checked by forward iteration.
+    pattern: a period-d orbit also solves the repeated one; a pivot below
+    1e-13 raises SingularSystemError.  At a border collision an orbit point
+    sits at x = 0, on both patterns that differ there, and rounding can put
+    it on the wrong side in both solves; the tie rule s_k x_k >= -_TIE lets
+    both pass.  Roots are deduplicated at 1e-7 (_distinct) and each is
+    checked by forward iteration.
 
     The grid is a uniqueness check that does not rest on this argument.
     map^period is affine on each cell of seeds of a sheared grid on
@@ -248,10 +247,7 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
             return list(stored)
     roots: list[Point] = []
     for signs in _necklaces(period):
-        try:
-            xs = cyclic_orbit(p, signs)
-        except SingularSystemError:
-            continue
+        xs = cyclic_orbit(p, signs)
         if all(s * x >= -_TIE for x, s in zip(xs, signs)):
             roots.extend((xs[k], xs[k - 1]) for k in range(period))
     points, cells = _distinct(roots, lambda v: _verified_root(p, v, period) is not None)

@@ -16,7 +16,6 @@ from .core import MINUS, PLUS, DomainError, Params, _require_count, _require_ord
 from .geometry import BwdLine, _r_ladder, _require_mod, iterate_line_bwd, r_value, stable_line
 from .geometry import u_value
 
-_TRACE_TIE_TOL = 1e-12
 _STRIP_TOL = 1e-9
 
 
@@ -56,7 +55,8 @@ def build_partition(p: Params, m_max: int = 16) -> list[Strip]:
     point's stable line; each C_m between consecutive plus-pullbacks; D
     spans from the left fixed point's stable line pullback family limit
     to its plus-pullback.  Refuses p outside the partition region
-    (geometry._require_mod) and m_max < 2.
+    (geometry._require_mod), m_max < 2 and traces that stop increasing;
+    so no strip is crossed: B's and D's traces are ordered in closed form.
     """
     _require_mod(p)
     _require_count("m_max", m_max, 2)
@@ -71,9 +71,6 @@ def build_partition(p: Params, m_max: int = 16) -> list[Strip]:
         strips.append(Strip(left=gammas[m - 2], right=gammas[m - 1], label=f"C{m}"))
     strips.append(Strip(left=beta_inf, right=gamma_inf, label="D"))
 
-    for strip in strips:
-        if strip.left_trace > strip.right_trace + _TRACE_TIE_TOL:
-            raise DomainError(f"strip {strip.label} has crossed boundaries")
     # traces[j - 1] is r_j, traces[-1] is r_inf; they increase in exact arithmetic
     traces = [g.trace for g in gammas] + [gamma_inf.trace]
     for j, (t0, t1) in enumerate(zip(traces, traces[1:]), start=1):

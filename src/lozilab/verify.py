@@ -223,7 +223,7 @@ def strip_membership(b: float, m: int, n: int) -> str:
     p = next((q for q in scan if q.in_mod and classify_regime(q, m, n) is Regime.LARGE), None)
     if p is None:
         raise AssertionError(f"no large-regime parameter found for ({m}, {n}) at b = {b}")
-    strips = {s.label: s for s in build_partition(p, m_max=6)}
+    strips = {s.label: s for s in build_partition(p, m_max=m)}
     hits = 0
     for sigma in (MINUS, PLUS):
         fp = formal_periodic_point(p, iota(sigma, m, n))
@@ -371,8 +371,6 @@ def suite_partition(seed: int) -> list[Check]:
             strips = build_partition(p, m_max=3)
             d = strips[-1]
             trace = rng.uniform(d.left_trace + 1e-6, min(u_left, d.right_trace) - 1e-6)
-            if trace <= d.left_trace:
-                continue
             omega = BwdLine(vslope=rng.uniform(-mult.mu, mult.mu), anchor=(trace, 0.0))
             if not all(
                 d.left.x_at(y) <= omega.x_at(y) <= d.right.x_at(y) for y in (-1.0, 1.0)

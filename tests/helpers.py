@@ -22,7 +22,6 @@ import lozilab as L
 from lozilab import oracle
 from lozilab.core import (
     DomainError,
-    SingularSystemError,
     _require_count,
     _require_full,
     apply_map,
@@ -114,6 +113,14 @@ def epsilon(word):
         elif s != -1:
             raise UItineraryError("orientation is defined only for words over {-, +}")
     return sign
+
+
+def shift(seq, k=1):
+    """The U-itinerary `seq` with its first k symbols dropped."""
+    if k <= len(seq.preperiod):
+        return L.UItinerary(seq.preperiod[k:], seq.period)
+    r = (k - len(seq.preperiod)) % len(seq.period)
+    return L.UItinerary((), seq.period[r:] + seq.period[:r])
 
 
 def exists_Cmn(p, m, n):
@@ -308,8 +315,9 @@ def newton_step(A, t, v):
 
 
 # The oracle's return-map Newton as it ran before the repeated-iterate
-# exit: every seed runs to convergence, a guard or the full 60-iteration
-# budget.  `iterates`, when given, collects each Newton iterate.
+# exit, and with the far-iterate guard it has since lost: every seed runs
+# to convergence, a guard or the full 60-iteration budget.  `iterates`,
+# when given, collects each Newton iterate.
 
 def full_budget_newton(p, seed, period, iterates=None):
     x, y = seed
@@ -378,10 +386,7 @@ def reference_brute_periodic(p, period, grid_n):
         if bits != min(rotated):
             continue
         signs = tuple(+1 if bits >> k & 1 else -1 for k in range(period))
-        try:
-            xs = cyclic_orbit(p, signs)
-        except SingularSystemError:
-            continue
+        xs = cyclic_orbit(p, signs)
         if all(s * x >= -1e-13 for x, s in zip(xs, signs)):
             roots.extend((xs[k], xs[k - 1]) for k in range(period))
     kept = []

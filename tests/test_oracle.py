@@ -20,7 +20,7 @@ from lozilab import (
     orbit_signs,
 )
 from lozilab import oracle, symbolic, verify
-from lozilab.core import DomainError, RegionError
+from lozilab.core import DomainError, RegionError, SingularSystemError
 from lozilab.oracle import BudgetError
 
 from helpers import (
@@ -199,6 +199,25 @@ def test_newton_cycle_exit_equals_full_budget():
     want = full_budget_newton(p, seed, 10, iterates)
     assert want is not None and len(iterates) == len(set(iterates)) == 29
     assert oracle._return_map_newton(p, seed, 10) == want
+
+
+def test_newton_gives_up_on_a_singular_step():
+    # a - b - 1 is 2.8e-16: the all-minus branch has D = J - Id with
+    # det -(a - b - 1), and the seed is 0.3 from closing, so no step is taken
+    p, seed = Params(1.3000000000000003, 0.3), (-0.5, 0.5)
+    assert abs((p.a - 1.0) * -1.0 + p.b) < 1e-14
+    assert not close(apply_map(p, seed), seed, 0.29)
+    assert oracle._return_map_newton(p, seed, 1) is None
+
+
+def test_brute_periodic_refuses_a_singular_orbit_system():
+    # a - b - 1 = 1e-14 puts a pivot of z_-'s system below 1e-13; skipping
+    # that pattern once returned only the + fixed point and missed z_- =
+    # (-1, -1), which apply_map maps to itself bit for bit
+    p = Params(1.00000000000001, 0.0)
+    assert apply_map(p, (-1.0, -1.0)) == (-1.0, -1.0)
+    with pytest.raises(SingularSystemError, match=re.escape("orbit system pivot 1.0e-14")):
+        brute_periodic(p, 1, grid_n=2)
 
 
 def _sign_key(p, seed, period):

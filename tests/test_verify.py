@@ -5,10 +5,12 @@ pass vacuously."""
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 
-from lozilab import OrbitClass, OrbitKind, Ordering, Params, UItinerary, geometry, symbolic, verify
+from lozilab import (
+    BwdLine, OrbitClass, OrbitKind, Ordering, Params, UItinerary, geometry, symbolic, verify)
 from lozilab.cli import main
 from lozilab.core import DomainError, SingularSystemError
 from lozilab.geometry import C_RL, C_RU, SLOPE_C
@@ -61,9 +63,21 @@ BROKEN = {
     "dyadic_traces": ("build_partition",
                       lambda f: lambda p, m_max: f(Params(2.0, 1e-3), m_max),
                       verify.dyadic_traces),
+    "ladders-traces": (None, None, lambda: verify.ladders([Params(3.5, 0.01)], 30)),
     "strip_membership": ("formal_periodic_point",
                          lambda f: lambda p, w: dataclasses.replace(f(p, w), admissibility=-1e-9),
                          lambda: verify.strip_membership(0.2, 3, 2)),
+    # the scan's a stop at 2.78, short of the partition region a > 3b + 1 = 3.1
+    "strip_membership-no-large": (None, None, lambda: verify.strip_membership(0.7, 3, 2)),
+    "strip_membership-C_m": ("build_partition",
+                             lambda f: lambda p, m_max: _collapse(f(p, m_max), "C3"),
+                             lambda: verify.strip_membership(0.2, 3, 2)),
+    "strip_membership-C_n": ("build_partition",
+                             lambda f: lambda p, m_max: _collapse(f(p, m_max), "C2"),
+                             lambda: verify.strip_membership(0.2, 3, 2)),
+    "strip_membership-certificate": ("apply_map",
+                                     lambda f: lambda p, v: (-abs(f(p, v)[0]), f(p, v)[1]),
+                                     lambda: verify.strip_membership(0.2, 3, 2)),
     "order_laws": ("order_compare", lambda f: _rock_paper_scissors,
                    lambda: verify.order_laws(CYCLE)),
     "order_laws-reflexive": ("order_compare",
@@ -86,14 +100,25 @@ BROKEN = {
 }
 
 
-# the law each broken order_compare must fail at: a pair LESS both ways
-# also breaks transitivity, but the table is read law by law
-LAW = {
+# the failure a case must report where its invariant has several: a pair
+# LESS both ways also breaks transitivity, but the table is read law by law
+FAILURE = {
+    "ladders-traces": "traces not increasing at (3.5, 0.01)",
     "order_laws": "transitivity fails",
     "order_laws-reflexive": "not reflexive",
     "order_laws-symmetric": "equivalence not symmetric",
     "order_laws-antisymmetric": "not antisymmetric",
+    "strip_membership": "expected admissible pair",
+    "strip_membership-no-large": "no large-regime parameter found for (3, 2) at b = 0.7",
+    "strip_membership-C_m": ") not in C3",
+    "strip_membership-C_n": ") not in C2",
+    "strip_membership-certificate": "left-component certificate failed",
 }
+
+
+def _collapse(strips, label):
+    """The strips with `label` narrowed to its left boundary."""
+    return [dataclasses.replace(s, right=s.left) if s.label == label else s for s in strips]
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN))
@@ -102,8 +127,43 @@ def test_invariant_fails_on_broken_case(case, monkeypatch):
     if name is not None:
         call()  # passes unpatched, so the patch is what breaks it
         monkeypatch.setattr(verify, name, patch(getattr(verify, name)))
-    with pytest.raises(AssertionError, match=LAW.get(case)):
+    with pytest.raises(AssertionError, match=re.escape(FAILURE[case]) if case in FAILURE else None):
         call()
+
+
+# suite case -> (check id, name in verify to patch, patch from the original,
+# the failure its detail must report)
+BROKEN_IN_SUITE = {
+    "full-horseshoe": ("convergence.regions", "r_value",
+                       lambda f: lambda p, m: math.inf if m == math.inf else f(p, m),
+                       "full-horseshoe bound fails"),
+    "period-doubling": ("convergence.regions", "r_value",
+                        lambda f: lambda p, m: -math.inf if m == 2 else f(p, m),
+                        "period-doubling bound fails"),
+    # the pulled line moved far right of D
+    "pullback-left-d": ("partition.pullback", "iterate_line_bwd",
+                        lambda f: lambda p, w, line: BwdLine(line.vslope, (100.0, 0.0)),
+                        "pullback left D"),
+    # the line not pulled back at all: it stays in D, on both sides of x = 0
+    "pullback-wrong-side": ("partition.pullback", "iterate_line_bwd",
+                            lambda f: lambda p, w, line: line,
+                            "pullback on wrong side"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_IN_SUITE))
+def test_suite_check_fails_on_broken_case(case, monkeypatch):
+    check_id, name, patch, failure = BROKEN_IN_SUITE[case]
+    suite = verify.SUITES[check_id.split(".")[0]]
+
+    def check():
+        return next(c for c in suite(0) if c.id == check_id)
+
+    assert check().passed
+    monkeypatch.setattr(verify, name, patch(getattr(verify, name)))
+    broken = check()
+    assert not broken.passed
+    assert broken.detail.startswith(f"AssertionError: {failure} at ("), broken.detail
 
 
 # invariant -> (the input the refusal must name, a call with it empty)
