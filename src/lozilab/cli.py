@@ -12,6 +12,7 @@ and argparse usage errors load no layer at all.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -200,6 +201,7 @@ def finite_float(text: str) -> float:
     return value
 
 
+@functools.cache  # main parses with one parser per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lozi-lab",

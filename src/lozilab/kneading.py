@@ -39,7 +39,7 @@ class UItinerary:
         if not self.period:
             raise UItineraryError("period part must be nonempty")
         for s in self.preperiod + self.period:
-            if s not in (-1, 0, +1):
+            if type(s) is bool or s not in (-1, 0, +1):
                 raise UItineraryError(f"bad symbol {s!r}")
 
     def symbol(self, i: int) -> int:

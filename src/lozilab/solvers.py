@@ -11,16 +11,21 @@ point on that side when both slope points lie strictly inside it.  A
 failed check moves the hunt to the secant root of the midpoint and a
 second point: that slope point, else the previous midpoint, or at the
 first step the scan cell's end across the root.  When that secant root
-stays in the cell, the cell's end toward the root decides instead, and
-an end without a sign change moves the hunt one cell on.  The hunt gives
-up when it leaves the scan cell or has checked _HUNT_CELLS cells; then
-the cold path runs.  On its way to the final cell bisection evaluates f
-only at that cell's ends or beyond them, so where f is negative below
-the taken cell and positive above it across the scan cell, and a cold
-scan would see that one sign change only, the cell, the Newton start and
-the root are bit for bit the cold path's.  The predictions are
-hybrid_root's `guess` and predicted_cell's root of the line through a
-bracket's ends.
+stays in the cell, Newton's first iterate from the midpoint is read next
+if both slope points lie inside it: the same step and clamp to the cell
+as newton_polish, from the other slope point, so Newton reads these
+values again from hybrid_root's memo.  A sign change at that iterate, on
+the root's side of the midpoint, confirms the cell; otherwise the cell's
+end toward the root decides, and an end without a sign change moves the
+hunt one cell on.  The hunt gives up when it leaves the scan cell or has
+checked _HUNT_CELLS cells; then the cold path runs.  Each check that
+confirms a cell sees a strict sign change within it, and on its way to
+the final cell bisection evaluates f only at that cell's ends or beyond
+them, so where f is negative below the taken cell and positive above it
+across the scan cell, and a cold scan would see that one sign change
+only, the cell, the Newton start and the root are bit for bit the cold
+path's.  The predictions are hybrid_root's `guess` and predicted_cell's
+root of the line through a bracket's ends.
 """
 
 from __future__ import annotations
@@ -101,6 +106,22 @@ def bisect(
     return lo, hi, flo, fhi
 
 
+def _newton_step(
+    x: float, fx: float, f_up: float, f_down: float, lo: float, hi: float
+) -> float:
+    """The Newton iterate from x by the central-difference slope, given f
+    at x and at x +- _FD_STEP; a step out of [lo, hi] goes halfway to the
+    end it crosses, and a zero slope returns x."""
+    slope = (f_up - f_down) / (2.0 * _FD_STEP)
+    if slope == 0.0:
+        return x
+    step = fx / slope
+    x_new = x - step
+    if not lo <= x_new <= hi:
+        x_new = 0.5 * (x + (lo if step > 0 else hi))
+    return x_new
+
+
 def newton_polish(
     f: Callable[[float], float],
     x: float,
@@ -114,20 +135,15 @@ def newton_polish(
     Evaluates f at each iterate and, for the slope, at the iterate +-
     _FD_STEP; returns the first iterate with |f| <= ftol (the smallest |f|
     seen) and raises if none is found.  hybrid_root passes f memoized, so
-    the start's values that its cell check computed are not recomputed.
+    the start's values and the first iterate that its cell check computed
+    are not recomputed.
     """
     fx = f(x)
     best_x, best_f = x, abs(fx)
     for _ in range(_NEWTON_MAX_ITER):
         if best_f <= ftol:
             return best_x
-        slope = (f(x + _FD_STEP) - f(x - _FD_STEP)) / (2.0 * _FD_STEP)
-        if slope == 0.0:
-            break
-        step = fx / slope
-        x_new = x - step
-        if not lo <= x_new <= hi:
-            x_new = 0.5 * (x + (lo if step > 0 else hi))
+        x_new = _newton_step(x, fx, f(x + _FD_STEP), f(x - _FD_STEP), lo, hi)
         if x_new == x:
             break
         x = x_new
@@ -167,7 +183,8 @@ def _warm_bracket(
         mid = 0.5 * (c0 + c1)
         fm = f(mid)
         s = 1.0 if fm < 0.0 else -1.0  # the side of mid that the root is on
-        if c0 < mid - _FD_STEP and mid + _FD_STEP < c1:
+        fits = c0 < mid - _FD_STEP and mid + _FD_STEP < c1
+        if fits:
             x0 = mid + s * _FD_STEP
             f0 = f(x0)
             if s * f0 > 0.0:
@@ -176,7 +193,13 @@ def _warm_bracket(
             x0 = hi if s > 0.0 else lo
             f0 = f(x0)
         x = mid - fm * (x0 - mid) / (f0 - fm) if f0 != fm else mid
-        if c0 <= x <= c1:  # the secant stays in the cell: its end decides
+        if c0 <= x <= c1:  # the secant stays in the cell
+            if fits:  # Newton's first iterate from mid decides, else its end
+                f1 = f(mid - s * _FD_STEP)
+                f_up, f_down = (f0, f1) if s > 0.0 else (f1, f0)
+                xn = _newton_step(mid, fm, f_up, f_down, c0, c1)
+                if s * (xn - mid) > 0.0 and s * f(xn) > 0.0:
+                    return c0, c1
             end = c1 if s > 0.0 else c0
             if s * f(end) > 0.0:
                 return c0, c1
@@ -191,7 +214,9 @@ def predicted_cell(
     """The final cell of bisect(f, lo, hi, flo, fhi, xtol), hunted from the
     root of the line through the bracket's ends, with flo and fhi standing
     for f at lo and hi; None when flo < 0 < fhi fails, the bracket is
-    already at most xtol wide, or the hunt fails.
+    already at most xtol wide, or the hunt fails.  The hunt checks each
+    cell as the warm-start contract says, reading Newton's first iterate
+    from the cell's midpoint before the cell's end.
     """
     if not (flo < 0.0 < fhi and hi - lo > xtol):
         return None
@@ -236,7 +261,9 @@ def hybrid_root(
     than one sign change; the last (rightmost) bracket is bisected then.
     After a monotone scan with one bracket, predicted_cell hunts the final
     cell from the line through the bracket's ends; bisect runs only when
-    the hunt fails.
+    the hunt fails.  A hunt reads Newton's start, its slope points and
+    its first iterate before a cell's end where the warm-start contract
+    says, and Newton reads those values again from the memo.
     With `guess` the scan is skipped unless the warm start fails (see the
     warm-start contract); a warm solve never warns, and only a call
     without `guess` is sure to run the full scan.  A NaN, infinite or

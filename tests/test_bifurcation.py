@@ -592,17 +592,19 @@ def test_warm_cell_is_checked_with_the_newton_start_values(offset, far):
     # 6.7e-7 wide final cells hold both slope points mid +- _FD_STEP.  The
     # root `offset` slope steps from mid: within one step the midpoint and
     # the slope point toward the root show the sign change (4 values with
-    # Newton's other slope point and its iterate); beyond it their secant
-    # root stays in the cell, so the cell's end toward the root is read too
-    # (5)
+    # Newton's other slope point and its iterate).  Beyond it their secant
+    # root stays in the cell, so Newton's first iterate x is read before
+    # the cell's end.  f is convex: from below the root x lands above it
+    # and confirms the cell (4 values); from above x stays above it, so the
+    # cell's lower end is read too (5)
     c0, c1 = scan_tree_cell(1.0, 1e-6)
     mid, step = 0.5 * (c0 + c1), math.copysign(_FD_STEP, offset)
     assert c0 < mid - _FD_STEP and mid + _FD_STEP < c1
     r = mid + offset * _FD_STEP
     f = lambda x: math.exp(x - r) - 1.0  # noqa: E731
     x, seen, caught = counted_root(f, 1.0, 1e-6)
-    end = [c1 if offset > 0 else c0] if far else []
-    assert seen == [mid, mid + step, *end, mid - step, x]
+    end = [c0] if far and offset < 0 else []
+    assert seen == [mid, mid + step, mid - step, x, *end]
     assert caught == [] and x == counted_root(f, None, 1e-6)[0]
 
 
@@ -625,8 +627,10 @@ def test_warm_cell_narrower_than_the_slope_step_reads_its_end(side):
 def test_warm_start_on_a_decreasing_function_falls_back_and_warns():
     # f decreases through the guess: f(mid) > 0 in every hunted cell, so
     # the hunt looks for the root below mid.  The first cell's midpoint and
-    # slope point have their secant root 1.0 in that cell, so its lower end
-    # is read and fails; the next cell's midpoint and slope point send the
+    # slope point have their secant root 1.0 in that cell.  Newton's first
+    # iterate, from the other slope point, lies above mid, not on the side
+    # the hunt expects, so it is not evaluated; the cell's lower end is read
+    # and fails.  The next cell's midpoint and slope point send the
     # hunt back to the first cell, whose values are kept, and so on until
     # _HUNT_CELLS cells are checked.  The full scan then warns, bisects and
     # returns the cold root, reading the hunt's values it passes from the
@@ -638,7 +642,7 @@ def test_warm_start_on_a_decreasing_function_falls_back_and_warns():
     d0, d1 = scan_tree_cell(c0 - 0.5 * (c1 - c0), 1e-6)
     mid, mid2 = 0.5 * (c0 + c1), 0.5 * (d0 + d1)
     assert mid < 1.0 and d1 == c0
-    hunt = [mid, mid - _FD_STEP, c0, mid2, mid2 - _FD_STEP]
+    hunt = [mid, mid - _FD_STEP, mid + _FD_STEP, c0, mid2, mid2 - _FD_STEP]
     assert seen == hunt + [t for t in cold_seen if t not in hunt]
     assert len(seen) < len(cold_seen) + len(hunt)
     assert (x, caught) == (cold, cold_caught) == (cold, [MultipleRootWarning])
@@ -1040,9 +1044,10 @@ def test_predicted_cell_exits_where_the_prediction_leaves_the_bracket():
 
 
 def test_predicted_cell_stops_its_secant_on_a_repeated_value():
-    # a step function: each cell's slope point repeats its midpoint's
-    # value, so the secant has no root, the cell's end toward the root
-    # decides, and a failed end moves the hunt one 0.0625 wide cell on.
+    # a step function: each cell's slope points repeat its midpoint's
+    # value, so the secant has no root and Newton's slope is zero, the
+    # cell's end toward the root decides, and a failed end moves the hunt
+    # one 0.0625 wide cell on.
     # The step at 0.6 is in the third cell from the chord root 0.5, the
     # bisection's cell; a step at 0.75 is in the fifth, beyond the
     # _HUNT_CELLS cells of the hunt
@@ -1050,7 +1055,7 @@ def test_predicted_cell_stops_its_secant_on_a_repeated_value():
     cell = predicted_cell(f, 0.0, 1.0, -1.0, 1.0, 0.1)
     mids = (0.46875, 0.53125, 0.59375)
     assert seen == [t for mid, end in zip(mids, (0.5, 0.5625, 0.625))
-                    for t in (mid, mid + _FD_STEP, end)]
+                    for t in (mid, mid + _FD_STEP, mid - _FD_STEP, end)]
     assert cell == bisect(f, 0.0, 1.0, -1.0, 1.0, 0.1)[:2] == (0.5625, 0.625)
     f = lambda x: -0.5 if x < 0.75 else 0.5  # noqa: E731
     assert predicted_cell(f, 0.0, 1.0, -1.0, 1.0, 0.1) is None

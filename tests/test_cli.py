@@ -180,8 +180,10 @@ def test_figure1_and_reversal_match_recorded_bytes(tmp_path, capsys):
 
 
 def test_figure1_gap_evaluation_count(tmp_path, capsys, monkeypatch):
-    # deterministic solver-work pin for SMALL_FAMILY: curve solves plus
-    # crossing refinement; a change to the solvers updates it on purpose.
+    # deterministic solver-work pin for SMALL_FAMILY and figure1's default
+    # family, whose count the traced benchmark prints as its anchor: curve
+    # solves plus crossing refinement; a change to the solvers updates it
+    # on purpose.
     # 10,806 -> 10,350 when newton_polish stopped re-evaluating its start
     # point, its last iterate and the slope at a converged iterate.
     # 10,350 -> 1,427 when the interior curve samples and the crossing
@@ -205,6 +207,9 @@ def test_figure1_gap_evaluation_count(tmp_path, capsys, monkeypatch):
     # a failed cell moves to a secant root inside the prediction's scan
     # cell, and the guesses from fewer than three samples no longer take a
     # secant step of their own (same roots, same b* and a*, same 8 scans).
+    # 674 -> 649 (default family 10,130 -> 9,485) when a hunted cell whose
+    # secant root stays in it is confirmed by Newton's first iterate before
+    # its end is read (same roots, same b* and a*, same scans).
     # Each gap evaluation calls both module bindings once: the traced
     # benchmark wraps exactly these two names.
     calls = {"p_value": 0, "q_value": 0, "scan_brackets": 0, "bisect": 0}
@@ -233,10 +238,14 @@ def test_figure1_gap_evaluation_count(tmp_path, capsys, monkeypatch):
     counting(bifurcation, "q_value")
     counting(solvers, "scan_brackets")
     counting(bifurcation, "bisect")  # refine_crossing's cold fallback only
-    code, _, _ = run_cli(SMALL_FAMILY + ["--out", str(tmp_path)], capsys)
-    assert code == 0
-    assert calls == {"p_value": 674, "q_value": 674, "scan_brackets": 8, "bisect": 0}
-    assert gaps_in_bisect and not any(gaps_in_bisect)
+    # the first and last sample of each curve scan: 4 and 22 curves
+    for argv, gaps, scans in ((SMALL_FAMILY, 649, 8), (["figure1"], 9485, 44)):
+        calls.update(dict.fromkeys(calls, 0))
+        gaps_in_bisect.clear()
+        code, _, _ = run_cli(argv + ["--out", str(tmp_path / argv[-1])], capsys)
+        assert code == 0
+        assert calls == {"p_value": gaps, "q_value": gaps, "scan_brackets": scans, "bisect": 0}
+        assert gaps_in_bisect and not any(gaps_in_bisect)
 
 
 def test_figure1_refuses_crossings_below_the_refine_width(tmp_path, capsys):
@@ -383,6 +392,30 @@ def test_suite_names_are_those_of_verify(capsys, monkeypatch):
     assert capsys.readouterr().err == VERIFY_USAGE + (
         "lozi-lab verify: error: argument suite: invalid choice: 'bogus' (choose from "
         "'cones', 'convergence', 'kneading', 'orbits', 'partition', 'all')\n")
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    # main parses with one parser per process: an option of one call is not
+    # a default of the next, and usage errors and help read as in a fresh
+    # process
+    assert cli.build_parser() is cli.build_parser()
+    code, _, _ = run_cli(SMALL_FAMILY + ["--n", "2", "--out", str(tmp_path / "n2")], capsys)
+    assert code == 0
+    assert sorted(f.name for f in (tmp_path / "n2").iterdir()) == [
+        "curve_m5_n2.csv", "curve_m6_n2.csv"]
+    code, _, _ = run_cli(SMALL_FAMILY + ["--out", str(tmp_path / "both")], capsys)
+    assert code == 0
+    assert sorted(f.name for f in (tmp_path / "both").iterdir()) == sorted(
+        f.name for f in RECORDED_SMALL_FAMILY.iterdir())
+    with pytest.raises(SystemExit) as info:
+        main(["figure1", "--grid", "many"])
+    assert info.value.code == 2
+    assert "argument --grid: invalid int value: 'many'" in capsys.readouterr().err
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == VERIFY_HELP
 
 
 def _fresh_run(*args, cwd=None):

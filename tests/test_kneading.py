@@ -36,6 +36,11 @@ def test_uitinerary_validation():
         UItinerary((1,), ())
     with pytest.raises(UItineraryError):
         UItinerary((2,), (1,))
+    # bools equal 0 and 1 but are not symbols
+    with pytest.raises(UItineraryError, match="bad symbol True"):
+        UItinerary((True,), (False, 1))
+    with pytest.raises(UItineraryError, match="bad symbol False"):
+        UItinerary((), (1, False))
 
 
 def test_symbols_and_shift():
