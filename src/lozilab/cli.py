@@ -25,8 +25,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
-# figure1 bisects each crossing in b to this width, and refuses a b* at or
-# below it: that crossing is not resolved
+# figure1 bisects each crossing in b to this width, refuses a b* at or below
+# it (not resolved) and warns of one below 1e3 times it (known only roughly)
 CROSSING_WIDTH = 1e-11
 
 # the keys of verify.SUITES (a test holds the two equal), listed here so
@@ -146,6 +146,9 @@ def cmd_figure1(args: argparse.Namespace) -> int:
                       f"refine width {CROSSING_WIDTH!r}; left out", file=sys.stderr)
                 unresolved.append(m)
                 continue
+            if CROSSING_WIDTH > 1e-3 * b_star:
+                print(f"warning: m={m}: crossing b* = {b_star!r} is known only to a relative "
+                      f"width {CROSSING_WIDTH / b_star:.2g}", file=sys.stderr)
             intersections.append({
                 "m": m,
                 "b_star": b_star,

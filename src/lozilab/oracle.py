@@ -32,9 +32,9 @@ from .symbolic import _SOLVED, sign_words
 _TRAP_TOL = 1e-12
 # brute_periodic's tie rule: a sign pattern holds where s_k x_k >= -_TIE
 _TIE = 1e-13
-# _distinct's cell side and search order, own cell first
+# _distinct's cell side, and the reach by which a kept point is filed
 _CELL = 1e-6
-_NEIGHBOURS = ((0, 0), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+_REACH = 2e-7
 _Cells = dict[tuple[float, float], list[Point]]
 
 
@@ -149,30 +149,29 @@ def _distinct(
     the max norm and then `accept` holds (tested only for such a root);
     and the index of the kept points, for _near_kept lookups.
 
-    Kept points are indexed by square cells of side 1e-6, ten times the
-    merge distance, so a point within 1e-7 lies in the root's own cell or
-    one of its 8 neighbours whatever the rounding of the cell index.
-    Float floor division gives non-finite coordinates a NaN index, which
-    matches no cell.
+    A kept q is filed under each square cell of side 1e-6 that the box
+    [q - 2e-7, q + 2e-7]^2 meets (1, 2 or 4); a point within 1e-7 of q lies
+    1e-7 inside that box, a margin for rounding, so its own cell is one of
+    them, and past |q| ~ 1e9 such a point is q.  A NaN index matches none.
     """
     kept: list[Point] = []
     cells: _Cells = {}
     for root in roots:
         x, y = root
-        i, j = x // _CELL, y // _CELL
-        if _near_kept(cells, i, j, x, y) or not accept(root):
+        if _near_kept(cells, x, y) or not accept(root):
             continue
         kept.append(root)
-        cells.setdefault((i, j), []).append(root)
+        for i in {(x - _REACH) // _CELL, (x + _REACH) // _CELL}:
+            for j in {(y - _REACH) // _CELL, (y + _REACH) // _CELL}:
+                cells.setdefault((i, j), []).append(root)
     return kept, cells
 
 
-def _near_kept(cells: _Cells, i: float, j: float, x: float, y: float) -> bool:
-    """Whether a point in cell (i, j) or a neighbour is within 1e-7 of (x, y)."""
-    for di, dj in _NEIGHBOURS:
-        for qx, qy in cells.get((i + di, j + dj), ()):
-            if abs(x - qx) <= 1e-7 and abs(y - qy) <= 1e-7:
-                return True
+def _near_kept(cells: _Cells, x: float, y: float) -> bool:
+    """Whether a kept point is within 1e-7 of (x, y), read from its one cell."""
+    for qx, qy in cells.get((x // _CELL, y // _CELL), ()):
+        if abs(x - qx) <= 1e-7 and abs(y - qy) <= 1e-7:
+            return True
     return False
 
 
@@ -226,9 +225,9 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
     map^period is affine on each cell of seeds of a sheared grid on
     [-2, 2]^2 whose first `period` signs agree (one key of _seed_orbits), so
     return-map Newton runs once per cell, from its first seed, in grid
-    order.  Each root is looked up in the result's own dedup index
-    (_near_kept), and the first one farther than 1e-7 from every point of
-    the result raises DomainError; a failed run costs nothing.
+    order (one forward scan).  Each root is looked up in the result's own
+    dedup index (_near_kept), and the first one farther than 1e-7 from
+    every point of the result raises DomainError; a failed run costs nothing.
 
     The points depend on (p, period, grid_n) alone, so inside a
     symbolic._solve_once scope (each verify suite runs in one) they are
@@ -251,15 +250,12 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
         if all(s * x >= -_TIE for x, s in zip(xs, signs)):
             roots.extend((xs[k], xs[k - 1]) for k in range(period))
     points, cells = _distinct(roots, lambda v: _verified_root(p, v, period) is not None)
-    keys = _seed_orbits(p.a, p.b, grid_n, period)[2]
-    # built backwards, so each key keeps its first seed
-    first = dict(zip(reversed(keys), reversed(_seed_grid(grid_n))))
+    keys, seeds, i = _seed_orbits(p.a, p.b, grid_n, period)[2], _seed_grid(grid_n), -1
+    # in order of first seeds, so each key's first seed follows the last one's
     for key in dict.fromkeys(keys):
-        root = _return_map_newton(p, first[key], period)
-        if root is None:
-            continue
-        x, y = root
-        if not _near_kept(cells, x // _CELL, y // _CELL, x, y):
+        i = keys.index(key, i + 1)
+        root = _return_map_newton(p, seeds[i], period)
+        if root is not None and not _near_kept(cells, *root):
             raise DomainError(
                 f"grid Newton root {root!r} of period {period} at "
                 f"({p.a}, {p.b}) is not a point of the pattern search"

@@ -166,7 +166,8 @@ def r_bounds(params: list[Params], lo: float, hi: float) -> str:
 
 def u_bounds(params: list[Params], lo: float, slope_c: float) -> str:
     """lo s_m <= u_inf - u_m^{L,R} <= 2 (s_m + (slope_c + 1.5) (b/lam^2)(b/lam)^(m-2) b)
-    for m = 2..12, with 1e-9 relative slack; s_m = (1 - lam^(1-m)) (b/lam)^(m-2) b."""
+    for m = 2..12, with 1e-9 relative slack; s_m = (1 - lam^(1-m)) (b/lam)^(m-2) b.
+    Tight only in 2 s_m, as b -> 0 near a = 4: the slope_c term goes untested."""
     _require_count("len(params)", len(params), 1)
     for p in params:
         lam = multipliers(p).lam

@@ -264,6 +264,21 @@ def test_figure1_refuses_crossings_below_the_refine_width(tmp_path, capsys):
     assert "m=35: crossing b* = 7.82310962677002e-12" in err
     assert "m=36: crossing b* = 2.6077032089233402e-12" in err
     assert "wrote 6 curve files and 1 intersections" in out
+    # the crossing it keeps is known only to 0.77 of its size, and is flagged
+    assert err.count("known only") == 1
+    assert ("warning: m=34: crossing b* = 1.3038516044616701e-11 is known only to a "
+            "relative width 0.77\n") in err
+    # the flag starts above 1e-3: 6.7e-4 at m = 24, the last m of the wide family
+    code, _, err = run_cli(
+        ["figure1", "--m-min", "24", "--m-max", "25", "--grid", "201",
+         "--out", str(tmp_path / "edge")],
+        capsys,
+    )
+    assert code == 0
+    assert [entry["m"] for entry in json.loads((tmp_path / "edge" / "intersections.json")
+                                            .read_text())] == [24, 25]
+    assert err == ("warning: m=25: crossing b* = 7.450208067893983e-09 is known only to a "
+                   "relative width 0.0013\n")
 
 
 def test_figure1_skips_failing_curve_with_warning(tmp_path, capsys):

@@ -291,15 +291,17 @@ def test_grid_newton_runs_once_per_sign_cell(monkeypatch):
         return inner(p, seed, period)
 
     monkeypatch.setattr(oracle, "_return_map_newton", counted)
-    # at (1.7, 0) some first seeds fail at period 6, and are not retried
-    for p in (Params(2.3, 0.3), Params(1.7, 0.0)):
-        for period in range(1, 7):
-            seeds.clear()
-            brute_periodic(p, period, grid_n=20)
-            first = {}
-            for seed in seed_grid(20):
-                first.setdefault(_sign_key(p, seed, period), seed)
-            assert seeds == list(first.values()), (p, period)
+    # at (1.7, 0) some first seeds fail at period 6, and are not retried;
+    # periods 7 and 8 on the 15 x 15 grid fill most cells with few seeds
+    runs = [(p, n, 20) for p in (Params(2.3, 0.3), Params(1.7, 0.0)) for n in range(1, 7)]
+    runs += [(Params(2.6, 0.45), period, 15) for period in (7, 8)]
+    for p, period, grid_n in runs:
+        seeds.clear()
+        brute_periodic(p, period, grid_n=grid_n)
+        first = {}
+        for seed in seed_grid(grid_n):
+            first.setdefault(_sign_key(p, seed, period), seed)
+        assert seeds == list(first.values()), (p, period, grid_n)
 
 
 CELL = oracle._CELL
@@ -318,8 +320,8 @@ def test_dedup_across_cell_boundaries(edge, axes):
                 assert first[k] // CELL != second[k] // CELL
         kept, cells = oracle._distinct([first, second], lambda v: True)
         assert kept == ([first] if merged else [first, second]), (gap, first, second)
-        # the index holds exactly the kept points
-        assert sorted(q for qs in cells.values() for q in qs) == sorted(kept)
+        # the index holds exactly the kept points, each under 1, 2 or 4 cells
+        assert {q for qs in cells.values() for q in qs} == set(kept)
         assert oracle._distinct([second, first], lambda v: True)[0] == (
             [second] if merged else [second, first])
         # a rejected root is not indexed, so it hides nothing
@@ -328,6 +330,49 @@ def test_dedup_across_cell_boundaries(edge, axes):
         repeated = [first, second, first, second, second, first]
         for accept, want in ((lambda v: True, kept), (lambda v: v != first, [second])):
             assert oracle._distinct(repeated, accept)[0] == want
+    if axes == (1, 1):
+        # a point on a corner is filed under the four cells that meet
+        # there, and found from each of them
+        corner = (edge, edge)
+        cells = oracle._distinct([corner], lambda v: True)[1]
+        assert sum(corner in qs for qs in cells.values()) == 4
+        for gap, found in ((0.99e-7, True), (1.01e-7, False)):
+            probes = [(edge + sx * gap, edge + sy * gap) for sx in (-1, 1) for sy in (-1, 1)]
+            assert len({(u // CELL, v // CELL) for u, v in probes}) == 4
+            for u, v in probes:
+                assert oracle._near_kept(cells, u, v) is found, (gap, u, v)
+
+
+def test_distinct_equals_pairwise_dedup():
+    # roots clustered within 3e-7 of cell edges and corners, at several
+    # magnitudes, against a dedup that compares every pair
+    rng = random.Random(36)
+    roots = []
+    for scale in (1e-3, 1.7, 1e3, 1e8):
+        for _ in range(60):
+            # an edge on each axis near +-scale, or a free axis
+            edge = [(round(s * scale / CELL) * CELL if rng.random() < 0.8 else s * scale)
+                    for s in (rng.choice((-1, 1)), rng.choice((-1, 1)))]
+            for _ in range(rng.randint(1, 6)):
+                roots.append(tuple(e + rng.uniform(-3e-7, 3e-7) for e in edge))
+    roots += [(0.0, 0.0), (-0.0, 5e-8), (5e-8, -0.0), (math.nan, 0.0), (0.0, math.inf),
+              (-math.inf, -math.inf), (math.nan, math.nan), (1e300, 1e300), (1e300, 1e300)]
+    rng.shuffle(roots)
+    # a duplicate of every tenth root, so exact repeats occur too
+    roots += roots[::10]
+    rejected = set(roots[::7])
+    for accept in (lambda v: True, lambda v: v not in rejected):
+        want = []
+        for v in roots:
+            if not any(close(v, q, 1e-7) for q in want) and accept(v):
+                want.append(v)
+        kept, cells = oracle._distinct(roots, accept)
+        assert kept == want
+        for v in roots[::4]:
+            for gap in (0.99e-7, 1.01e-7):
+                for probe in ((v[0] + gap, v[1]), (v[0], v[1] - gap), (v[0] - gap, v[1] + gap)):
+                    assert oracle._near_kept(cells, *probe) is any(
+                        close(probe, q, 1e-7) for q in kept), (v, probe)
 
 
 @pytest.mark.parametrize("axes", [(1, 0), (0, 1), (1, 1)])

@@ -212,6 +212,21 @@ def test_order_laws_compares_each_ordered_pair_once(monkeypatch):
     assert len(calls) == 40 * 40
 
 
+def test_kneading_suite_draws_monotone_pairs_on_the_tent_interval(monkeypatch):
+    # the pinned summary shows only the pair count, so the draw range is
+    # checked here: sorted pairs filling [-0.6, a - 1], inside the tent
+    # map's core [-(a - 1)^2, a - 1]
+    drawn = []
+    monkeypatch.setattr(verify, "monotone_coding", lambda a, pairs: drawn.append((a, pairs)) or "")
+    monkeypatch.setattr(verify, "forcing_sweep", lambda *args: "")
+    verify.suite_kneading(42)
+    [(a, pairs)] = drawn
+    assert a == 1.83 and len(pairs) == 300
+    assert all(-0.6 <= x <= y <= a - 1.0 for x, y in pairs)
+    ends = [v for pair in pairs for v in pair]
+    assert min(ends) < -0.58 and max(ends) > a - 1.02
+
+
 def test_orbit_equivalence_solves_each_word_once(monkeypatch):
     # on suite_orbits' grid: 532 -> 270 (9 parameters x 2 + 4 + 8 + 16
     # words) when the brute points' codings came to be looked up among the
