@@ -252,7 +252,8 @@ def choose_m(b_bar: float) -> int:
     raises ConditionError carrying the measured gap.  Above b_bar ~ 5.887e-4
     the numerator log(1/b_bar) + log(C3/C4) - log(C_RU/C_RL) is <= 0, so
     the condition fails for every lam > 1: ConditionError carries the
-    numerator, and t(b_bar) is not solved.
+    numerator, and t(b_bar) is not solved.  Below b_bar ~ 5.5e-17 r_inf
+    rounds to its b = 0 value 1.0, and DomainError refuses before any ladder.
     """
     if not 0.0 < b_bar < 1.0:
         raise DomainError(f"need 0 < b_bar < 1, got {b_bar}")
@@ -266,6 +267,10 @@ def choose_m(b_bar: float) -> int:
     if gap <= 0.0:
         raise ConditionError(
             f"b_bar = {b_bar} too large: log-scale separation gap {gap:.3f} <= 0"
+        )
+    if r_value(p, math.inf) == 1.0:
+        raise DomainError(
+            f"b_bar = {b_bar} is below float resolution: r_inf rounds to its b = 0 value 1.0"
         )
     t_fold = _ladder_coord(p, u_value(p, 2, "R"), "fold u_2^R")
     traces = (r for *_, r in _r_ladder(p, 401))

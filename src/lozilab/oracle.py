@@ -27,7 +27,7 @@ from .core import (
     cyclic_orbit,
     multipliers,
 )
-from .symbolic import _SOLVED, sign_words
+from .symbolic import sign_words
 
 _TRAP_TOL = 1e-12
 # brute_periodic's tie rule: a sign pattern holds where s_k x_k >= -_TIE
@@ -228,22 +228,10 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
     order (one forward scan).  Each root is looked up in the result's own
     dedup index (_near_kept), and the first one farther than 1e-7 from
     every point of the result raises DomainError; a failed run costs nothing.
-
-    The points depend on (p, period, grid_n) alone, so inside a
-    symbolic._solve_once scope (each verify suite runs in one) they are
-    computed once, and later calls return a new list of the same points;
-    a run that raises is not kept, and the arguments are checked on every
-    call.  Outside a scope every call computes.
     """
     _require_full(p)
     _require_count("period", period, 1, 10)
     _require_count("grid_n", grid_n, 2)
-    solved = _SOLVED.get()
-    if solved is not None:
-        entry = (p.a, p.b, period, grid_n)
-        stored = solved.get(entry)
-        if stored is not None:
-            return list(stored)
     roots: list[Point] = []
     for signs in _necklaces(period):
         xs = cyclic_orbit(p, signs)
@@ -261,8 +249,6 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
                 f"({p.a}, {p.b}) is not a point of the pattern search"
             )
     points.sort()
-    if solved is not None:
-        solved[entry] = tuple(points)
     return points
 
 

@@ -61,12 +61,12 @@ def build_partition(p: Params, m_max: int = 16) -> list[Strip]:
     _require_mod(p)
     _require_count("m_max", m_max, 2)
     pullbacks = list(_r_ladder(p, m_max))
-    betas = [stable_line(p, PLUS)] + [BwdLine(v, (c, 0.0)) for v, c, _, _ in pullbacks[1:]]
+    beta1 = BwdLine(pullbacks[1][0], (pullbacks[1][1], 0.0))
     gammas = [BwdLine(v, (c, 0.0)) for _, _, v, c in pullbacks]
     beta_inf = stable_line(p, MINUS)
     gamma_inf = iterate_line_bwd(p, (PLUS,), beta_inf)
 
-    strips = [Strip(left=betas[1], right=betas[0], label="B")]
+    strips = [Strip(left=beta1, right=stable_line(p, PLUS), label="B")]
     for m in range(2, m_max + 1):
         strips.append(Strip(left=gammas[m - 2], right=gammas[m - 1], label=f"C{m}"))
     strips.append(Strip(left=beta_inf, right=gamma_inf, label="D"))

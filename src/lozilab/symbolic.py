@@ -77,18 +77,16 @@ class FormalPeriodicPoint:
     residual: float
 
 
-# (a, b, itinerary) -> formal point and (a, b, period, grid_n) -> brute-force
-# points (oracle.brute_periodic), inside a _solve_once scope only; keyed by
-# floats, so a lookup hashes no Params
+# (a, b, itinerary) -> formal point, inside a _solve_once scope only; keyed
+# by floats, so a lookup hashes no Params
 _SOLVED: ContextVar[dict | None] = ContextVar("_SOLVED", default=None)
 
 
 @contextmanager
 def _solve_once():
     """Within this scope formal_periodic_point solves each (p, itinerary)
-    once, and oracle.brute_periodic computes each (p, period, grid_n) point
-    set once; later calls return the stored result.  On leaving it the
-    results are dropped."""
+    once; later calls return the stored point.  On leaving it the points
+    are dropped."""
     token = _SOLVED.set({})
     try:
         yield

@@ -4,14 +4,13 @@ CLI command.
 Each invariant is written once, as a public function that takes its
 inputs and bounds, returns a one-line detail and raises AssertionError
 on failure; the suites here, the acceptance criteria and the unit tests
-call it on their own grids.  The two formal-point invariants read one
+call it on their own grids.  The three formal-point invariants read one
 sweep, _formal_sweep, which also makes their empty-input refusals.  Each
 suite returns a list of named checks; a check that raises is a failure
 with the exception text as detail.  All randomness is drawn from the
 given seed, so summaries are reproducible byte for byte.  run_suite
-runs each suite in its own symbolic._solve_once scope, so a formal
-periodic point or a brute_periodic point set that several of its checks
-read is computed once; the scope ends with the suite, raised or not.
+runs each suite in its own symbolic._solve_once scope, ended with the
+suite, raised or not: a formal point its checks share is solved once.
 """
 
 from __future__ import annotations
@@ -130,14 +129,14 @@ def orbit_equivalence(params: list[Params], periods: range, grid_n: int) -> str:
 
 
 def trapped_orbits(params: list[Params]) -> str:
-    """Every period-3 point of brute_periodic (grid 15) is trapped."""
-    _require_count("len(params)", len(params), 1)
+    """Each admissible period-3 formal point (brute_periodic's, by orbit_equivalence) is trapped."""
     count = 0
-    for p in params:
-        for g in brute_periodic(p, 3, grid_n=15):
-            if classify_orbit(p, g).kind is not OrbitKind.TRAPPED:
-                raise AssertionError(f"periodic point {g} not trapped")
-            count += 1
+    for p, _, fp in _formal_sweep(params, range(3, 4)):
+        if fp.admissibility < 0.0:
+            continue
+        if classify_orbit(p, fp.point).kind is not OrbitKind.TRAPPED:
+            raise AssertionError(f"periodic point {fp.point} not trapped")
+        count += 1
     return f"{count} periodic points trapped"
 
 

@@ -354,6 +354,30 @@ def test_choose_m_refuses_a_third_fold_short_of_the_next_trace(monkeypatch):
         choose_m(1e-4)
 
 
+def test_choose_m_refuses_a_third_fold_level_with_the_next_trace(monkeypatch):
+    # the fold reads 10.5, trace r_j reads j, so m = 12, and the third fold
+    # reads 12.0, level with trace 12: not beyond it
+    def coord(p, x, name):
+        if name.startswith("trace r_"):
+            return float(name[len("trace r_"):])
+        return {"fold u_2^R": 10.5, "fold u_3^L (m = 12)": 12.0}[name]
+
+    monkeypatch.setattr(bifurcation, "_ladder_coord", coord)
+    with pytest.raises(ConditionError, match=re.escape(
+            "third fold not beyond trace 12 at b_bar = 1e-05")):
+        choose_m(1e-5)
+
+
+@pytest.mark.parametrize("b_bar", [5e-17, 1e-17, 1e-20])
+def test_choose_m_refuses_a_trace_limit_rounded_onto_the_tent_map(b_bar, monkeypatch):
+    # r_inf reads its b = 0 value 1.0 here; the refusal comes before any ladder
+    monkeypatch.setattr(bifurcation, "_r_ladder", lambda p, m_max: pytest.fail("ladder read"))
+    monkeypatch.setattr(bifurcation, "_ladder_coord", lambda p, x, name: pytest.fail(name))
+    with pytest.raises(DomainError, match=re.escape(
+            f"b_bar = {b_bar} is below float resolution: r_inf rounds to its b = 0 value 1.0")):
+        choose_m(b_bar)
+
+
 def test_choose_m_sandwich_and_monotonicity(reversal):
     b_bar, result = reversal
     m = choose_m(b_bar)

@@ -107,6 +107,13 @@ def test_multipliers_complex_spectrum():
         multipliers(Params(1.0, 0.9))
 
 
+def test_multipliers_complex_spectrum_message():
+    # a = 1.5 tells a^2 = 2.25 from a / a and a + a
+    with pytest.raises(SpectrumError) as info:
+        multipliers(Params(1.5, 0.6))
+    assert str(info.value) == "complex spectrum: a^2 = 2.25 < 4b = 2.4"
+
+
 def test_region_predicate_boundaries():
     assert not Params(1.6, 0.2).in_mod  # a = 3b + 1 is excluded
     assert Params(1.6 + 1e-9, 0.2).in_mod

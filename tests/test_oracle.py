@@ -81,53 +81,23 @@ def test_brute_periodic_does_not_recurse(monkeypatch):
     assert len(calls) == 1
 
 
-def test_a_solve_once_scope_computes_each_point_set_once(monkeypatch):
+def test_brute_periodic_computes_every_call_inside_a_solve_once_scope(monkeypatch):
+    # the point set depends on (p, period, grid_n) alone, and no scope keeps it
     runs = counted_point_sets(monkeypatch)
     with symbolic._solve_once():
         first = brute_periodic(P18, 3, grid_n=15)
-        want = list(first)
-        first.append((9.0, 9.0))
         again = brute_periodic(P18, 3, grid_n=15)
-        # a new list of the stored points: the caller's edit is not kept
-        assert again == want and again is not first
-        again.clear()
-        assert brute_periodic(P18, 3, grid_n=15) == want
-        assert runs == [(P18, 3)]
-        # each of a, b, period and grid_n is part of the key
-        for p, period, grid_n in ((Params(1.8, 0.25), 3, 15), (Params(1.85, 0.2), 3, 15),
-                                  (P18, 2, 15), (P18, 3, 10)):
-            brute_periodic(p, period, grid_n=grid_n)
-        assert runs == [(P18, 3), (Params(1.8, 0.25), 3), (Params(1.85, 0.2), 3), (P18, 2),
-                        (P18, 3)]
-        # the arguments are checked on every call, a stored key or not
+        assert again == first and again is not first
+        assert runs == [(P18, 3), (P18, 3)]
+        assert symbolic._SOLVED.get() == {}
         with pytest.raises(DomainError, match=r"need an integer 1 <= period <= 10, got 3\.0"):
             brute_periodic(P18, 3.0, grid_n=15)
         with pytest.raises(DomainError, match=r"need an integer 2 <= grid_n, got 15\.0"):
             brute_periodic(P18, 3, grid_n=15.0)
         with pytest.raises(RegionError):
             brute_periodic(Params(1.2, 0.2), 3, grid_n=15)
-    assert symbolic._SOLVED.get() is None
-    # outside a scope every call computes
-    assert brute_periodic(P18, 3, grid_n=15) == brute_periodic(P18, 3, grid_n=15) == want
-    assert runs[5:] == [(P18, 3), (P18, 3)]
-
-
-def test_a_point_set_that_fails_the_grid_check_is_not_kept(monkeypatch):
-    # the border-collision orbit of test_pattern_search_keeps_border_collision_orbit:
-    # without the tie rule the grid check raises, and nothing is stored
-    p = Params(1.6180339887498947, 0.0)
-    runs = counted_point_sets(monkeypatch)
-    with symbolic._solve_once():
-        with monkeypatch.context() as patch:
-            patch.setattr(oracle, "_TIE", 0.0)
-            for _ in range(2):
-                with pytest.raises(DomainError, match="is not a point of the pattern search"):
-                    brute_periodic(p, 3, grid_n=20)
-        assert symbolic._SOLVED.get() == {}
-        points = brute_periodic(p, 3, grid_n=20)
-        assert len(points) == 5
-        assert brute_periodic(p, 3, grid_n=20) == points
-    assert runs == [(p, 3)] * 3
+    # the refusals computed nothing
+    assert runs == [(P18, 3), (P18, 3)]
 
 
 def test_pattern_search_alone_finds_every_orbit(monkeypatch):

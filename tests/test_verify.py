@@ -10,7 +10,8 @@ import re
 import pytest
 
 from lozilab import (
-    BwdLine, OrbitClass, OrbitKind, Ordering, Params, UItinerary, geometry, symbolic, verify)
+    BwdLine, OrbitClass, OrbitKind, Ordering, Params, UItinerary, brute_periodic, geometry,
+    symbolic, verify)
 from lozilab.cli import main
 from lozilab.core import DomainError, SingularSystemError
 from lozilab.geometry import C_RL, C_RU, SLOPE_C
@@ -283,7 +284,7 @@ def test_verify_all_solves_each_formal_point_once(monkeypatch):
     # the formal points it solved: orbits.residual, orbits.equivalence
     # and orbits.genuine-return had each solved the same words, and
     # kneading.forcing the (+, m, n1) word once per n2; 45 -> 36
-    # brute-force point sets when the suite came to keep those too
+    # brute-force point sets when orbits.trapped came to read formal points
     solves = _counted_solves(monkeypatch)
     runs = counted_point_sets(monkeypatch)
     assert all(check.passed for check in verify.run_suite("all", 42))
@@ -292,18 +293,27 @@ def test_verify_all_solves_each_formal_point_once(monkeypatch):
 
 
 def test_verify_orbits_computes_each_point_set_once(monkeypatch):
-    # 45 -> 36: orbits.trapped reads the 9 period-3 point sets (grid 15)
-    # that orbits.equivalence computed among its 9 x 4
+    # 45 -> 36: orbits.trapped reads the admissible period-3 formal points,
+    # the points of the 9 period-3 sets (grid 15) that orbits.equivalence
+    # computes among its 9 x 4, instead of computing those sets again
     params = [Params(a, b) for a in (1.7, 2.1, 2.6) for b in (0.0, 0.2, 0.45)]
     runs = counted_point_sets(monkeypatch)
     assert all(check.passed for check in verify.run_suite("orbits", 42))
     assert len(runs) == 36
     assert set(runs) == {(p, period) for p in params for period in range(1, 5)}
-    # the same two checks outside a suite's scope compute every call
+    # the same two checks outside a suite's scope compute the same sets
     del runs[:]
     verify.orbit_equivalence(params, range(1, 5), 15)
     verify.trapped_orbits(params)
-    assert len(runs) == 45
+    assert len(runs) == 36
+
+
+def test_trapped_orbits_reads_the_period_3_points_of_brute_periodic():
+    # at (1.3, 0.1) and (1.6, 0) six of the eight period-3 words are not
+    # admissible, and only the two fixed points are brute_periodic's
+    params = [Params(1.3, 0.1), Params(1.6, 0.0), P18]
+    assert [len(brute_periodic(p, 3, grid_n=15)) for p in params] == [2, 2, 8]
+    assert verify.trapped_orbits(params) == "12 periodic points trapped"
 
 
 def test_each_suite_solves_each_formal_point_once(monkeypatch):
@@ -338,14 +348,14 @@ def test_a_failed_solve_fails_each_check_that_reads_it(monkeypatch):
         ("orbits.residual", False),
         ("orbits.equivalence", False),
         ("orbits.genuine-return", False),
-        ("orbits.trapped", True),
+        ("orbits.trapped", False),
     ]
-    for check in checks[:3]:
+    for check in checks:
         assert check.detail == "SingularSystemError: pivot below 1e-13 for (1, -1, -1)"
-    # a solve that raised is not kept: each of the three checks solved it again
-    assert solves.count(BAD) == 3
+    # a solve that raised is not kept: each of the four checks solved it again
+    assert solves.count(BAD) == 4
     assert main(["verify", "orbits"]) == 1
-    assert solves.count(BAD) == 6
+    assert solves.count(BAD) == 8
 
 
 def test_the_solve_once_scope_ends_with_a_suite_that_raised(monkeypatch):
