@@ -121,12 +121,19 @@ def cmd_figure1(args: argparse.Namespace) -> int:
             curve, notes = _trace_or_skip(m, n, grid, args.tol)
             for note in notes:
                 print(f"warning: curve ({m},{n}): {note}", file=sys.stderr)
-            if curve is not None:
+            if curve is None:  # so that no earlier run's file passes for this run's
+                (out / f"curve_m{m}_n{n}.csv").unlink(missing_ok=True)
+            else:
                 curves[(m, n)] = curve
                 points = zip(curve.samples, curve.dadb)
                 rows = (f"{m},{n},{b!r},{a!r},{s!r}" for (b, a), s in points)
                 _write_csv(out / f"curve_m{m}_n{n}.csv", "m,n,b,a,dadb", rows)
 
+    if not curves or ns != [2, 3]:  # no crossings to write, and no stale ones
+        (out / "intersections.json").unlink(missing_ok=True)
+    if not curves:
+        print(f"error: every curve was skipped; no file written to {out}", file=sys.stderr)
+        return EXIT_DOMAIN
     intersections, unresolved = [], []
     if ns == [2, 3]:
         for m in range(args.m_min, args.m_max + 1):
@@ -171,7 +178,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
     strips = build_partition(Params(args.a, args.b), m_max=args.m_max)
     path = _out_dir(args.out) / f"partition_a{args.a!r}_b{args.b!r}.csv"
-    rows = (f"{s.label},{s.left_trace!r},{s.right_trace!r}" for s in strips)
+    rows = (f"{s.label},{s.left.trace!r},{s.right.trace!r}" for s in strips)
     _write_csv(path, "label,left_trace,right_trace", rows)
     print(f"wrote {path}")
     return EXIT_OK

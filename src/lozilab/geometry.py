@@ -197,13 +197,13 @@ def u_value(p: Params, m: int | float, side: str) -> float:
 
     The m-th folded image of the horizontal boundary y = -1 (side "L") or
     y = +1 (side "R") of the invariant band; m = inf gives the x-axis
-    crossing lam - 1 of the left fixed point's unstable line.
+    crossing lam - 1 of the left fixed point's unstable line.  A finite m
+    reads the last rung of _u_ladder.
     """
-    sigma0 = _side_sign(p, side)
     if m == math.inf:
+        _side_sign(p, side)
         return multipliers(p).lam - 1.0
-    word = (1.0,) + (-1.0,) * (_ladder_index(m, 2) - 2)
-    return _fold(p, word, 0.0, float(sigma0))
+    return list(_u_ladder(p, side, m))[-1][0]
 
 
 def boundary_turning_points(p: Params) -> tuple[float, float]:

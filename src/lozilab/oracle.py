@@ -99,7 +99,7 @@ def _return_map_newton(p: Params, seed: Point, period: int) -> Point | None:
     repeats bit for bit has entered a cycle that never meets the 1e-13
     stop, and gives up at once, as the 60-iteration budget would later.
     The map steps are apply_map's operations, so a root returned here
-    already passes _verified_root's forward check.  A step lands on a
+    already passes _closes' forward check.  A step lands on a
     formal point, in [-1, 1]^2, so no iterate is cut off for its size.
     """
     a, b = p.a, p.b
@@ -128,18 +128,15 @@ def _return_map_newton(p: Params, seed: Point, period: int) -> Point | None:
     return None
 
 
-def _verified_root(p: Params, v: Point, period: int) -> Point | None:
-    """v if map^period(v) is within 1e-10 of it, stepped by apply_map's
-    operations; otherwise None."""
+def _closes(p: Params, v: Point, period: int) -> bool:
+    """Whether map^period(v), stepped by apply_map's operations, is within
+    1e-10 of v; a NaN difference fails the test."""
     a, b = p.a, p.b
     c = a - b - 1.0
     x, y = v
     for _ in range(period):
         x, y = -a * abs(x) - b * y + c, x
-    # written so that a NaN difference fails the test
-    if not (abs(x - v[0]) <= 1e-10 and abs(y - v[1]) <= 1e-10):
-        return None
-    return v
+    return abs(x - v[0]) <= 1e-10 and abs(y - v[1]) <= 1e-10
 
 
 def _distinct(
@@ -237,7 +234,7 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
         xs = cyclic_orbit(p, signs)
         if all(s * x >= -_TIE for x, s in zip(xs, signs)):
             roots.extend((xs[k], xs[k - 1]) for k in range(period))
-    points, cells = _distinct(roots, lambda v: _verified_root(p, v, period) is not None)
+    points, cells = _distinct(roots, lambda v: _closes(p, v, period))
     keys, seeds, i = _seed_orbits(p.a, p.b, grid_n, period)[2], _seed_grid(grid_n), -1
     # in order of first seeds, so each key's first seed follows the last one's
     for key in dict.fromkeys(keys):
@@ -295,17 +292,17 @@ def _rays_hold(a: float, c: float, d: float, h: float, k: float) -> bool:
         if not 0.0 <= u <= h:
             continue
         w = abs(a - c * u) / d
-        if k > w * (1.0 + eps) or not _norms_grow(1.0, u, w, 1.0, k * (1.0 - eps)):
+        if k > w * (1.0 + eps) or not _norms_grow(u, w, k * (1.0 - eps)):
             return False
     return True
 
 
-def _norms_grow(ax: float, ay: float, bx: float, by: float, factor: float) -> bool:
-    """|(bx, by)| >= factor |(ax, ay)| in the L1, L2 and Linf norms, for nonnegative entries."""
+def _norms_grow(u: float, w: float, f: float) -> bool:
+    """|(w, 1)| >= f |(1, u)| in the L1, L2 and Linf norms, for nonnegative u and w."""
     return (
-        bx + by >= factor * (ax + ay)
-        and bx * bx + by * by >= factor * factor * (ax * ax + ay * ay)
-        and (by if by > bx else bx) >= factor * (ay if ay > ax else ax)
+        w + 1.0 >= f * (1.0 + u)
+        and w * w + 1.0 >= f * f * (1.0 + u * u)
+        and (1.0 if 1.0 > w else w) >= f * (u if u > 1.0 else 1.0)
     )
 
 

@@ -27,14 +27,6 @@ class Strip:
     right: BwdLine
     label: str
 
-    @property
-    def left_trace(self) -> float:
-        return self.left.trace
-
-    @property
-    def right_trace(self) -> float:
-        return self.right.trace
-
     def contains(self, v: tuple[float, float]) -> bool:
         x, y = v
         if not -1.0 - _STRIP_TOL <= y <= 1.0 + _STRIP_TOL:

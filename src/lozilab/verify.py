@@ -209,9 +209,9 @@ def dyadic_traces() -> str:
         if strip.label.startswith("C"):
             m = int(strip.label[1:])
             want = 1.0 - 2.0 / (2.0 ** (m - 1) * 3.0)
-            if abs(strip.right_trace - want) > 1e-12:
+            if abs(strip.right.trace - want) > 1e-12:
                 raise AssertionError(f"{strip.label} trace off by "
-                                     f"{strip.right_trace - want:.2e}")
+                                     f"{strip.right.trace - want:.2e}")
     return "dyadic traces at (2, 0)"
 
 
@@ -370,7 +370,7 @@ def suite_partition(seed: int) -> list[Check]:
             u_left = p.a - 2 * p.b - 1
             strips = build_partition(p, m_max=3)
             d = strips[-1]
-            trace = rng.uniform(d.left_trace + 1e-6, min(u_left, d.right_trace) - 1e-6)
+            trace = rng.uniform(d.left.trace + 1e-6, min(u_left, d.right.trace) - 1e-6)
             omega = BwdLine(vslope=rng.uniform(-mult.mu, mult.mu), anchor=(trace, 0.0))
             if not all(
                 d.left.x_at(y) <= omega.x_at(y) <= d.right.x_at(y) for y in (-1.0, 1.0)

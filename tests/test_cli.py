@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +16,9 @@ SMALL_FAMILY = ["figure1", "--m-min", "5", "--m-max", "6", "--b-max", "0.02", "-
 # crossing refiner and the solver options were merged; they depend on
 # IEEE-rounded + - * / and sqrt only, so they hold on every platform
 RECORDED_SMALL_FAMILY = Path(__file__).parent / "data" / "figure1_small"
+# sha256sum lines of the 22 curves and intersections.json of figure1's
+# default family, each path under out/
+RECORDED_DEFAULT_FAMILY = Path(__file__).parent / "data" / "figure1_default.sha256"
 # `verify all --seed 42` as written before the suites were rebuilt on the
 # shared invariant functions of lozilab.verify
 RECORDED_VERIFY_ALL = Path(__file__).parent / "data" / "verify_all_seed42.json"
@@ -179,6 +183,16 @@ def test_figure1_and_reversal_match_recorded_bytes(tmp_path, capsys):
     )
 
 
+def test_figure1_default_family_matches_recorded_bytes(tmp_path, capsys):
+    code, _, _ = run_cli(["figure1", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    want = dict(line.split()[::-1] for line in RECORDED_DEFAULT_FAMILY.read_text().splitlines())
+    assert sorted(f"out/{f.name}" for f in tmp_path.iterdir()) == sorted(want)
+    for name, digest in want.items():
+        got = hashlib.sha256((tmp_path / name.removeprefix("out/")).read_bytes()).hexdigest()
+        assert got == digest, name
+
+
 def test_figure1_gap_evaluation_count(tmp_path, capsys, monkeypatch):
     # deterministic solver-work pin for SMALL_FAMILY and figure1's default
     # family, whose count the traced benchmark prints as its anchor: curve
@@ -282,7 +296,9 @@ def test_figure1_refuses_crossings_below_the_refine_width(tmp_path, capsys):
 
 
 def test_figure1_skips_failing_curve_with_warning(tmp_path, capsys):
-    # m = 3 supports only n = 2; the n = 3 curve is skipped, output stays partial
+    # m = 3 supports only n = 2; the n = 3 curve is skipped, output stays partial,
+    # and an earlier run's file for the skipped curve is removed
+    (tmp_path / "curve_m3_n3.csv").write_text("stale\n")
     code, out, err = run_cli(
         [
             "figure1",
@@ -296,6 +312,45 @@ def test_figure1_skips_failing_curve_with_warning(tmp_path, capsys):
     assert "skipped" in err
     assert [f.name for f in tmp_path.glob("curve_*.csv")] == ["curve_m3_n2.csv"]
     assert json.loads((tmp_path / "intersections.json").read_text()) == []
+
+
+# every curve of m = 4, 5 fails its residual at a tolerance below rounding
+ALL_SKIPPED = ["figure1", "--m-min", "4", "--m-max", "5", "--grid", "11", "--tol", "1e-300"]
+
+
+def test_figure1_refuses_a_run_that_writes_no_curve(tmp_path, capsys):
+    code, out, err = run_cli(ALL_SKIPPED + ["--out", str(tmp_path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.count(": skipped: ") == 4
+    assert err.endswith(f"error: every curve was skipped; no file written to {tmp_path}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_figure1_removes_an_earlier_runs_file_for_a_skipped_curve(tmp_path, capsys):
+    code, _, _ = run_cli(ALL_SKIPPED[:-2] + ["--m-max", "6", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    (tmp_path / "notes.txt").write_text("kept\n")
+    code, _, _ = run_cli(ALL_SKIPPED + ["--out", str(tmp_path)], capsys)
+    assert code == 3
+    # m = 6 and notes.txt are files this run never writes
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "curve_m6_n2.csv", "curve_m6_n3.csv", "notes.txt"]
+
+
+def test_figure1_single_n_removes_an_earlier_runs_crossings(tmp_path, capsys):
+    code, _, _ = run_cli(SMALL_FAMILY + ["--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert (tmp_path / "intersections.json").exists()
+    code, out, _ = run_cli(SMALL_FAMILY + ["--n", "2", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert "wrote 2 curve files and 0 intersections" in out
+    assert not (tmp_path / "intersections.json").exists()
+    # the n = 3 curves are files this run never writes
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        f"curve_m{m}_n{n}.csv" for m in (5, 6) for n in (2, 3)]
+    for name in ("curve_m5_n3.csv", "curve_m6_n3.csv"):
+        assert (tmp_path / name).read_bytes() == (RECORDED_SMALL_FAMILY / name).read_bytes()
 
 
 def test_figure1_single_n(tmp_path, capsys):

@@ -693,9 +693,11 @@ def test_ladder_sweeps_equal_single_rungs_bit_for_bit():
         for j in (1, 7, 39):
             want = iterate_line_bwd(p, (MINUS,) * j, line)
             assert rungs[j][:2] == (want.vslope, want.anchor[0])
-        for side in "LR":
+        for side, y0 in (("L", -1.0), ("R", 1.0)):
             folds, gaps = zip(*_u_ladder(p, side, 40))
-            assert list(folds) == [u_value(p, m, side) for m in range(2, 41)]
+            # u_value reads this ladder; ref_fold pushes each word afresh
+            assert list(folds) == [
+                ref_fold(p, (PLUS,) + (MINUS,) * (m - 2), 0.0, y0) for m in range(2, 41)]
             assert list(gaps) == [u_gap(p, m, side) for m in range(2, 41)]
             assert list(gaps) == [ref_u_gap(p, m, side) for m in range(2, 41)]
 

@@ -382,15 +382,15 @@ def test_dedup_signed_zero_repeat():
     assert math.copysign(1.0, kept[0][0]) == math.copysign(1.0, kept[1][1]) == -1.0
 
 
-def test_verified_root_refuses_nan():
+def test_closes_refuses_nan():
     p = Params(2.0, 0.3)
     z = fixed_points(p)[1]
     for period in (1, 2):
-        assert oracle._verified_root(p, z, period) == z
+        assert oracle._closes(p, z, period) is True
         for v in ((math.nan, z[1]), (z[0], math.nan), (math.nan, math.nan)):
-            assert oracle._verified_root(p, v, period) is None, (v, period)
+            assert oracle._closes(p, v, period) is False, (v, period)
     # a finite start whose orbit overflows: -inf, -inf, then -inf + inf
-    assert oracle._verified_root(Params(1e308, 0.5), (1e308, 0.0), 3) is None
+    assert oracle._closes(Params(1e308, 0.5), (1e308, 0.0), 3) is False
 
 
 def _stepper_cases():
@@ -422,14 +422,14 @@ def test_orbit_signs_equal_genuine_iteration():
         assert orbit_signs(p, v, len(want)) == tuple(want), (p, v)
 
 
-def test_verified_root_equals_genuine_iteration():
+def test_closes_equals_genuine_iteration():
     # the forward check of a start moved off a periodic point by delta is
     # bisected down to adjacent deltas on either side of its 1e-10 bound:
     # there one ulp of the iterate decides, so both must be stepped alike
     flips = 0
     for p, v in _stepper_cases():
         for period in (1, 2, 3):
-            assert (oracle._verified_root(p, v, period) == v) is close(
+            assert oracle._closes(p, v, period) is close(
                 genuine_iterate(p, v, period), v, 1e-10), (p, v, period)
         z = fixed_points(p)[1]
 
@@ -442,8 +442,8 @@ def test_verified_root_equals_genuine_iteration():
             continue
         while lo < (mid := 0.5 * (lo + hi)) < hi:
             lo, hi = (mid, hi) if passes(mid) else (lo, mid)
-        for delta, want in ((lo, (z[0] + lo, z[1])), (hi, None)):
-            assert oracle._verified_root(p, (z[0] + delta, z[1]), 2) == want, (p, delta)
+        for delta, want in ((lo, True), (hi, False)):
+            assert oracle._closes(p, (z[0] + delta, z[1]), 2) is want, (p, delta)
         flips += 1
     assert flips >= 50
 
@@ -501,7 +501,7 @@ def test_cone_check_skips_the_inverse_side_at_b_zero(monkeypatch):
     norms = oracle._norms_grow
     monkeypatch.setattr(oracle, "_norms_grow", lambda *a: calls.append(a) or norms(*a))
     assert cone_check(Params(2.0, 0.0))
-    assert [u for _, u, *_ in calls] == [0.0, 0.5]
+    assert [u for u, *_ in calls] == [0.0, 0.5]
 
 
 def _cone_cases():

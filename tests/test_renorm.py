@@ -30,17 +30,17 @@ def test_partition_closed_form_traces():
     verify.dyadic_traces()
     strips = {s.label: s for s in build_partition(Params(2.0, 0.0), m_max=10)}
     for m in range(2, 11):
-        assert strips[f"C{m}"].left_trace == pytest.approx(
+        assert strips[f"C{m}"].left.trace == pytest.approx(
             1.0 - 2.0 / (2.0 ** (m - 2) * 3.0) if m > 2 else 1.0 / 3.0, abs=1e-12
         )
 
 
 def test_partition_figure_configuration():
     strips = {s.label: s for s in build_partition(P18, m_max=8)}
-    assert strips["D"].left_trace < 0.0 < strips["C2"].left_trace
-    assert strips["B"].left_trace <= 0.0
-    assert strips["B"].right_trace == pytest.approx(r_value(P18, 1), abs=1e-12)
-    assert strips["D"].right_trace == pytest.approx(r_value(P18, math.inf), abs=1e-10)
+    assert strips["D"].left.trace < 0.0 < strips["C2"].left.trace
+    assert strips["B"].left.trace <= 0.0
+    assert strips["B"].right.trace == pytest.approx(r_value(P18, 1), abs=1e-12)
+    assert strips["D"].right.trace == pytest.approx(r_value(P18, math.inf), abs=1e-10)
 
 
 def test_partition_traces_increase():
@@ -51,7 +51,7 @@ def test_partition_traces_increase():
             labels = [s.label for s in strips]
             assert labels[0] == "B" and labels[-1] == "D"
             cs = [s for s in strips if s.label.startswith("C")]
-            traces = [c.left_trace for c in cs] + [cs[-1].right_trace]
+            traces = [c.left.trace for c in cs] + [cs[-1].right.trace]
             assert all(x < y for x, y in zip(traces, traces[1:]))
 
 
@@ -88,12 +88,12 @@ def test_partition_rows_schema():
     strips = build_partition(P18, m_max=4)
     assert [s.label for s in strips] == ["B", "C2", "C3", "C4", "D"]
     for s in strips:
-        assert s.left_trace <= s.right_trace
+        assert s.left.trace <= s.right.trace
 
 
 def test_strip_contains_band_clipping():
     strip = build_partition(P18, m_max=4)[-1]
-    mid = 0.5 * (strip.left_trace + strip.right_trace)
+    mid = 0.5 * (strip.left.trace + strip.right.trace)
     assert strip.contains((mid, 0.0))
     assert not strip.contains((mid, 1.5))
 
