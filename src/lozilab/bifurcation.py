@@ -253,7 +253,8 @@ def choose_m(b_bar: float) -> int:
     the numerator log(1/b_bar) + log(C3/C4) - log(C_RU/C_RL) is <= 0, so
     the condition fails for every lam > 1: ConditionError carries the
     numerator, and t(b_bar) is not solved.  Below b_bar ~ 5.5e-17 r_inf
-    rounds to its b = 0 value 1.0, and DomainError refuses before any ladder.
+    rounds to its b = 0 value 1.0, and DomainError refuses before any ladder;
+    a third fold short of trace m within 4 ulp of r_inf is DomainError too.
     """
     if not 0.0 < b_bar < 1.0:
         raise DomainError(f"need 0 < b_bar < 1, got {b_bar}")
@@ -268,7 +269,8 @@ def choose_m(b_bar: float) -> int:
         raise ConditionError(
             f"b_bar = {b_bar} too large: log-scale separation gap {gap:.3f} <= 0"
         )
-    if r_value(p, math.inf) == 1.0:
+    r_inf = r_value(p, math.inf)
+    if r_inf == 1.0:
         raise DomainError(
             f"b_bar = {b_bar} is below float resolution: r_inf rounds to its b = 0 value 1.0"
         )
@@ -281,8 +283,12 @@ def choose_m(b_bar: float) -> int:
             raise DomainError("fold sandwich not found below index 400")
     m = j + 1
     # the full reversed configuration: the third fold must clear trace m
-    t_third = _ladder_coord(p, u_value(p, 3, "L"), f"fold u_3^L (m = {m})")
+    u_third = u_value(p, 3, "L")
+    t_third = _ladder_coord(p, u_third, f"fold u_3^L (m = {m})")
     if t_third <= _ladder_coord(p, next(traces), f"trace r_{m}"):
+        if r_inf - u_third <= 4.0 * math.ulp(r_inf):
+            raise DomainError(f"fold u_3^L (m = {m}) = {u_third!r} is within float "
+                              f"resolution of r_inf = {r_inf!r} at b_bar = {b_bar}")
         raise ConditionError(f"third fold not beyond trace {m} at b_bar = {b_bar}")
     return m
 

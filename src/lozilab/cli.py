@@ -173,6 +173,9 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
+    if args.m_max < 2:
+        print(f"error: need --m-max >= 2, got {args.m_max}", file=sys.stderr)
+        return EXIT_USAGE
     from .core import Params
     from .renorm import build_partition
 

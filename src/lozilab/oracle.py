@@ -4,8 +4,8 @@ Periodic points come from one cyclic orbit solve per necklace of sign
 patterns, sharing core's cyclic solver with the symbolic formal points; a
 forward-iteration check and return-map Newton over a seed grid, which use
 neither, vouch for each point and for the absence of any other.
-Hyperbolicity is decided on the universal cones at the rays where each
-cone and norm test can first fail, and long-run behaviour from the
+Hyperbolicity is decided on the universal cones at the rays where the
+cone test can first fail, and long-run behaviour from the
 trapping triangle of the left fixed point's lines.
 """
 
@@ -250,33 +250,37 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
 
 
 def cone_check(p: Params) -> bool:
-    """Whether both universal cones are invariant and expanded, decided at
-    the rays where each test can first fail.
+    """Whether both universal cones are invariant and expanded, decided by
+    the cone test at the rays where it can first fail.
 
     Expanding cone |y| <= |x|/lam: both branch derivatives keep it and
     grow the L1/L2/Linf norms by >= lam (slack 1e-12).  Contracting cone
     |x| <= (b/lam)|y|: both inverse derivatives keep it and grow norms by
     >= lam/b = 1/mu.  The contracting side degenerates to the y-axis at
-    b = 0 and is skipped there.
+    b = 0 and is skipped there.  Multipliers a float cannot hold (lam
+    overflows, or mu underflows to 0.0 at b > 0) raise DomainError.
 
     Every test is homogeneous and reads magnitudes only, and is
     nondecreasing in the branch image, so each side is decided on the rays
     (1, u), 0 <= u <= h, by the smaller branch image (W(u), 1) (the
     inverse side's rays (u, 1) swapped; the norms are symmetric): forward
     h = 1/lam and W = |a - b u|, inverse h = mu and W = |a - u|/b, so that
-    k h = 1 for the growth k, lam or 1/mu, and f = k (1 - 1e-12).  The
-    cone test W >= k and the L1 test W + 1 >= f (1 + u) are convex in u,
-    as W is, so each is least at an end or at W's kink.  At each ray they
-    imply the other two: Linf, as f max(1, u) <= max(f, f h) < max(W, 1)
-    once W >= k; and L2, as in two dimensions, with sorted entries, w1 >=
-    f v1 and w1 + w2 >= f (v1 + v2) give w1^2 + w2^2 >= f^2 (v1^2 + v2^2).
-    Hence a side holds on all of [0, h] iff it holds at 0, at h and at the
-    kink when it lies inside; for the true multipliers it lies outside
-    (a/b > 1/lam forward, a > mu inverse), and only the edge rays run.
+    k h = 1 for the growth k, lam or 1/mu.  As k u <= 1, the cone test
+    W >= k gives all three norm tests: W + 1 >= k (1 + u), max(W, 1) >=
+    k max(1, u) and W^2 + 1 >= k^2 (1 + u^2), and so at the norms' factor
+    k (1 - 1e-12) for W >= k (1 - 1e-15).  The cone test is convex in u,
+    as W is, so it is least at an end or at W's kink.  Hence a side holds
+    on all of [0, h] iff it holds at 0, at h and at the kink when it lies
+    inside; for the true multipliers it lies outside (a/b > 1/lam forward,
+    a > mu inverse), and only the edge rays run, where W is k + mu and k
+    forward (k + 1/lam and k inverse) to rounding, far above k/(1 + 1e-12).
     """
     _require_full(p)
     mult = multipliers(p)
     a, b, lam, mu = p.a, p.b, mult.lam, mult.mu
+    if lam == math.inf or (mu == 0.0 and b > 0.0):
+        cause = "lam overflows" if lam == math.inf else "mu = b/lam underflows to 0.0"
+        raise DomainError(f"multiplier {cause} at ({a}, {b})")
     return _rays_hold(a, b, 1.0, 1.0 / lam, lam) and (
         b == 0.0 or _rays_hold(a, 1.0, b, mu, 1.0 / mu)
     )
@@ -284,26 +288,12 @@ def cone_check(p: Params) -> bool:
 
 def _rays_hold(a: float, c: float, d: float, h: float, k: float) -> bool:
     """Whether each ray (1, u), 0 <= u <= h, has its image (W, 1), W = |a -
-    c u|/d, in the cone W >= k and grown by k in each norm, slack 1e-12,
-    tested at the ends and at W's kink a/c (none at c = 0) when inside
-    (cone_check)."""
-    eps = 1e-12
+    c u|/d, in the cone W >= k, slack 1e-12, tested at the ends and at W's
+    kink a/c (none at c = 0) when inside (cone_check)."""
     for u in (0.0, h, a / c if c else math.inf):
-        if not 0.0 <= u <= h:
-            continue
-        w = abs(a - c * u) / d
-        if k > w * (1.0 + eps) or not _norms_grow(u, w, k * (1.0 - eps)):
+        if 0.0 <= u <= h and k > abs(a - c * u) / d * (1.0 + 1e-12):
             return False
     return True
-
-
-def _norms_grow(u: float, w: float, f: float) -> bool:
-    """|(w, 1)| >= f |(1, u)| in the L1, L2 and Linf norms, for nonnegative u and w."""
-    return (
-        w + 1.0 >= f * (1.0 + u)
-        and w * w + 1.0 >= f * f * (1.0 + u * u)
-        and (1.0 if 1.0 > w else w) >= f * (u if u > 1.0 else 1.0)
-    )
 
 
 def classify_orbit(p: Params, v: Point, max_iter: int = 100_000) -> OrbitClass:

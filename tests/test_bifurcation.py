@@ -324,6 +324,20 @@ def test_choose_m_reports_float_resolution():
         choose_m(1.107491395289921e-08)
 
 
+@pytest.mark.parametrize("b_bar, m", [(2e-16, 54), (7e-16, 52)])
+def test_choose_m_reports_a_third_fold_at_float_resolution(b_bar, m):
+    # u_3^L lies 1-3 ulp below r_inf and rounds onto the wrong side of
+    # trace m: a precision failure, not a failed separation condition
+    p = Params(tangency_a(b_bar), b_bar)
+    r_inf, u_third = r_value(p, math.inf), u_value(p, 3, "L")
+    assert 0.0 < r_inf - u_third <= 4.0 * math.ulp(r_inf)
+    with pytest.raises(DomainError) as info:
+        choose_m(b_bar)
+    assert type(info.value) is DomainError
+    assert str(info.value) == (f"fold u_3^L (m = {m}) = {u_third!r} is within float "
+                               f"resolution of r_inf = {r_inf!r} at b_bar = {b_bar}")
+
+
 @pytest.mark.parametrize("b_bar", [0.0, -1e-5, 1.0, math.nan])
 def test_choose_m_refuses_b_bar_outside_the_unit_interval(b_bar, monkeypatch):
     # find_reversal refuses these first; choose_m does on its own too

@@ -22,6 +22,12 @@ RECORDED_DEFAULT_FAMILY = Path(__file__).parent / "data" / "figure1_default.sha2
 # `verify all --seed 42` as written before the suites were rebuilt on the
 # shared invariant functions of lozilab.verify
 RECORDED_VERIFY_ALL = Path(__file__).parent / "data" / "verify_all_seed42.json"
+# `partition -a 1.8 -b 0.2` at --m-max 12 and 16, and the stdout of
+# `orbit -a 1.8 -b 0.2 -I +-++-`, as written before the cone check was
+# decided by the cone test alone
+RECORDED_PARTITION = {m: Path(__file__).parent / "data" / f"partition_a1.8_b0.2_m{m}.csv"
+                      for m in (12, 16)}
+RECORDED_ORBIT = Path(__file__).parent / "data" / "orbit_a1.8_b0.2.json"
 
 
 def run_cli(args, capsys):
@@ -134,6 +140,32 @@ def test_partition_csv(tmp_path, capsys):
     assert lines[0] == "label,left_trace,right_trace"
     labels = [line.split(",")[0] for line in lines[1:]]
     assert labels == ["B", "C2", "C3", "C4", "C5", "D"]
+
+
+@pytest.mark.parametrize("m_max", [12, 16])
+def test_partition_matches_recorded_bytes(m_max, tmp_path, capsys):
+    args = ["partition", "-a", "1.8", "-b", "0.2", "--m-max", str(m_max), "--out", str(tmp_path)]
+    code, out, _ = run_cli(args, capsys)
+    path = tmp_path / "partition_a1.8_b0.2.csv"
+    assert code == 0 and out == f"wrote {path}\n"
+    assert path.read_bytes() == RECORDED_PARTITION[m_max].read_bytes()
+
+
+def test_orbit_matches_recorded_bytes(capsys):
+    code, out, _ = run_cli(["orbit", "-a", "1.8", "-b", "0.2", "-I", "+-++-"], capsys)
+    assert code == 0
+    assert out.encode() == RECORDED_ORBIT.read_bytes()
+
+
+def test_partition_m_max_below_two_is_a_usage_error(tmp_path, capsys):
+    # refused before renorm loads and before the output directory is made
+    for m_max in ("1", "0", "-3"):
+        args = ["partition", "-a", "1.8", "-b", "0.2", "--m-max", m_max]
+        code, out, err = run_cli(args + ["--out", str(tmp_path / "out")], capsys)
+        assert code == 2 and out == "", m_max
+        assert err == f"error: need --m-max >= 2, got {m_max}\n"
+    assert not list(tmp_path.iterdir())
+    assert "lozilab.renorm" not in _modules_after_exit(args, 2, tmp_path)
 
 
 def test_partition_domain_error(tmp_path, capsys):
