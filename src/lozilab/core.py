@@ -96,11 +96,14 @@ def fixed_points(p: Params) -> tuple[Point, Point]:
 
 
 def multipliers(p: Params) -> Multipliers:
-    """lam = (a + sqrt(a^2-4b))/2, mu = b/lam; the roots of t^2 - a t + b."""
+    """lam = (a + sqrt(a^2-4b))/2, mu = b/lam; the roots of t^2 - a t + b.
+    Once a^2 overflows lam would read inf, and DomainError is raised."""
     disc = p.a * p.a - 4.0 * p.b
     if disc < 0.0:
         raise SpectrumError(f"complex spectrum: a^2 = {p.a * p.a} < 4b = {4 * p.b}")
     lam = 0.5 * (p.a + math.sqrt(disc))
+    if lam == math.inf:
+        raise DomainError(f"multiplier lam overflows at ({p.a}, {p.b})")
     return Multipliers(lam=lam, mu=p.b / lam)
 
 

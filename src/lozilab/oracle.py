@@ -89,42 +89,52 @@ def _necklaces(period: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _return_map_newton(p: Params, seed: Point, period: int) -> Point | None:
-    """Newton on v -> map^period(v) - v with the orbit's branch Jacobian.
+def _return_map_newton(p: Params, seed: Point, period: int, image: Point, jac: tuple) -> Point | None:
+    """Newton on v -> map^period(v) - v, stepping with D = J - Id for the
+    orbit's branch Jacobian J.
 
-    Each iteration maps the iterate `period` times and multiplies the
-    branch matrices ((-s a, -b), (1, 0)) of the signs it meets onto J,
-    first sign first, then steps with D = J - Id.  The state is the
-    iterate alone, so the path from an iterate is fixed: an iterate that
-    repeats bit for bit has entered a cycle that never meets the 1e-13
-    stop, and gives up at once, as the 60-iteration budget would later.
-    The map steps are apply_map's operations, so a root returned here
-    already passes _closes' forward check.  A step lands on a
-    formal point, in [-1, 1]^2, so no iterate is cut off for its size.
+    The seed's evaluation comes from the lattice (_seed_orbits): its
+    `image` after `period` steps and its cell's `jac`.  Later iterates are
+    mapped `period` times as the branch matrices ((-s a, -b), (1, 0)) of
+    the signs they meet multiply onto J, first sign first; the first
+    iterate is mapped without J first, and gets J only if it does not
+    close.  The state is the iterate alone, so the path from an iterate is
+    fixed: one that repeats bit for bit has entered a cycle that never
+    meets the 1e-13 stop, and gives up at once, as the 60-iteration budget
+    would later.  The map steps are apply_map's operations, so a root
+    returned here already passes _closes' forward check.  A step lands on
+    a formal point, in [-1, 1]^2, so no iterate is cut off for its size.
     """
     a, b = p.a, p.b
     c = a - b - 1.0
     x, y = seed
-    seen = set()
+    (cx, cy), (j11, j12, j21, j22), seen = image, jac, None
     for _ in range(60):
-        if (x, y) in seen:
-            break
-        seen.add((x, y))
-        cx, cy = x, y
-        j11, j12, j21, j22 = 1.0, 0.0, 0.0, 1.0
-        for _ in range(period):
-            m11 = -a if cx >= 0.0 else a
-            j11, j12, j21, j22 = m11 * j11 - b * j21, m11 * j12 - b * j22, j11, j12
-            cx, cy = -a * abs(cx) - b * cy + c, cx
         fx, fy = cx - x, cy - y
         if abs(fx) < 1e-13 and abs(fy) < 1e-13:
             return (x, y)
         d11, d22 = j11 - 1.0, j22 - 1.0
         det = d11 * d22 - j12 * j21
         if abs(det) < 1e-14:
-            break
+            return None
         x -= (fx * d22 - fy * j12) / det
         y -= (fy * d11 - fx * j21) / det
+        cx, cy = x, y
+        if seen is None:
+            # the first iterate, mapped alone
+            for _ in range(period):
+                cx, cy = -a * abs(cx) - b * cy + c, cx
+            if abs(cx - x) < 1e-13 and abs(cy - y) < 1e-13:
+                return (x, y)
+            cx, cy, seen = x, y, {seed}
+        if (x, y) in seen:
+            return None
+        seen.add((x, y))
+        j11, j12, j21, j22 = 1.0, 0.0, 0.0, 1.0
+        for _ in range(period):
+            m11 = -a if cx >= 0.0 else a
+            j11, j12, j21, j22 = m11 * j11 - b * j21, m11 * j12 - b * j22, j11, j12
+            cx, cy = -a * abs(cx) - b * cy + c, cx
     return None
 
 
@@ -188,18 +198,25 @@ def _seed_grid(grid_n: int) -> tuple[Point, ...]:
 # ascending sweep of periods at one parameter and grid step each seed once
 # per period; other orders can step from the lattice again.
 @functools.lru_cache(maxsize=2)
-def _seed_orbits(a: float, b: float, grid_n: int, depth: int) -> tuple[list, list, list[int]]:
+def _seed_orbits(a: float, b: float, grid_n: int, depth: int) -> tuple[list, list, list, dict]:
     """Each seed of _seed_grid(grid_n) after `depth` map steps, in grid
     order: its x, its y, and its key, the first `depth` signs of its orbit
-    as bits, first sign highest, 1 for x >= 0.  The lists are shared by the
-    cache and never mutated."""
+    as bits, first sign highest, 1 for x >= 0; and in grid order of first
+    seeds each key's Jacobian J(key) = M(key & 1) J(key >> 1), in
+    _return_map_newton's product step: each cell's first Newton
+    evaluation.  All are shared by the cache, never mutated."""
     if depth == 0:
-        seeds = _seed_grid(grid_n)
-        return [v[0] for v in seeds], [v[1] for v in seeds], [0] * len(seeds)
-    xs, ys, keys = _seed_orbits(a, b, grid_n, depth - 1)
+        xs, ys = zip(*_seed_grid(grid_n))
+        return list(xs), list(ys), [0] * len(xs), {0: (1.0, 0.0, 0.0, 1.0)}
+    xs, ys, keys, parent = _seed_orbits(a, b, grid_n, depth - 1)
     c = a - b - 1.0
     keys = [2 * key + (x >= 0.0) for key, x in zip(keys, xs)]
-    return [-a * abs(x) - b * y + c for x, y in zip(xs, ys)], xs, keys
+    jacs = {}
+    for key in dict.fromkeys(keys):
+        j11, j12, j21, j22 = parent[key >> 1]
+        m11 = -a if key & 1 else a
+        jacs[key] = (m11 * j11 - b * j21, m11 * j12 - b * j22, j11, j12)
+    return [-a * abs(x) - b * y + c for x, y in zip(xs, ys)], xs, keys, jacs
 
 
 def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
@@ -222,9 +239,11 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
     map^period is affine on each cell of seeds of a sheared grid on
     [-2, 2]^2 whose first `period` signs agree (one key of _seed_orbits), so
     return-map Newton runs once per cell, from its first seed, in grid
-    order (one forward scan).  Each root is looked up in the result's own
-    dedup index (_near_kept), and the first one farther than 1e-7 from
-    every point of the result raises DomainError; a failed run costs nothing.
+    order (one forward scan), and reads its first evaluation (the seed's
+    image, the cell's Jacobian) from _seed_orbits.  Each root is looked up
+    in the result's own dedup index (_near_kept), and the first one farther
+    than 1e-7 from every point of the result raises DomainError; a failed
+    run costs nothing.
     """
     _require_full(p)
     _require_count("period", period, 1, 10)
@@ -235,11 +254,12 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
         if all(s * x >= -_TIE for x, s in zip(xs, signs)):
             roots.extend((xs[k], xs[k - 1]) for k in range(period))
     points, cells = _distinct(roots, lambda v: _closes(p, v, period))
-    keys, seeds, i = _seed_orbits(p.a, p.b, grid_n, period)[2], _seed_grid(grid_n), -1
+    xs, ys, keys, jacs = _seed_orbits(p.a, p.b, grid_n, period)
+    seeds, i = _seed_grid(grid_n), -1
     # in order of first seeds, so each key's first seed follows the last one's
-    for key in dict.fromkeys(keys):
+    for key, jac in jacs.items():
         i = keys.index(key, i + 1)
-        root = _return_map_newton(p, seeds[i], period)
+        root = _return_map_newton(p, seeds[i], period, (xs[i], ys[i]), jac)
         if root is not None and not _near_kept(cells, *root):
             raise DomainError(
                 f"grid Newton root {root!r} of period {period} at "
@@ -278,9 +298,8 @@ def cone_check(p: Params) -> bool:
     _require_full(p)
     mult = multipliers(p)
     a, b, lam, mu = p.a, p.b, mult.lam, mult.mu
-    if lam == math.inf or (mu == 0.0 and b > 0.0):
-        cause = "lam overflows" if lam == math.inf else "mu = b/lam underflows to 0.0"
-        raise DomainError(f"multiplier {cause} at ({a}, {b})")
+    if mu == 0.0 and b > 0.0:
+        raise DomainError(f"multiplier mu = b/lam underflows to 0.0 at ({a}, {b})")
     return _rays_hold(a, b, 1.0, 1.0 / lam, lam) and (
         b == 0.0 or _rays_hold(a, 1.0, b, mu, 1.0 / mu)
     )

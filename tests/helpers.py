@@ -314,23 +314,34 @@ def newton_step(A, t, v):
     return (v[0] - (fx * j22 - fy * j12) / d, v[1] - (fy * j11 - fx * j21) / d)
 
 
-# The oracle's return-map Newton as it ran before the repeated-iterate
-# exit, and with the far-iterate guard it has since lost: every seed runs
-# to convergence, a guard or the full 60-iteration budget.  `iterates`,
-# when given, collects each Newton iterate.
+def seed_evaluation(p, v, period):
+    """map^period(v) by apply_map's operations, and the product of the
+    branch matrices ((-s a, -b), (1, 0)) of the signs it meets, first sign
+    first: the evaluation return-map Newton makes at v, restated for one
+    point.  An x that is NaN takes the minus branch (s = -1)."""
+    j11, j12, j21, j22 = 1.0, 0.0, 0.0, 1.0
+    cx, cy = v
+    for _ in range(period):
+        s = +1.0 if cx >= 0.0 else -1.0
+        m11, m12 = -s * p.a, -p.b
+        j11, j12, j21, j22 = m11 * j11 + m12 * j21, m11 * j12 + m12 * j22, j11, j12
+        cx, cy = -p.a * abs(cx) - p.b * cy + (p.a - p.b - 1.0), cx
+    return (cx, cy), (j11, j12, j21, j22)
 
-def full_budget_newton(p, seed, period, iterates=None):
+
+# The oracle's return-map Newton as it ran before the repeated-iterate
+# exit and the seed lattice's first evaluation, and with the far-iterate
+# guard it has since lost (an iterate beyond `far` gives up; math.inf
+# turns the guard off, as in the oracle): every seed runs to convergence,
+# a guard or the full 60-iteration budget, evaluating each iterate itself.
+# `iterates`, when given, collects each Newton iterate.
+
+def full_budget_newton(p, seed, period, iterates=None, far=1e6):
     x, y = seed
     for _ in range(60):
         if iterates is not None:
             iterates.append((x, y))
-        j11, j12, j21, j22 = 1.0, 0.0, 0.0, 1.0
-        cx, cy = x, y
-        for _ in range(period):
-            s = +1.0 if cx >= 0.0 else -1.0
-            m11, m12 = -s * p.a, -p.b
-            j11, j12, j21, j22 = m11 * j11 + m12 * j21, m11 * j12 + m12 * j22, j11, j12
-            cx, cy = -p.a * abs(cx) - p.b * cy + (p.a - p.b - 1.0), cx
+        (cx, cy), (j11, j12, j21, j22) = seed_evaluation(p, (x, y), period)
         fx, fy = cx - x, cy - y
         if abs(fx) < 1e-13 and abs(fy) < 1e-13:
             return (x, y)
@@ -340,7 +351,7 @@ def full_budget_newton(p, seed, period, iterates=None):
             return None
         x -= (fx * d22 - fy * d12) / det
         y -= (fy * d11 - fx * d21) / det
-        if abs(x) > 1e6 or abs(y) > 1e6:
+        if abs(x) > far or abs(y) > far:
             return None
     return None
 
@@ -362,10 +373,10 @@ def counted_point_sets(monkeypatch):
     newton = oracle._return_map_newton
     firsts = {oracle._seed_grid(n)[0] for n in (10, 15, 20)}
 
-    def counted(p, seed, period):
+    def counted(p, seed, period, image, jac):
         if seed in firsts:
             runs.append((p, period))
-        return newton(p, seed, period)
+        return newton(p, seed, period, image, jac)
 
     monkeypatch.setattr(oracle, "_return_map_newton", counted)
     return runs

@@ -1,11 +1,14 @@
 import math
 import random
+import re
+import sys
 
 import pytest
 
 from lozilab import (
     MINUS,
     PLUS,
+    DomainError,
     Params,
     RegionError,
     SpectrumError,
@@ -112,6 +115,24 @@ def test_multipliers_complex_spectrum_message():
     with pytest.raises(SpectrumError) as info:
         multipliers(Params(1.5, 0.6))
     assert str(info.value) == "complex spectrum: a^2 = 2.25 < 4b = 2.4"
+
+
+@pytest.mark.parametrize("a", [1.5e154, 1e200])
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_multipliers_refuse_a_lam_that_overflows(a, b):
+    # a * a overflows, where lam read inf and mu 0.0
+    assert a * a == math.inf
+    with pytest.raises(DomainError, match=re.escape(f"multiplier lam overflows at ({a}, {b})")):
+        multipliers(Params(a, b))
+
+
+def test_multipliers_at_the_largest_a_whose_square_is_finite():
+    a = math.sqrt(sys.float_info.max)
+    # one ulp more and a * a overflows
+    after = math.nextafter(a, math.inf)
+    assert a * a < math.inf and after * after == math.inf
+    mult = multipliers(Params(a, 0.5))
+    assert mult.lam == a and mult.mu == 0.5 / a
 
 
 def test_region_predicate_boundaries():

@@ -429,6 +429,15 @@ def test_turning_point_stable_manifold_parameterization():
 
 # ------------------------------------------------------------- r ladder
 
+@pytest.mark.parametrize("a", [1.5e154, 1e200])
+def test_r_limit_refuses_a_multiplier_that_overflows(a):
+    # a * a overflows, where lam read inf and r_value(p, inf) read nan
+    p = Params(a, 0.5)
+    assert p.in_mod
+    with pytest.raises(DomainError, match=re.escape(f"multiplier lam overflows at ({a}, 0.5)")):
+        r_value(p, math.inf)
+
+
 def test_r_closed_forms_degenerate():
     p = Params(2.0, 0.0)
     assert r_value(p, 2) == pytest.approx(2 / 3, abs=1e-14)

@@ -26,7 +26,7 @@ from lozilab.oracle import BudgetError
 from helpers import (
     border_parameters, close, counted_point_sets, full_budget_newton, genuine_iterate,
     reference_brute_periodic, reference_classify_orbit, reference_cone_check,
-    reference_ray_check, seed_grid)
+    reference_ray_check, seed_evaluation, seed_grid)
 
 P18 = Params(1.8, 0.2)
 # repr of every brute_periodic point (periods 1-6, grid 20) at the five
@@ -105,7 +105,7 @@ def test_pattern_search_alone_finds_every_orbit(monkeypatch):
     # off and a 2 x 2 grid, it finds every point
     params = (P18, Params(2.4, 0.4), Params(1.9, 0.0))
     full = {(p, n): brute_periodic(p, n, grid_n=20) for p in params for n in range(1, 7)}
-    monkeypatch.setattr(oracle, "_return_map_newton", lambda p, seed, period: None)
+    monkeypatch.setattr(oracle, "_return_map_newton", lambda p, seed, period, image, jac: None)
     for (p, period), points in full.items():
         alone = brute_periodic(p, period, grid_n=2)
         assert len(alone) == len(points), (p, period)
@@ -118,7 +118,7 @@ def test_pattern_search_keeps_border_collision_orbit(monkeypatch):
     # sign patterns that share it; the tie rule keeps the orbit
     p = Params(1.6180339887498947, 0.0)
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_return_map_newton", lambda p, seed, period: None)
+        patch.setattr(oracle, "_return_map_newton", lambda p, seed, period, image, jac: None)
         points = brute_periodic(p, 3, grid_n=20)
     assert len(points) == 5
     assert any(close(v, (0.0, -0.3819660112501051), 1e-12) for v in points)
@@ -159,7 +159,9 @@ def test_newton_cycle_exit_equals_full_budget():
             for seed in seed_grid(20):
                 iterates = []
                 want = full_budget_newton(p, seed, period, iterates)
-                assert oracle._return_map_newton(p, seed, period) == want, (a, b, period, seed)
+                first = seed_evaluation(p, seed, period)
+                assert oracle._return_map_newton(p, seed, period, *first) == want, (
+                    a, b, period, seed)
                 cycled += len(set(iterates)) < len(iterates)
     # the exit is exercised: some seeds repeat an iterate within the budget
     assert cycled > 0
@@ -168,7 +170,7 @@ def test_newton_cycle_exit_equals_full_budget():
     p, seed, iterates = Params(1.431, 0.0), (-0.19, 1.0), []
     want = full_budget_newton(p, seed, 10, iterates)
     assert want is not None and len(iterates) == len(set(iterates)) == 29
-    assert oracle._return_map_newton(p, seed, 10) == want
+    assert oracle._return_map_newton(p, seed, 10, *seed_evaluation(p, seed, 10)) == want
 
 
 def test_newton_gives_up_on_a_singular_step():
@@ -177,7 +179,7 @@ def test_newton_gives_up_on_a_singular_step():
     p, seed = Params(1.3000000000000003, 0.3), (-0.5, 0.5)
     assert abs((p.a - 1.0) * -1.0 + p.b) < 1e-14
     assert not close(apply_map(p, seed), seed, 0.29)
-    assert oracle._return_map_newton(p, seed, 1) is None
+    assert oracle._return_map_newton(p, seed, 1, *seed_evaluation(p, seed, 1)) is None
 
 
 def test_brute_periodic_refuses_a_singular_orbit_system():
@@ -208,13 +210,26 @@ def test_seed_keys_equal_per_seed_coding():
     interleaved = [(a, b, 15, n) for n in (3, 5, 2, 7) for a, b in ((2.9, 0.6), (1e3, 0.5))]
     # the same parameter on another grid, then back
     regrid = [(2.3, 0.3, g, n) for g, n in ((20, 4), (15, 4), (15, 6), (2, 3), (20, 6))]
+    # orbits that overflow, so that x_4 is NaN at every seed
+    overflowing = [(1e300, 0.5, 2, n) for n in (4, 5)]
     oracle._seed_orbits.cache_clear()
-    for a, b, grid_n, period in ascending + descending + interleaved + regrid:
-        assert oracle._seed_orbits(a, b, grid_n, period)[2] == coded(a, b, grid_n, period), (
-            a, b, grid_n, period)
+    for a, b, grid_n, period in ascending + descending + interleaved + regrid + overflowing:
+        xs, ys, keys, jacs = oracle._seed_orbits(a, b, grid_n, period)
+        if period == 5 and a == 1e300:
+            # orbit_signs refuses the NaN x_4; its bit reads minus
+            assert keys == [2 * key for key in coded(a, b, grid_n, 4)]
+            assert all(math.isnan(x) for x in oracle._seed_orbits(a, b, grid_n, 4)[0])
+        else:
+            assert keys == coded(a, b, grid_n, period), (a, b, grid_n, period)
         if (a, b, grid_n, period) == ascending[-1]:
             # depths 0..8 computed once each: every seed stepped once per period
             assert oracle._seed_orbits.cache_info()[:2] == (7, 9)
+        # each seed's image and its key's Jacobian are the seed's own Newton
+        # evaluation, bit for bit, and the keys come in order of first seeds
+        evaluations = [seed_evaluation(Params(a, b), v, period) for v in seed_grid(grid_n)]
+        assert repr(list(zip(xs, ys))) == repr([image for image, _ in evaluations])
+        assert repr([jacs[key] for key in keys]) == repr([jac for _, jac in evaluations])
+        assert list(jacs) == list(dict.fromkeys(keys))
 
 
 # criterion 3's 25 points; two more at b = 0, (1.431, 0) with a slowly
@@ -234,6 +249,37 @@ def test_brute_periodic_equals_reference():
         p = Params(a, b)
         want = reference_brute_periodic(p, period, grid_n)
         assert repr(brute_periodic(p, period, grid_n=grid_n)) == repr(want), (a, b, period, grid_n)
+
+
+def test_each_cell_root_equals_full_budget_newton_from_its_first_seed(monkeypatch):
+    # every grid Newton run of brute_periodic, from the lattice's first
+    # evaluation, returns what Newton from the cell's first seed alone does
+    newton, runs = oracle._return_map_newton, []
+
+    def recorded(p, seed, period, image, jac):
+        root = newton(p, seed, period, image, jac)
+        runs.append((seed, root))
+        return root
+
+    monkeypatch.setattr(oracle, "_return_map_newton", recorded)
+    for a, b in REFERENCE_POINTS:
+        p = Params(a, b)
+        for period, grid_n in REFERENCE_RUNS:
+            runs.clear()
+            try:
+                brute_periodic(p, period, grid_n=grid_n)
+            except DomainError:
+                # the known refusal at large a: the pattern search's z_+
+                # fails the forward check, and Newton's does not
+                assert (a, b, period) == (1e15, 0.5, 1)
+            firsts = {}
+            for seed in seed_grid(grid_n):
+                firsts.setdefault(_sign_key(p, seed, period), seed)
+            assert [seed for seed, _ in runs] == list(firsts.values())[:len(runs)], (
+                a, b, period, grid_n)
+            for seed, root in runs:
+                want = full_budget_newton(p, seed, period, far=math.inf)
+                assert repr(root) == repr(want), (a, b, period, grid_n, seed)
 
 
 @pytest.mark.parametrize("a, b, period, grid_n", [
@@ -256,9 +302,11 @@ def test_grid_newton_runs_once_per_sign_cell(monkeypatch):
     inner = oracle._return_map_newton
     seeds = []
 
-    def counted(p, seed, period):
+    def counted(p, seed, period, image, jac):
         seeds.append(seed)
-        return inner(p, seed, period)
+        # the first evaluation the lattice passes is the seed's own, bit for bit
+        assert repr((image, jac)) == repr(seed_evaluation(p, seed, period)), (p, period, seed)
+        return inner(p, seed, period, image, jac)
 
     monkeypatch.setattr(oracle, "_return_map_newton", counted)
     # at (1.7, 0) some first seeds fail at period 6, and are not retried;
@@ -358,7 +406,7 @@ def test_grid_check_looks_roots_up_across_cell_edges(axes, monkeypatch):
         for k in range(2):
             if axes[k]:
                 assert root[k] // CELL != z[k] // CELL
-        monkeypatch.setattr(oracle, "_return_map_newton", lambda p, seed, period: root)
+        monkeypatch.setattr(oracle, "_return_map_newton", lambda p, seed, period, image, jac: root)
         if missed:
             with pytest.raises(DomainError, match=re.escape(
                     f"grid Newton root {root!r} of period 3 at (2.3, 0.3) is not a point")):
@@ -517,9 +565,12 @@ def test_cone_check_refuses_a_stable_multiplier_that_underflows(p):
 
 @pytest.mark.parametrize("p", [Params(1.5e154, 0.5), Params(1.5e154, 0.0), Params(1e300, 1.0)])
 def test_cone_check_refuses_an_unstable_multiplier_that_overflows(p):
-    # a * a overflows, so lam reads inf, where the cone test returned False
-    assert multipliers(p).lam == math.inf
-    with pytest.raises(DomainError, match=re.escape(f"multiplier lam overflows at ({p.a}, {p.b})")):
+    # a * a overflows, where lam read inf and the cone test returned False;
+    # multipliers itself refuses, and cone_check passes its refusal on
+    message = re.escape(f"multiplier lam overflows at ({p.a}, {p.b})")
+    with pytest.raises(DomainError, match=message):
+        multipliers(p)
+    with pytest.raises(DomainError, match=message):
         cone_check(p)
 
 
