@@ -20,7 +20,7 @@ _HOMES = {
                        "trace_curve",
         "core": "MINUS PLUS DomainError Multipliers Params Point RegionError SpectrumError "
                 "apply_map fixed_points multipliers",
-        "geometry": "BwdLine iterate_line_bwd p_value q_value r_value u_gap u_value",
+        "geometry": "BwdLine iterate_line_bwd p_value q_value r_value u_value",
         "kneading": "Ordering UItinerary forcing_check_tent order_compare",
         "oracle": "OrbitClass OrbitKind brute_periodic classify_orbit cone_check orbit_signs",
         "renorm": "Regime Strip build_partition classify_regime log_coord",

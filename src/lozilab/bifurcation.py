@@ -48,8 +48,14 @@ class ReversalError(DomainError):
     """The reversal certificate failed (endpoint order, crossings, slopes)."""
 
 
-def _a_low(b: float) -> float:
-    return max(_SQRT2, 3.0 * b + 1.0) + 1e-9
+def _a_low(b: float, hi: float, what: str) -> float:
+    """Left end of (max(sqrt(2), 3b + 1), hi), the a-window; refuses NaN, b < 0, an empty one."""
+    if not b >= 0.0:
+        raise DomainError(f"need b >= 0, got {b}")
+    lo = max(_SQRT2, 3.0 * b + 1.0) + 1e-9
+    if not lo < hi:
+        raise RegionError(f"b = {b}: the partition region a > 3b + 1 leaves no a < {hi:g} for {what}")
+    return lo
 
 
 def _pq_gap(a: float, b: float, m: int, n: int) -> float:
@@ -67,13 +73,13 @@ def solve_l(
     Newton from its midpoint until |p - q| <= tol.  A non-monotone
     scan or several sign changes emit MultipleRootWarning and the
     rightmost root (the admissibility boundary reached from large a) is
-    returned.  `guess` warm-starts the solve under the warm-start
-    contract of solvers.
+    returned.  `guess` warm-starts the solve under the warm-start contract
+    of solvers.  Refuses a NaN or negative b and an empty window (3b + 1, 4) first.
     """
     _require_orders(m, n)
     return hybrid_root(
         lambda a: _pq_gap(a, b, m, n),
-        _a_low(b),
+        _a_low(b, _A_HI, "l_{m,n}(b)"),
         _A_HI,
         scan_n=48,
         xtol=_L_XTOL,
@@ -128,9 +134,10 @@ def trace_curve(
     before it.
 
     Raises, before any solve, unless m > n >= 2 are whole numbers, tol is
-    finite and >= 0 and the grid has two or more strictly increasing points;
-    and if any sampled a leaves (sqrt(2), 4), or if adjacent samples jump by
-    more than 1.5x the local slope estimate (a guard against bracket hopping).
+    finite and >= 0 and the grid has two or more strictly increasing points
+    whose ends solve_l does not refuse; and if any sampled a leaves (sqrt(2), 4), or
+    if adjacent samples jump by more than 1.5x the local slope estimate (a
+    guard against bracket hopping).
     """
     _require_orders(m, n)
     _require_tolerances(_L_XTOL, tol)
@@ -139,6 +146,8 @@ def trace_curve(
     for lo, hi in zip(b_grid, b_grid[1:]):
         if not lo < hi:
             raise DomainError(f"b-grid not strictly increasing: {lo!r} then {hi!r}")
+    for b in (b_grid[0], b_grid[-1]):
+        _a_low(b, _A_HI, "l_{m,n}(b)")
     samples: list[tuple[float, float]] = []
     for k, b in enumerate(b_grid):
         guess = _guess(samples, b) if 0 < k < len(b_grid) - 1 else None
@@ -173,11 +182,7 @@ def tangency_a(b: float) -> float:
     Any other scan without a sign change raises BracketError.  A b that is
     not >= 0 (NaN included) raises DomainError before any gap evaluation.
     """
-    if not b >= 0.0:
-        raise DomainError(f"need b >= 0, got {b}")
-    lo = _a_low(b)
-    if not lo < 3.0:
-        raise RegionError(f"b = {b}: the partition region a > 3b + 1 leaves no a < 3 for t(b)")
+    lo = _a_low(b, 3.0, "t(b)")
     try:
         return hybrid_root(
             lambda a: _tangency_gap(a, b), lo, 3.0, scan_n=32, xtol=1e-6, ftol=1e-13
@@ -304,25 +309,22 @@ class ReversalResult:
     curve3: BifCurve
 
 
-def find_reversal(
-    b_bar: float, m: int | None = None, grid_points: int = 41
-) -> ReversalResult:
+def find_reversal(b_bar: float, m: int | None = None) -> ReversalResult:
     """Certify the unique transversal crossing of l_{m,2} and l_{m,3}.
 
     Checks the reversed endpoint orders l_{m,2}(0) < l_{m,3}(0) and
     l_{m,2}(b_bar) > l_{m,3}(b_bar), exactly one sign change of the
-    difference on the grid, slope ordering d l_{m,2}/db > d l_{m,3}/db at
-    every shared sample, then refines the crossing with refine_crossing to
-    width max(1e-13, 1e-7 * b_bar), warm-started under the warm-start
-    contract of solvers.  The slopes at b* are central differences of
-    solves predicted by the curves' samples.
+    difference on the grid b_bar * i / 40, i = 0..40, slope ordering
+    d l_{m,2}/db > d l_{m,3}/db at every sample, then refines the
+    crossing with refine_crossing to width max(1e-13, 1e-7 * b_bar),
+    warm-started under the warm-start contract of solvers.  The slopes
+    at b* are central differences of solves predicted by the curves' samples.
     """
     if not 0.0 < b_bar < 1.0:
         raise DomainError(f"need 0 < b_bar < 1, got {b_bar}")
-    _require_count("grid_points", grid_points, 2)
     if m is None:
         m = choose_m(b_bar)
-    bs = [b_bar * i / (grid_points - 1) for i in range(grid_points)]
+    bs = [b_bar * i / 40 for i in range(41)]
     curve2 = trace_curve(m, 2, bs)
     curve3 = trace_curve(m, 3, bs)
     gaps, flips = crossing_gaps(curve2, curve3)

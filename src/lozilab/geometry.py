@@ -102,12 +102,6 @@ def _pull_word(p: Params, word: Itinerary, vslope: float, c: float) -> tuple[flo
     return vslope, c
 
 
-def _fold(p: Params, word: Itinerary, slope: float, k: float) -> float:
-    """Fold abscissa of the full-map image of the (slope, k) line pushed
-    through `word`: both branches send (0, k) to ((a-b-1) - b*k, 0)."""
-    return (p.a - p.b - 1.0) - p.b * _push_word(p, word, slope, k)[1]
-
-
 def iterate_line_bwd(p: Params, word: Itinerary, line: BwdLine) -> BwdLine:
     """Pull a near-vertical line back through the forward word `word`.
 
@@ -211,16 +205,11 @@ def boundary_turning_points(p: Params) -> tuple[float, float]:
     return (p.a - 2.0 * p.b - 1.0, p.a - 1.0)
 
 
-def u_gap(p: Params, m: int, side: str) -> float:
-    """u_value(p, inf, side) - u_value(p, m, side), cancellation-free (_u_ladder)."""
-    return list(_u_ladder(p, side, m))[-1][1]
-
-
 def _u_ladder(p: Params, side: str, m_max: int) -> typing.Iterator[tuple[float, float]]:
-    """(u_value, u_gap)(p, m, side) for m = 2 .. m_max, bit for bit; one kernel step a rung.
+    """(u_m, u_inf - u_m) on `side` for m = 2 .. m_max; one kernel step a rung.
 
-    The gap scales like (b/lam)^(m-1), which underflows the float
-    resolution of the fold values themselves for small b; this form keeps
+    The gap, read by verify.u_bounds, scales like (b/lam)^(m-1), under the
+    float resolution of the folds themselves for small b; this form keeps
     full relative accuracy by propagating the slope gap e_j = 1/lam - s_j
     and crossing gap d_j = k_j - k_inf through positive-term recursions.
     """
@@ -250,19 +239,14 @@ def _return_word(m: int | float, n: int | float) -> Itinerary:
     return (1.0,) + (-1.0,) * (m - 2) + (1.0, 1.0) + (-1.0,) * (int(n) - 2)
 
 
-def p_value(p: Params, m: int | float, n: int) -> float:
+def p_value(p: Params, m: int, n: int) -> float:
     """Fold abscissa of the (m+n)-step image of the x-axis.
 
     The x-axis is pushed through (+, -^(m-2), +, +, -^(n-2)) and the final
     full-map application folds the image; the fold abscissa is returned.
-    m = inf replaces the first m-dependent block by the unstable line
-    y = s*x + s - 1, s = 1/lam, of the left fixed point, the limit object
-    of that block.
+    Refuses an m or n that is not a whole number >= 2, m = inf included.
     """
     _require_mod(p)
-    if m == math.inf:
-        s = 1.0 / multipliers(p).lam
-        return _fold(p, _return_word(2, n)[1:], s, s - 1.0)
     return (p.a - p.b - 1.0) - p.b * _push_word(p, _return_word(m, n), 0.0, 0.0)[1]
 
 

@@ -102,8 +102,8 @@ def _return_map_newton(p: Params, seed: Point, period: int, image: Point, jac: t
     fixed: one that repeats bit for bit has entered a cycle that never
     meets the 1e-13 stop, and gives up at once, as the 60-iteration budget
     would later.  The map steps are apply_map's operations, so a root
-    returned here already passes _closes' forward check.  A step lands on
-    a formal point, in [-1, 1]^2, so no iterate is cut off for its size.
+    returned here already passes _closes' forward check.  No iterate is cut off for
+    its size: at (1e15, 0.5), period 3, a step goes to y ~ -1.0e14 and Newton converges.
     """
     a, b = p.a, p.b
     c = a - b - 1.0

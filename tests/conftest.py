@@ -16,4 +16,4 @@ def reversal():
             b_bar /= 2.0
     else:
         pytest.fail("downward scan for b_bar exhausted")
-    return b_bar, find_reversal(b_bar, grid_points=41)
+    return b_bar, find_reversal(b_bar)

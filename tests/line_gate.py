@@ -1,6 +1,7 @@
 """Line gate: every function-body line of src/lozilab runs under Tier-1.
 
     PYTHONPATH=src python tests/line_gate.py
+    PYTHONPATH=src python tests/line_gate.py --traffic
 
 Runs the Tier-1 suite in this process under a sys.settrace line tracer
 and exits 1 if a test fails or if a line of a function, lambda or
@@ -9,11 +10,21 @@ file:line.  Module-level and class-body statements run at import and
 are not counted; nor are tests run in fresh interpreters.  Line tables
 differ between Python versions, and CI runs this on Python 3.11.  The
 file name keeps pytest from collecting it.
+
+--traffic runs, under the same tracer and instead of the suite, the CLI
+commands that CI runs and the library calls the benchmark workloads make
+(find_reversal at small caps, brute_periodic at periods 1-6 on grid 20),
+names each function-body line none of them ran, and exits 0: a report of
+the code that only tests reach, not a gate.
 """
 
+import argparse
+import contextlib
 import inspect
+import io
 import os
 import sys
+import tempfile
 import types
 from pathlib import Path
 
@@ -21,6 +32,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "lozilab").glob("*.py"))
+CLI_RUNS = (
+    ["figure1"],
+    ["figure1", "--m-max", "24", "--grid", "201"],
+    ["verify", "all", "--seed", "42"],
+    ["partition", "-a", "1.8", "-b", "0.2"],
+    ["orbit", "-a", "1.8", "-b", "0.2", "-I", "+-++-"],
+)
 
 
 def body_lines(code: types.CodeType, path: str, out: set) -> None:
@@ -32,10 +50,8 @@ def body_lines(code: types.CodeType, path: str, out: set) -> None:
             body_lines(const, path, out)
 
 
-def main() -> int:
-    wanted: set = set()
-    for src in SOURCES:
-        body_lines(compile(src.read_text(), str(src), "exec"), str(src), wanted)
+def traced(run) -> tuple[object, set]:
+    """run()'s result and the (path, line) pairs of src/lozilab it ran."""
     ours = {str(src) for src in SOURCES}
     resolved: dict = {}
     ran: set = set()
@@ -53,13 +69,50 @@ def main() -> int:
 
     sys.settrace(tracer)
     try:
-        status = pytest.main(["-q", str(ROOT / "tests")])
+        return run(), ran
     finally:
         sys.settrace(None)
+
+
+def traffic() -> list[str]:
+    """Run the CLI commands and benchmark calls; the commands that did not exit 0."""
+    from lozilab import Params, brute_periodic, find_reversal
+    from lozilab.cli import main as cli
+
+    failed = []
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        for k, argv in enumerate(CLI_RUNS):
+            run = argv + (["--out", os.path.join(out, str(k))] if argv[0] != "orbit" else [])
+            if cli(run) != 0:
+                failed.append(" ".join(argv))
+    for b_bar in (1e-4, 1e-6, 1e-7):
+        find_reversal(b_bar)
+    for a, b in ((1.7, 0.0), (2.3, 0.3), (2.9, 0.6)):
+        for period in range(1, 7):
+            brute_periodic(Params(a, b), period, 20)
+    return failed
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--traffic", action="store_true",
+                        help="report the lines that CLI and benchmark traffic never runs")
+    args = parser.parse_args()
+    wanted: set = set()
+    for src in SOURCES:
+        body_lines(compile(src.read_text(), str(src), "exec"), str(src), wanted)
+    if args.traffic:
+        failed, ran = traced(traffic)
+        for argv in failed:
+            print(f"exited non-zero: {argv}")
+    else:
+        status, ran = traced(lambda: pytest.main(["-q", str(ROOT / "tests")]))
     unrun = sorted(wanted - ran)
     for path, line in unrun:
         print(f"never run: {os.path.relpath(path, ROOT)}:{line}")
     print(f"{len(wanted) - len(unrun)} of {len(wanted)} function-body lines run")
+    if args.traffic:
+        return 0
     return 1 if status != 0 or unrun else 0
 
 

@@ -86,29 +86,57 @@ def test_tangency_last_b_inside_the_partition_region():
     assert tangency_a(0.287) == 1.8612693327523417
 
 
-@pytest.mark.parametrize("b", [0.2871, 0.3, 0.5, 0.7, 1.0])
-def test_tangency_outside_the_partition_region_is_a_region_error(b):
+def _no_curve_solve(monkeypatch):
+    monkeypatch.setattr(bifurcation, "_pq_gap", lambda *args: pytest.fail("a solve ran"))
+
+
+@pytest.mark.parametrize("b", [0.2871, 0.3, 0.5, 0.7, 1.0, 1.5])
+def test_tangency_outside_the_partition_region_is_a_region_error(b, monkeypatch):
     # t(b) <= 3b + 1 here; these were a bare BracketError ("no sign change
     # of f on [1.900000001, 3.0]" at 0.3) and, from b = 2/3 on, hybrid_root's
     # "need an interval lo < hi"
     with pytest.raises(RegionError, match=re.escape(f"b = {b}: ") + r".*a > 3b \+ 1"):
         tangency_a(b)
+    if b >= 1.0:
+        # nor is there an a in (3b + 1, 4) for a curve; solve_l raised hybrid_root's
+        # "need an interval lo < hi", and trace_curve wrapped that as a BracketError
+        _no_curve_solve(monkeypatch)
+        for call in (lambda: solve_l(b, 5, 2), lambda: trace_curve(5, 2, [0.0, b])):
+            with pytest.raises(RegionError) as info:
+                call()
+            assert str(info.value) == (
+                f"b = {b}: the partition region a > 3b + 1 leaves no a < 4 for l_{{m,n}}(b)")
 
 
-@pytest.mark.parametrize("b", [math.nan, -0.1])
-def test_tangency_refuses_b_not_at_least_zero(b):
+@pytest.mark.parametrize("b", [math.nan, -0.1, -0.01])
+def test_tangency_refuses_b_not_at_least_zero(b, monkeypatch):
     # both were RegionError("(1.4142135633730952, nan) is outside the
-    # partition region a > 3b+1"), naming the scan's first a
-    with pytest.raises(DomainError) as info:
-        tangency_a(b)
-    assert type(info.value) is DomainError
-    assert str(info.value) == f"need b >= 0, got {b}"
+    # partition region a > 3b+1"), naming the scan's first a; so were
+    # solve_l's, and trace_curve wrapped them as BracketError("curve (5,2)
+    # failed at b = -0.01: ..."); a NaN grid is refused as not increasing
+    _no_curve_solve(monkeypatch)
+    calls = [tangency_a, lambda b: solve_l(b, 5, 2)]
+    if b < 0.0:
+        calls.append(lambda b: trace_curve(5, 2, [b, 0.0, 0.01]))
+    for call in calls:
+        with pytest.raises(DomainError) as info:
+            call(b)
+        assert type(info.value) is DomainError
+        assert str(info.value) == f"need b >= 0, got {b}"
 
 
-def test_tangency_at_infinite_b_stays_a_region_error():
+def test_tangency_at_infinite_b_stays_a_region_error(monkeypatch):
     with pytest.raises(RegionError) as info:
         tangency_a(math.inf)
     assert str(info.value) == "b = inf: the partition region a > 3b + 1 leaves no a < 3 for t(b)"
+    # the curve solves: hybrid_root's "need an interval lo < hi", and a
+    # BracketError("curve (5,2) failed at b = inf: ...")
+    _no_curve_solve(monkeypatch)
+    for call in (lambda: solve_l(math.inf, 5, 2), lambda: trace_curve(5, 2, [0.0, math.inf])):
+        with pytest.raises(RegionError) as info:
+            call()
+        assert str(info.value) == (
+            "b = inf: the partition region a > 3b + 1 leaves no a < 4 for l_{m,n}(b)")
 
 
 def test_tangency_scan_without_a_root_below_it_stays_a_bracket_error(monkeypatch):
@@ -192,10 +220,8 @@ def test_trace_curve_slopes_and_bounds():
 
 @pytest.mark.parametrize("call, refusal", [
     (lambda: trace_curve(8, 2, [0.01, 0.01]), "not strictly increasing"),
-    (lambda: find_reversal(1e-4, grid_points=1), "need an integer 2 <= grid_points"),
-    (lambda: find_reversal(1e-4, grid_points=2.5), "need an integer 2 <= grid_points"),
     (lambda: find_reversal(0.0, m=10), "0 < b_bar < 1"),
-], ids=["repeated-b", "one-grid-point", "fractional-grid-points", "zero-cap-with-m"])
+], ids=["repeated-b", "zero-cap-with-m"])
 def test_degenerate_b_grid_is_refused(call, refusal):
     # each used to divide by a zero grid spacing
     with pytest.raises(DomainError, match=refusal):
@@ -470,7 +496,7 @@ def test_find_reversal_certificate(reversal):
 
 def test_find_reversal_scales_to_smaller_caps():
     for b_bar, want_m in ((2e-5, 18), (2e-6, 21)):
-        result = find_reversal(b_bar, grid_points=31)
+        result = find_reversal(b_bar)
         assert result.m == want_m
         assert 0.0 < result.b_star < b_bar
         # near the accumulation parameter the slope difference approaches
@@ -481,7 +507,7 @@ def test_find_reversal_scales_to_smaller_caps():
 
 def test_find_reversal_supplied_m_in_figure_band():
     # the m = 5 crossing sits near b = 0.01, inside [0, 0.05]
-    result = find_reversal(0.05, m=5, grid_points=11)
+    result = find_reversal(0.05, m=5)
     assert 0.005 < result.b_star < 0.02
     assert result.slope2 > 0.0 > result.slope3
 
@@ -490,7 +516,7 @@ def test_find_reversal_rejects_band_before_crossing():
     # with the cap below the m = 5 crossing the endpoint order is not
     # yet reversed
     with pytest.raises(ReversalError):
-        find_reversal(0.005, m=5, grid_points=9)
+        find_reversal(0.005, m=5)
 
 
 # crossing_gaps' (gaps, flips) -> the refusal find_reversal must make
@@ -502,7 +528,7 @@ def test_find_reversal_rejects_band_before_crossing():
 def test_find_reversal_refuses_the_gaps_of_no_single_crossing(gaps, flips, message, monkeypatch):
     monkeypatch.setattr(bifurcation, "crossing_gaps", lambda curve2, curve3: (gaps, flips))
     with pytest.raises(ReversalError, match=re.escape(message)):
-        find_reversal(0.05, m=5, grid_points=3)
+        find_reversal(0.05, m=5)
 
 
 def test_find_reversal_refuses_slopes_out_of_order(monkeypatch):
@@ -512,7 +538,7 @@ def test_find_reversal_refuses_slopes_out_of_order(monkeypatch):
     monkeypatch.setattr(bifurcation, "trace_curve", lambda m, n, bs: dataclasses.replace(
         trace(m, n, bs), dadb=[0.0] * len(bs)))
     with pytest.raises(ReversalError, match=re.escape("slope order fails at b = 0.0")):
-        find_reversal(0.05, m=5, grid_points=11)
+        find_reversal(0.05, m=5)
 
 
 def test_find_reversal_refuses_a_crossing_that_is_not_transverse(monkeypatch):
@@ -525,7 +551,7 @@ def test_find_reversal_refuses_a_crossing_that_is_not_transverse(monkeypatch):
     monkeypatch.setattr(bifurcation, "_solve_near",
                         lambda curve, b, tol: 2.0 if refined else solve_near(curve, b, tol))
     with pytest.raises(ReversalError, match=re.escape("crossing not transverse: 0.0 <= 0.0")):
-        find_reversal(0.05, m=5, grid_points=11)
+        find_reversal(0.05, m=5)
     assert len(refined) == 1
 
 
@@ -698,7 +724,7 @@ def test_cold_solve_equals_the_scan_bisect_polish_reference():
         m = rng.randint(4, 30)
         n = rng.choice((2, 3))
         b = 0.0 if k % 6 == 0 else rng.uniform(0.0, 0.3)
-        lo = bifurcation._a_low(b)
+        lo = bifurcation._a_low(b, 4.0, "l_{m,n}(b)")
         cases.append((lambda a, b=b, m=m, n=n: bifurcation._pq_gap(a, b, m, n),
                       lo, 4.0, 48, 1e-6, 1e-12))
 

@@ -29,7 +29,6 @@ from lozilab.bifurcation import solve_l
 from lozilab.core import DomainError, RegionError
 from lozilab.geometry import (
     SlopeError,
-    _fold,
     _pull_word,
     _push_word,
     _r_ladder,
@@ -37,7 +36,6 @@ from lozilab.geometry import (
     _u_ladder,
     boundary_turning_points,
     stable_line,
-    u_gap,
 )
 from lozilab.symbolic import ItineraryError
 
@@ -92,6 +90,12 @@ def _unstable_minus(p):
     """(slope, k) of the unstable line of z_-: slope 1/lam through (-1, -1)."""
     slope = 1.0 / multipliers(p).lam
     return slope, _y_axis(slope, *fixed_points(p)[0])
+
+
+def _kernel_fold(p, word, slope, k):
+    """Fold abscissa of the full-map image of the (slope, k) line pushed
+    through `word` by _push_word: both branches send (0, k) to ((a-b-1) - b*k, 0)."""
+    return (p.a - p.b - 1.0) - p.b * _push_word(p, word, slope, k)[1]
 
 
 def test_slope_fixed_points():
@@ -157,7 +161,7 @@ def test_gap_kernel_matches_per_symbol_reference_exactly():
             assert p_value(p, m, n) == ref_fold(p, word, 0.0, 0.0)
             assert q_value(p, m, n) == ref_pull_word(p, word, 0.0, 0.0)[1]
             tail = (PLUS, PLUS) + (MINUS,) * (n - 2)
-            assert p_value(p, math.inf, n) == ref_fold(p, tail, *line)
+            assert _kernel_fold(p, tail, *line) == ref_fold(p, tail, *line)
 
 
 def test_ladders_and_line_iteration_match_per_symbol_reference_exactly():
@@ -175,7 +179,7 @@ def test_ladders_and_line_iteration_match_per_symbol_reference_exactly():
         for m in (2, 3, 8, 26):
             for side, y0 in (("L", -1.0), ("R", 1.0)):
                 assert u_value(p, m, side) == ref_fold(p, (PLUS,) + (MINUS,) * (m - 2), 0.0, y0)
-        assert _fold(p, (), slope, k) == ref_fold(p, (), slope, k)
+        assert _kernel_fold(p, (), slope, k) == ref_fold(p, (), slope, k)
         for sigma in (MINUS, PLUS, -1.0, 1.0):
             assert _slope_fwd(p, sigma, slope) == ref_push(p, sigma, slope, 0.0)[0]
             assert _slope_bwd(p, sigma, bwd.vslope) == ref_pull(p, sigma, bwd.vslope, 0.0)[0]
@@ -233,7 +237,7 @@ def test_fixed_slope_steps_match_per_symbol_reference_exactly():
             assert p_value(p, m, n) == ref_fold(p, word, 0.0, 0.0)
             assert q_value(p, m, n) == ref_pull_word(p, word, 0.0, 0.0)[1]
             tail = (PLUS, PLUS) + (MINUS,) * (n - 2)
-            assert p_value(p, math.inf, n) == ref_fold(p, tail, *line)
+            assert _kernel_fold(p, tail, *line) == ref_fold(p, tail, *line)
         for word in _switch_words(m):
             # int symbols; float symbols shared as _return_word shares them;
             # and floats that are equal but distinct objects
@@ -382,8 +386,8 @@ def test_backward_iteration_word_order():
 def test_turning_point_band_boundaries():
     for p in (P18, Params(2.3, 0.4), Params(1.9, 0.0)):
         u_left, u_right = boundary_turning_points(p)
-        assert _fold(p, (), 0.0, 1.0) == pytest.approx(u_left)
-        assert _fold(p, (), 0.0, -1.0) == pytest.approx(u_right)
+        assert _kernel_fold(p, (), 0.0, 1.0) == pytest.approx(u_left)
+        assert _kernel_fold(p, (), 0.0, -1.0) == pytest.approx(u_right)
 
 
 def test_turning_point_by_folding_sample_points():
@@ -391,7 +395,7 @@ def test_turning_point_by_folding_sample_points():
     # line straddle the fold at height ~0
     p = Params(2.1, 0.3)
     slope, x0, y0 = -0.1, 0.5, -0.2
-    fold = _fold(p, (), slope, _y_axis(slope, x0, y0))
+    fold = _kernel_fold(p, (), slope, _y_axis(slope, x0, y0))
     eps = 1e-6
     for x in (-eps, eps):
         v = (x, y0 + slope * (x - x0))
@@ -402,7 +406,7 @@ def test_turning_point_by_folding_sample_points():
 def test_turning_point_degenerate_family():
     p = Params(1.7, 0.0)
     for k in (-2.0, 0.0, 1.5):
-        assert _fold(p, (), 0.3, k) == pytest.approx(p.a - 1.0)
+        assert _kernel_fold(p, (), 0.3, k) == pytest.approx(p.a - 1.0)
 
 
 def test_turning_point_stable_manifold_parameterization():
@@ -424,7 +428,7 @@ def test_turning_point_stable_manifold_parameterization():
                     - (1.0 + sigma * s * mult.mu) * p.b * v
                     - (1.0 - s) * p.b * zeta
                 )
-                assert _fold(p, (), s, _y_axis(s, x0, y0)) == pytest.approx(predicted, abs=1e-10)
+                assert _kernel_fold(p, (), s, _y_axis(s, x0, y0)) == pytest.approx(predicted, abs=1e-10)
 
 
 # ------------------------------------------------------------- r ladder
@@ -516,9 +520,13 @@ def test_p_q_reject_bad_indices():
     for m, n in ((5.7, 2), (5, 2.5), (math.inf, 2), (5, math.nan), (5, 1)):
         with pytest.raises(DomainError):
             q_value(P18, m, n)
-    for m, n in ((5, 2.5), (5.5, 2), (math.inf, 2.5), (5, math.nan)):
+    for m, n in ((5, 2.5), (5.5, 2), (math.inf, 2), (math.inf, 2.5), (5, math.nan)):
         with pytest.raises(DomainError):
             p_value(P18, m, n)
+    # p_value has no m = inf limit form; it refuses inf as q_value does
+    for value in (p_value, q_value):
+        with pytest.raises(DomainError, match=r"^need an integer m >= 2, got inf$"):
+            value(P18, math.inf, 3)
     # the return-word cache only ever sees validated indices
     assert _return_word.cache_info().currsize == 0
 
@@ -540,20 +548,23 @@ def test_p_degenerate_is_critical_value():
 
 
 def test_p_limit_derivatives_degenerate():
+    # at b = 0 the derivatives of p_{m,n} at these finite m already equal
+    # those of its m -> inf limit: 1 in a, and 1/a - 2 (n = 2), -1/a (n = 3) in b
     h = 1e-6
     for a in (1.7, 1.9):
-        da = (
-            p_value(Params(a + h, 0.0), math.inf, 2)
-            - p_value(Params(a - h, 0.0), math.inf, 2)
-        ) / (2 * h)
-        assert da == pytest.approx(1.0, abs=1e-6)
-        for n, want in ((2, 1.0 / a - 2.0), (3, -1.0 / a)):
-            db = (
-                -3.0 * p_value(Params(a, 0.0), math.inf, n)
-                + 4.0 * p_value(Params(a, h), math.inf, n)
-                - p_value(Params(a, 2 * h), math.inf, n)
+        for m in (6, 12, 40):
+            da = (
+                p_value(Params(a + h, 0.0), m, 2)
+                - p_value(Params(a - h, 0.0), m, 2)
             ) / (2 * h)
-            assert db == pytest.approx(want, abs=1e-5)
+            assert da == pytest.approx(1.0, abs=1e-6)
+            for n, want in ((2, 1.0 / a - 2.0), (3, -1.0 / a)):
+                db = (
+                    -3.0 * p_value(Params(a, 0.0), m, n)
+                    + 4.0 * p_value(Params(a, h), m, n)
+                    - p_value(Params(a, 2 * h), m, n)
+                ) / (2 * h)
+                assert db == pytest.approx(want, abs=1e-5)
 
 
 def test_p_in_band_and_matches_fold_oracle():
@@ -661,12 +672,13 @@ def test_exponential_r_bounds():
 
 
 def test_u_gap_matches_direct_difference():
+    # the fold ladder's cancellation-free gaps against u_inf - u_m
     for p in (P18, Params(2.5, 0.3), Params(1.9, 0.1)):
         u_inf = multipliers(p).lam - 1.0
-        for m in range(2, 7):
-            for side in "LR":
+        for side in "LR":
+            for m, (_, gap) in enumerate(_u_ladder(p, side, 6), start=2):
                 direct = u_inf - u_value(p, m, side)
-                assert u_gap(p, m, side) == pytest.approx(direct, abs=1e-13)
+                assert gap == pytest.approx(direct, abs=1e-13)
 
 
 def test_exponential_u_bounds():
@@ -707,7 +719,7 @@ def test_ladder_sweeps_equal_single_rungs_bit_for_bit():
             # u_value reads this ladder; ref_fold pushes each word afresh
             assert list(folds) == [
                 ref_fold(p, (PLUS,) + (MINUS,) * (m - 2), 0.0, y0) for m in range(2, 41)]
-            assert list(gaps) == [u_gap(p, m, side) for m in range(2, 41)]
+            assert list(gaps) == [list(_u_ladder(p, side, m))[-1][1] for m in range(2, 41)]
             assert list(gaps) == [ref_u_gap(p, m, side) for m in range(2, 41)]
 
 
@@ -717,7 +729,7 @@ def test_ladder_sweep_lengths_and_whole_float_indices():
     assert [r for *_, r in _r_ladder(P18, 5.0)] == [r_value(P18, m) for m in range(1, 6)]
     assert r_value(P18, 5.0) == r_value(P18, 5)
     assert u_value(P18, 5.0, "L") == u_value(P18, 5, "L")
-    assert u_gap(P18, 5.0, "L") == u_gap(P18, 5, "L")
+    assert list(_u_ladder(P18, "L", 5.0)) == list(_u_ladder(P18, "L", 5))
 
 
 @pytest.mark.parametrize("m", [True, False])
@@ -726,7 +738,7 @@ def test_ladder_indices_refuse_bools(m):
     for call in (
         lambda: r_value(P18, m),
         lambda: u_value(P18, m, "L"),
-        lambda: u_gap(P18, m, "R"),
+        lambda: list(_u_ladder(P18, "R", m)),
         lambda: list(_r_ladder(P18, m)),
         lambda: list(_u_ladder(P18, "L", m)),
     ):
@@ -858,13 +870,13 @@ def test_public_surface_is_pinned():
         "forcing_check_tent", "formal_periodic_point", "format_itinerary", "iota",
         "iterate_line_bwd", "log_coord", "multipliers", "orbit_signs", "order_compare",
         "p_value", "parse_itinerary", "q_value", "r_value", "solve_l",
-        "tangency_a", "trace_curve", "u_gap", "u_value",
+        "tangency_a", "trace_curve", "u_value",
     ]
     assert _public_names(geometry) == [
         "BwdLine", "C_RL", "C_RU", "C_UL", "C_UU", "DomainError", "Itinerary", "MINUS", "PLUS",
         "Params", "Point", "RegionError", "SLOPE_C", "SlopeError", "boundary_turning_points",
         "dataclass", "fixed_points", "iterate_line_bwd", "multipliers", "p_value", "q_value",
-        "r_value", "stable_line", "u_gap", "u_value",
+        "r_value", "stable_line", "u_value",
     ]
 
 
