@@ -16,28 +16,13 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .core import DomainError, Params, RegionError, _require_count, _require_orders, multipliers
-from .geometry import C_RL, C_RU, C_UL, C_UU, _r_ladder, p_value, q_value, r_value, u_value
+from .geometry import C3, C4, C_RL, C_RU, _r_ladder, p_value, q_value, r_value, u_value
 from .renorm import log_coord
 from .solvers import BracketError, _Memo, _require_tolerances, bisect, hybrid_root, predicted_cell
 
 _SQRT2 = math.sqrt(2.0)
 _A_HI = 4.0
 _L_XTOL = 1e-6  # the width of the final bisection cell of every l_{m,n} solve
-
-# Log-scale offsets for the folds: T(u_n^d) - (n-1) log_lam(1/b) lies in
-# [log_lam C3, log_lam C4] for n in {2, 3} on the box [sqrt(2), 4] x [0, B].
-_BOX_B_MAX = 0.07
-
-
-def _fold_gauge(n: int, lam: float) -> float:
-    return (1.0 - lam ** (1 - n)) * lam ** (2 - n)
-
-
-_LAM_MIN = 0.5 * (_SQRT2 + math.sqrt(2.0 - 4.0 * _BOX_B_MAX))
-_G_MIN = min(_fold_gauge(2, _LAM_MIN), _fold_gauge(3, _LAM_MIN), _fold_gauge(3, 4.0))
-_G_MAX = max(_fold_gauge(2, 4.0), _fold_gauge(3, math.sqrt(3.0)))
-C3 = 1.0 / (C_UU * _G_MAX)
-C4 = 1.0 / (C_UL * _G_MIN)
 
 
 class ConditionError(DomainError):

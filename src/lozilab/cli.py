@@ -101,9 +101,9 @@ def cmd_figure1(args: argparse.Namespace) -> int:
         print("error: need --grid >= 2, --m-min <= --m-max, --b-max > 0, --tol > 0",
               file=sys.stderr)
         return EXIT_USAGE
-    if args.m_max <= min(args.n):
-        print(f"error: need --m-max > {min(args.n)}, the smallest --n, got "
-              f"{args.m_max}: no curve to trace", file=sys.stderr)
+    if args.m_max <= 2:
+        print(f"error: need --m-max > 2, got {args.m_max}: no curve to trace",
+              file=sys.stderr)
         return EXIT_USAGE
     grid = [args.b_max * i / (args.grid - 1) for i in range(args.grid)]
     if not all(lo < hi for lo, hi in zip(grid, grid[1:])):
@@ -114,10 +114,9 @@ def cmd_figure1(args: argparse.Namespace) -> int:
     from .bifurcation import crossing_gaps, refine_crossing
 
     out = _out_dir(args.out)
-    ns = sorted(set(args.n))
     curves = {}
     for m in range(args.m_min, args.m_max + 1):
-        for n in ns:
+        for n in (2, 3):
             curve, notes = _trace_or_skip(m, n, grid, args.tol)
             for note in notes:
                 print(f"warning: curve ({m},{n}): {note}", file=sys.stderr)
@@ -129,41 +128,39 @@ def cmd_figure1(args: argparse.Namespace) -> int:
                 rows = (f"{m},{n},{b!r},{a!r},{s!r}" for (b, a), s in points)
                 _write_csv(out / f"curve_m{m}_n{n}.csv", "m,n,b,a,dadb", rows)
 
-    if not curves or ns != [2, 3]:  # no crossings to write, and no stale ones
+    if not curves:  # no crossings to write, and no stale ones
         (out / "intersections.json").unlink(missing_ok=True)
-    if not curves:
         print(f"error: every curve was skipped; no file written to {out}", file=sys.stderr)
         return EXIT_DOMAIN
     intersections, unresolved = [], []
-    if ns == [2, 3]:
-        for m in range(args.m_min, args.m_max + 1):
-            if (m, 2) not in curves or (m, 3) not in curves:
-                continue
-            curve2, curve3 = curves[(m, 2)], curves[(m, 3)]
-            _, flips = crossing_gaps(curve2, curve3)
-            if len(flips) != 1:
-                print(f"warning: m={m}: {len(flips)} sign changes of the curve gap",
-                      file=sys.stderr)
-                continue
-            k = flips[0]
-            b_star, a_star = refine_crossing(
-                curve2, curve3, k, CROSSING_WIDTH, tol=args.tol)
-            if b_star <= CROSSING_WIDTH:
-                print(f"warning: m={m}: crossing b* = {b_star!r} is not above the "
-                      f"refine width {CROSSING_WIDTH!r}; left out", file=sys.stderr)
-                unresolved.append(m)
-                continue
-            if CROSSING_WIDTH > 1e-3 * b_star:
-                print(f"warning: m={m}: crossing b* = {b_star!r} is known only to a relative "
-                      f"width {CROSSING_WIDTH / b_star:.2g}", file=sys.stderr)
-            intersections.append({
-                "m": m,
-                "b_star": b_star,
-                "a_star": a_star,
-                "slope2": curve2.dadb[k],
-                "slope3": curve3.dadb[k],
-            })
-        _json_dump(intersections, out / "intersections.json")
+    for m in range(args.m_min, args.m_max + 1):
+        if (m, 2) not in curves or (m, 3) not in curves:
+            continue
+        curve2, curve3 = curves[(m, 2)], curves[(m, 3)]
+        _, flips = crossing_gaps(curve2, curve3)
+        if len(flips) != 1:
+            print(f"warning: m={m}: {len(flips)} sign changes of the curve gap",
+                  file=sys.stderr)
+            continue
+        k = flips[0]
+        b_star, a_star = refine_crossing(
+            curve2, curve3, k, CROSSING_WIDTH, tol=args.tol)
+        if b_star <= CROSSING_WIDTH:
+            print(f"warning: m={m}: crossing b* = {b_star!r} is not above the "
+                  f"refine width {CROSSING_WIDTH!r}; left out", file=sys.stderr)
+            unresolved.append(m)
+            continue
+        if CROSSING_WIDTH > 1e-3 * b_star:
+            print(f"warning: m={m}: crossing b* = {b_star!r} is known only to a relative "
+                  f"width {CROSSING_WIDTH / b_star:.2g}", file=sys.stderr)
+        intersections.append({
+            "m": m,
+            "b_star": b_star,
+            "a_star": a_star,
+            "slope2": curve2.dadb[k],
+            "slope3": curve3.dadb[k],
+        })
+    _json_dump(intersections, out / "intersections.json")
     print(f"wrote {len(curves)} curve files and {len(intersections)} intersections to {out}")
     if unresolved:
         print(f"error: crossings below the refine width for m = {unresolved}",
@@ -233,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig = sub.add_parser("figure1", help="export the curve family and crossings")
     fig.add_argument("--m-min", type=int, default=4)
     fig.add_argument("--m-max", type=int, default=14)
-    fig.add_argument("--n", type=int, action="append", choices=(2, 3),
-                     help="repeatable; default both 2 and 3")
     fig.add_argument("--b-max", type=finite_float, default=0.07)
     fig.add_argument("--grid", type=int, default=71)
     fig.add_argument("--tol", type=finite_float, default=1e-12,
@@ -263,8 +258,6 @@ def main(argv: list[str] | None = None) -> int:
     # imported only now, so that --help and usage errors load no layer
     from .core import DomainError
 
-    if args.command == "figure1" and not args.n:
-        args.n = [2, 3]
     try:
         return args.func(args)
     except DomainError as exc:

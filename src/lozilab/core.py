@@ -76,6 +76,13 @@ def _require_count(name: str, value: int, least: int, most: float = math.inf) ->
         raise DomainError(f"need an integer {least} <= {name}{upper}, got {value!r}")
 
 
+def _require_index(name: str, value: int | float, least: int) -> int:
+    """`value` as an int; refuses a value below `least`, a fraction, inf, NaN and a bool."""
+    if isinstance(value, bool) or not value >= least or value % 1:
+        raise DomainError(f"need an integer {name} >= {least}, got {value}")
+    return int(value)
+
+
 def _require_orders(m: int, n: int) -> None:
     """Refuse (m, n) unless m > n >= 2 are whole numbers, floats like 5.0 included."""
     if not m > n >= 2 or m % 1 or n % 1:

@@ -34,10 +34,11 @@ from .core import (
     Params,
     Point,
     RegionError,
+    _require_index,
     fixed_points,
     multipliers,
 )
-from .symbolic import Itinerary, _require_symbols
+from .symbolic import Itinerary, _require_symbols, iota
 
 _EXCLUDED_TOL = 1e-13
 
@@ -138,13 +139,6 @@ def _side_sign(p: Params, side: str) -> int:
     return MINUS if side == "L" else PLUS
 
 
-def _ladder_index(m: int | float, least: int) -> int:
-    """A finite ladder index m as an int; rejects m < least, fractions and bools."""
-    if isinstance(m, bool) or not m >= least or m % 1:
-        raise DomainError(f"need an integer m >= {least}, got {m}")
-    return int(m)
-
-
 # Bracket constants for the trace ladder r_inf - r_m in (C_RL, C_RU)/lam^m
 # and the fold ladder u_inf - u_m in (C_UL, C_UU)*(1 - lam^(1-m))*lam*(b/lam)^(m-1),
 # all valid on a > 3b+1.  C_UU folds in the slope-convergence constant
@@ -154,6 +148,21 @@ C_RL = 0.2
 C_RU = 2.25
 C_UL = 0.25
 C_UU = 2.0 * (1.0 + (SLOPE_C + 1.5) * (5.0 / 8.0))
+
+# Log-scale offsets for the folds: T(u_n^d) - (n-1) log_lam(1/b) lies in
+# [log_lam C3, log_lam C4] for n in {2, 3} on the box [sqrt(2), 4] x [0, B].
+_BOX_B_MAX = 0.07
+
+
+def _fold_gauge(n: int, lam: float) -> float:
+    return (1.0 - lam ** (1 - n)) * lam ** (2 - n)
+
+
+_LAM_MIN = 0.5 * (math.sqrt(2.0) + math.sqrt(2.0 - 4.0 * _BOX_B_MAX))
+_G_MIN = min(_fold_gauge(2, _LAM_MIN), _fold_gauge(3, _LAM_MIN), _fold_gauge(3, 4.0))
+_G_MAX = max(_fold_gauge(2, 4.0), _fold_gauge(3, math.sqrt(3.0)))
+C3 = 1.0 / (C_UU * _G_MAX)
+C4 = 1.0 / (C_UL * _G_MIN)
 
 
 def r_value(p: Params, m: int | float) -> float:
@@ -167,7 +176,7 @@ def r_value(p: Params, m: int | float) -> float:
     if m == math.inf:
         mult = multipliers(p)
         return 1.0 - (mult.lam + 2.0) / (p.a * mult.lam + p.b) * p.b
-    word = (1.0,) + (-1.0,) * (_ladder_index(m, 1) - 1)
+    word = (1.0,) + (-1.0,) * (_require_index("m", m, 1) - 1)
     line = stable_line(p, PLUS)
     return _pull_word(p, word, line.vslope, line.trace)[1]
 
@@ -177,7 +186,7 @@ def _r_ladder(p: Params, m_max: int) -> typing.Iterator[tuple[float, float, floa
     line pulled back through j minus branches, then through +.  One kernel step a
     pullback, so gamma_j's trace is r_{j+1}, bit for bit r_value(p, j + 1)."""
     _require_mod(p)
-    m_max = _ladder_index(m_max, 1)
+    m_max = _require_index("m", m_max, 1)
     line = stable_line(p, PLUS)
     beta = (line.vslope, line.trace)
     for j in range(m_max):
@@ -214,7 +223,7 @@ def _u_ladder(p: Params, side: str, m_max: int) -> typing.Iterator[tuple[float, 
     and crossing gap d_j = k_j - k_inf through positive-term recursions.
     """
     sigma0 = float(_side_sign(p, side))
-    m_max = _ladder_index(m_max, 2)
+    m_max = _require_index("m", m_max, 2)
     a, b = p.a, p.b
     lam = multipliers(p).lam
     s, k = _push_word(p, (PLUS,), 0.0, sigma0)
@@ -231,12 +240,11 @@ def _u_ladder(p: Params, side: str, m_max: int) -> typing.Iterator[tuple[float, 
 
 @functools.lru_cache(maxsize=256)
 def _return_word(m: int | float, n: int | float) -> Itinerary:
-    """(+, -^(m-2), +, +, -^(n-2)), built once per (m, n); refuses m and n
-    unless both are whole numbers >= 2 (a refusal is not cached)."""
-    m = _ladder_index(m, 2)
-    if not n >= 2 or n % 1:
-        raise DomainError(f"need an integer n >= 2, got {n}")
-    return (1.0,) + (-1.0,) * (m - 2) + (1.0, 1.0) + (-1.0,) * (int(n) - 2)
+    """symbolic.iota(+1, m, n) without its last symbol, built once per (m, n)
+    with one float object per symbol, as the kernels' identity test wants;
+    refuses m and n unless both are whole numbers >= 2 (a refusal is not cached)."""
+    word = iota(PLUS, _require_index("m", m, 2), _require_index("n", n, 2))[:-1]
+    return tuple(map({PLUS: 1.0, MINUS: -1.0}.__getitem__, word))
 
 
 def p_value(p: Params, m: int, n: int) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .core import (
@@ -149,12 +149,10 @@ def _closes(p: Params, v: Point, period: int) -> bool:
     return abs(x - v[0]) <= 1e-10 and abs(y - v[1]) <= 1e-10
 
 
-def _distinct(
-    roots: Iterable[Point], accept: Callable[[Point], bool]
-) -> tuple[list[Point], _Cells]:
+def _distinct(p: Params, roots: Iterable[Point], period: int) -> tuple[list[Point], _Cells]:
     """The roots, in order, each kept if no kept point is within 1e-7 in
-    the max norm and then `accept` holds (tested only for such a root);
-    and the index of the kept points, for _near_kept lookups.
+    the max norm and then it _closes (tested only for such a root); and
+    the index of the kept points, for _near_kept lookups.
 
     A kept q is filed under each square cell of side 1e-6 that the box
     [q - 2e-7, q + 2e-7]^2 meets (1, 2 or 4); a point within 1e-7 of q lies
@@ -165,7 +163,7 @@ def _distinct(
     cells: _Cells = {}
     for root in roots:
         x, y = root
-        if _near_kept(cells, x, y) or not accept(root):
+        if _near_kept(cells, x, y) or not _closes(p, root, period):
             continue
         kept.append(root)
         for i in {(x - _REACH) // _CELL, (x + _REACH) // _CELL}:
@@ -253,7 +251,7 @@ def brute_periodic(p: Params, period: int, grid_n: int) -> list[Point]:
         xs = cyclic_orbit(p, signs)
         if all(s * x >= -_TIE for x, s in zip(xs, signs)):
             roots.extend((xs[k], xs[k - 1]) for k in range(period))
-    points, cells = _distinct(roots, lambda v: _closes(p, v, period))
+    points, cells = _distinct(p, roots, period)
     xs, ys, keys, jacs = _seed_orbits(p.a, p.b, grid_n, period)
     seeds, i = _seed_grid(grid_n), -1
     # in order of first seeds, so each key's first seed follows the last one's

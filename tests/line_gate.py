@@ -12,10 +12,11 @@ differ between Python versions, and CI runs this on Python 3.11.  The
 file name keeps pytest from collecting it.
 
 --traffic runs, under the same tracer and instead of the suite, the CLI
-commands that CI runs and the library calls the benchmark workloads make
-(find_reversal at small caps, brute_periodic at periods 1-6 on grid 20),
-names each function-body line none of them ran, and exits 0: a report of
-the code that only tests reach, not a gate.
+commands that CI runs and every unit of the four benchmark workloads at
+seeds 1-5, through perfbench/workloads.py's own Runner (prepare, call,
+check); names each command that did not exit 0, each unit whose call
+raised or whose check failed, and each function-body line none of them
+ran; and exits 0: a report of the code that only tests reach, not a gate.
 """
 
 import argparse
@@ -32,6 +33,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "lozilab").glob("*.py"))
+TRAFFIC_SEEDS = range(1, 6)
 CLI_RUNS = (
     ["figure1"],
     ["figure1", "--m-max", "24", "--grid", "201"],
@@ -75,21 +77,31 @@ def traced(run) -> tuple[object, set]:
 
 
 def traffic() -> list[str]:
-    """Run the CLI commands and benchmark calls; the commands that did not exit 0."""
-    from lozilab import Params, brute_periodic, find_reversal
+    """Run the CLI commands and the benchmark's units; a line for each
+    command that did not exit 0 and each unit that raised or failed its check."""
     from lozilab.cli import main as cli
+
+    # workloads.py imports its sibling reference.py by plain name
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
 
     failed = []
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
         for k, argv in enumerate(CLI_RUNS):
             run = argv + (["--out", os.path.join(out, str(k))] if argv[0] != "orbit" else [])
             if cli(run) != 0:
-                failed.append(" ".join(argv))
-    for b_bar in (1e-4, 1e-6, 1e-7):
-        find_reversal(b_bar)
-    for a, b in ((1.7, 0.0), (2.3, 0.3), (2.9, 0.6)):
-        for period in range(1, 7):
-            brute_periodic(Params(a, b), period, 20)
+                failed.append(f"exited non-zero: {' '.join(argv)}")
+        for workload in workloads.WORKLOADS:
+            runner = workloads.Runner(workload, Path(out) / workload)
+            for seed in TRAFFIC_SEEDS:
+                for unit in workloads.make_inputs(workload, seed):
+                    runner.prepare(unit)
+                    try:
+                        reason = runner.check(unit, runner.call(unit))
+                    except Exception as exc:  # noqa: BLE001 - reported, as the benchmark counts it
+                        reason = f"{type(exc).__name__}: {exc}"
+                    if reason is not None:
+                        failed.append(f"failed: {workload} seed {seed} unit {unit!r}: {reason}")
     return failed
 
 
@@ -103,8 +115,8 @@ def main() -> int:
         body_lines(compile(src.read_text(), str(src), "exec"), str(src), wanted)
     if args.traffic:
         failed, ran = traced(traffic)
-        for argv in failed:
-            print(f"exited non-zero: {argv}")
+        for line in failed:
+            print(line)
     else:
         status, ran = traced(lambda: pytest.main(["-q", str(ROOT / "tests")]))
     unrun = sorted(wanted - ran)

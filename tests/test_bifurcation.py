@@ -22,8 +22,6 @@ from lozilab import (
 )
 from lozilab import bifurcation, solvers
 from lozilab.bifurcation import (
-    C3,
-    C4,
     ConditionError,
     ReversalError,
     _solve_near,
@@ -32,7 +30,7 @@ from lozilab.bifurcation import (
     refine_crossing,
 )
 from lozilab.core import DomainError, RegionError
-from lozilab.geometry import C_RL, C_RU
+from lozilab.geometry import C3, C4, C_RL, C_RU
 from lozilab.solvers import (
     _FD_STEP,
     _HUNT_CELLS,

@@ -110,9 +110,10 @@ def test_usage_error_exit_code(tmp_path, capsys):
         ["figure1", "--workers", "2"],
         # grid points 0, 0, 5e-324 are not strictly increasing
         ["figure1", "--b-max", "5e-324"],
-        # no m in 1..2 has m > n for any n in {2, 3}: no curve to trace
+        # no m in 1..2 has m > n for n = 2 or 3: no curve to trace
         ["figure1", "--m-min", "1", "--m-max", "2"],
-        ["figure1", "--m-min", "3", "--m-max", "3", "--n", "3"],
+        # figure1 always traces n = 2 and n = 3
+        ["figure1", "--n", "2"],
     ]
     # refused before the output directory is created
     small = ["--m-min", "5", "--m-max", "5", "--grid", "3", "--out", str(tmp_path / "out")]
@@ -126,6 +127,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
         assert code == 2, args
     capsys.readouterr()
     assert not list(tmp_path.iterdir())
+    assert main(["figure1", "--m-min", "1", "--m-max", "2"]) == 2
+    assert capsys.readouterr().err == "error: need --m-max > 2, got 2: no curve to trace\n"
 
 
 def test_partition_csv(tmp_path, capsys):
@@ -370,34 +373,14 @@ def test_figure1_removes_an_earlier_runs_file_for_a_skipped_curve(tmp_path, caps
         "curve_m6_n2.csv", "curve_m6_n3.csv", "notes.txt"]
 
 
-def test_figure1_single_n_removes_an_earlier_runs_crossings(tmp_path, capsys):
-    code, _, _ = run_cli(SMALL_FAMILY + ["--out", str(tmp_path)], capsys)
-    assert code == 0
-    assert (tmp_path / "intersections.json").exists()
-    code, out, _ = run_cli(SMALL_FAMILY + ["--n", "2", "--out", str(tmp_path)], capsys)
-    assert code == 0
-    assert "wrote 2 curve files and 0 intersections" in out
-    assert not (tmp_path / "intersections.json").exists()
-    # the n = 3 curves are files this run never writes
-    assert sorted(f.name for f in tmp_path.iterdir()) == [
-        f"curve_m{m}_n{n}.csv" for m in (5, 6) for n in (2, 3)]
-    for name in ("curve_m5_n3.csv", "curve_m6_n3.csv"):
-        assert (tmp_path / name).read_bytes() == (RECORDED_SMALL_FAMILY / name).read_bytes()
-
-
-def test_figure1_single_n(tmp_path, capsys):
-    code, _, _ = run_cli(
-        [
-            "figure1",
-            "--m-min", "5", "--m-max", "5", "--n", "2",
-            "--b-max", "0.01", "--grid", "5",
-            "--out", str(tmp_path),
-        ],
-        capsys,
-    )
-    assert code == 0
-    assert [f.name for f in tmp_path.glob("curve_*.csv")] == ["curve_m5_n2.csv"]
-    assert not (tmp_path / "intersections.json").exists()
+def test_figure1_has_no_n_option(tmp_path, capsys):
+    # figure1 always traces the n = 2 and n = 3 curves and their crossings
+    with pytest.raises(SystemExit) as info:
+        main(SMALL_FAMILY + ["--n", "2", "--out", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "lozi-lab: error: unrecognized arguments: --n 2\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_figure1_deterministic_output(tmp_path, capsys):
@@ -501,10 +484,10 @@ def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, monkey
     # a default of the next, and usage errors and help read as in a fresh
     # process
     assert cli.build_parser() is cli.build_parser()
-    code, _, _ = run_cli(SMALL_FAMILY + ["--n", "2", "--out", str(tmp_path / "n2")], capsys)
+    code, _, _ = run_cli(SMALL_FAMILY + ["--m-min", "6", "--out", str(tmp_path / "m6")], capsys)
     assert code == 0
-    assert sorted(f.name for f in (tmp_path / "n2").iterdir()) == [
-        "curve_m5_n2.csv", "curve_m6_n2.csv"]
+    assert sorted(f.name for f in (tmp_path / "m6").iterdir()) == [
+        "curve_m6_n2.csv", "curve_m6_n3.csv", "intersections.json"]
     code, _, _ = run_cli(SMALL_FAMILY + ["--out", str(tmp_path / "both")], capsys)
     assert code == 0
     assert sorted(f.name for f in (tmp_path / "both").iterdir()) == sorted(
@@ -559,6 +542,9 @@ def test_each_command_imports_only_its_own_layers(tmp_path):
     assert _modules_after_exit(["--help"], 0, tmp_path) == base
     assert _modules_after_exit(["orbit", "-a", "nan", "-b", "0", "-I", "+"], 2, tmp_path) == base
     assert "lozilab.bifurcation" not in _modules_after_exit(["figure1", "--grid", "1"], 2, tmp_path)
+    # main's DomainError import is the one layer a command's own usage check follows
+    assert _modules_after_exit(["figure1", "--m-min", "2", "--m-max", "2"], 2, tmp_path) == (
+        base | {"lozilab.core"})
     figure1 = "from lozilab import cli; cli.main(['figure1', '--m-max', '6', '--grid', '11'])"
     loaded = _modules_after(figure1, tmp_path)
     assert not loaded & {"lozilab.oracle", "lozilab.verify", "lozilab.kneading"}, loaded

@@ -1,4 +1,5 @@
 import __future__
+import argparse
 import ast
 import importlib
 import math
@@ -15,6 +16,7 @@ from lozilab import (
     PLUS,
     BwdLine,
     Params,
+    cli,
     fixed_points,
     geometry,
     iterate_line_bwd,
@@ -286,6 +288,8 @@ def test_return_word_cache_keyed_on_validated_ints():
     _return_word.cache_clear()
     word = _return_word(6, 3)
     assert word == ref_return_word(6, 3) and {type(sigma) for sigma in word} == {float}
+    # one object per symbol, so that the kernels' identity test sees a repeat
+    assert len({id(sigma) for sigma in word}) == 2
     _return_word.cache_clear()
     assert p_value(P18, 5.0, 2) == p_value(P18, 5, 2)
     assert q_value(P18, 5.0, 2.0) == q_value(P18, 5, 2)
@@ -873,11 +877,24 @@ def test_public_surface_is_pinned():
         "tangency_a", "trace_curve", "u_value",
     ]
     assert _public_names(geometry) == [
-        "BwdLine", "C_RL", "C_RU", "C_UL", "C_UU", "DomainError", "Itinerary", "MINUS", "PLUS",
-        "Params", "Point", "RegionError", "SLOPE_C", "SlopeError", "boundary_turning_points",
-        "dataclass", "fixed_points", "iterate_line_bwd", "multipliers", "p_value", "q_value",
-        "r_value", "stable_line", "u_value",
+        "BwdLine", "C3", "C4", "C_RL", "C_RU", "C_UL", "C_UU", "DomainError", "Itinerary",
+        "MINUS", "PLUS", "Params", "Point", "RegionError", "SLOPE_C", "SlopeError",
+        "boundary_turning_points", "dataclass", "fixed_points", "iota", "iterate_line_bwd",
+        "multipliers", "p_value", "q_value", "r_value", "stable_line", "u_value",
     ]
+
+
+def test_cli_option_sets_are_pinned():
+    # a new or retired option is a CLI change: update it with a CHANGES.md entry
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert {name: sorted(option for action in sub._actions for option in action.option_strings)
+            for name, sub in commands.items()} == {
+        "orbit": ["--help", "--itinerary", "-I", "-a", "-b", "-h"],
+        "figure1": ["--b-max", "--grid", "--help", "--m-max", "--m-min", "--out", "--tol", "-h"],
+        "partition": ["--help", "--m-max", "--out", "-a", "-b", "-h"],
+        "verify": ["--help", "--out", "--seed", "-h"],
+    }
 
 
 def test_lazy_package_serves_each_name_from_its_home_module():

@@ -137,6 +137,19 @@ def test_brute_periodic_at_border_collisions():
         assert any(close(formal_periodic_point(p, word).point, v, 1e-7) for v in points)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 14: brute_periodic merges points within 1e-7, so at (1.204, 0.2) "
+    "it returns 10 period-6 points for 16 admissible codings; two of the formal "
+    "points are 2.44e-8 apart, and the 6 rotations of +++++- get no point"))
+def test_one_brute_point_per_admissible_coding():
+    # the paper's first result: admissible codings and periodic orbits correspond one to one
+    p = Params(1.204, 0.2)
+    admissible = [w for w in symbolic.sign_words(6)
+                  if formal_periodic_point(p, w).admissibility >= 0.0]
+    codings = [orbit_signs(p, v, 6) for v in brute_periodic(p, 6, grid_n=20)]
+    assert sorted(codings) == sorted(admissible)
+
+
 def test_brute_equivalence_with_admissible_formal():
     verify.orbit_equivalence((P18, Params(2.4, 0.4), Params(1.9, 0.0)), range(1, 5), 20)
 
@@ -325,6 +338,13 @@ def test_grid_newton_runs_once_per_sign_cell(monkeypatch):
 CELL = oracle._CELL
 
 
+def distinct(roots, accept):
+    """oracle._distinct with `accept(root)` in place of its _closes test."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_closes", lambda p, v, period: accept(v))
+        return oracle._distinct(None, roots, 0)
+
+
 @pytest.mark.parametrize("edge", [0.0, 3 * CELL, -7 * CELL, 1.7 // CELL * CELL])
 @pytest.mark.parametrize("axes", [(1, 0), (0, 1), (1, 1)])
 def test_dedup_across_cell_boundaries(edge, axes):
@@ -336,23 +356,23 @@ def test_dedup_across_cell_boundaries(edge, axes):
         for k in range(2):
             if axes[k]:
                 assert first[k] // CELL != second[k] // CELL
-        kept, cells = oracle._distinct([first, second], lambda v: True)
+        kept, cells = distinct([first, second], lambda v: True)
         assert kept == ([first] if merged else [first, second]), (gap, first, second)
         # the index holds exactly the kept points, each under 1, 2 or 4 cells
         assert {q for qs in cells.values() for q in qs} == set(kept)
-        assert oracle._distinct([second, first], lambda v: True)[0] == (
+        assert distinct([second, first], lambda v: True)[0] == (
             [second] if merged else [second, first])
         # a rejected root is not indexed, so it hides nothing
-        assert oracle._distinct([first, second], lambda v: v != first)[0] == [second]
+        assert distinct([first, second], lambda v: v != first)[0] == [second]
         # exact repeats of a kept, a merged or a rejected root change nothing
         repeated = [first, second, first, second, second, first]
         for accept, want in ((lambda v: True, kept), (lambda v: v != first, [second])):
-            assert oracle._distinct(repeated, accept)[0] == want
+            assert distinct(repeated, accept)[0] == want
     if axes == (1, 1):
         # a point on a corner is filed under the four cells that meet
         # there, and found from each of them
         corner = (edge, edge)
-        cells = oracle._distinct([corner], lambda v: True)[1]
+        cells = distinct([corner], lambda v: True)[1]
         assert sum(corner in qs for qs in cells.values()) == 4
         for gap, found in ((0.99e-7, True), (1.01e-7, False)):
             probes = [(edge + sx * gap, edge + sy * gap) for sx in (-1, 1) for sy in (-1, 1)]
@@ -384,7 +404,7 @@ def test_distinct_equals_pairwise_dedup():
         for v in roots:
             if not any(close(v, q, 1e-7) for q in want) and accept(v):
                 want.append(v)
-        kept, cells = oracle._distinct(roots, accept)
+        kept, cells = distinct(roots, accept)
         assert kept == want
         for v in roots[::4]:
             for gap in (0.99e-7, 1.01e-7):
@@ -417,15 +437,15 @@ def test_grid_check_looks_roots_up_across_cell_edges(axes, monkeypatch):
 
 def test_dedup_non_finite_roots_do_not_raise():
     roots = [(math.nan, 0.0), (math.inf, 1.0), (0.5, -math.inf), (0.5, 0.5), (0.5, 0.5)]
-    assert oracle._distinct(roots, lambda v: math.isfinite(v[0] + v[1]))[0] == [(0.5, 0.5)]
-    assert len(oracle._distinct(roots, lambda v: True)[0]) == 4
+    assert distinct(roots, lambda v: math.isfinite(v[0] + v[1]))[0] == [(0.5, 0.5)]
+    assert len(distinct(roots, lambda v: True)[0]) == 4
 
 
 def test_dedup_signed_zero_repeat():
     # -0.0 == 0.0, and both map alike: the first seen is kept, once
     calls = []
     roots = [(-0.0, 0.25), (0.0, 0.25), (0.25, -0.0), (0.25, 0.0)]
-    kept = oracle._distinct(roots, lambda v: calls.append(v) or True)[0]
+    kept = distinct(roots, lambda v: calls.append(v) or True)[0]
     assert kept == calls == [(-0.0, 0.25), (0.25, -0.0)]
     assert math.copysign(1.0, kept[0][0]) == math.copysign(1.0, kept[1][1]) == -1.0
 

@@ -17,9 +17,9 @@ from lozilab import (
     u_value,
     verify,
 )
-from lozilab.bifurcation import C3, C4, solve_l
+from lozilab.bifurcation import solve_l
 from lozilab.core import DomainError, RegionError
-from lozilab.geometry import stable_line
+from lozilab.geometry import C3, C4, stable_line
 
 from helpers import exists_Cmn
 
